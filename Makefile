@@ -4,7 +4,7 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: check lint test test-diff bench-hotpath bench-envstep bench-vecenv bench-policyeval bench-subproc bench-serving bench-smoke bench clean-cache
+.PHONY: check lint test test-diff bench-hotpath bench-envstep bench-vecenv bench-policyeval bench-serving bench-smoke bench clean-cache
 
 ## check: tier-1 tests + one tiny end-to-end figure run (< 1 minute)
 check:
@@ -40,10 +40,6 @@ bench-vecenv:
 bench-policyeval:
 	PYTHONPATH=src:. python benchmarks/bench_policyeval.py
 
-## bench-subproc: microbenchmark of the shared-memory worker env vs sync
-bench-subproc:
-	PYTHONPATH=src:. python benchmarks/bench_subproc.py
-
 ## bench-serving: 1M-request serving soak (memory-flat, ~25 minutes)
 bench-serving:
 	PYTHONPATH=src:. python benchmarks/bench_serving.py
@@ -53,7 +49,6 @@ bench-smoke:
 	PYTHONPATH=src:. python benchmarks/bench_envstep.py --smoke
 	PYTHONPATH=src:. python benchmarks/bench_vecenv.py --smoke
 	PYTHONPATH=src:. python benchmarks/bench_policyeval.py --smoke
-	PYTHONPATH=src:. python benchmarks/bench_subproc.py --smoke --workers 2
 	PYTHONPATH=src:. python benchmarks/bench_serving.py --smoke
 
 ## bench: the full figure/table benchmark suite (fast preset)

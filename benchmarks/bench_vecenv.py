@@ -5,7 +5,7 @@ count K:
 
 * ``env_steps`` — aggregate environment throughput with masked-random
   actions (no agent), for both backends of
-  :func:`~repro.core.subproc.make_vec_env`: the per-lane ``reference``
+  :func:`~repro.core.vecenv.make_vec_env`: the per-lane ``reference``
   backend (:class:`VecPlacementEnv`, lanes step serially in Python, so
   aggregate steps/s stays roughly flat in K) and the structure-of-arrays
   ``soa`` backend (:class:`SoAVecPlacementEnv`).  This protocol includes

@@ -63,8 +63,8 @@ def measure_env_steps(
 ) -> Dict[str, float]:
     """Aggregate env transitions/s with masked-random actions (no agent).
 
-    The one measurement loop every env-throughput benchmark shares — sync or
-    subprocess-backed, any lane count — so backend comparisons always time
+    The one measurement loop every env-throughput benchmark shares — either
+    lane core, any lane count — so backend comparisons always time
     the identical protocol (reset, then masks → random actions → step until
     ``total_steps`` transitions).  ``protocol`` selects the step keyword
     arguments from :data:`STEP_PROTOCOLS`.

@@ -15,8 +15,7 @@ echo "==> tier-1 tests"
 # With pytest-cov installed (CI installs it; it is optional locally), the
 # same run enforces a line-coverage floor on the vectorized core and the
 # substrate layer.  85% sits safely under the ~90% the tier-1 suite
-# measures; src/repro/core/subproc.py reads lower than reality because
-# forked-worker lines execute in child processes.
+# measures.
 COV_ARGS=()
 if python -c "import pytest_cov" >/dev/null 2>&1; then
     echo "    (pytest-cov found: enforcing >= 85% coverage on core/ + substrate/)"
@@ -35,9 +34,6 @@ PYTHONPATH="src:.${PYTHONPATH:+:$PYTHONPATH}" python benchmarks/bench_vecenv.py 
 
 echo "==> batched policy-eval perf smoke (vectorized baselines vs per-request reference)"
 PYTHONPATH="src:.${PYTHONPATH:+:$PYTHONPATH}" python benchmarks/bench_policyeval.py --smoke
-
-echo "==> subproc-env smoke (2 shared-memory workers vs sync, bitwise equivalence)"
-PYTHONPATH="src:.${PYTHONPATH:+:$PYTHONPATH}" python benchmarks/bench_subproc.py --smoke --workers 2
 
 echo "==> serving-loop smoke (graceful degradation under 4x MMPP overload)"
 PYTHONPATH="src:.${PYTHONPATH:+:$PYTHONPATH}" python benchmarks/bench_serving.py --smoke

@@ -36,7 +36,6 @@ ENGINEERING_SCHEMAS = {
         "aggregate_decision_speedup",
         "sweep_eval",
     },
-    "subproc.json": {"config", "sync", "subproc", "speedups", "speedup_bar"},
     "serving.json": {"smoke", "soak"},
     # reprolint's committed JSON report (refreshed by scripts/check.sh).
     "reprolint.json": {

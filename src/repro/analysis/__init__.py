@@ -1,7 +1,7 @@
 """reprolint: AST-based project-contract static analysis.
 
 The dynamic enforcement of this repository's invariants — the differential
-campaigns proving SoA==reference, lean==full and subproc==sync bitwise —
+campaigns proving SoA==reference and lean==full bitwise —
 only catches a contract breach *after* it produces a divergent trajectory.
 This package is the commit-time complement: a small lint framework whose
 rules encode the contracts directly (no hidden RNG or clock state, no
@@ -10,8 +10,8 @@ shadow-ledger pairing, no silent broad excepts, event-handler
 exhaustiveness), so a violating diff fails ``make lint`` / CI before any
 campaign runs.  On top of the lexical rules sits a flow-sensitive layer —
 an intra-procedural CFG (``cfg``) and worklist dataflow engine
-(``dataflow``) powering the ordering/aliasing rules (shared-view escapes,
-shadow-ledger staleness, protocol exhaustiveness, read-only parameters).
+(``dataflow``) powering the ordering/aliasing rules (shadow-ledger
+staleness, read-only parameters).
 See ``docs/ANALYSIS.md`` for the rule catalog and how to add a rule.
 """
 

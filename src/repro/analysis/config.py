@@ -11,11 +11,6 @@ The default configuration encodes this repository's contract surface:
   that declares mirrored numpy/Python ledgers.
 * RPL107 (event-handler exhaustiveness) is a cross-module rule configured
   with the event enum's module and the modules allowed to register handlers.
-* RPL201 (shared-memory view escapes) runs only on ``core/subproc.py``,
-  where the shm-backed ``self._views`` mapping lives.
-* RPL202 (pipe-protocol exhaustiveness) is a cross-module rule configured
-  with the parent/worker module, the worker loop's dispatch variable and
-  the ``_command_all``/``_command_one`` send wrappers.
 * RPL203 (read-only parameters) runs repo-wide; obligations come from
   ``# repro-lint: readonly=...`` anchors and frozen-dataclass annotations.
 * RPL204 (flow-sensitive shadow staleness) runs only on ``core/soa.py``
@@ -104,7 +99,6 @@ def default_config() -> AnalysisConfig:
             ),
             "RPL104": RuleScope(skip=("tests/*", "tests/**/*")),
             "RPL105": RuleScope(only=("src/repro/core/soa.py",)),
-            "RPL201": RuleScope(only=("src/repro/core/subproc.py",)),
             "RPL204": RuleScope(only=("src/repro/core/soa.py",)),
         },
         options={
@@ -132,18 +126,6 @@ def default_config() -> AnalysisConfig:
                     "src/repro/serving/service.py",
                 ],
                 "register_methods": ["on"],
-            },
-            "RPL201": {
-                # self attributes holding shm-backed view mappings.
-                "view_attrs": ["_views"],
-            },
-            "RPL202": {
-                "module": "src/repro/core/subproc.py",
-                "worker_function": "_worker_main",
-                "command_var": "command",
-                "reply_var": "tag",
-                # Wrapper method → index of its command argument.
-                "send_wrappers": {"_command_all": 0, "_command_one": 1},
             },
             "RPL204": {
                 # Same pairs as RPL105; RPL204 adds the ordering dimension.

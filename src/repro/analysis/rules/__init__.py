@@ -12,8 +12,6 @@ from repro.analysis.rules import (  # noqa: F401  (imported for registration)
     exceptions,
     ledger,
     rng,
-    views,
-    protocol,
     readonly,
     staleness,
 )

@@ -1,11 +1,11 @@
 """RPL106: no silent broad exception swallowing.
 
 ``except Exception: pass`` in a worker or cleanup path converts a real
-failure (a crashed env worker, a half-torn-down shared-memory segment) into
-silent state corruption that only surfaces campaigns later.  A broad catch
-must re-raise, fence/report the failure (any call in the handler body counts
-— e.g. ``conn.send(("error", ...))`` or a serial fallback), or carry an
-inline suppression explaining why swallowing is correct there.
+failure (a crashed pool worker, a half-written cache file) into silent
+state corruption that only surfaces campaigns later.  A broad catch must
+re-raise, fence/report the failure (any call in the handler body counts —
+e.g. a log call or a serial fallback), or carry an inline suppression
+explaining why swallowing is correct there.
 """
 
 from __future__ import annotations

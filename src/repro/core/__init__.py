@@ -13,7 +13,6 @@ from repro.core.reward import (
 )
 from repro.core.soa import SoAVecPlacementEnv, soa_supported
 from repro.core.state import EncoderConfig, StateEncoder
-from repro.core.subproc import SubprocVecPlacementEnv, make_vec_env
 from repro.core.timeout import BudgetedPolicy, DecisionOutcome
 from repro.core.training import (
     EvaluationResult,
@@ -22,7 +21,12 @@ from repro.core.training import (
     TrainingHistory,
     VecTrainer,
 )
-from repro.core.vecenv import VecPlacementEnv, lane_workload_seed, make_lane_env
+from repro.core.vecenv import (
+    VecPlacementEnv,
+    lane_workload_seed,
+    make_lane_env,
+    make_vec_env,
+)
 
 __all__ = [
     "ActionSpace",
@@ -47,7 +51,6 @@ __all__ = [
     "VecPlacementEnv",
     "SoAVecPlacementEnv",
     "soa_supported",
-    "SubprocVecPlacementEnv",
     "make_vec_env",
     "BudgetedPolicy",
     "DecisionOutcome",

@@ -31,7 +31,7 @@ from repro.core.training import (
     TrainingHistory,
     VecTrainer,
 )
-from repro.core.vecenv import VecPlacementEnv
+from repro.core.vecenv import VecPlacementEnv, lane_specs_from_scenarios, make_vec_env
 from repro.sim.simulation import NFVSimulation, SimulationConfig, SimulationResult
 from repro.utils.rng import RandomState, derive_seed
 from repro.workloads.scenarios import Scenario
@@ -50,12 +50,6 @@ class ManagerConfig:
     #: historical serial trainer; >1 trains on a K-lane vectorized
     #: environment with derived per-lane workload seeds.
     training_lanes: int = 1
-    #: Number of worker processes the training lanes are sharded across.
-    #: 1 keeps the in-process vectorized environment; >1 builds a
-    #: shared-memory :class:`~repro.core.subproc.SubprocVecPlacementEnv`
-    #: (degrading to in-process where subprocesses are unavailable).
-    #: Trajectories are identical either way.
-    env_workers: int = 1
 
     def __post_init__(self) -> None:
         self.training = self.training or TrainingConfig()
@@ -66,10 +60,6 @@ class ManagerConfig:
         if self.training_lanes < 1:
             raise ValueError(
                 f"training_lanes must be >= 1, got {self.training_lanes}"
-            )
-        if self.env_workers < 1:
-            raise ValueError(
-                f"env_workers must be >= 1, got {self.env_workers}"
             )
 
 
@@ -110,26 +100,20 @@ class VNFManager:
                 self.env, self.agent, self.config.training
             )
         else:
-            from repro.core.subproc import make_vec_env
-
             venv = make_vec_env(
                 [scenario] * self.config.training_lanes,
                 seed=derive_seed(seed, "vec_lanes"),
                 env_config=self.config.env,
                 reward_config=self.config.reward,
                 encoder_config=self.config.encoder,
-                workers=self.config.env_workers,
                 backend="auto",
             )
             if isinstance(venv, VecPlacementEnv):
                 self.env = venv.envs[0]
             else:
-                # Worker-backed or SoA lanes expose no in-process per-lane
-                # environments; rebuild lane 0 locally as the representative
-                # environment (same derived seed, so it mirrors the training
-                # lane exactly).
-                from repro.core.vecenv import lane_specs_from_scenarios
-
+                # SoA lanes expose no per-lane environments; rebuild lane 0
+                # as the representative environment (same derived seed, so
+                # it mirrors the training lane exactly).
                 self.env = lane_specs_from_scenarios(
                     [scenario],
                     seed=derive_seed(seed, "vec_lanes"),
@@ -213,7 +197,7 @@ class VNFManager:
         self._trained = True
 
     def close(self) -> None:
-        """Release training resources (stops env worker processes, if any)."""
+        """Release training resources."""
         self.trainer.close()
 
     def summary(self) -> Dict[str, object]:

@@ -300,7 +300,7 @@ class SoAVecPlacementEnv:
     one resolved env/reward/encoder configuration and catalog); a
     ``ValueError`` is raised otherwise — callers that need mixed lane sets
     fall back to the reference :class:`~repro.core.vecenv.VecPlacementEnv`
-    (see :func:`~repro.core.subproc.make_vec_env` with ``backend="auto"``).
+    (see :func:`~repro.core.vecenv.make_vec_env` with ``backend="auto"``).
     """
 
     def __init__(
@@ -1849,39 +1849,6 @@ class SoAVecPlacementEnv:
     # ------------------------------------------------------------------ #
     # Introspection (shared vec-env surface)
     # ------------------------------------------------------------------ #
-    def worker_metadata(self) -> Dict[str, object]:
-        """Shard-compatibility metadata for the subprocess worker handshake.
-
-        Same keys as :meth:`VecPlacementEnv.worker_metadata`; the SoA core
-        only constructs when the batched kernel's structural requirements
-        hold, so ``kernel_ok`` is always true here.
-        """
-        return {
-            "state_dim": self.state_dim,
-            "num_actions": self.num_actions,
-            "num_nodes": self._num_nodes,
-            "kernel_ok": True,
-            "node_order": list(self._row_ids),
-            "latency_check": bool(self._latency_mask_check),
-            "latency_matrix": np.asarray(self._latency),
-        }
-
-    def constant_stacks(self) -> Dict[str, np.ndarray]:
-        """Per-lane ``(K, N, 3)`` stacks of the constant ledger matrices.
-
-        All lanes share one template topology, so these are broadcast views
-        rather than copies — same contents as stacking K per-lane ledgers.
-        """
-        return {
-            name: self._broadcast_constant(name)
-            for name in (
-                "node_capacity",
-                "node_capacity_safe",
-                "node_cost_per_unit",
-                "_capacity_plus_tol",
-            )
-        }
-
     def lane_stats(self) -> List[EpisodeStats]:
         """The per-lane statistics of the episodes currently in progress."""
         return [st.stats for st in self._lanes]

@@ -110,8 +110,7 @@ class VecTrainer:
 
     def __init__(
         self,
-        venv: VecPlacementEnv,  # or any env speaking the same surface,
-        # e.g. a worker-backed SubprocVecPlacementEnv from make_vec_env()
+        venv: VecPlacementEnv,  # or the SoA core, which speaks the same surface
         agent: Agent,
         config: Optional[TrainingConfig] = None,
     ) -> None:
@@ -163,7 +162,7 @@ class VecTrainer:
             actions = self.agent.select_actions(states, masks, greedy=greedy)
             # Lean-step protocol: the trainer only consumes episode_stats of
             # done lanes, which the lean accessors expose without the venv
-            # building (or, under subproc, marshaling) K info dicts per step.
+            # building K info dicts per step.
             next_states, rewards, dones, _ = venv.step(actions, info=False)
             lane_steps += 1
             # Lanes hitting the step cap end their episode here.  The
@@ -268,7 +267,7 @@ class VecTrainer:
         )
 
     def close(self) -> None:
-        """Release the vectorized environment (stops subprocess workers)."""
+        """Release the vectorized environment."""
         self.venv.close()
 
 

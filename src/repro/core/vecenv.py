@@ -41,7 +41,7 @@ from repro.utils.rng import RandomState, derive_seed
 from repro.workloads.scenarios import Scenario
 
 #: Step outcomes shared by every vectorized backend, encoded as one byte per
-#: lane in the lean-step protocol (and through subprocess shared memory).
+#: lane in the lean-step protocol.
 #: Index 0 is "no outcome" and is never observed after a completed step.
 OUTCOMES = (
     "",
@@ -149,11 +149,10 @@ def lane_failure_seed(seed: RandomState, lane_index: int, scenario_name: str) ->
 class LaneSpec:
     """Everything needed to (re)build one environment lane.
 
-    This is the construction kernel of the vectorized environments: the sync
-    :class:`VecPlacementEnv` builds all K lanes from specs in-process, while
-    :class:`~repro.core.subproc.SubprocVecPlacementEnv` ships each worker its
-    shard of specs and lets the worker build the very same lanes locally —
-    live environments never cross a process boundary.
+    This is the construction kernel of the vectorized environments: both
+    :class:`VecPlacementEnv` and :class:`~repro.core.soa.SoAVecPlacementEnv`
+    build their K lanes from specs, so the two cores start from identical
+    lanes.
     """
 
     scenario: Scenario
@@ -190,8 +189,8 @@ def lane_specs_from_scenarios(
     The seed-derivation rules are exactly those of
     :meth:`VecPlacementEnv.from_scenarios` (workload seeds via
     :func:`lane_workload_seed`, failure seeds via :func:`lane_failure_seed`),
-    so lanes built from these specs — in-process or in worker processes —
-    reproduce the same request and failure streams.
+    so lanes built from these specs reproduce the same request and failure
+    streams on either lane core.
     """
     return [
         LaneSpec(
@@ -239,6 +238,57 @@ def make_lane_env(
         config=env_config,
         failure_config=failure_config,
     )
+
+
+def make_vec_env(
+    scenarios: Sequence[Scenario],
+    seed: RandomState = 0,
+    env_config: Optional[EnvConfig] = None,
+    reward_config: Optional[RewardConfig] = None,
+    encoder_config: Optional[EncoderConfig] = None,
+    auto_reset: bool = True,
+    derive_lane_seeds: bool = True,
+    failure_config: Optional[FailureConfig] = None,
+    backend: str = "reference",
+):
+    """Build a vectorized environment over one lane per scenario.
+
+    ``backend`` selects the lane core:
+
+    * ``"reference"`` — per-lane :class:`~repro.core.env.VNFPlacementEnv`
+      objects behind :class:`VecPlacementEnv`,
+    * ``"soa"`` — the fused structure-of-arrays core
+      (:class:`~repro.core.soa.SoAVecPlacementEnv`); raises ``ValueError``
+      when the lane set violates its shared-topology requirements,
+    * ``"auto"`` — ``"soa"`` when the lane set supports it, else
+      ``"reference"``.
+
+    Both cores build lanes from the same specs and are bitwise
+    trajectory-equivalent (the differential suite asserts it), so swapping
+    backends never changes results — only throughput.
+    """
+    if backend not in ("reference", "soa", "auto"):
+        raise ValueError(
+            f"unknown env backend {backend!r}; expected 'reference', 'soa' "
+            "or 'auto'"
+        )
+    specs = lane_specs_from_scenarios(
+        scenarios,
+        seed=seed,
+        env_config=env_config,
+        reward_config=reward_config,
+        encoder_config=encoder_config,
+        derive_lane_seeds=derive_lane_seeds,
+        failure_config=failure_config,
+    )
+    # Imported here because repro.core.soa builds on this module.
+    from repro.core.soa import SoAVecPlacementEnv, soa_supported
+
+    if backend == "auto":
+        backend = "soa" if soa_supported(specs) else "reference"
+    if backend == "soa":
+        return SoAVecPlacementEnv.from_specs(specs, auto_reset=auto_reset)
+    return VecPlacementEnv.from_specs(specs, auto_reset=auto_reset)
 
 
 class VecPlacementEnv:
@@ -364,7 +414,7 @@ class VecPlacementEnv:
     def from_specs(
         cls, specs: Sequence[LaneSpec], auto_reset: bool = True
     ) -> "VecPlacementEnv":
-        """Build one lane per :class:`LaneSpec` (the shard-construction path)."""
+        """Build one lane per :class:`LaneSpec`."""
         return cls(
             [spec.build() for spec in specs],
             auto_reset=auto_reset,
@@ -566,40 +616,6 @@ class VecPlacementEnv:
         masks[:, :num_nodes] = valid
         return masks
 
-    def worker_metadata(self) -> Dict[str, object]:
-        """Shard-compatibility metadata for the subprocess worker handshake.
-
-        Every backend a worker can host exposes the same keys; the parent
-        compares them across shards to decide whether the cross-shard
-        batched decision context applies.
-        """
-        reference = self.envs[0]
-        kernel_ok = self._mask_kernel
-        return {
-            "state_dim": self.state_dim,
-            "num_actions": self.num_actions,
-            "num_nodes": self.num_actions - 1,
-            "kernel_ok": kernel_ok,
-            "node_order": list(reference.encoder.node_order),
-            "latency_check": bool(reference.config.latency_mask_check),
-            "latency_matrix": (
-                np.asarray(reference.network.latency_matrix) if kernel_ok else None
-            ),
-        }
-
-    def constant_stacks(self) -> Dict[str, np.ndarray]:
-        """Per-lane ``(K, N, 3)`` stacks of the constant ledger matrices."""
-        ledgers = [env.network.ledger for env in self.envs]
-        return {
-            name: self._stacked_constant(name, ledgers)
-            for name in (
-                "node_capacity",
-                "node_capacity_safe",
-                "node_cost_per_unit",
-                "_capacity_plus_tol",
-            )
-        }
-
     def lane_stats(self) -> List[EpisodeStats]:
         """The per-lane statistics of the episodes currently in progress."""
         return [env.stats for env in self.envs]
@@ -647,8 +663,8 @@ class VecPlacementEnv:
         """Release lane resources (a no-op for the in-process lane set).
 
         Part of the shared vectorized-environment surface: callers close
-        whatever :func:`~repro.core.subproc.make_vec_env` handed them without
-        caring whether worker processes back it.
+        whatever :func:`make_vec_env` handed them without caring which lane
+        core backs it.
         """
 
     def __enter__(self) -> "VecPlacementEnv":

@@ -69,14 +69,19 @@ __all__ = [
 # Worker-count resolution
 # --------------------------------------------------------------------------- #
 def default_max_workers() -> int:
-    """Worker count from ``REPRO_MAX_WORKERS``, else the CPU count."""
+    """Worker count from ``REPRO_MAX_WORKERS``, else the CPU count.
+
+    Raises ``ValueError`` when the variable is set to a non-integer.
+    """
     env = os.environ.get("REPRO_MAX_WORKERS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, os.cpu_count() or 1)
+    if not env:
+        return max(1, os.cpu_count() or 1)
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ValueError(
+            f"REPRO_MAX_WORKERS must be an integer, got {env!r}"
+        ) from None
 
 
 def derive_worker_seeds(base_seed: RandomState, labels: Sequence[object]) -> List[int]:
@@ -95,20 +100,6 @@ def derive_worker_seeds(base_seed: RandomState, labels: Sequence[object]) -> Lis
 def _call_star(payload: Tuple[Callable, tuple]) -> Any:
     fn, args = payload
     return fn(*args)
-
-
-def _mark_pool_worker() -> None:
-    """Pool-worker initializer: flag the process as a worker.
-
-    :func:`repro.core.subproc.make_vec_env` reads this flag (and the process
-    parentage) and degrades subprocess environments to the in-process
-    backend — a task already running inside the experiment pool must not
-    spawn a second tier of environment workers and oversubscribe the
-    machine.
-    """
-    from repro.core.subproc import POOL_WORKER_ENV
-
-    os.environ[POOL_WORKER_ENV] = "1"
 
 
 def run_parallel(
@@ -140,9 +131,7 @@ def run_parallel(
     except (TypeError, AttributeError, NotImplementedError, pickle.PicklingError):
         return [fn(*args) for args in tasks]
     try:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_mark_pool_worker
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_call_star, payloads))
     except (OSError, BrokenProcessPool, pickle.PicklingError):
         # Sandboxes without process spawning, reaped workers, or pickling

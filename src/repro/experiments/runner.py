@@ -20,8 +20,8 @@ from repro.core.env import EnvConfig
 from repro.core.manager import VNFManager
 from repro.core.reward import RewardConfig
 from repro.core.state import EncoderConfig
-from repro.core.subproc import make_vec_env
 from repro.core.training import EvaluationResult
+from repro.core.vecenv import make_vec_env
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import parallel_policy_comparison
 from repro.serving.service import FallbackChain, OnlinePlacementService, ServingConfig
@@ -146,7 +146,6 @@ def evaluate_agent_across_scenarios(
     encoder_config: Optional[EncoderConfig] = None,
     max_steps_per_episode: int = 2000,
     failure_config: Optional[FailureConfig] = None,
-    env_workers: Optional[int] = None,
 ) -> List[EvaluationResult]:
     """Greedy-evaluate one batched policy over a scenario-diverse vec batch.
 
@@ -167,12 +166,6 @@ def evaluate_agent_across_scenarios(
 
     All scenarios must share the agent's observation and action space (same
     topology size); per-lane workload seeds are derived from ``seed``.
-
-    With ``env_workers`` > 1 the lanes are sharded across that many worker
-    processes behind shared memory (see
-    :func:`~repro.core.subproc.make_vec_env`); trajectories — and therefore
-    results — are identical to the in-process backend, heuristic policies
-    included (their worker-side copies act on the live shard substrate).
     """
     if episodes_per_scenario <= 0:
         raise ValueError(
@@ -189,7 +182,6 @@ def evaluate_agent_across_scenarios(
         reward_config=reward_config,
         encoder_config=encoder_config,
         failure_config=failure_config,
-        workers=env_workers,
         backend="reference" if is_heuristic else "auto",
     )
     try:
@@ -197,21 +189,16 @@ def evaluate_agent_across_scenarios(
             agent.bind_lanes(venv)
             agent.reset()
         observe = not is_heuristic
-        # A policy remote-bound to a worker-backed env decides inside the
-        # workers (which compute their shard masks locally), so fetching the
-        # stacked masks here would be one wasted worker round-trip per step.
-        skip_masks = is_heuristic and getattr(agent, "_remote_venv", None) is venv
         num_lanes = venv.num_lanes
         counts = np.zeros(num_lanes, dtype=int)
         lane_steps = np.zeros(num_lanes, dtype=int)
         per_lane: List[List[Dict[str, float]]] = [[] for _ in range(num_lanes)]
         states = venv.reset(observe=observe)
         while (counts < episodes_per_scenario).any():
-            masks = None if skip_masks else venv.valid_action_masks()
+            masks = venv.valid_action_masks()
             actions = agent.select_actions(states, masks, greedy=True)
             # Lean-step protocol: evaluation only reads finished-episode
-            # stats, so no per-step info dicts are built (and the subproc
-            # backend skips the info marshaling round entirely).
+            # stats, so no per-step info dicts are built.
             states, _, dones, _ = venv.step(actions, observe=observe, info=False)
             lane_steps += 1
             lane_stats = None  # fetched once per step, only if a lane truncates
@@ -259,7 +246,6 @@ def evaluate_baseline_across_scenarios(
     env_config: Optional[EnvConfig] = None,
     reward_config: Optional[RewardConfig] = None,
     failure_config: Optional[FailureConfig] = None,
-    env_workers: Optional[int] = None,
 ) -> List[EvaluationResult]:
     """Evaluate one heuristic baseline over the same vec batch as an agent.
 
@@ -282,7 +268,6 @@ def evaluate_baseline_across_scenarios(
         env_config=baseline_env_config,
         reward_config=reward_config,
         failure_config=failure_config,
-        env_workers=env_workers,
     )
 
 
@@ -293,7 +278,6 @@ def vec_sweep_env_eval(
     episodes_per_scenario: int = 2,
     baselines: Optional[Sequence[PlacementPolicy]] = None,
     failure_config: Optional[FailureConfig] = None,
-    env_workers: Optional[int] = None,
 ) -> Dict[str, object]:
     """JSON-friendly scenario-diverse vec evaluation of a trained manager.
 
@@ -315,7 +299,6 @@ def vec_sweep_env_eval(
         reward_config=manager.config.reward,
         encoder_config=manager.config.encoder,
         failure_config=failure_config,
-        env_workers=env_workers,
     )
     payload: Dict[str, object] = {
         "scenarios": [scenario.name for scenario in scenarios],
@@ -337,7 +320,6 @@ def vec_sweep_env_eval(
                 env_config=manager.config.env,
                 reward_config=manager.config.reward,
                 failure_config=failure_config,
-                env_workers=env_workers,
             )
             entry = {
                 "mean_reward": [r.mean_reward for r in baseline_results],

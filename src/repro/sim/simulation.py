@@ -80,37 +80,17 @@ class PlacementPolicy(ABC):
     def bind_lanes(self, lanes) -> "PlacementPolicy":
         """Bind this policy to vectorized environment lanes.
 
-        ``lanes`` is a :class:`~repro.core.vecenv.VecPlacementEnv`, a plain
-        sequence of :class:`~repro.core.env.VNFPlacementEnv` objects, or a
-        :class:`~repro.core.subproc.SubprocVecPlacementEnv`.  Binding
+        ``lanes`` is a :class:`~repro.core.vecenv.VecPlacementEnv` or a plain
+        sequence of :class:`~repro.core.env.VNFPlacementEnv` objects.  Binding
         initializes the per-lane plan cache used by the default
         :meth:`select_actions`; returns ``self`` for chaining.
-
-        Subprocess environments have no in-process lanes to bind: the policy
-        is shipped to every worker instead (via ``bind_policy``), each copy
-        binds to its shard's live lanes there, and this parent-side object
-        turns into a thin proxy — ``select_actions`` is shadowed with a
-        delegate that fetches the worker-computed actions through shared
-        memory, so heuristic subclasses (whatever vectorized overrides they
-        define) run unmodified on either backend.
         """
-        if hasattr(lanes, "bind_policy"):  # a worker-backed vectorized env
-            lanes.bind_policy(self)
-            self._remote_venv = lanes
-            self._lane_envs = None
-            self._lane_venv = None
-            # Shadow the class-level select_actions (including subclass
-            # overrides) on this instance only; unbinding removes it.
-            self.select_actions = self._remote_select_actions
-            return self
         if getattr(lanes, "backend", None) == "soa":
             raise TypeError(
                 "heuristic policies plan against live per-lane environments, "
                 "which the SoA lane-block does not expose; build the "
                 "vectorized environment with backend='reference' instead"
             )
-        self.__dict__.pop("select_actions", None)
-        self._remote_venv = None
         envs = list(getattr(lanes, "envs", lanes))
         if not envs:
             raise ValueError("bind_lanes() needs at least one lane")
@@ -121,22 +101,6 @@ class PlacementPolicy(ABC):
         self._lane_plans: List[Optional[List[int]]] = [None] * len(envs)
         self._lane_request_ids: List[Optional[int]] = [None] * len(envs)
         return self
-
-    def _remote_select_actions(
-        self,
-        states: Optional[np.ndarray] = None,
-        masks: Optional[np.ndarray] = None,
-        greedy: bool = True,
-    ) -> np.ndarray:
-        """Batched acting against worker-held lanes (subprocess binding).
-
-        The worker-side policy copies decide from their shard's live
-        substrate — recomputing the shard masks locally, exactly what the
-        in-process path would feed them — and only the chosen actions cross
-        back, so ``states``/``masks`` are accepted for signature
-        compatibility and ignored.
-        """
-        return self._remote_venv.policy_actions()
 
     @property
     def bound_context(self):
@@ -216,13 +180,9 @@ class PlacementPolicy(ABC):
     def reset(self) -> None:
         """Hook invoked at the start of every simulation run (optional).
 
-        Clears the per-lane plan cache of the batched protocol (forwarding
-        to the worker-side copies when bound to a subprocess environment);
-        subclasses extending this must call ``super().reset()``.
+        Clears the per-lane plan cache of the batched protocol; subclasses
+        extending this must call ``super().reset()``.
         """
-        remote = getattr(self, "_remote_venv", None)
-        if remote is not None:
-            remote.reset_bound_policy()
         lanes = getattr(self, "_lane_envs", None)
         if lanes:
             self._lane_plans = [None] * len(lanes)

@@ -22,12 +22,9 @@ Every drive records the lean-accessor arrays (outcome codes, request-done
 flags, request ids, finished-episode stats) regardless of protocol, so
 backend comparisons cover them even when info dicts are also compared.
 
-The only sanctioned difference between backends is ``request_id``: the global
-request counter is process-local, so worker-sharded backends label requests
-per worker.  Cross-process comparisons pass
-``ignore_info_keys=PROCESS_LOCAL_INFO_KEYS``; in-process comparisons compare
-it too (after :func:`~repro.nfv.sfc.reset_request_counter`, which
-:func:`drive` calls before construction so both backends count from zero).
+Comparisons include ``request_id``: :func:`drive` calls
+:func:`~repro.nfv.sfc.reset_request_counter` before construction, so both
+backends number requests from zero.
 """
 
 from __future__ import annotations
@@ -42,13 +39,6 @@ from repro.core.vecenv import OUTCOME_CODE
 from repro.nfv.sfc import reset_request_counter
 from repro.sim.failures import FailureConfig
 from repro.workloads.scenarios import Scenario, reference_scenario
-
-#: Info keys that are process-local labels rather than trajectory content.
-#: Worker-sharded backends rebuild lanes in separate processes, each with its
-#: own global request counter, so ``request_id`` differs across process
-#: topologies while every other field stays bitwise identical.
-PROCESS_LOCAL_INFO_KEYS: Tuple[str, ...] = ("request_id",)
-
 
 @dataclass(frozen=True)
 class Campaign:
@@ -136,7 +126,7 @@ def drive(
     """Run one backend through ``steps`` masked-random actions.
 
     ``factory`` builds the environment; the global request counter is reset
-    first so in-process backends number requests identically.  The recorded
+    first so every backend numbers requests identically.  The recorded
     trajectory holds, per step: masks, actions, (optionally) the decision
     context, post-step states/rewards/dones/infos, the lean-accessor arrays,
     per-lane running :class:`EpisodeStats` dictionaries and fenced-node id
@@ -222,17 +212,12 @@ def _assert_bitwise(name: str, step: int, a: np.ndarray, b: np.ndarray) -> None:
         )
 
 
-def assert_trajectories_equal(
-    a: Dict[str, object],
-    b: Dict[str, object],
-    ignore_info_keys: Tuple[str, ...] = (),
-) -> None:
+def assert_trajectories_equal(a: Dict[str, object], b: Dict[str, object]) -> None:
     """Assert two :func:`drive` recordings are bitwise identical.
 
-    ``ignore_info_keys`` drops process-local info labels (see
-    :data:`PROCESS_LOCAL_INFO_KEYS`) before comparison; everything else —
-    including float payloads — must match exactly, so any arithmetic
-    reordering in a backend fails loudly rather than "close enough".
+    Everything — including float payloads — must match exactly, so any
+    arithmetic reordering in a backend fails loudly rather than "close
+    enough".
     """
     _assert_bitwise("reset states", -1, a["reset"], b["reset"])
     assert len(a["steps"]) == len(b["steps"]), (
@@ -266,14 +251,8 @@ def assert_trajectories_equal(
             for lane, ((info_a, term_a), (info_b, term_b)) in enumerate(
                 zip(ea["infos"], eb["infos"])
             ):
-                payload_a = {
-                    k: v for k, v in info_a.items() if k not in ignore_info_keys
-                }
-                payload_b = {
-                    k: v for k, v in info_b.items() if k not in ignore_info_keys
-                }
-                assert payload_a == payload_b, (
-                    f"step {step} lane {lane}: infos diverged\n  a={payload_a}\n  b={payload_b}"
+                assert info_a == info_b, (
+                    f"step {step} lane {lane}: infos diverged\n  a={info_a}\n  b={info_b}"
                 )
                 assert (term_a is None) == (term_b is None), (
                     f"step {step} lane {lane}: terminal_state presence diverged"
@@ -282,8 +261,7 @@ def assert_trajectories_equal(
                     _assert_bitwise("terminal_state", step, term_a, term_b)
         _assert_bitwise("outcome_codes", step, ea["outcome_codes"], eb["outcome_codes"])
         _assert_bitwise("request_done", step, ea["request_done"], eb["request_done"])
-        if "request_id" not in ignore_info_keys:
-            _assert_bitwise("request_ids", step, ea["request_ids"], eb["request_ids"])
+        _assert_bitwise("request_ids", step, ea["request_ids"], eb["request_ids"])
         assert ea["finished_stats"] == eb["finished_stats"], (
             f"step {step}: finished-episode stats diverged\n"
             f"  a={ea['finished_stats']}\n  b={eb['finished_stats']}"
@@ -297,11 +275,7 @@ def assert_trajectories_equal(
         )
 
 
-def assert_lean_matches_full(
-    lean: Dict[str, object],
-    full: Dict[str, object],
-    ignore_info_keys: Tuple[str, ...] = (),
-) -> None:
+def assert_lean_matches_full(lean: Dict[str, object], full: Dict[str, object]) -> None:
     """Assert a lean-step recording matches a full-step recording bitwise.
 
     ``lean`` must come from ``drive(..., info=False)`` and ``full`` from a
@@ -348,12 +322,11 @@ def assert_lean_matches_full(
             el["request_done"],
             np.array([i["request_done"] for i in full_infos], dtype=bool),
         )
-        if "request_id" not in ignore_info_keys:
-            _assert_bitwise(
-                "request_ids", step,
-                el["request_ids"],
-                np.array([i["request_id"] for i in full_infos], dtype=np.int64),
-            )
+        _assert_bitwise(
+            "request_ids", step,
+            el["request_ids"],
+            np.array([i["request_id"] for i in full_infos], dtype=np.int64),
+        )
         for lane in np.flatnonzero(np.asarray(el["dones"])).tolist():
             assert el["finished_stats"][lane] == full_infos[lane]["episode_stats"], (
                 f"step {step} lane {lane}: finished-episode stats diverged\n"
@@ -370,7 +343,6 @@ def assert_lean_matches_full(
 
 
 __all__ = [
-    "PROCESS_LOCAL_INFO_KEYS",
     "Campaign",
     "assert_lean_matches_full",
     "assert_trajectories_equal",

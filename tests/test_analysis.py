@@ -61,11 +61,11 @@ def run_fixture(name, select, options=None):
 
 class TestRuleCatalog:
     def test_full_rule_catalog_registered(self):
-        # RPL1xx: syntactic contract rules; RPL2xx: flow/protocol rules.
+        # RPL1xx: syntactic contract rules; RPL2xx: flow rules.
         assert sorted(all_rules()) == [
             "RPL101", "RPL102", "RPL103", "RPL104",
             "RPL105", "RPL106", "RPL107",
-            "RPL201", "RPL202", "RPL203", "RPL204",
+            "RPL203", "RPL204",
         ]
 
     def test_framework_rules_reserved(self):
@@ -89,9 +89,6 @@ RULE_CASES = [
      {"_node_used", "_link_used"},
      "rpl105_clean.py", {"RPL105": RPL105_OPTIONS}),
     ("rpl106_trigger.py", "RPL106", 3, {"except"}, "rpl106_clean.py", None),
-    ("rpl201_trigger.py", "RPL201", 5,
-     {"states", "pair", "via_alias", "stash", "whole_mapping"},
-     "rpl201_clean.py", None),
     ("rpl203_trigger.py", "RPL203", 7,
      {"clobber_masks", "fill_via_alias", "ufunc_targets", "anchor_typo",
       "bump_request"},
@@ -153,76 +150,6 @@ class TestRulesFire:
         assert "EventType.ARRIVAL" not in reported
         assert "EventType.DEPARTURE" not in reported
         assert "EventType.END" not in reported
-
-
-class TestCommandProtocol:
-    """RPL202 lock-in: patch the real subproc source, assert the drift fires.
-
-    Mirrors the RPL107 lock-in test: the rule is exercised against the real
-    module text so these tests prove non-vacuity — an unhandled command, a
-    dead dispatch branch, an unexamined reply and a phantom examined reply
-    each produce exactly the expected finding.
-    """
-
-    def _run(self, source):
-        from repro.analysis.engine import analyze_modules
-        from repro.analysis.module import SourceModule
-
-        config = default_config()
-        rel = config.options["RPL202"]["module"]
-        config.select = ["RPL202"]
-        modules = [SourceModule.from_source(source, rel=rel)]
-        return analyze_modules(modules, config, REPO_ROOT), rel
-
-    def _real_source(self):
-        rel = default_config().options["RPL202"]["module"]
-        return (REPO_ROOT / rel).read_text()
-
-    def test_real_protocol_is_exhaustive_both_directions(self):
-        report, _ = self._run(self._real_source())
-        assert report.findings == [], render_text(report)
-
-    def test_catches_command_sent_without_worker_dispatch(self):
-        original = self._real_source()
-        patched = original.replace(
-            'supported = self._command_all("context")',
-            'supported = self._command_all("context") '
-            '+ self._command_all("flush")',
-        )
-        assert patched != original
-        report, rel = self._run(patched)
-        assert [f.symbol for f in report.findings] == ["flush"]
-        finding = report.findings[0]
-        assert finding.path == rel
-        assert "no dispatch branch" in finding.message
-
-    def test_catches_dead_dispatch_and_unexamined_reply(self):
-        # One patch, two drifts: the worker grows a branch no parent sends
-        # ("ghost") whose reply tag the parent never examines ("weird").
-        original = self._real_source()
-        patched = original.replace(
-            '                elif command == "policy_reset":',
-            '                elif command == "ghost":\n'
-            '                    conn.send(("weird", None))\n'
-            '                elif command == "policy_reset":',
-        )
-        assert patched != original
-        report, _ = self._run(patched)
-        by_symbol = {f.symbol: f for f in report.findings}
-        assert set(by_symbol) == {"ghost", "weird"}
-        assert "no parent call site ever sends" in by_symbol["ghost"].message
-        assert "parent never examines" in by_symbol["weird"].message
-
-    def test_catches_examined_reply_worker_never_sends(self):
-        original = self._real_source()
-        patched = original.replace(
-            'if tag != "ok":',
-            'if tag == "phantom" or tag != "ok":',
-        )
-        assert patched != original
-        report, _ = self._run(patched)
-        assert [f.symbol for f in report.findings] == ["phantom"]
-        assert "worker never sends it" in report.findings[0].message
 
 
 class TestSuppressions:
@@ -373,10 +300,11 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert cli_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ["RPL001", "RPL002", "RPL101", "RPL102", "RPL103",
-                        "RPL104", "RPL105", "RPL106", "RPL107",
-                        "RPL201", "RPL202", "RPL203", "RPL204"]:
-            assert rule_id in out
+        listed = [line.split()[0] for line in out.splitlines()
+                  if line.startswith("RPL")]
+        assert listed == ["RPL001", "RPL002", "RPL101", "RPL102", "RPL103",
+                          "RPL104", "RPL105", "RPL106", "RPL107",
+                          "RPL203", "RPL204"]
 
     def test_unknown_rule_is_usage_error(self, capsys):
         assert cli_main(["--select", "RPL999", str(FIXTURES)]) == 2
@@ -495,9 +423,9 @@ class TestCache:
 
     def test_project_rule_scope_cached(self, tmp_path):
         config = default_config()
-        config.select = ["RPL202"]
+        config.select = ["RPL107"]
         cache_file = tmp_path / "cache.json"
-        rel = config.options["RPL202"]["module"]
+        rel = "src/repro/sim"
         cold = analyze_paths(
             [rel], config=config, root=REPO_ROOT, cache_file=cache_file
         )
@@ -520,8 +448,8 @@ class TestRepoClean:
         # Sanity: this really scanned the tree with the full catalog.
         assert report.files_scanned > 100
         assert report.rules_enabled == sorted(all_rules())
-        # The committed suppressions (soa.py profiling timers, subproc
-        # cleanup catches) are in effect, not silently ignored.
+        # The committed suppressions (the ten soa.py profiling timers) are
+        # in effect, not silently ignored.
         assert report.suppressed >= 10
 
     def test_real_event_enum_is_exhaustively_handled(self):

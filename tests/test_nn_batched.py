@@ -11,6 +11,7 @@ Covers the invariants behind the batched training refactor:
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from repro.agents.replay import PrioritizedReplayBuffer, ReplayBuffer, Transitio
 from repro.experiments.parallel import (
     ResultCache,
     config_hash,
+    default_max_workers,
     derive_worker_seeds,
     run_parallel,
 )
@@ -277,6 +279,17 @@ class TestParallelHelpers:
         assert run_parallel(pow, tasks, max_workers=2) == [
             pow(*args) for args in tasks
         ]
+
+    def test_default_max_workers_reads_and_validates_env(self, monkeypatch):
+        monkeypatch.delenv("REPRO_MAX_WORKERS", raising=False)
+        assert default_max_workers() == max(1, os.cpu_count() or 1)
+        monkeypatch.setenv("REPRO_MAX_WORKERS", "3")
+        assert default_max_workers() == 3
+        monkeypatch.setenv("REPRO_MAX_WORKERS", " 0 ")
+        assert default_max_workers() == 1
+        monkeypatch.setenv("REPRO_MAX_WORKERS", "two")
+        with pytest.raises(ValueError, match="REPRO_MAX_WORKERS.*'two'"):
+            default_max_workers()
 
     def test_derive_worker_seeds_deterministic_and_distinct(self):
         seeds = derive_worker_seeds(0, ["a", "b", "c"])

@@ -256,7 +256,9 @@ class TestFallbackChain:
 # OnlinePlacementService
 # --------------------------------------------------------------------------- #
 class TestOnlinePlacementService:
-    def make_service(self, config=None, chaos=None, tiers=None):
+    def make_service(
+        self, config=None, chaos=None, tiers=None, decision_time_scale=1.0
+    ):
         network = linear_chain_topology(num_edge_nodes=4, seed=0)
         chain = FallbackChain(
             tiers or [budgeted(AcceptFirstNodePolicy(0), latency_s=0.001)]
@@ -267,7 +269,7 @@ class TestOnlinePlacementService:
             config
             or ServingConfig(
                 horizon=100.0,
-                decision_time_scale=1.0,
+                decision_time_scale=decision_time_scale,
                 monitoring_interval=10.0,
                 admission=AdmissionConfig(
                     tokens_per_second=100.0,
@@ -370,6 +372,24 @@ class TestOnlinePlacementService:
         assert report.disrupted == 1
         assert report.expired == 1
         assert report.lost == 0 and report.replaced == 0
+
+    def test_chaos_racing_a_commit_fails_the_commit(self, catalog):
+        # The t=4 decision is charged 0.02 s, i.e. 2 virtual seconds: it
+        # plans onto node 0 before node 0 fails at t=5 and commits after.
+        # Re-validation at commit time must refuse the stale placement.
+        chaos = FixedChaos([ChaosEvent(time=5.0, kind="node_failure", node_id=0)])
+        service = self.make_service(
+            chaos=chaos,
+            tiers=[budgeted(AcceptFirstNodePolicy(0), latency_s=0.02)],
+            decision_time_scale=100.0,
+        )
+        report = service.run(make_requests(catalog, times=[4.0], holding=50.0))
+        assert report.commit_failed == 1
+        assert report.accepted == report.disrupted == 0
+        assert report.arrivals == (
+            report.shed + report.accepted + report.rejected + report.commit_failed
+        )
+        assert not service._active
 
     def test_disruption_taxonomy_closes(self, catalog):
         chaos = FixedChaos(

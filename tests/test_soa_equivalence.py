@@ -4,9 +4,8 @@ Uses the shared harness in ``tests/differential.py`` to drive both backends
 through randomized seeded campaigns (scenario shape, workload intensity,
 fault injection) and assert **bitwise** equality on every observable:
 states, masks, rewards, dones, infos, running episode statistics and
-fenced-node sets.  Also covers the K boundaries (K=1, K = subprocess shard
-size, K=256), mid-episode ``reset_lane``, worker-sharded SoA lane-blocks,
-and the stale-fence-row regression.
+fenced-node sets.  Also covers the K boundaries (K=1, 2, 4 and 256),
+mid-episode ``reset_lane`` and the stale-fence-row regression.
 """
 
 from dataclasses import replace as dataclass_replace
@@ -15,7 +14,6 @@ import numpy as np
 import pytest
 
 from differential import (
-    PROCESS_LOCAL_INFO_KEYS,
     Campaign,
     assert_lean_matches_full,
     assert_trajectories_equal,
@@ -25,22 +23,13 @@ from differential import (
 )
 from repro.core.env import EnvConfig
 from repro.core.soa import SoAVecPlacementEnv, soa_supported
-from repro.core.subproc import (
-    SubprocVecPlacementEnv,
-    make_vec_env,
-    subproc_available,
-)
-from repro.core.vecenv import VecPlacementEnv, lane_specs_from_scenarios
+from repro.core.vecenv import VecPlacementEnv, lane_specs_from_scenarios, make_vec_env
 from repro.sim.failures import FailureConfig
 from repro.workloads.scenarios import reference_scenario
 
 #: The ISSUE acceptance bar: at least 50 randomized seeded campaigns, with
 #: fault-injection lanes included (even seeds inject failures).
 CAMPAIGN_SEEDS = tuple(range(50))
-
-needs_fork = pytest.mark.skipif(
-    not subproc_available(), reason="platform lacks the fork start method"
-)
 
 
 def reference_factory(campaign: Campaign):
@@ -60,18 +49,6 @@ def soa_factory(campaign: Campaign):
         seed=campaign.seed,
         env_config=campaign.env_config(),
         failure_config=campaign.failure_config,
-    )
-
-
-def subproc_factory(campaign: Campaign, backend: str, num_workers: int = 2):
-    return lambda: SubprocVecPlacementEnv.from_scenario(
-        campaign.scenario(),
-        campaign.num_lanes,
-        seed=campaign.seed,
-        env_config=campaign.env_config(),
-        failure_config=campaign.failure_config,
-        num_workers=num_workers,
-        backend=backend,
     )
 
 
@@ -121,9 +98,8 @@ class TestLeanStepProtocol:
     (and observation encoding) must leave the underlying trajectory —
     rewards, dones, outcome codes, request ids, terminal episode stats,
     running stats, fenced nodes — bitwise identical to a full-protocol run
-    with the same seeds.  Covered across both sync backends, the subprocess
-    wrapper with both worker backends, and fault-injected campaigns (even
-    seeds inject failures).
+    with the same seeds.  Covered across both backends and fault-injected
+    campaigns (even seeds inject failures).
     """
 
     #: Mix of faulted (even) and clean (odd) campaigns, 1-4 lanes.
@@ -181,37 +157,9 @@ class TestLeanStepProtocol:
         )
         assert_trajectories_equal(reference, soa)
 
-    @needs_fork
-    @pytest.mark.parametrize("campaign_seed", (2, 5))
-    @pytest.mark.parametrize("backend", ["reference", "soa"])
-    def test_lean_subproc_matches_lean_sync(self, campaign_seed, backend):
-        """Workers skip info marshaling entirely, yet shards stay equal.
-
-        ``request_id`` is excluded (per-process counters, see
-        PROCESS_LOCAL_INFO_KEYS); the harness then also skips the lean
-        ``request_ids`` array comparison.
-        """
-        campaign = campaign_from_seed(campaign_seed)
-        action_seed = campaign_seed + 1000
-        sync = drive(
-            soa_factory(campaign),
-            campaign.steps,
-            action_seed=action_seed,
-            info=False,
-        )
-        sharded = drive(
-            subproc_factory(campaign, backend),
-            campaign.steps,
-            action_seed=action_seed,
-            info=False,
-        )
-        assert_trajectories_equal(
-            sync, sharded, ignore_info_keys=PROCESS_LOCAL_INFO_KEYS
-        )
-
 
 class TestKBoundaries:
-    """K=1, K = per-worker shard size, and K=256, across backends."""
+    """K=1, 2, 4 and 256, across backends."""
 
     BOUNDARY = Campaign(
         seed=17,
@@ -226,41 +174,12 @@ class TestKBoundaries:
         ),
     )
 
-    def _sized(self, num_lanes: int, steps: int = 25) -> Campaign:
-        base = self.BOUNDARY
-        return Campaign(
-            seed=base.seed,
-            num_lanes=num_lanes,
-            steps=steps,
-            num_edge_nodes=base.num_edge_nodes,
-            arrival_rate=base.arrival_rate,
-            horizon=base.horizon,
-            requests_per_episode=base.requests_per_episode,
-            failure_config=base.failure_config,
-        )
-
     @pytest.mark.parametrize("num_lanes", [1, 2, 4])
     def test_sync_soa_matches_reference(self, num_lanes):
-        campaign = self._sized(num_lanes)
+        campaign = dataclass_replace(self.BOUNDARY, num_lanes=num_lanes)
         reference = drive(reference_factory(campaign), campaign.steps)
         soa = drive(soa_factory(campaign), campaign.steps)
         assert_trajectories_equal(reference, soa)
-
-    @needs_fork
-    @pytest.mark.parametrize("num_lanes", [1, 2, 4])
-    @pytest.mark.parametrize("backend", ["reference", "soa"])
-    def test_subproc_shards_match_sync_soa(self, num_lanes, backend):
-        """Two-worker shards (so K=2 equals one shard block) match in-process.
-
-        ``request_id`` is excluded: each worker process numbers requests with
-        its own counter (see PROCESS_LOCAL_INFO_KEYS).
-        """
-        campaign = self._sized(num_lanes, steps=20)
-        sync = drive(soa_factory(campaign), campaign.steps)
-        sharded = drive(subproc_factory(campaign, backend), campaign.steps)
-        assert_trajectories_equal(
-            sync, sharded, ignore_info_keys=PROCESS_LOCAL_INFO_KEYS
-        )
 
     def test_k256_sync_soa_matches_reference(self):
         campaign = Campaign(
@@ -304,20 +223,6 @@ class TestMidEpisodeLaneReset:
         )
         soa = drive(soa_factory(campaign), campaign.steps, reset_lane_at=self.RESETS)
         assert_trajectories_equal(reference, soa)
-
-    @needs_fork
-    @pytest.mark.parametrize("backend", ["reference", "soa"])
-    def test_subproc_matches_sync_soa(self, backend):
-        campaign = self.CAMPAIGN
-        sync = drive(
-            soa_factory(campaign), campaign.steps, reset_lane_at=self.RESETS
-        )
-        sharded = drive(
-            subproc_factory(campaign, backend), campaign.steps, reset_lane_at=self.RESETS
-        )
-        assert_trajectories_equal(
-            sync, sharded, ignore_info_keys=PROCESS_LOCAL_INFO_KEYS
-        )
 
 
 class TestFenceRowHygiene:
@@ -403,25 +308,20 @@ class TestBackendSeam:
         return [scenario] * num_lanes
 
     def test_soa_backend_is_opt_in(self):
-        venv = make_vec_env(self._grid(), workers=1, backend="soa")
+        venv = make_vec_env(self._grid(), backend="soa")
         assert isinstance(venv, SoAVecPlacementEnv)
         assert venv.backend == "soa"
-        default = make_vec_env(self._grid(), workers=1)
+        default = make_vec_env(self._grid())
         assert isinstance(default, VecPlacementEnv)
         assert default.backend == "reference"
 
     def test_auto_backend_picks_soa_for_uniform_lanes(self):
-        venv = make_vec_env(self._grid(), workers=1, backend="auto")
-        assert isinstance(venv, SoAVecPlacementEnv)
-
-    def test_env_variable_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENV_BACKEND", "soa")
-        venv = make_vec_env(self._grid(), workers=1)
+        venv = make_vec_env(self._grid(), backend="auto")
         assert isinstance(venv, SoAVecPlacementEnv)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown env backend"):
-            make_vec_env(self._grid(), workers=1, backend="columnar")
+            make_vec_env(self._grid(), backend="columnar")
 
     def test_soa_supported_rejects_mixed_configs(self):
         specs = lane_specs_from_scenarios(
