@@ -5,25 +5,14 @@ campaigns proving SoA==reference and lean==full bitwise —
 only catches a contract breach *after* it produces a divergent trajectory.
 This package is the commit-time complement: a small lint framework whose
 rules encode the contracts directly (no hidden RNG or clock state, no
-id()-keyed caches, seed derivation through ``derive_seed``, numpy/Python
-shadow-ledger pairing, no silent broad excepts, event-handler
-exhaustiveness), so a violating diff fails ``make lint`` / CI before any
-campaign runs.  On top of the lexical rules sits a flow-sensitive layer —
-an intra-procedural CFG (``cfg``) and worklist dataflow engine
-(``dataflow``) powering the ordering/aliasing rules (shadow-ledger
-staleness, read-only parameters).
+id()-keyed caches, seed derivation through ``derive_seed``, no silent
+broad excepts, event-handler exhaustiveness, read-only parameters), so a
+violating diff fails ``make lint`` / CI before any campaign runs.
 See ``docs/ANALYSIS.md`` for the rule catalog and how to add a rule.
 """
 
 from repro.analysis.cache import CacheStats, LintCache
-from repro.analysis.cfg import CFG, Block, build_cfg
 from repro.analysis.config import AnalysisConfig, RuleScope, default_config
-from repro.analysis.dataflow import (
-    ForwardAnalysis,
-    ReachingDefinitions,
-    defs_at,
-    run_forward,
-)
 from repro.analysis.engine import analyze_modules, analyze_paths, analyze_source
 from repro.analysis.findings import Finding, Report
 from repro.analysis.module import SourceModule
@@ -40,13 +29,6 @@ __all__ = [
     "AnalysisConfig",
     "RuleScope",
     "default_config",
-    "CFG",
-    "Block",
-    "build_cfg",
-    "ForwardAnalysis",
-    "ReachingDefinitions",
-    "defs_at",
-    "run_forward",
     "CacheStats",
     "LintCache",
     "render_github",

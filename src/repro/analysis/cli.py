@@ -27,7 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "reprolint: AST-based project-contract analyzer (determinism, "
-            "bitwise-shadow and seed-discipline invariants)"
+            "seed-discipline and read-only invariants)"
         ),
     )
     parser.add_argument(

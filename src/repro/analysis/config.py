@@ -7,15 +7,10 @@ The default configuration encodes this repository's contract surface:
   that legitimately measure real elapsed time.
 * RPL104 (seed arithmetic) applies to production code (``src``/``benchmarks``)
   only; tests may label ad-hoc campaign seeds arithmetically.
-* RPL105 (shadow-ledger pairing) runs only on ``core/soa.py``, the one module
-  that declares mirrored numpy/Python ledgers.
 * RPL107 (event-handler exhaustiveness) is a cross-module rule configured
   with the event enum's module and the modules allowed to register handlers.
 * RPL203 (read-only parameters) runs repo-wide; obligations come from
   ``# repro-lint: readonly=...`` anchors and frozen-dataclass annotations.
-* RPL204 (flow-sensitive shadow staleness) runs only on ``core/soa.py``
-  and carries the same ledger pairs as RPL105 plus the scalar-replay
-  reader and resync-method vocabularies.
 * ``tests/fixtures`` is excluded entirely: it holds deliberately-violating
   lint fixtures.
 
@@ -98,24 +93,8 @@ def default_config() -> AnalysisConfig:
                 )
             ),
             "RPL104": RuleScope(skip=("tests/*", "tests/**/*")),
-            "RPL105": RuleScope(only=("src/repro/core/soa.py",)),
-            "RPL204": RuleScope(only=("src/repro/core/soa.py",)),
         },
         options={
-            "RPL105": {
-                # numpy ledger attribute → its Python shadow attribute.
-                "pairs": {
-                    "_node_used": "_node_used_py",
-                    "_link_used": "_link_used_py",
-                },
-                # Methods whose call counts as a shadow resync at the call
-                # site (each syncs the shadows for the rows it touches).
-                "resync_methods": [
-                    "_release_record",
-                    "_reset_lane_state",
-                    "_resync_shadow_lanes",
-                ],
-            },
             "RPL107": {
                 "events_module": "src/repro/sim/events.py",
                 "enum_name": "EventType",
@@ -126,27 +105,6 @@ def default_config() -> AnalysisConfig:
                     "src/repro/serving/service.py",
                 ],
                 "register_methods": ["on"],
-            },
-            "RPL204": {
-                # Same pairs as RPL105; RPL204 adds the ordering dimension.
-                "pairs": {
-                    "_node_used": "_node_used_py",
-                    "_link_used": "_link_used_py",
-                },
-                # Scalar-replay entry points: calling one while a ledger is
-                # dirty means the replay consumes stale shadow rows.
-                "shadow_readers": [
-                    "_release_record",
-                    "_check_feasible",
-                    "_commit",
-                    "_rollback",
-                    "_finalize_request",
-                ],
-                # Methods that bring every shadow row they touch up to date.
-                "resync_methods": [
-                    "_reset_lane_state",
-                    "_resync_shadow_lanes",
-                ],
             },
         },
     )

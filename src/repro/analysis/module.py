@@ -78,16 +78,6 @@ def subscript_base(node: ast.AST) -> ast.AST:
     return node
 
 
-def is_self_attr(node: ast.AST, attr: str) -> bool:
-    """True for the exact expression ``self.<attr>``."""
-    return (
-        isinstance(node, ast.Attribute)
-        and node.attr == attr
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    )
-
-
 @dataclass
 class SourceModule:
     """One parsed file plus the per-module context rules consume."""

@@ -1,12 +1,10 @@
-"""Shared in-place-mutation detection for numpy-heavy code.
+"""In-place-mutation detection for numpy-heavy code.
 
-Three rules care about the same question — "does this AST node mutate that
-array?" — with different notions of *that array*: RPL105/RPL204 track the
-registered ledger attributes (and local views of them), RPL203 tracks
-function parameters declared read-only.  The site classifier lives here so
-the catalog of mutation idioms (subscript stores, augmented assignment,
-``.fill()``, ``out=`` keyword outputs, ``np.<ufunc>.at`` indexed updates)
-is maintained once.
+RPL203 asks, for every function parameter declared read-only, "does this
+AST node mutate that array?".  The site classifier lives here, apart from
+the rule's anchor bookkeeping, with the catalog of mutation idioms it
+recognizes (subscript stores, augmented assignment, ``.fill()``, ``out=``
+keyword outputs, ``np.<ufunc>.at`` indexed updates).
 
 Callers supply a predicate over candidate expressions; the classifier
 applies it to the right sub-expression of each idiom (the store target, the
@@ -83,9 +81,7 @@ def chained_alias_names(fn: ast.AST, seed_pred: Predicate) -> Set[str]:
     Collects ``x = <seed>[...]`` binds plus chains through already-collected
     names (``y = x[...]``, ``z = y``), iterating ``ast.walk`` to a fixpoint.
     Flow-insensitive by design: a name that ever aliases the tracked array
-    is treated as aliasing it everywhere, which over-approximates for the
-    lexical rules that use this helper (the flow rules track aliases in
-    their own transfer functions instead).
+    is treated as aliasing it everywhere, an over-approximation.
     """
     aliases: Set[str] = set()
     changed = True

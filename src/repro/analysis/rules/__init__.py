@@ -10,10 +10,8 @@ from repro.analysis.rules import (  # noqa: F401  (imported for registration)
     clock,
     events,
     exceptions,
-    ledger,
     rng,
     readonly,
-    staleness,
 )
 
 __all__ = ["FileRule", "ProjectRule", "Rule"]

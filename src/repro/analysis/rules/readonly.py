@@ -185,7 +185,7 @@ class ReadonlyParamRule(FileRule):
     ) -> List[Finding]:
         # A bare rebind (``masks = masks.copy()``) transfers ownership to the
         # function for the whole body — flow-insensitively, which errs toward
-        # silence; the flow rules get ordering right where it matters.
+        # silence.
         rebound: Set[str] = set()
         for node in ast.walk(fn):
             if isinstance(node, ast.Assign):

@@ -11,7 +11,7 @@ from repro.core.reward import (
     cost_focused_config,
     latency_focused_config,
 )
-from repro.core.soa import SoAVecPlacementEnv, soa_supported
+from repro.core.soa import SoAVecPlacementEnv
 from repro.core.state import EncoderConfig, StateEncoder
 from repro.core.timeout import BudgetedPolicy, DecisionOutcome
 from repro.core.training import (
@@ -50,7 +50,6 @@ __all__ = [
     "VecTrainer",
     "VecPlacementEnv",
     "SoAVecPlacementEnv",
-    "soa_supported",
     "make_vec_env",
     "BudgetedPolicy",
     "DecisionOutcome",

@@ -26,7 +26,6 @@ share constants and routed-path caches instead of duplicating them K times.
 from __future__ import annotations
 
 import heapq
-import os
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -430,17 +429,6 @@ class SoAVecPlacementEnv:
         num_lanes = len(specs)
         self._node_used = np.zeros((num_lanes, self._num_nodes, 3))
         self._link_used = np.zeros((num_lanes, self._num_links))
-        #: Python-float shadows of the usage ledgers for the scalar
-        #: commit/feasibility/teardown paths.  Every scalar write mirrors
-        #: into the numpy ledgers (which stay authoritative for the batched
-        #: mask/observe kernels); bulk numpy mutations resync the shadow row.
-        self._node_used_py: List[List[List[float]]] = [
-            [[0.0, 0.0, 0.0] for _ in range(self._num_nodes)]
-            for _ in range(num_lanes)
-        ]
-        self._link_used_py: List[List[float]] = [
-            [0.0] * self._num_links for _ in range(num_lanes)
-        ]
         #: (K, N) fence mask folded into the batched action-mask kernel; a
         #: lane's row is cleared on reset so stale fences never leak into the
         #: next episode's masks (regression-tested).
@@ -504,11 +492,9 @@ class SoAVecPlacementEnv:
         self._req_ids: List[int] = [0] * num_lanes
         self._finished_stats: Dict[int, Dict[str, float]] = {}
         #: Cumulative per-phase kernel timers (mask / observe / commit /
-        #: info), enabled via ``profile=True`` or ``REPRO_ENV_PROFILE=1``;
-        #: disabled they cost one attribute check per phase.
-        self._profile = bool(profile) or os.environ.get(
-            "REPRO_ENV_PROFILE", ""
-        ) == "1"
+        #: info), enabled via ``profile=True``; disabled they cost one
+        #: attribute check per phase.
+        self._profile = bool(profile)
         self._timings: Dict[str, float] = {
             "mask_s": 0.0,
             "observe_s": 0.0,
@@ -700,8 +686,6 @@ class SoAVecPlacementEnv:
         """Start a new episode on one lane (mirrors VNFPlacementEnv.reset)."""
         self._node_used[lane].fill(0.0)
         self._link_used[lane].fill(0.0)
-        self._node_used_py[lane] = self._node_used[lane].tolist()
-        self._link_used_py[lane] = self._link_used[lane].tolist()
         store = self._store
         while st.heap:
             _, _, rec = st.heap.pop()
@@ -789,45 +773,18 @@ class SoAVecPlacementEnv:
         store = self._store
         bw = store.bandwidth[rec]
         link_used = self._link_used[lane]
-        link_used_py = self._link_used_py[lane]
         for slots in store.segments[rec]:
             for slot in slots:
-                value = max(0.0, link_used_py[slot] - bw)
-                link_used_py[slot] = value
-                link_used[slot] = value
+                link_used[slot] = max(0.0, link_used[slot] - bw)
         used = self._node_used[lane]
-        used_py = self._node_used_py[lane]
         for row, demand_t in zip(store.rows[rec], store.demands[rec]):
-            row_py = used_py[row]
-            v0 = max(0.0, row_py[0] - demand_t[0])
-            v1 = max(0.0, row_py[1] - demand_t[1])
-            v2 = max(0.0, row_py[2] - demand_t[2])
-            row_py[0] = v0
-            row_py[1] = v1
-            row_py[2] = v2
-            used[row, 0] = v0
-            used[row, 1] = v1
-            used[row, 2] = v2
+            u0, u1, u2 = used[row].tolist()
+            used[row] = (
+                max(0.0, u0 - demand_t[0]),
+                max(0.0, u1 - demand_t[1]),
+                max(0.0, u2 - demand_t[2]),
+            )
         store.committed[rec] = False
-
-    def _resync_shadow_lanes(
-        self, lanes: "np.ndarray", nodes: "np.ndarray", links: "np.ndarray"
-    ) -> None:
-        """Overwrite the Python shadow rows of ``lanes`` from committed arrays.
-
-        One bulk resync per batch: after a kernel writes whole lanes of
-        ``_node_used``/``_link_used``, the shadows must match before any
-        scalar path replays against them.  Registered as a resync method
-        with RPL105/RPL204 so the linter knows a call site closes the
-        dirty window.
-        """
-        node_rows_py = nodes.tolist()
-        link_rows_py = links.tolist()
-        node_shadow = self._node_used_py
-        link_shadow = self._link_used_py
-        for i, lane in enumerate(lanes.tolist()):
-            node_shadow[lane] = node_rows_py[i]
-            link_shadow[lane] = link_rows_py[i]
 
     def _fail_node(self, lane: int, st: _LaneState, row: int) -> None:
         """Fence one row and tear down every active placement hosting on it."""
@@ -847,7 +804,6 @@ class SoAVecPlacementEnv:
         if not ((r[0] + r[1]) + r[2] <= 1e-12):
             used_row += remaining
             st.fences[row] = remaining
-        self._node_used_py[lane][row] = used_row.tolist()
 
     def _recover_node(self, lane: int, st: _LaneState, row: int) -> None:
         if row not in st.failed_rows:
@@ -858,7 +814,6 @@ class SoAVecPlacementEnv:
         if fence is not None:
             used_row = self._node_used[lane, row]
             np.maximum(used_row - fence, 0.0, out=used_row)
-            self._node_used_py[lane][row] = used_row.tolist()
 
     # ------------------------------------------------------------------ #
     # Decision context and masks
@@ -1413,8 +1368,8 @@ class SoAVecPlacementEnv:
                 weights=inst_demands.ravel(),
                 minlength=num_candidates * num_nodes * 3,
             ).reshape(num_candidates, num_nodes, 3)
-            # (C, N, 3) gather; np.take makes the copy explicit — a fancy
-            # index reads as a view to both humans and the staleness rule.
+            # (C, N, 3) gather; an explicit copy, since it doubles as the
+            # commit scratch below.
             used_sel = np.take(self._node_used, lanes_arr, axis=0)
             free_tol = (self._capacity[None, :, :] - used_sel) + 1e-9
             node_bad = (agg > free_tol).any(axis=2) & touched
@@ -1532,16 +1487,8 @@ class SoAVecPlacementEnv:
                 if commit_ci:
                     sel = np.array(commit_ci, dtype=np.int64)
                     commit_lanes = lanes_arr[sel]
-                    committed_nodes = node_scratch[sel]
-                    committed_links = link_scratch[sel]
-                    self._node_used[commit_lanes] = committed_nodes
-                    self._link_used[commit_lanes] = committed_links
-                    # One shadow-ledger resync per step for the whole
-                    # committed-lane set (the scalar paths previously paid
-                    # this per mutation).
-                    self._resync_shadow_lanes(
-                        commit_lanes, committed_nodes, committed_links
-                    )
+                    self._node_used[commit_lanes] = node_scratch[sel]
+                    self._link_used[commit_lanes] = link_scratch[sel]
 
         # ---- per-lane bookkeeping, in lane order ----------------------- #
         store = self._store
@@ -1678,7 +1625,7 @@ class SoAVecPlacementEnv:
         the terminal reward on the accept path).  ``propagation`` and
         ``per_mbps`` are the segment sums accumulated by the routing loop.
         """
-        used_py = self._node_used_py[lane]
+        used = self._node_used[lane]
         capacity_rows = self._capacity_rows
         # Per-node aggregated demand, grouped by row in instance order.
         grouped: Dict[int, List[float]] = {}
@@ -1695,7 +1642,7 @@ class SoAVecPlacementEnv:
                 ]
         for row, demand in grouped.items():
             cap_row = capacity_rows[row]
-            used_row = used_py[row]
+            used_row = used[row].tolist()
             if not (
                 demand[0] <= (cap_row[0] - used_row[0]) + 1e-9
                 and demand[1] <= (cap_row[1] - used_row[1]) + 1e-9
@@ -1710,9 +1657,9 @@ class SoAVecPlacementEnv:
             for slot in entry[1]:
                 traversals[slot] = get_count(slot, 0) + 1
         link_capacity = self._link_cap_list
-        link_used_py = self._link_used_py[lane]
+        link_used = self._link_used[lane]
         for slot, count in traversals.items():
-            if count * bw > link_capacity[slot] - link_used_py[slot] + 1e-9:
+            if count * bw > link_capacity[slot] - link_used[slot] + 1e-9:
                 return False, 0.0, 0.0
         # SLA: end-to-end latency then series-system availability.
         e2e = propagation + view.total_proc
@@ -1756,14 +1703,13 @@ class SoAVecPlacementEnv:
         committed_nodes = 0
         node_failure = False
         cap_tol_rows = self._cap_tol_rows
-        used_py = self._node_used_py[lane]
         for vnf, row in zip(view.vnfs, rows):
-            row_py = used_py[row]
+            u0, u1, u2 = used[row].tolist()
             demand_t = vnf[1]
             cap_tol = cap_tol_rows[row]
-            next0 = row_py[0] + demand_t[0]
-            next1 = row_py[1] + demand_t[1]
-            next2 = row_py[2] + demand_t[2]
+            next0 = u0 + demand_t[0]
+            next1 = u1 + demand_t[1]
+            next2 = u2 + demand_t[2]
             # ComputeNode.can_host: used[d] + demand[d] <= capacity[d] + tol.
             if not (
                 next0 <= cap_tol[0]
@@ -1772,12 +1718,7 @@ class SoAVecPlacementEnv:
             ):
                 node_failure = True
                 break
-            row_py[0] = next0
-            row_py[1] = next1
-            row_py[2] = next2
-            used[row, 0] = next0
-            used[row, 1] = next1
-            used[row, 2] = next2
+            used[row] = (next0, next1, next2)
             committed_nodes += 1
         if node_failure:
             self._rollback(lane, view, rows, [], committed_nodes)
@@ -1786,26 +1727,21 @@ class SoAVecPlacementEnv:
         link_capacity = self._link_cap_list
         link_used = self._link_used[lane]
         committed_segments: List[List[int]] = []
-        link_used_py = self._link_used_py[lane]
         for entry in segments:
             slots = entry[1]
             reserved = 0
             segment_failure = False
             for slot in slots:
-                current = link_used_py[slot]
+                current = link_used[slot]
                 # Link.can_carry: bw <= max(0, capacity - used) + 1e-9.
                 if not bw <= max(0.0, link_capacity[slot] - current) + 1e-9:
                     # allocate_path rolls back this segment's own partial
                     # reservations (forward order) before re-raising.
                     for done_slot in slots[:reserved]:
-                        undone = max(0.0, link_used_py[done_slot] - bw)
-                        link_used_py[done_slot] = undone
-                        link_used[done_slot] = undone
+                        link_used[done_slot] = max(0.0, link_used[done_slot] - bw)
                     segment_failure = True
                     break
-                next_used = current + bw
-                link_used_py[slot] = next_used
-                link_used[slot] = next_used
+                link_used[slot] = current + bw
                 reserved += 1
             if segment_failure:
                 self._rollback(lane, view, rows, committed_segments, len(rows))
@@ -1824,27 +1760,19 @@ class SoAVecPlacementEnv:
         """Release fully-committed paths then nodes, in commit order."""
         bw = view.bw
         link_used = self._link_used[lane]
-        link_used_py = self._link_used_py[lane]
         for slots in committed_segments:
             for slot in slots:
-                value = max(0.0, link_used_py[slot] - bw)
-                link_used_py[slot] = value
-                link_used[slot] = value
+                link_used[slot] = max(0.0, link_used[slot] - bw)
         used = self._node_used[lane]
-        used_py = self._node_used_py[lane]
         for index in range(committed_nodes):
             row = rows[index]
             demand_t = view.vnfs[index][1]
-            row_py = used_py[row]
-            v0 = max(0.0, row_py[0] - demand_t[0])
-            v1 = max(0.0, row_py[1] - demand_t[1])
-            v2 = max(0.0, row_py[2] - demand_t[2])
-            row_py[0] = v0
-            row_py[1] = v1
-            row_py[2] = v2
-            used[row, 0] = v0
-            used[row, 1] = v1
-            used[row, 2] = v2
+            u0, u1, u2 = used[row].tolist()
+            used[row] = (
+                max(0.0, u0 - demand_t[0]),
+                max(0.0, u1 - demand_t[1]),
+                max(0.0, u2 - demand_t[2]),
+            )
 
     # ------------------------------------------------------------------ #
     # Introspection (shared vec-env surface)
@@ -1898,7 +1826,7 @@ class SoAVecPlacementEnv:
         Keys: ``mask_s`` / ``observe_s`` / ``commit_s`` / ``info_s`` phase
         seconds, ``step_s`` whole-step seconds and ``steps`` the number of
         profiled batch steps.  All zero unless the environment was built
-        with ``profile=True`` or ``REPRO_ENV_PROFILE=1``.
+        with ``profile=True``.
         """
         return dict(self._timings)
 
@@ -1910,12 +1838,3 @@ class SoAVecPlacementEnv:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def soa_supported(specs: Sequence[LaneSpec]) -> bool:
-    """Whether a lane-spec set satisfies the SoA core's shared-topology rules."""
-    try:
-        SoAVecPlacementEnv.from_specs(specs)
-    except ValueError:
-        return False
-    return True

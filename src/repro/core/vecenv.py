@@ -260,8 +260,8 @@ def make_vec_env(
     * ``"soa"`` — the fused structure-of-arrays core
       (:class:`~repro.core.soa.SoAVecPlacementEnv`); raises ``ValueError``
       when the lane set violates its shared-topology requirements,
-    * ``"auto"`` — ``"soa"`` when the lane set supports it, else
-      ``"reference"``.
+    * ``"auto"`` — ``"soa"``, falling back to ``"reference"`` when the SoA
+      core rejects the lane set.
 
     Both cores build lanes from the same specs and are bitwise
     trajectory-equivalent (the differential suite asserts it), so swapping
@@ -282,12 +282,14 @@ def make_vec_env(
         failure_config=failure_config,
     )
     # Imported here because repro.core.soa builds on this module.
-    from repro.core.soa import SoAVecPlacementEnv, soa_supported
+    from repro.core.soa import SoAVecPlacementEnv
 
-    if backend == "auto":
-        backend = "soa" if soa_supported(specs) else "reference"
-    if backend == "soa":
-        return SoAVecPlacementEnv.from_specs(specs, auto_reset=auto_reset)
+    if backend != "reference":
+        try:
+            return SoAVecPlacementEnv.from_specs(specs, auto_reset=auto_reset)
+        except ValueError:
+            if backend == "soa":
+                raise
     return VecPlacementEnv.from_specs(specs, auto_reset=auto_reset)
 
 

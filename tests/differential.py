@@ -16,7 +16,9 @@ future backend:
 * :func:`assert_trajectories_equal` — compare two recordings bitwise,
 * :func:`assert_lean_matches_full` — compare a lean-step recording against a
   full-step recording of the same campaign (outcome codes, request flags and
-  finished stats against the info dicts they replace).
+  finished stats against the info dicts they replace),
+* :func:`tight_link_factory` — a fixed campaign over thin links that sends
+  chains through the SoA core's scalar replay path.
 
 Every drive records the lean-accessor arrays (outcome codes, request-done
 flags, request ids, finished-episode stats) regardless of protocol, so
@@ -29,7 +31,7 @@ backends number requests from zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -38,6 +40,7 @@ from repro.core.env import EnvConfig
 from repro.core.vecenv import OUTCOME_CODE
 from repro.nfv.sfc import reset_request_counter
 from repro.sim.failures import FailureConfig
+from repro.substrate.topology import TopologyConfig, metro_edge_cloud_topology
 from repro.workloads.scenarios import Scenario, reference_scenario
 
 @dataclass(frozen=True)
@@ -96,6 +99,42 @@ def campaign_from_seed(seed: int) -> Campaign:
         arrival_rate=float(rng.uniform(0.4, 1.1)),
         horizon=float(rng.uniform(60.0, 160.0)),
         requests_per_episode=int(rng.integers(6, 15)),
+        failure_config=failure_config,
+    )
+
+
+def _tight_link_topology():
+    return metro_edge_cloud_topology(
+        TopologyConfig(
+            num_edge_nodes=4,
+            edge_link_bandwidth_mbps=400.0,
+            metro_link_bandwidth_mbps=600.0,
+            wan_link_bandwidth_mbps=800.0,
+            seed=11,
+        )
+    )
+
+
+def tight_link_factory(
+    env_cls, failure_config: Optional[FailureConfig] = None
+) -> Callable[[], object]:
+    """K=4 lanes over links thin enough to fail the batched link screen.
+
+    The randomized campaigns never reach the scalar replay path of the SoA
+    commit pipeline; here chains regularly oversubscribe a link, so some
+    commits fall back to ``_finalize_request``.
+    """
+    scenario = replace(
+        reference_scenario(
+            arrival_rate=2.0, num_edge_nodes=4, horizon=200.0, seed=7
+        ),
+        topology_factory=_tight_link_topology,
+    )
+    return lambda: env_cls.from_scenario(
+        scenario,
+        4,
+        seed=7,
+        env_config=EnvConfig(requests_per_episode=40),
         failure_config=failure_config,
     )
 

@@ -32,28 +32,18 @@ from repro.analysis.cli import main as cli_main
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = REPO_ROOT / "tests" / "fixtures" / "analysis"
 
-#: Options mirroring the real RPL105/RPL107 configuration, retargeted at
-#: the fixture modules.
-RPL105_OPTIONS = {
-    "pairs": {"_node_used": "_node_used_py", "_link_used": "_link_used_py"},
-    "resync_methods": ["_release_record"],
-}
+#: Options mirroring the real RPL107 configuration, retargeted at the
+#: fixture modules.
 RPL107_OPTIONS = {
     "events_module": "tests/fixtures/analysis/rpl107_events_trigger.py",
     "enum_name": "EventType",
     "handler_modules": ["tests/fixtures/analysis/rpl107_handlers.py"],
     "register_methods": ["on"],
 }
-#: The staleness pair/reader/resync vocabulary of the RPL204 fixtures.
-RPL204_OPTIONS = {
-    "pairs": {"_used": "_used_py"},
-    "shadow_readers": ["_replay"],
-    "resync_methods": ["_resync_all"],
-}
 
 
-def run_fixture(name, select, options=None):
-    config = AnalysisConfig(select=list(select), options=options or {})
+def run_fixture(name, select):
+    config = AnalysisConfig(select=list(select))
     return analyze_paths(
         [str(FIXTURES / name)], config=config, root=REPO_ROOT
     )
@@ -61,11 +51,9 @@ def run_fixture(name, select, options=None):
 
 class TestRuleCatalog:
     def test_full_rule_catalog_registered(self):
-        # RPL1xx: syntactic contract rules; RPL2xx: flow rules.
         assert sorted(all_rules()) == [
-            "RPL101", "RPL102", "RPL103", "RPL104",
-            "RPL105", "RPL106", "RPL107",
-            "RPL203", "RPL204",
+            "RPL101", "RPL102", "RPL103", "RPL104", "RPL106", "RPL107",
+            "RPL203",
         ]
 
     def test_framework_rules_reserved(self):
@@ -73,41 +61,34 @@ class TestRuleCatalog:
 
 
 # Each entry: (trigger fixture, rule id, expected finding count,
-#              expected symbols subset, clean fixture, options)
+#              expected symbols subset, clean fixture)
 RULE_CASES = [
     ("rpl101_trigger.py", "RPL101", 4,
      {"numpy.random.rand", "random.random", "numpy.random.default_rng",
       "random.Random"},
-     "rpl101_clean.py", None),
+     "rpl101_clean.py"),
     ("rpl102_trigger.py", "RPL102", 4,
      {"time.time", "time.perf_counter", "datetime.datetime.now"},
-     "rpl102_clean.py", None),
-    ("rpl103_trigger.py", "RPL103", 4, {"id"}, "rpl103_clean.py", None),
+     "rpl102_clean.py"),
+    ("rpl103_trigger.py", "RPL103", 4, {"id"}, "rpl103_clean.py"),
     ("rpl104_trigger.py", "RPL104", 3,
-     {"seed", "base_seed"}, "rpl104_clean.py", None),
-    ("rpl105_trigger.py", "RPL105", 4,
-     {"_node_used", "_link_used"},
-     "rpl105_clean.py", {"RPL105": RPL105_OPTIONS}),
-    ("rpl106_trigger.py", "RPL106", 3, {"except"}, "rpl106_clean.py", None),
+     {"seed", "base_seed"}, "rpl104_clean.py"),
+    ("rpl106_trigger.py", "RPL106", 3, {"except"}, "rpl106_clean.py"),
     ("rpl203_trigger.py", "RPL203", 7,
      {"clobber_masks", "fill_via_alias", "ufunc_targets", "anchor_typo",
       "bump_request"},
-     "rpl203_clean.py", None),
-    ("rpl204_trigger.py", "RPL204", 4, {"_used"},
-     "rpl204_clean.py", {"RPL204": RPL204_OPTIONS}),
+     "rpl203_clean.py"),
 ]
 
 
 class TestRulesFire:
     @pytest.mark.parametrize(
-        "trigger,rule_id,count,symbols,clean,options",
+        "trigger,rule_id,count,symbols,clean",
         RULE_CASES,
         ids=[case[1] for case in RULE_CASES],
     )
-    def test_trigger_and_clean_fixture(
-        self, trigger, rule_id, count, symbols, clean, options
-    ):
-        report = run_fixture(trigger, [rule_id], options)
+    def test_trigger_and_clean_fixture(self, trigger, rule_id, count, symbols, clean):
+        report = run_fixture(trigger, [rule_id])
         assert len(report.findings) == count, render_text(report)
         assert {f.rule_id for f in report.findings} == {rule_id}
         assert symbols <= {f.symbol for f in report.findings}
@@ -115,7 +96,7 @@ class TestRulesFire:
         assert all(f.line > 1 and f.path.endswith(trigger)
                    for f in report.findings)
 
-        clean_report = run_fixture(clean, [rule_id], options)
+        clean_report = run_fixture(clean, [rule_id])
         assert clean_report.findings == [], render_text(clean_report)
 
     def test_rpl107_missing_handler(self):
@@ -303,8 +284,7 @@ class TestCli:
         listed = [line.split()[0] for line in out.splitlines()
                   if line.startswith("RPL")]
         assert listed == ["RPL001", "RPL002", "RPL101", "RPL102", "RPL103",
-                          "RPL104", "RPL105", "RPL106", "RPL107",
-                          "RPL203", "RPL204"]
+                          "RPL104", "RPL106", "RPL107", "RPL203"]
 
     def test_unknown_rule_is_usage_error(self, capsys):
         assert cli_main(["--select", "RPL999", str(FIXTURES)]) == 2

@@ -5,9 +5,9 @@ Covers the three satellite behaviours around the lean-step fast path:
 * the ``_type_info`` cache must key on stable type *names* (with an
   identity check), never on ``id()`` — CPython recycles ids after GC,
   which silently handed brand-new VNF types a stale cached row;
-* the optional kernel-timing counters (``profile=True`` /
-  ``REPRO_ENV_PROFILE=1``) must accumulate per-phase seconds without
-  affecting results, and stay zero when disabled;
+* the optional kernel-timing counters (``profile=True``) must accumulate
+  per-phase seconds without affecting results, and stay zero when
+  disabled;
 * the lean accessors (``last_outcome_codes`` / ``last_request_done`` /
   ``last_request_ids`` / ``last_episode_stats``) must mirror the info
   dicts of the full protocol and reject lanes that did not finish.
@@ -155,14 +155,6 @@ class TestKernelTimings:
         assert timings["info_s"] >= 0.0
         # Phase totals are sub-spans of whole steps plus the mask calls.
         assert timings["commit_s"] + timings["info_s"] <= timings["step_s"]
-
-    def test_env_variable_enables_profiling(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENV_PROFILE", "1")
-        env = _soa_env(2)
-        self._run_steps(env, steps=2)
-        timings = env.kernel_timings()
-        assert timings["steps"] == 2.0
-        assert timings["step_s"] > 0.0
 
     def test_profiled_run_matches_unprofiled(self):
         """Timing instrumentation must not perturb trajectories."""

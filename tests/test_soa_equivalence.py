@@ -4,8 +4,10 @@ Uses the shared harness in ``tests/differential.py`` to drive both backends
 through randomized seeded campaigns (scenario shape, workload intensity,
 fault injection) and assert **bitwise** equality on every observable:
 states, masks, rewards, dones, infos, running episode statistics and
-fenced-node sets.  Also covers the K boundaries (K=1, 2, 4 and 256),
-mid-episode ``reset_lane`` and the stale-fence-row regression.
+fenced-node sets.  Also covers the scalar replay path of the batched
+commit pipeline (a tight-link campaign), the K boundaries (K=1, 2, 4 and
+256), mid-episode ``reset_lane``, the stale-fence-row regression and
+ledger conservation after every step.
 """
 
 from dataclasses import replace as dataclass_replace
@@ -20,9 +22,10 @@ from differential import (
     campaign_from_seed,
     drive,
     masked_random_actions,
+    tight_link_factory,
 )
 from repro.core.env import EnvConfig
-from repro.core.soa import SoAVecPlacementEnv, soa_supported
+from repro.core.soa import SoAVecPlacementEnv
 from repro.core.vecenv import VecPlacementEnv, lane_specs_from_scenarios, make_vec_env
 from repro.sim.failures import FailureConfig
 from repro.workloads.scenarios import reference_scenario
@@ -50,6 +53,20 @@ def soa_factory(campaign: Campaign):
         env_config=campaign.env_config(),
         failure_config=campaign.failure_config,
     )
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """Lanes sent through the SoA scalar replay path, in call order."""
+    calls = []
+    finalize = SoAVecPlacementEnv._finalize_request
+
+    def spy(self, lane, *args):
+        calls.append(lane)
+        return finalize(self, lane, *args)
+
+    monkeypatch.setattr(SoAVecPlacementEnv, "_finalize_request", spy)
+    return calls
 
 
 class TestRandomizedCampaigns:
@@ -155,6 +172,39 @@ class TestLeanStepProtocol:
             action_seed=action_seed,
             info=False,
         )
+        assert_trajectories_equal(reference, soa)
+
+
+class TestScalarReplayPath:
+    """The SoA scalar replay (``_finalize_request``) matches the reference."""
+
+    STEPS = 300
+    #: Node faults fence rows that replayed chains must then route around.
+    FAULTS = FailureConfig(mean_time_to_failure=40.0, mean_time_to_repair=15.0, seed=3)
+
+    @pytest.mark.parametrize("lean", [False, True], ids=["full", "lean"])
+    def test_replay_matches_reference(self, lean, replays):
+        protocol = {"observe": not lean, "info": not lean}
+        reference = drive(
+            tight_link_factory(VecPlacementEnv), self.STEPS, **protocol
+        )
+        soa = drive(tight_link_factory(SoAVecPlacementEnv), self.STEPS, **protocol)
+        assert replays, "no chain reached the scalar replay path"
+        assert_trajectories_equal(reference, soa)
+
+    @pytest.mark.parametrize("lean", [False, True], ids=["full", "lean"])
+    def test_replay_with_faults_matches_reference(self, lean, replays):
+        protocol = {"observe": not lean, "info": not lean}
+        reference = drive(
+            tight_link_factory(VecPlacementEnv, self.FAULTS), self.STEPS, **protocol
+        )
+        soa = drive(
+            tight_link_factory(SoAVecPlacementEnv, self.FAULTS), self.STEPS, **protocol
+        )
+        assert replays, "no chain reached the scalar replay path"
+        assert any(
+            any(failed) for entry in soa["steps"] for failed in entry["failed_nodes"]
+        ), "no node was ever fenced"
         assert_trajectories_equal(reference, soa)
 
 
@@ -298,7 +348,7 @@ class TestFenceRowHygiene:
 
 
 class TestBackendSeam:
-    """make_vec_env backend resolution and SoA support detection."""
+    """make_vec_env backend resolution and the SoA lane-set requirements."""
 
     @staticmethod
     def _grid(num_lanes=2):
@@ -323,53 +373,87 @@ class TestBackendSeam:
         with pytest.raises(ValueError, match="unknown env backend"):
             make_vec_env(self._grid(), backend="columnar")
 
-    def test_soa_supported_rejects_mixed_configs(self):
+    def test_soa_rejects_mixed_configs(self):
         specs = lane_specs_from_scenarios(
             self._grid(), seed=0, env_config=EnvConfig(requests_per_episode=9)
         )
-        assert soa_supported(specs)
+        SoAVecPlacementEnv.from_specs(specs)
         mixed = [
             specs[0],
             dataclass_replace(specs[1], env_config=EnvConfig(requests_per_episode=21)),
         ]
-        assert not soa_supported(mixed)
+        with pytest.raises(ValueError, match="one shared EnvConfig"):
+            SoAVecPlacementEnv.from_specs(mixed)
+
+    def test_auto_backend_falls_back_for_mixed_topologies(self):
+        a = reference_scenario(num_edge_nodes=4, seed=1)
+        b = reference_scenario(num_edge_nodes=4, seed=2)
+        assert make_vec_env([a, a], backend="auto").backend == "soa"
+        assert make_vec_env([a, b], backend="auto").backend == "reference"
 
 
-class TestShadowLedgerSync:
-    """Regression for the batched-commit resync window (RPL204's target).
+class TestLedgerConservation:
+    """The SoA usage ledgers always equal what the live records reserve.
 
-    ``_finalize_batch`` writes whole lanes of ``_node_used``/``_link_used``
-    with one kernel and then resyncs the Python shadow rows via
-    ``_resync_shadow_lanes``; a missed or partial resync would leave the
-    scalar replay paths reading stale shadows.  After every step — full and
-    lean protocol, with and without fault injection — the numpy ledgers and
-    their shadows must be exactly equal.
+    After ``reset`` and after every step — full and lean protocol, with and
+    without fault injection, through both the batched commit and the scalar
+    replay — each lane's ``_node_used`` must equal the demands of its live
+    committed store records at their rows plus its failure fences, and its
+    ``_link_used`` the bandwidth of those records over every slot traversal.
     """
 
     #: Faulted (even) and clean (odd) campaigns across 1-4 lanes.
     SYNC_SEEDS = (0, 1, 2, 3, 6, 9)
+    #: Releases clamp at zero (``max(0, u - d)``), so sums drift by rounding.
+    ATOL = 1e-9
 
-    @staticmethod
-    def _assert_synced(env):
-        np.testing.assert_array_equal(
-            env._node_used,
-            np.asarray(env._node_used_py, dtype=env._node_used.dtype),
+    @classmethod
+    def _assert_conserved(cls, env):
+        store = env._store
+        node_expected = np.zeros_like(env._node_used)
+        link_expected = np.zeros_like(env._link_used)
+        for rec, lane in enumerate(store.lane):
+            if not store.committed[rec]:
+                continue
+            for row, demand in zip(store.rows[rec], store.demands[rec]):
+                node_expected[lane, row] += demand
+            for slots in store.segments[rec]:
+                for slot in slots:
+                    link_expected[lane, slot] += store.bandwidth[rec]
+        for lane, lane_state in enumerate(env._lanes):
+            for row, fence in lane_state.fences.items():
+                node_expected[lane, row] += fence
+        np.testing.assert_allclose(
+            env._node_used, node_expected, rtol=0.0, atol=cls.ATOL
         )
-        np.testing.assert_array_equal(
-            env._link_used,
-            np.asarray(env._link_used_py, dtype=env._link_used.dtype),
+        np.testing.assert_allclose(
+            env._link_used, link_expected, rtol=0.0, atol=cls.ATOL
         )
 
-    @pytest.mark.parametrize("lean", [False, True], ids=["full", "lean"])
-    @pytest.mark.parametrize("campaign_seed", SYNC_SEEDS)
-    def test_shadows_match_numpy_after_every_step(self, campaign_seed, lean):
-        campaign = campaign_from_seed(campaign_seed)
-        env = soa_factory(campaign)()
-        rng = np.random.default_rng(campaign_seed + 77)
+    @classmethod
+    def _run(cls, env, steps, action_seed, lean):
+        """Drive ``env`` checking conservation; returns the fenced-step count."""
+        rng = np.random.default_rng(action_seed)
         env.reset(observe=not lean)
-        self._assert_synced(env)
-        for _ in range(campaign.steps):
+        cls._assert_conserved(env)
+        fenced_steps = 0
+        for _ in range(steps):
             masks = np.array(env.valid_action_masks(), dtype=bool, copy=True)
             actions = masked_random_actions(masks, rng)
             env.step(actions, observe=not lean, info=not lean)
-            self._assert_synced(env)
+            cls._assert_conserved(env)
+            fenced_steps += any(lane_state.fences for lane_state in env._lanes)
+        return fenced_steps
+
+    @pytest.mark.parametrize("lean", [False, True], ids=["full", "lean"])
+    @pytest.mark.parametrize("campaign_seed", SYNC_SEEDS)
+    def test_ledgers_conserved_after_every_step(self, campaign_seed, lean):
+        campaign = campaign_from_seed(campaign_seed)
+        env = soa_factory(campaign)()
+        self._run(env, campaign.steps, campaign_seed + 77, lean)
+
+    def test_ledgers_conserved_through_replay_and_faults(self, replays):
+        env = tight_link_factory(SoAVecPlacementEnv, TestScalarReplayPath.FAULTS)()
+        fenced_steps = self._run(env, TestScalarReplayPath.STEPS, 123, lean=False)
+        assert replays, "no chain reached the scalar replay path"
+        assert fenced_steps, "no node was ever fenced"
