@@ -8,11 +8,14 @@ halves of that claim over a K=16 scenario-diverse load sweep:
 * ``decision_throughput`` — the headline: for each kernelized heuristic, the
   time spent producing placement decisions per batched step (one
   ``(K, A)`` mask kernel + one vectorized ``select_actions``) versus the
-  per-request reference backend (``plan_assignment`` per lane, i.e. exactly
-  the per-request work the serial ``NFVSimulation`` loop does per policy
-  decision).  Both drives run identically-seeded lane batches and the
-  decisions are asserted identical step by step.  The aggregate speedup at
-  K=16 must be **>= 4x**.
+  per-request reference: each lane's request planned by the policy's
+  per-object oracle (``tests/baseline_oracles.py``: one ``can_host`` and one
+  score call per node object, ``min()`` over the candidate list).
+  Production ``plan_assignment`` calls the kernels' own score functions, so
+  timing it would compare ledger scoring with itself rather than batching
+  with per-object planning.  Both drives run identically-seeded lane
+  batches and the decisions are asserted identical step by step.  The
+  aggregate speedup at K=16 must be **>= 4x**.
 * ``sweep_eval`` — context numbers: end-to-end wall-clock of evaluating a
   policy over the whole 16-point sweep through vec lanes versus the serial
   per-request ``NFVSimulation`` loop, for a representative heuristic and for
@@ -20,7 +23,7 @@ halves of that claim over a K=16 scenario-diverse load sweep:
   batches.  Recorded honestly, no bar: heuristic lanes pay environment
   bookkeeping the bare simulator does not, so their end-to-end win comes
   from the decision path above, while the agent side gains from batching
-  one forward pass over K lanes.
+  one forward pass over K lanes.  Both sides run the production policies.
 
 Run standalone::
 
@@ -56,6 +59,7 @@ from repro.experiments.runner import (
 )
 from repro.sim.simulation import NFVSimulation, SimulationConfig
 from repro.workloads.scenarios import Scenario, reference_scenario, scenario_grid
+from tests.baseline_oracles import ORACLES
 
 #: Required aggregate decision-throughput speedup of the batched path at K=16.
 MIN_SPEEDUP_K16 = 4.0
@@ -88,8 +92,8 @@ def _grid(num_lanes: int = K_LANES) -> List[Scenario]:
 
 
 def _env_config() -> EnvConfig:
-    # Capacity-only masks: the serial reference (`hosting_candidates`) has no
-    # latency pre-check either, so both paths see identical candidate sets.
+    # Capacity-only masks: the per-object reference planners have no latency
+    # pre-check either, so both paths see identical candidate sets.
     return EnvConfig(requests_per_episode=40, latency_mask_check=False)
 
 
@@ -102,9 +106,9 @@ def measure_decision_throughput(
 
     Two identically-seeded lane batches advance in lockstep; only the
     decision work is timed (mask kernel + batched ``select_actions`` on one
-    side, per-lane ``plan_assignment`` planning on the other).  Decisions
-    are asserted identical at every step — the timing is only meaningful
-    because the trajectories are.
+    side, per-lane planning by the policy's per-object oracle on the
+    other).  Decisions are asserted identical at every step — the timing is
+    only meaningful because the trajectories are.
     """
     grid = _grid(num_lanes)
     venv_batched = VecPlacementEnv.from_scenarios(
@@ -114,7 +118,7 @@ def measure_decision_throughput(
         grid, seed=SEED, env_config=_env_config()
     )
     batched = policy_factory().bind_lanes(venv_batched)
-    reference = policy_factory().bind_lanes(venv_reference)
+    reference = ORACLES[policy_factory]().bind_lanes(venv_reference)
     venv_batched.reset(observe=False)
     venv_reference.reset(observe=False)
 

@@ -3,7 +3,6 @@
 from repro.baselines.common import (
     AssignmentPolicy,
     build_if_feasible,
-    hosting_candidates,
     latency_of_partial,
 )
 from repro.baselines.fit import (
@@ -38,7 +37,6 @@ def standard_baselines(seed=None):
 __all__ = [
     "AssignmentPolicy",
     "build_if_feasible",
-    "hosting_candidates",
     "latency_of_partial",
     "BestFitPolicy",
     "CloudOnlyPolicy",

@@ -1,28 +1,39 @@
 """Shared helpers for the heuristic placement baselines.
 
-Besides the per-request helpers (`build_if_feasible`, `hosting_candidates`,
-`latency_of_partial`) this module provides the building blocks of the batched
-policy protocol:
+Every baseline plans from the substrate's array ledger: a VNF's candidate
+nodes are the rows ``ledger.can_host_all`` admits (the predicate the action
+masks use), scored by array expressions over the ledger columns and
+``network.latency_matrix``, which is in ledger row order.  Node ids appear
+only when a chosen row is reported.
 
 * :class:`AssignmentPolicy` — base class for heuristics that decide a node
   assignment per request (``plan_assignment`` is primary, ``place`` derived),
-* :func:`lane_masks` / :func:`masked_score_actions` / :func:`first_valid_actions`
-  — array kernels that turn per-lane score rows plus ``(K, A)`` validity
-  masks into one action per vectorized-environment lane, matching the
-  per-request reference decisions bitwise (first-minimum tie-breaking in
-  ledger node order, exactly like ``min()`` over ``hosting_candidates``).
+* :class:`NodeScoringPolicy` — base class for the greedy, fit and tier
+  heuristics, which host each VNF on the best-scoring valid node.  Each one
+  defines a single score function, :meth:`NodeScoringPolicy.node_scores`,
+  over attributes named like :class:`~repro.core.vecenv.LaneDecisionContext`
+  (``latency``, ``used``, ``capacity``, ``capacity_safe``, ``cost_per_unit``,
+  ``demands``, ``holding``).  It broadcasts over an optional leading lane
+  axis, so one request (:class:`DecisionRows`) and K vectorized lanes (the
+  context) are scored by the same expression,
+* :func:`masked_argmin` — the node-level choice rule both paths share: the
+  first minimum in ledger row order, or the first valid row when every valid
+  score is infinite,
+* :func:`masked_score_actions` — that rule applied per lane to ``(K, A)``
+  validity masks, with the reject action for lanes that have no valid node.
 """
 
 from __future__ import annotations
 
 from abc import abstractmethod
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.nfv.placement import Placement
 from repro.nfv.sfc import SFCRequest
 from repro.sim.simulation import PlacementPolicy
+from repro.substrate.ledger import SubstrateLedger
 from repro.substrate.network import NoRouteError, SubstrateNetwork
 
 
@@ -41,16 +52,24 @@ def build_if_feasible(
     return placement
 
 
-def hosting_candidates(
-    request: SFCRequest,
-    vnf_index: int,
-    network: SubstrateNetwork,
-    node_ids: Optional[Iterable[int]] = None,
-) -> List[int]:
-    """Nodes with enough free capacity for VNF ``vnf_index`` of ``request``."""
-    demand = request.chain.vnf_at(vnf_index).demand_for(request.bandwidth_mbps)
-    pool = list(node_ids) if node_ids is not None else network.node_ids
-    return [node_id for node_id in pool if network.node(node_id).can_host(demand)]
+def candidate_rows(
+    request: SFCRequest, network: SubstrateNetwork
+) -> Optional[List[np.ndarray]]:
+    """Ledger rows that can host each VNF of ``request``, in row order.
+
+    ``None`` when some VNF fits on no node.
+    """
+    ledger = network.ledger
+    rows = []
+    for vnf_index in range(request.num_vnfs):
+        demand = request.chain.vnf_at(vnf_index).demand_array_for(
+            request.bandwidth_mbps
+        )
+        valid = np.flatnonzero(ledger.can_host_all(demand))
+        if valid.size == 0:
+            return None
+        rows.append(valid)
+    return rows
 
 
 def latency_of_partial(
@@ -82,6 +101,20 @@ def latency_of_partial(
     return total
 
 
+def masked_argmin(valid: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Lowest-score valid row along the last axis.
+
+    Ties — including rows whose valid scores are all infinite — resolve to
+    the lowest valid row, the same first-minimum rule as ``min()`` over an
+    ordered candidate list.  Broadcasts over leading axes; the result is
+    meaningless where ``valid`` has no true entry, so callers check first.
+    """
+    masked = np.where(valid, scores, np.inf)
+    # A finite minimum sits on a valid row, so at or after the first one;
+    # when every valid score is infinite, argmin stops at row 0 instead.
+    return np.maximum(masked.argmin(axis=-1), valid.argmax(axis=-1))
+
+
 class AssignmentPolicy(PlacementPolicy):
     """Base for heuristics whose primary decision is a node assignment.
 
@@ -107,6 +140,135 @@ class AssignmentPolicy(PlacementPolicy):
         return build_if_feasible(request, assignment, network)
 
 
+class DecisionRows:
+    """One pending VNF decision over a substrate's ledger rows.
+
+    The attributes carry :class:`~repro.core.vecenv.LaneDecisionContext`'s
+    names and shapes without its leading lane axis (``holding`` is 0-d), so
+    a score function written once serves both.  ``latency`` is the anchor's
+    row of ``network.latency_matrix``.
+    """
+
+    __slots__ = (
+        "latency",
+        "used",
+        "capacity",
+        "capacity_safe",
+        "cost_per_unit",
+        "demands",
+        "holding",
+    )
+
+    def __init__(
+        self,
+        ledger: SubstrateLedger,
+        latency: Optional[np.ndarray],
+        demand: np.ndarray,
+        holding_time: float,
+    ) -> None:
+        self.latency = latency
+        self.used = ledger.node_used
+        self.capacity = ledger.node_capacity
+        self.capacity_safe = ledger.node_capacity_safe
+        self.cost_per_unit = ledger.node_cost_per_unit
+        self.demands = demand
+        self.holding = np.float64(holding_time)
+
+
+class NodeScoringPolicy(AssignmentPolicy):
+    """Host each VNF on the valid node with the lowest :meth:`node_scores`.
+
+    Valid nodes are those that can host the VNF, restricted to the ledger's
+    :attr:`tier_mask` when one is set.  VNFs are decided in chain order
+    against the current substrate; the latency row is the previous VNF's
+    node (the request's source for the first one).
+    """
+
+    #: Name of the ledger tier mask (``"edge_tier_mask"`` or
+    #: ``"cloud_tier_mask"``) the candidates are restricted to, if any.
+    tier_mask: Optional[str] = None
+
+    def node_scores(self, rows) -> np.ndarray:
+        """Per-node score of the pending decision; lower is better.
+
+        ``rows`` is a :class:`DecisionRows` or a lane context; the result has
+        its node-axis shape.  The default scores every node alike, so the
+        tie rule makes it first fit: the lowest valid row wins.
+        """
+        return np.zeros(rows.used.shape[:-1])
+
+    def plan_assignment(
+        self, request: SFCRequest, network: SubstrateNetwork
+    ) -> Optional[Tuple[int, ...]]:
+        ledger = network.ledger
+        latency = network.latency_matrix
+        tier = None if self.tier_mask is None else getattr(ledger, self.tier_mask)
+        anchor = ledger.node_row[request.source_node_id]
+        assignment = []
+        for vnf_index in range(request.num_vnfs):
+            demand = request.chain.vnf_at(vnf_index).demand_array_for(
+                request.bandwidth_mbps
+            )
+            valid = ledger.can_host_all(demand)
+            if tier is not None:
+                valid = valid & tier
+            if not valid.any():
+                return None
+            rows = DecisionRows(ledger, latency[anchor], demand, request.holding_time)
+            anchor = int(masked_argmin(valid, self.node_scores(rows)))
+            assignment.append(ledger.node_ids[anchor])
+        return tuple(assignment)
+
+    def select_actions(self, states=None, masks=None, greedy: bool = True) -> np.ndarray:
+        """:meth:`node_scores` over every lane, then a per-lane masked argmin.
+
+        Scores come from the bound vec env's shared decision context, or,
+        for plain lane lists, from each active lane's own ledger rows.
+        """
+        lanes = self.bound_lanes
+        masks = lane_masks(lanes, masks)
+        if self.tier_mask is not None:
+            masks = self._tier_valid(lanes, masks)
+        context = self.bound_context
+        if context is not None:
+            return masked_score_actions(
+                masks, self.node_scores(context), context.active
+            )
+        requests, active = lane_requests(lanes)
+        scores = np.full((len(lanes), masks.shape[1] - 1), np.inf)
+        for lane, env in enumerate(lanes):
+            request = requests[lane]
+            if request is None:
+                continue
+            demand = request.chain.vnf_at(env.vnf_index).demand_array_for(
+                request.bandwidth_mbps
+            )
+            network = env.network
+            scores[lane] = self.node_scores(
+                DecisionRows(
+                    network.ledger,
+                    network.latency_row(env.anchor_node_id),
+                    demand,
+                    request.holding_time,
+                )
+            )
+        return masked_score_actions(masks, scores, active)
+
+    def _tier_valid(self, lanes, masks: np.ndarray) -> np.ndarray:
+        reject = masks.shape[1] - 1
+        # Tier membership is topology-constant: stack it once per lane set.
+        cached = getattr(self, "_tier_stack", None)
+        if cached is None or cached[0] is not lanes:
+            stack = np.stack(
+                [getattr(env.network.ledger, self.tier_mask) for env in lanes]
+            )
+            cached = (lanes, stack)
+            self._tier_stack = cached
+        restricted = masks.copy()
+        restricted[:, :reject] &= cached[1]
+        return restricted
+
+
 def lane_masks(lanes: Sequence, masks: Optional[np.ndarray]) -> np.ndarray:
     """The ``(K, A)`` validity masks for ``lanes``, computing them if absent."""
     if masks is not None:
@@ -120,28 +282,13 @@ def masked_score_actions(
     """Lowest-score valid node action per lane (reject when none is valid).
 
     ``scores`` is ``(K, num_nodes)`` in action order; ``active`` flags lanes
-    with a request in flight.  Ties — including rows whose valid scores are
-    all infinite — resolve to the lowest action index, the same
-    first-minimum rule as ``min()`` over an ordered candidate list.
+    with a request in flight.  The choice per lane is :func:`masked_argmin`.
     """
     # repro-lint: readonly=masks,scores,active
     reject = masks.shape[1] - 1
     node_valid = masks[:, :reject] & active[:, None]
-    masked = np.where(node_valid, scores, np.inf)
-    best = masked.argmin(axis=1)
-    rows = np.arange(masks.shape[0])
-    first_valid = node_valid.argmax(axis=1)
-    choice = np.where(np.isfinite(masked[rows, best]), best, first_valid)
+    choice = masked_argmin(node_valid, scores)
     return np.where(node_valid.any(axis=1), choice, reject).astype(int)
-
-
-def first_valid_actions(masks: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """First (lowest-index) valid node action per lane, reject when none."""
-    # repro-lint: readonly=masks,active
-    reject = masks.shape[1] - 1
-    node_valid = masks[:, :reject] & active[:, None]
-    first = node_valid.argmax(axis=1)
-    return np.where(node_valid.any(axis=1), first, reject).astype(int)
 
 
 def lane_requests(lanes: Sequence) -> Tuple[List, np.ndarray]:

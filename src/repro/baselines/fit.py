@@ -7,58 +7,26 @@ extremes of the geo-distribution trade-off: cloud-only has effectively
 infinite capacity but pays the WAN latency on every chain; edge-only has the
 best latency but saturates quickly.
 
-All four speak the batched protocol: ``plan_assignment`` is the per-request
-reference path and ``select_actions`` the vectorized lane kernel (first-valid
-or masked-argmin array expressions over the ``(K, A)`` masks, with the tier
-policies folding the ledger's tier masks in).
+All four are :class:`~repro.baselines.common.NodeScoringPolicy` subclasses:
+first fit and cloud-only keep the constant default score (the lowest valid
+row wins), best fit scores post-allocation slack, edge-only anchor latency,
+and the tier policies restrict the candidates with the ledger's tier masks.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
 import numpy as np
 
-from repro.baselines.common import (
-    AssignmentPolicy,
-    first_valid_actions,
-    hosting_candidates,
-    lane_masks,
-    lane_requests,
-    masked_score_actions,
-)
-from repro.nfv.sfc import SFCRequest
-from repro.substrate.network import SubstrateNetwork
+from repro.baselines.common import NodeScoringPolicy
 
 
-class FirstFitPolicy(AssignmentPolicy):
+class FirstFitPolicy(NodeScoringPolicy):
     """Place each VNF on the first (lowest-id) node with enough capacity."""
 
     name = "first_fit"
 
-    def plan_assignment(
-        self, request: SFCRequest, network: SubstrateNetwork
-    ) -> Optional[Tuple[int, ...]]:
-        assignment: List[int] = []
-        for vnf_index in range(request.num_vnfs):
-            candidates = hosting_candidates(request, vnf_index, network)
-            if not candidates:
-                return None
-            assignment.append(candidates[0])
-        return tuple(assignment)
 
-    def select_actions(self, states=None, masks=None, greedy: bool = True) -> np.ndarray:
-        """First valid node action per lane — one argmax over the mask batch."""
-        lanes = self.bound_lanes
-        masks = lane_masks(lanes, masks)
-        context = self.bound_context
-        if context is not None:
-            return first_valid_actions(masks, context.active)
-        _, active = lane_requests(lanes)
-        return first_valid_actions(masks, active)
-
-
-class BestFitPolicy(AssignmentPolicy):
+class BestFitPolicy(NodeScoringPolicy):
     """Place each VNF on the feasible node left with the least slack.
 
     Classic best-fit packing: consolidating load onto already-busy nodes
@@ -68,140 +36,25 @@ class BestFitPolicy(AssignmentPolicy):
 
     name = "best_fit"
 
-    def plan_assignment(
-        self, request: SFCRequest, network: SubstrateNetwork
-    ) -> Optional[Tuple[int, ...]]:
-        assignment: List[int] = []
-        for vnf_index in range(request.num_vnfs):
-            candidates = hosting_candidates(request, vnf_index, network)
-            if not candidates:
-                return None
-            demand = request.chain.vnf_at(vnf_index).demand_for(request.bandwidth_mbps)
-
-            def remaining_slack(node_id: int) -> float:
-                node = network.node(node_id)
-                return (node.available - demand).total()
-
-            assignment.append(min(candidates, key=remaining_slack))
-        return tuple(assignment)
-
-    def select_actions(self, states=None, masks=None, greedy: bool = True) -> np.ndarray:
-        """Masked argmin over post-allocation slack, batched per lane."""
-        lanes = self.bound_lanes
-        masks = lane_masks(lanes, masks)
-        context = self.bound_context
-        if context is not None:
-            # Same clamping as (node.available - demand).total(): free
-            # capacity clamps at zero, then the per-dimension slack does too.
-            free = np.maximum(context.capacity - context.used, 0.0)
-            scores = np.maximum(free - context.demands[:, None, :], 0.0).sum(axis=2)
-            return masked_score_actions(masks, scores, context.active)
-        requests, active = lane_requests(lanes)
-        scores = np.full((len(lanes), masks.shape[1] - 1), np.inf)
-        for lane, env in enumerate(lanes):
-            request = requests[lane]
-            if request is None:
-                continue
-            demand = request.chain.vnf_at(env.vnf_index).demand_array_for(
-                request.bandwidth_mbps
-            )
-            ledger = env.network.ledger
-            # Same clamping as (node.available - demand).total(): free
-            # capacity clamps at zero, then the per-dimension slack does too.
-            free = np.maximum(ledger.node_capacity - ledger.node_used, 0.0)
-            scores[lane] = np.maximum(free - demand, 0.0).sum(axis=1)
-        return masked_score_actions(masks, scores, active)
+    def node_scores(self, rows) -> np.ndarray:
+        # Same clamping as (node.available - demand).total(): free capacity
+        # clamps at zero, then the per-dimension slack does too.
+        free = np.maximum(rows.capacity - rows.used, 0.0)
+        return np.maximum(free - rows.demands[..., None, :], 0.0).sum(axis=-1)
 
 
-class _TierRestrictedMixin:
-    """Shared lane kernel plumbing for the tier-restricted policies."""
-
-    def _tier_mask(self, env) -> np.ndarray:
-        raise NotImplementedError
-
-    def _tier_valid(self, lanes, masks: np.ndarray) -> np.ndarray:
-        reject = masks.shape[1] - 1
-        # Tier membership is topology-constant: stack it once per lane set.
-        cached = getattr(self, "_tier_stack", None)
-        if cached is None or cached[0] is not lanes:
-            cached = (lanes, np.stack([self._tier_mask(env) for env in lanes]))
-            self._tier_stack = cached
-        restricted = masks.copy()
-        restricted[:, :reject] &= cached[1]
-        return restricted
-
-
-class CloudOnlyPolicy(_TierRestrictedMixin, AssignmentPolicy):
+class CloudOnlyPolicy(NodeScoringPolicy):
     """Host every VNF in the central cloud (latency-worst, capacity-best)."""
 
     name = "cloud_only"
-
-    def plan_assignment(
-        self, request: SFCRequest, network: SubstrateNetwork
-    ) -> Optional[Tuple[int, ...]]:
-        cloud_ids = network.cloud_node_ids
-        if not cloud_ids:
-            return None
-        assignment: List[int] = []
-        for vnf_index in range(request.num_vnfs):
-            candidates = hosting_candidates(request, vnf_index, network, cloud_ids)
-            if not candidates:
-                return None
-            assignment.append(candidates[0])
-        return tuple(assignment)
-
-    def _tier_mask(self, env) -> np.ndarray:
-        return env.network.ledger.cloud_tier_mask
-
-    def select_actions(self, states=None, masks=None, greedy: bool = True) -> np.ndarray:
-        """First valid cloud-tier node action per lane."""
-        lanes = self.bound_lanes
-        masks = self._tier_valid(lanes, lane_masks(lanes, masks))
-        context = self.bound_context
-        if context is not None:
-            return first_valid_actions(masks, context.active)
-        _, active = lane_requests(lanes)
-        return first_valid_actions(masks, active)
+    tier_mask = "cloud_tier_mask"
 
 
-class EdgeOnlyPolicy(_TierRestrictedMixin, AssignmentPolicy):
+class EdgeOnlyPolicy(NodeScoringPolicy):
     """Host every VNF on edge nodes near the ingress (latency-best, scarce)."""
 
     name = "edge_only"
+    tier_mask = "edge_tier_mask"
 
-    def plan_assignment(
-        self, request: SFCRequest, network: SubstrateNetwork
-    ) -> Optional[Tuple[int, ...]]:
-        edge_ids = network.edge_node_ids
-        if not edge_ids:
-            return None
-        assignment: List[int] = []
-        anchor = request.source_node_id
-        for vnf_index in range(request.num_vnfs):
-            candidates = hosting_candidates(request, vnf_index, network, edge_ids)
-            if not candidates:
-                return None
-            best = min(
-                candidates,
-                key=lambda node_id: network.latency_between(anchor, node_id),
-            )
-            assignment.append(best)
-            anchor = best
-        return tuple(assignment)
-
-    def _tier_mask(self, env) -> np.ndarray:
-        return env.network.ledger.edge_tier_mask
-
-    def select_actions(self, states=None, masks=None, greedy: bool = True) -> np.ndarray:
-        """Masked argmin over anchor latency, restricted to edge nodes."""
-        lanes = self.bound_lanes
-        masks = self._tier_valid(lanes, lane_masks(lanes, masks))
-        context = self.bound_context
-        if context is not None:
-            return masked_score_actions(masks, context.latency, context.active)
-        _, active = lane_requests(lanes)
-        scores = np.full((len(lanes), masks.shape[1] - 1), np.inf)
-        for lane, env in enumerate(lanes):
-            if active[lane]:
-                scores[lane] = env.network.latency_row(env.anchor_node_id)
-        return masked_score_actions(masks, scores, active)
+    def node_scores(self, rows) -> np.ndarray:
+        return rows.latency

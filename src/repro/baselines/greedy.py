@@ -10,151 +10,56 @@ Two standard greedy rules appear in virtually every VNF-placement evaluation:
 Both are strong at one end of the latency/utilization trade-off and weak at
 the other, which is exactly the gap the learned policy closes.
 
-Each policy implements both halves of the batched protocol: the per-request
-``plan_assignment`` reference path, and a vectorized ``select_actions`` that
-scores every substrate node of every lane in one ``(K, N)`` array expression
-and takes a masked argmin — decision-for-decision identical to the per-lane
-reference (the equivalence suite asserts it bitwise).
+Each policy is one score function over ledger rows
+(:meth:`~repro.baselines.common.NodeScoringPolicy.node_scores`); the shared
+base applies it to one request in ``plan_assignment`` and to every lane of a
+vectorized batch in ``select_actions``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 import numpy as np
 
-from repro.baselines.common import (
-    AssignmentPolicy,
-    hosting_candidates,
-    lane_masks,
-    lane_requests,
-    masked_score_actions,
-)
-from repro.nfv.sfc import SFCRequest
-from repro.substrate.network import SubstrateNetwork
+from repro.baselines.common import NodeScoringPolicy
 
 
-class GreedyNearestPolicy(AssignmentPolicy):
+def bottleneck_utilization(rows) -> np.ndarray:
+    """Per-node largest-dimension utilization (``ledger.max_utilization``)."""
+    return (rows.used / rows.capacity_safe).max(axis=-1)
+
+
+def hosting_cost(rows) -> np.ndarray:
+    """Per-node cost of hosting the pending demand for the holding time.
+
+    The same expression as ``ComputeNode.hosting_cost``: demand . cost * t.
+    """
+    return (rows.cost_per_unit * rows.demands[..., None, :]).sum(axis=-1) * (
+        rows.holding[..., None]
+    )
+
+
+class GreedyNearestPolicy(NodeScoringPolicy):
     """Latency-greedy: pick the closest feasible node for every VNF."""
 
     name = "greedy_nearest"
 
-    def plan_assignment(
-        self, request: SFCRequest, network: SubstrateNetwork
-    ) -> Optional[Tuple[int, ...]]:
-        assignment = []
-        anchor = request.source_node_id
-        for vnf_index in range(request.num_vnfs):
-            candidates = hosting_candidates(request, vnf_index, network)
-            if not candidates:
-                return None
-            best = min(
-                candidates,
-                key=lambda node_id: network.latency_between(anchor, node_id),
-            )
-            assignment.append(best)
-            anchor = best
-        return tuple(assignment)
-
-    def select_actions(self, states=None, masks=None, greedy: bool = True) -> np.ndarray:
-        """Masked argmin over each lane's anchor latency row."""
-        lanes = self.bound_lanes
-        masks = lane_masks(lanes, masks)
-        context = self.bound_context
-        if context is not None:
-            return masked_score_actions(masks, context.latency, context.active)
-        requests, active = lane_requests(lanes)
-        scores = np.full((len(lanes), masks.shape[1] - 1), np.inf)
-        for lane, env in enumerate(lanes):
-            if active[lane]:
-                scores[lane] = env.network.latency_row(env.anchor_node_id)
-        return masked_score_actions(masks, scores, active)
+    def node_scores(self, rows) -> np.ndarray:
+        return rows.latency
 
 
-class GreedyLeastLoadedPolicy(AssignmentPolicy):
+class GreedyLeastLoadedPolicy(NodeScoringPolicy):
     """Load-greedy: pick the feasible node with the lowest utilization."""
 
     name = "greedy_least_loaded"
 
-    def plan_assignment(
-        self, request: SFCRequest, network: SubstrateNetwork
-    ) -> Optional[Tuple[int, ...]]:
-        assignment = []
-        for vnf_index in range(request.num_vnfs):
-            candidates = hosting_candidates(request, vnf_index, network)
-            if not candidates:
-                return None
-            best = min(
-                candidates,
-                key=lambda node_id: network.node(node_id).max_utilization(),
-            )
-            assignment.append(best)
-        return tuple(assignment)
-
-    def select_actions(self, states=None, masks=None, greedy: bool = True) -> np.ndarray:
-        """Masked argmin over each lane's bottleneck-utilization column."""
-        lanes = self.bound_lanes
-        masks = lane_masks(lanes, masks)
-        context = self.bound_context
-        if context is not None:
-            # Same expression as ledger.max_utilization, stacked over lanes.
-            utilization = (context.used / context.capacity_safe).max(axis=2)
-            return masked_score_actions(masks, utilization, context.active)
-        requests, active = lane_requests(lanes)
-        scores = np.full((len(lanes), masks.shape[1] - 1), np.inf)
-        for lane, env in enumerate(lanes):
-            if active[lane]:
-                scores[lane] = env.network.ledger.max_utilization()
-        return masked_score_actions(masks, scores, active)
+    def node_scores(self, rows) -> np.ndarray:
+        return bottleneck_utilization(rows)
 
 
-class GreedyCheapestPolicy(AssignmentPolicy):
+class GreedyCheapestPolicy(NodeScoringPolicy):
     """Cost-greedy: pick the feasible node with the lowest hosting cost."""
 
     name = "greedy_cheapest"
 
-    def plan_assignment(
-        self, request: SFCRequest, network: SubstrateNetwork
-    ) -> Optional[Tuple[int, ...]]:
-        assignment = []
-        for vnf_index in range(request.num_vnfs):
-            candidates = hosting_candidates(request, vnf_index, network)
-            if not candidates:
-                return None
-            vnf = request.chain.vnf_at(vnf_index)
-            demand = vnf.demand_for(request.bandwidth_mbps)
-            best = min(
-                candidates,
-                key=lambda node_id: network.node(node_id).hosting_cost(
-                    demand, request.holding_time
-                ),
-            )
-            assignment.append(best)
-        return tuple(assignment)
-
-    def select_actions(self, states=None, masks=None, greedy: bool = True) -> np.ndarray:
-        """Masked argmin over each lane's per-node hosting cost."""
-        lanes = self.bound_lanes
-        masks = lane_masks(lanes, masks)
-        context = self.bound_context
-        if context is not None:
-            # Same expression as ComputeNode.hosting_cost: demand . cost * t.
-            scores = (context.cost_per_unit * context.demands[:, None, :]).sum(
-                axis=2
-            ) * context.holding[:, None]
-            return masked_score_actions(masks, scores, context.active)
-        requests, active = lane_requests(lanes)
-        scores = np.full((len(lanes), masks.shape[1] - 1), np.inf)
-        for lane, env in enumerate(lanes):
-            request = requests[lane]
-            if request is None:
-                continue
-            demand = request.chain.vnf_at(env.vnf_index).demand_array_for(
-                request.bandwidth_mbps
-            )
-            ledger = env.network.ledger
-            # Same expression as ComputeNode.hosting_cost: demand . cost * t.
-            scores[lane] = (ledger.node_cost_per_unit * demand).sum(axis=1) * (
-                request.holding_time
-            )
-        return masked_score_actions(masks, scores, active)
+    def node_scores(self, rows) -> np.ndarray:
+        return hosting_cost(rows)

@@ -12,12 +12,13 @@ a configurable budget rather than silently stalling a benchmark.
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Tuple
+import math
+from typing import Optional, Tuple
 
 from repro.baselines.common import (
     AssignmentPolicy,
     build_if_feasible,
-    hosting_candidates,
+    candidate_rows,
 )
 from repro.nfv.placement import Placement
 from repro.nfv.sfc import SFCRequest
@@ -68,15 +69,12 @@ class BruteForceOptimalPolicy(AssignmentPolicy):
     def plan_assignment(
         self, request: SFCRequest, network: SubstrateNetwork
     ) -> Optional[Tuple[int, ...]]:
-        candidate_sets: List[List[int]] = []
-        space = 1
-        for vnf_index in range(request.num_vnfs):
-            candidates = hosting_candidates(request, vnf_index, network)
-            if not candidates:
-                return None
-            candidate_sets.append(candidates)
-            space *= len(candidates)
-
+        rows = candidate_rows(request, network)
+        if rows is None:
+            return None
+        node_ids = network.ledger.node_ids
+        candidate_sets = [[node_ids[row] for row in valid] for valid in rows]
+        space = math.prod(len(candidates) for candidates in candidate_sets)
         if space > self.max_assignments:
             if self.fallback_to_reject:
                 return None

@@ -7,7 +7,7 @@ from typing import Optional, Tuple
 from repro.baselines.common import (
     AssignmentPolicy,
     build_if_feasible,
-    hosting_candidates,
+    candidate_rows,
 )
 from repro.nfv.sfc import SFCRequest
 from repro.substrate.network import SubstrateNetwork
@@ -63,18 +63,16 @@ class RandomPlacementPolicy(AssignmentPolicy):
     def plan_assignment(
         self, request: SFCRequest, network: SubstrateNetwork
     ) -> Optional[Tuple[int, ...]]:
+        candidate_sets = candidate_rows(request, network)
+        if candidate_sets is None:
+            return None
+        node_ids = network.ledger.node_ids
         rng = self._request_rng(request)
         for _ in range(self.max_attempts):
-            assignment = []
-            feasible = True
-            for vnf_index in range(request.num_vnfs):
-                candidates = hosting_candidates(request, vnf_index, network)
-                if not candidates:
-                    feasible = False
-                    break
-                assignment.append(int(rng.choice(candidates)))
-            if not feasible:
-                return None
+            # rng.choice draws only an index into ``rows``, and rows list
+            # the candidates in node order: the draws match choosing among
+            # the candidates' node ids.
+            assignment = tuple(node_ids[rng.choice(rows)] for rows in candidate_sets)
             if build_if_feasible(request, assignment, network) is not None:
-                return tuple(assignment)
+                return assignment
         return None

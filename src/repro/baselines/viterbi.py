@@ -15,7 +15,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.baselines.common import AssignmentPolicy, hosting_candidates
+from repro.baselines.common import AssignmentPolicy, DecisionRows, candidate_rows
+from repro.baselines.greedy import bottleneck_utilization, hosting_cost
 from repro.nfv.sfc import SFCRequest
 from repro.substrate.network import SubstrateNetwork
 from repro.utils.validation import check_non_negative
@@ -45,65 +46,53 @@ class ViterbiPlacementPolicy(AssignmentPolicy):
         self.load_weight = load_weight
         self.cost_normalizer = cost_normalizer
 
-    def _node_cost(
-        self, request: SFCRequest, vnf_index: int, node_id: int, network: SubstrateNetwork
-    ) -> float:
-        if self.cost_weight == 0.0 and self.load_weight == 0.0:
-            return 0.0
-        node = network.node(node_id)
-        vnf = request.chain.vnf_at(vnf_index)
-        hosting = node.hosting_cost(
-            vnf.demand_for(request.bandwidth_mbps), request.holding_time
-        )
+    def _row_cost(self, request: SFCRequest, rows: DecisionRows, candidates) -> np.ndarray:
+        """Cost and load terms of hosting the pending VNF on ``candidates``."""
+        max_latency = request.sla.max_latency_ms
         return (
-            self.cost_weight * hosting / self.cost_normalizer * request.sla.max_latency_ms
-            + self.load_weight * node.max_utilization() * request.sla.max_latency_ms
+            self.cost_weight * hosting_cost(rows)[candidates]
+            / self.cost_normalizer * max_latency
+            + self.load_weight * bottleneck_utilization(rows)[candidates] * max_latency
         )
 
     def plan_assignment(
         self, request: SFCRequest, network: SubstrateNetwork
     ) -> Optional[Tuple[int, ...]]:
-        candidate_sets: List[List[int]] = []
-        for vnf_index in range(request.num_vnfs):
-            candidates = hosting_candidates(request, vnf_index, network)
-            if not candidates:
-                return None
-            candidate_sets.append(candidates)
+        candidate_sets = candidate_rows(request, network)
+        if candidate_sets is None:
+            return None
+        ledger = network.ledger
+        latency = network.latency_matrix
 
-        # Viterbi forward pass: best[k][j] = minimum accumulated weight of
-        # placing VNFs 0..k with VNF k on candidate_sets[k][j].
-        first = candidate_sets[0]
-        best = np.array(
-            [
-                network.latency_between(request.source_node_id, node_id)
-                + request.chain.vnf_at(0).processing_delay_ms
-                + self._node_cost(request, 0, node_id, network)
-                for node_id in first
-            ]
-        )
+        # Viterbi forward pass: best[j] = minimum accumulated weight of
+        # placing VNFs 0..k with VNF k on row candidate_sets[k][j].  The
+        # request's source is the single "previous" row of VNF 0.
+        previous = [ledger.node_row[request.source_node_id]]
+        best = np.zeros(1)
         backpointers: List[np.ndarray] = []
-
-        for vnf_index in range(1, request.num_vnfs):
-            current = candidate_sets[vnf_index]
-            previous = candidate_sets[vnf_index - 1]
-            transition = np.empty((len(previous), len(current)))
-            for i, prev_node in enumerate(previous):
-                for j, node_id in enumerate(current):
-                    transition[i, j] = (
-                        network.latency_between(prev_node, node_id)
-                        + request.chain.vnf_at(vnf_index).processing_delay_ms
-                        + self._node_cost(request, vnf_index, node_id, network)
-                    )
+        for vnf_index, current in enumerate(candidate_sets):
+            vnf = request.chain.vnf_at(vnf_index)
+            # Viterbi's latency term is the transition gather below.
+            rows = DecisionRows(
+                ledger,
+                None,
+                vnf.demand_array_for(request.bandwidth_mbps),
+                request.holding_time,
+            )
+            transition = (
+                latency[np.ix_(previous, current)]
+                + vnf.processing_delay_ms
+                + self._row_cost(request, rows, current)[None, :]
+            )
             totals = best[:, None] + transition
             backpointers.append(np.argmin(totals, axis=0))
             best = np.min(totals, axis=0)
+            previous = current
 
-        # Backtrack the minimizing assignment.
-        last_index = int(np.argmin(best))
-        assignment_indices = [last_index]
-        for pointer in reversed(backpointers):
-            assignment_indices.append(int(pointer[assignment_indices[-1]]))
-        assignment_indices.reverse()
-        return tuple(
-            candidate_sets[k][idx] for k, idx in enumerate(assignment_indices)
-        )
+        # Backtrack the minimizing assignment (the source layer has one row).
+        index = int(np.argmin(best))
+        chosen = []
+        for current, pointer in zip(reversed(candidate_sets), reversed(backpointers)):
+            chosen.append(ledger.node_ids[current[index]])
+            index = int(pointer[index])
+        return tuple(reversed(chosen))

@@ -251,10 +251,11 @@ def evaluate_baseline_across_scenarios(
 
     Thin wrapper over :func:`evaluate_agent_across_scenarios` that gives the
     baseline lanes the serial admission semantics: the capacity-only action
-    masks mirror ``hosting_candidates`` (no latency pre-mask — the policy
-    proposes and the lane rejects SLA-infeasible chains at commit time,
-    exactly like :class:`~repro.sim.simulation.NFVSimulation` does with
-    :meth:`~repro.sim.simulation.PlacementPolicy.place`).  Pass the same
+    masks apply ``ledger.can_host_all``, the predicate the baselines'
+    ``plan_assignment`` takes its candidates from (no latency pre-mask — the
+    policy proposes and the lane rejects SLA-infeasible chains at commit
+    time, exactly like :class:`~repro.sim.simulation.NFVSimulation` does
+    with :meth:`~repro.sim.simulation.PlacementPolicy.place`).  Pass the same
     ``reward_config`` used for the agent so the reward series of both are
     scored with identical weights.
     """

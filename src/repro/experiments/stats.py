@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.utils.validation import check_positive
 
@@ -74,6 +73,10 @@ def summarize_metric(values: Sequence[float], confidence: float = 0.95) -> Metri
     mean = float(data.mean())
     if data.size == 1:
         return MetricSummary(mean=mean, std=0.0, ci_low=mean, ci_high=mean, samples=1)
+    # scipy is imported here, not at module level: it is most of the cost of
+    # `import repro`, and only these two statistics use it.
+    from scipy import stats as scipy_stats
+
     std = float(data.std(ddof=1))
     sem = std / np.sqrt(data.size)
     margin = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=data.size - 1) * sem)
@@ -111,6 +114,8 @@ def compare_policies(
     ``mean(a) - mean(b)`` and a Welch confidence interval; a pair whose
     interval excludes zero is a statistically meaningful win/loss.
     """
+    from scipy import stats as scipy_stats
+
     names = list(per_policy_replications.keys())
     rows: List[Dict[str, object]] = []
     for i, first in enumerate(names):

@@ -15,8 +15,12 @@ from repro.baselines import (
     ViterbiPlacementPolicy,
     standard_baselines,
 )
+from repro.baselines.common import build_if_feasible
 from repro.baselines.optimal import SearchSpaceTooLargeError
+from repro.sim.simulation import NFVSimulation, PlacementPolicy, SimulationConfig
 from repro.substrate.resources import ResourceVector
+from repro.workloads.scenarios import reference_scenario
+from tests.baseline_oracles import ORACLES
 from tests.conftest import build_request
 
 ALL_POLICIES = [
@@ -54,6 +58,85 @@ class TestAllPoliciesProduceFeasiblePlacements:
             small_network.allocate_node(node_id, "hog", ResourceVector(7.9, 15.9, 99.0))
         request = build_request(catalog, source=0, sla_ms=100.0)
         assert policy.place(request, small_network) is None
+
+
+class TestMaskBoundary:
+    """Candidates come from the action masks' capacity predicate."""
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.name)
+    def test_node_past_the_mask_boundary_is_not_planned(
+        self, policy, small_network, catalog
+    ):
+        # nat needs 1.1 cpu at 50 Mbps.  On top of 6.900000001 used of 8.0,
+        # ComputeNode.can_host (used + d <= cap + tol) still admits it, while
+        # the masks (d <= (cap + tol) - used) and placement feasibility
+        # (d <= (cap - used) + tol) do not; planning node 2 would reject a
+        # request that three empty nodes fit.
+        small_network.allocate_node(2, "hog", ResourceVector(6.900000001, 0.0, 0.0))
+        request = build_request(catalog, source=2, vnf_names=("nat",), sla_ms=200.0)
+        placement = policy.place(request, small_network)
+        assert placement is not None
+        assert 2 not in placement.node_assignment
+
+
+class _OracleParityProbe(PlacementPolicy):
+    """Plans every arrival with a policy and its per-object oracle."""
+
+    def __init__(self, production, oracle) -> None:
+        self.production = production
+        self.oracle = oracle
+        self.name = production.name
+        self.plans = []
+
+    def place(self, request, network):
+        plan = self.production.plan_assignment(request, network)
+        expected = self.oracle.plan_assignment(request, network)
+        assert plan == expected, (
+            f"{self.name}: request {request.request_id} planned {plan}, "
+            f"oracle {expected}"
+        )
+        self.plans.append(plan)
+        return None if plan is None else build_if_feasible(request, plan, network)
+
+
+#: (policy class, constructor kwargs, simulated horizon).  Brute force
+#: enumerates up to 100k assignments per request, so it simulates less.
+PARITY_CASES = [
+    (RandomPlacementPolicy, {"seed": 7}, 100.0),
+    (GreedyNearestPolicy, {}, 100.0),
+    (GreedyLeastLoadedPolicy, {}, 100.0),
+    (GreedyCheapestPolicy, {}, 100.0),
+    (FirstFitPolicy, {}, 100.0),
+    (BestFitPolicy, {}, 100.0),
+    (CloudOnlyPolicy, {}, 100.0),
+    (EdgeOnlyPolicy, {}, 100.0),
+    (ViterbiPlacementPolicy, {"cost_weight": 0.2, "load_weight": 0.2}, 100.0),
+    (
+        BruteForceOptimalPolicy,
+        {"max_assignments": 100_000, "fallback_to_reject": True},
+        10.0,
+    ),
+]
+
+
+class TestLedgerPlansMatchObjectOracles:
+    """The ledger planners choose what the per-object loops chose."""
+
+    @pytest.mark.parametrize(
+        "cls, kwargs, horizon", PARITY_CASES, ids=[case[0].name for case in PARITY_CASES]
+    )
+    def test_every_arrival_plans_like_the_oracle(self, cls, kwargs, horizon):
+        plans = []
+        for rate in (0.5, 2.0, 4.0):
+            scenario = reference_scenario(
+                arrival_rate=rate, num_edge_nodes=8, horizon=horizon, seed=0
+            )
+            probe = _OracleParityProbe(cls(**kwargs), ORACLES[cls](**kwargs))
+            NFVSimulation(
+                scenario.build_network(), probe, SimulationConfig(horizon=horizon)
+            ).run(scenario.generate_requests())
+            plans += probe.plans
+        assert any(plan is not None for plan in plans)
 
 
 class TestGreedyNearest:

@@ -1,5 +1,10 @@
 """Tests for multi-seed replication statistics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -112,3 +117,20 @@ class TestComparePolicies:
         data = {name: [{"m": 1.0}, {"m": 2.0}] for name in ("a", "b", "c")}
         rows = compare_policies(data, "m")
         assert len(rows) == 3
+
+
+class TestLazyScipy:
+    def test_import_repro_leaves_scipy_unloaded(self):
+        # scipy is most of `import repro`; only the statistics above use it.
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        probe = "import sys, repro; print('scipy' in sys.modules)"
+        output = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        ).stdout
+        assert output.strip() == "False"
