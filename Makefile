@@ -28,7 +28,7 @@ test-diff:
 bench-hotpath:
 	PYTHONPATH=src:. python benchmarks/bench_hotpath.py
 
-## bench-envstep: microbenchmark of the vectorized environment core
+## bench-envstep: microbenchmark of the env core and its routing layer
 bench-envstep:
 	PYTHONPATH=src:. python benchmarks/bench_envstep.py
 
@@ -46,7 +46,6 @@ bench-serving:
 
 ## bench-smoke: fast perf regression guards (used by scripts/check.sh)
 bench-smoke:
-	PYTHONPATH=src:. python benchmarks/bench_envstep.py --smoke
 	PYTHONPATH=src:. python benchmarks/bench_vecenv.py --smoke
 	PYTHONPATH=src:. python benchmarks/bench_policyeval.py --smoke
 	PYTHONPATH=src:. python benchmarks/bench_serving.py --smoke

@@ -57,7 +57,7 @@ from repro.experiments.runner import (
     evaluate_agent_across_scenarios,
     evaluate_baseline_across_scenarios,
 )
-from repro.sim.simulation import NFVSimulation, SimulationConfig
+from repro.sim.simulation import NFVSimulation, PlacementPolicy, SimulationConfig
 from repro.workloads.scenarios import Scenario, reference_scenario, scenario_grid
 from tests.baseline_oracles import ORACLES
 
@@ -131,7 +131,7 @@ def measure_decision_throughput(
         batched_s += time.perf_counter() - start
 
         start = time.perf_counter()
-        reference_actions = reference.select_actions_reference()
+        reference_actions = PlacementPolicy.select_actions(reference)
         reference_s += time.perf_counter() - start
 
         assert np.array_equal(batched_actions, reference_actions), (

@@ -26,9 +26,6 @@ else
 fi
 python -m pytest -x -q ${COV_ARGS[@]+"${COV_ARGS[@]}"}
 
-echo "==> env-core perf smoke (vectorized vs per-query reference)"
-PYTHONPATH="src:.${PYTHONPATH:+:$PYTHONPATH}" python benchmarks/bench_envstep.py --smoke
-
 echo "==> vec-env training-loop perf smoke (K=16 lanes vs serial trainer)"
 PYTHONPATH="src:.${PYTHONPATH:+:$PYTHONPATH}" python benchmarks/bench_vecenv.py --smoke
 

@@ -121,8 +121,9 @@ class AssignmentPolicy(PlacementPolicy):
     Subclasses implement :meth:`plan_assignment`; :meth:`place` is derived by
     routing and feasibility-checking the planned assignment.  This inverts
     the default :class:`~repro.sim.simulation.PlacementPolicy` orientation so
-    the batched protocol's reference backend never builds placements it does
-    not need.
+    the default :meth:`~repro.sim.simulation.PlacementPolicy.select_actions`,
+    which replays planned assignments, never builds placements it does not
+    need.
     """
 
     @abstractmethod

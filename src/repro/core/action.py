@@ -79,18 +79,8 @@ class ActionSpace:
         that node plus the VNF's processing delay still fits the SLA.
 
         The whole mask is one batched array expression over the substrate
-        ledger and latency matrix; the per-node loop survives as
-        :meth:`valid_mask_reference` and is used automatically when the
-        network routes in a non-dense mode.
+        ledger and latency matrix.
         """
-        if self.network.routing != "dense":
-            return self.valid_mask_reference(
-                request,
-                vnf_index,
-                partial_assignment,
-                partial_latency_ms,
-                latency_check=latency_check,
-            )
         next_vnf = request.chain.vnf_at(vnf_index)
         demand = next_vnf.demand_array_for(request.bandwidth_mbps)
         anchor = (
@@ -115,38 +105,6 @@ class ActionSpace:
         mask = np.empty(self.num_actions, dtype=bool)
         mask[: self.reject_action] = valid
         mask[self.reject_action] = True
-        return mask
-
-    def valid_mask_reference(
-        self,
-        request: SFCRequest,
-        vnf_index: int,
-        partial_assignment: Sequence[int],
-        partial_latency_ms: float,
-        latency_check: bool = True,
-    ) -> np.ndarray:
-        """The original per-node masking loop, kept for equivalence tests."""
-        next_vnf = request.chain.vnf_at(vnf_index)
-        demand = next_vnf.demand_for(request.bandwidth_mbps)
-        anchor = (
-            partial_assignment[-1] if partial_assignment else request.source_node_id
-        )
-        budget = request.sla.max_latency_ms
-
-        mask = np.zeros(self.num_actions, dtype=bool)
-        mask[self.reject_action] = True
-        for index, node_id in enumerate(self.node_order):
-            node = self.network.node(node_id)
-            if not node.can_host(demand):
-                continue
-            if latency_check:
-                added = (
-                    self.network.latency_between(anchor, node_id)
-                    + next_vnf.processing_delay_ms
-                )
-                if partial_latency_ms + added > budget:
-                    continue
-            mask[index] = True
         return mask
 
     def greedy_fallback_action(self, mask: np.ndarray) -> int:

@@ -81,25 +81,18 @@ class RewardCalculator:
         latency_term = config.step_latency_weight * (added_latency_ms / sla)
 
         vnf = request.chain.vnf_at(vnf_index)
-        if network.routing == "dense":
-            # Ledger fast path: read the node's cost row and memoized
-            # bottleneck utilization instead of rebuilding resource vectors.
-            ledger = network.ledger
-            row = ledger.node_row[node_id]
-            hosting = (
-                float(
-                    vnf.demand_array_for(request.bandwidth_mbps)
-                    @ ledger.node_cost_per_unit[row]
-                )
-                * request.holding_time
+        # Read the node's cost row and memoized bottleneck utilization from
+        # the ledger instead of rebuilding resource vectors.
+        ledger = network.ledger
+        row = ledger.node_row[node_id]
+        hosting = (
+            float(
+                vnf.demand_array_for(request.bandwidth_mbps)
+                @ ledger.node_cost_per_unit[row]
             )
-            utilization = float(ledger.max_utilization()[row])
-        else:
-            node = network.node(node_id)
-            hosting = node.hosting_cost(
-                vnf.demand_for(request.bandwidth_mbps), request.holding_time
-            )
-            utilization = node.max_utilization()
+            * request.holding_time
+        )
+        utilization = float(ledger.max_utilization()[row])
         cost_term = config.step_cost_weight * (hosting / config.cost_normalizer)
 
         balance_term = config.load_balance_weight * 0.1 * utilization

@@ -295,7 +295,7 @@ def _network_signature(network: SubstrateNetwork) -> tuple:
 class SoAVecPlacementEnv:
     """K placement lanes over one set of structure-of-arrays ledgers.
 
-    Construction requires every lane to share one dense-routed topology (and
+    Construction requires every lane to share one topology (and
     one resolved env/reward/encoder configuration and catalog); a
     ``ValueError`` is raised otherwise — callers that need mixed lane sets
     fall back to the reference :class:`~repro.core.vecenv.VecPlacementEnv`
@@ -351,10 +351,6 @@ class SoAVecPlacementEnv:
                 )
 
         network = specs[0].scenario.build_network()
-        if network.routing != "dense":
-            raise ValueError(
-                f"the SoA core requires dense routing, got {network.routing!r}"
-            )
         ref_signature = _network_signature(network)
         ref_matrix = network.latency_matrix
         seen_factories = {id(specs[0].scenario.topology_factory)}
@@ -364,11 +360,6 @@ class SoAVecPlacementEnv:
                 continue
             seen_factories.add(id(factory))
             other = spec.scenario.build_network()
-            if other.routing != "dense":
-                raise ValueError(
-                    f"lane {index} routes {other.routing!r}; the SoA core "
-                    "requires dense routing on every lane"
-                )
             if _network_signature(other) != ref_signature or not np.array_equal(
                 other.latency_matrix, ref_matrix
             ):

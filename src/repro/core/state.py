@@ -110,14 +110,8 @@ class StateEncoder:
         """Encode the decision state for placing VNF ``vnf_index`` of ``request``.
 
         The whole node-feature block is built with batched array expressions
-        (latency row = one matrix slice, utilization columns = ledger views);
-        the per-node reference loop survives as :meth:`encode_reference` and
-        is used automatically when the network routes in a non-dense mode.
+        (latency row = one matrix slice, utilization columns = ledger views).
         """
-        if self.network.routing != "dense":
-            return self.encode_reference(
-                request, vnf_index, partial_assignment, partial_latency_ms
-            )
         if not 0 <= vnf_index < request.num_vnfs:
             raise ValueError(
                 f"vnf_index {vnf_index} outside the chain of length {request.num_vnfs}"
@@ -148,43 +142,6 @@ class StateEncoder:
 
         offset = NODE_FEATURES * num_nodes
         features[offset + self.catalog.index_of(next_vnf.name)] = 1.0
-        offset += len(self.catalog)
-        self._write_request_scalars(
-            features, offset, request, vnf_index, partial_latency_ms, sla
-        )
-        return features
-
-    def encode_reference(
-        self,
-        request: SFCRequest,
-        vnf_index: int,
-        partial_assignment: Sequence[int],
-        partial_latency_ms: float,
-    ) -> np.ndarray:
-        """The original per-node encoding loop, kept for equivalence tests."""
-        if not 0 <= vnf_index < request.num_vnfs:
-            raise ValueError(
-                f"vnf_index {vnf_index} outside the chain of length {request.num_vnfs}"
-            )
-        next_vnf = request.chain.vnf_at(vnf_index)
-        demand = next_vnf.demand_for(request.bandwidth_mbps)
-        anchor = self.anchor_node(request, partial_assignment)
-        sla = request.sla.max_latency_ms
-
-        features = np.zeros(self.state_dim, dtype=float)
-        offset = 0
-        for node_id in self.node_order:
-            node = self.network.node(node_id)
-            utilization = node.utilization()
-            latency = self.network.latency_between(anchor, node_id)
-            features[offset + 0] = min(1.0, utilization["cpu"])
-            features[offset + 1] = min(1.0, utilization["memory"])
-            features[offset + 2] = min(1.0, latency / sla)
-            features[offset + 3] = 1.0 if node.can_host(demand) else 0.0
-            offset += NODE_FEATURES
-
-        one_hot_offset = offset + self.catalog.index_of(next_vnf.name)
-        features[one_hot_offset] = 1.0
         offset += len(self.catalog)
         self._write_request_scalars(
             features, offset, request, vnf_index, partial_latency_ms, sla

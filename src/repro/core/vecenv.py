@@ -59,7 +59,7 @@ class LaneDecisionContext:
     """Batched arrays describing every lane's pending placement decision.
 
     Built once per decision step by
-    :meth:`VecPlacementEnv.lane_decision_context` (for topology-shared dense
+    :meth:`VecPlacementEnv.lane_decision_context` (for topology-shared
     lanes) and shared between the batched mask kernel and the vectorized
     baseline-policy kernels, so the per-lane Python gather happens once per
     step however many consumers read it.  All arrays are read-only by
@@ -465,21 +465,17 @@ class VecPlacementEnv:
     def _detect_mask_kernel(self) -> bool:
         """Whether the batched mask kernel applies to this lane set.
 
-        The kernel requires every lane to route densely over the *same*
-        topology (identical node order, ledger row order and latency matrix)
+        The kernel requires every lane to share the *same* topology
+        (identical node order, ledger row order and latency matrix)
         and to share one ``latency_mask_check`` setting — the common case for
         lanes built from one scenario family.  Anything else falls back to
         the per-lane reference path.
         """
         reference = self.envs[0]
-        if reference.network.routing != "dense":
-            return False
         ref_order = reference.encoder.node_order
         ref_matrix = reference.network.latency_matrix
         ref_latency_check = reference.config.latency_mask_check
         for env in self.envs:
-            if env.network.routing != "dense":
-                return False
             if env.config.latency_mask_check != ref_latency_check:
                 return False
             if env.encoder.node_order != ref_order:
@@ -496,9 +492,9 @@ class VecPlacementEnv:
         """The batched decision context of the current step (memoized).
 
         ``None`` when the lane set does not support the batched kernel
-        (mixed topologies or non-dense routing).  The context is rebuilt
-        lazily after every :meth:`step` / :meth:`reset` / :meth:`reset_lane`
-        and shared by the mask kernel and any bound baseline-policy kernels.
+        (mixed topologies).  The context is rebuilt lazily after every
+        :meth:`step` / :meth:`reset` / :meth:`reset_lane` and shared by the
+        mask kernel and any bound baseline-policy kernels.
         """
         if not self._mask_kernel:
             return None
@@ -590,7 +586,7 @@ class VecPlacementEnv:
     def valid_action_masks(self) -> np.ndarray:
         """Stacked ``(K, num_actions)`` boolean validity masks.
 
-        For topology-shared dense lanes the whole batch is computed by one
+        For topology-shared lanes the whole batch is computed by one
         array kernel over the shared :meth:`lane_decision_context` — stacked
         ledger columns, one latency-matrix gather and a single ``(K, N)``
         comparison chain — bitwise identical to stacking the per-lane

@@ -210,18 +210,12 @@ class Placement:
         """Link-bandwidth cost of the placement over the holding time."""
         duration = self.request.holding_time
         bandwidth = self.request.bandwidth_mbps
-        if network.routing == "dense":
-            ledger = network.ledger
-            per_mbps = sum(
-                ledger.path_cost_per_mbps(segment.path.nodes)
-                for segment in self._segments
-            )
-            return bandwidth * per_mbps * duration
-        cost = 0.0
-        for segment in self._segments:
-            for u, v in segment.path.links():
-                cost += network.link(u, v).transport_cost(bandwidth, duration)
-        return cost
+        ledger = network.ledger
+        per_mbps = sum(
+            ledger.path_cost_per_mbps(segment.path.nodes)
+            for segment in self._segments
+        )
+        return bandwidth * per_mbps * duration
 
     def total_cost(self, network: SubstrateNetwork) -> float:
         """Hosting plus transport cost of the placement."""
@@ -230,23 +224,14 @@ class Placement:
     # ------------------------------------------------------------------ #
     # Feasibility / commit / release
     # ------------------------------------------------------------------ #
-    def _aggregated_node_demand(self) -> Dict[int, List[VNFInstance]]:
-        grouped: Dict[int, List[VNFInstance]] = {}
-        for instance in self._instances:
-            grouped.setdefault(instance.node_id, []).append(instance)
-        return grouped
-
     def is_feasible(self, network: SubstrateNetwork) -> bool:
         """Check node capacity, path bandwidth and SLA without mutating state.
 
         Node feasibility aggregates the demands of all VNFs of this chain
         colocated on the same node, so a node cannot be "double booked" by a
-        single placement.  With dense routing the node and link checks reduce
-        to array comparisons against the substrate ledger; the object-by-object
-        reference path survives as :meth:`is_feasible_reference`.
+        single placement.  The node and link checks reduce to array
+        comparisons against the substrate ledger.
         """
-        if network.routing != "dense":
-            return self.is_feasible_reference(network)
         ledger = network.ledger
 
         # Per-node aggregated demand (chains are short, the dict stays tiny).
@@ -277,25 +262,6 @@ class Placement:
         link_used = ledger.link_used
         for slot, count in traversals.items():
             if count * bandwidth > link_capacity[slot] - link_used[slot] + 1e-9:
-                return False
-        return self.satisfies_sla(network)
-
-    def is_feasible_reference(self, network: SubstrateNetwork) -> bool:
-        """The original object-by-object feasibility check (equivalence tests)."""
-        from repro.substrate.resources import aggregate
-
-        for node_id, instances in self._aggregated_node_demand().items():
-            demand = aggregate(inst.demand for inst in instances)
-            if not network.node(node_id).can_host(demand):
-                return False
-        bandwidth = self.request.bandwidth_mbps
-        # A link shared by several segments must carry each traversal.
-        link_load: Dict[Tuple[int, int], float] = {}
-        for segment in self._segments:
-            for endpoints in segment.path.links():
-                link_load[endpoints] = link_load.get(endpoints, 0.0) + bandwidth
-        for endpoints, load in link_load.items():
-            if not network.link(*endpoints).can_carry(load):
                 return False
         return self.satisfies_sla(network)
 

@@ -47,10 +47,11 @@ class PlacementPolicy(ABC):
     one action per lane for each batched decision step, which makes
     heuristics, tabular agents and neural agents interchangeable in
     vectorized evaluation loops.  The default implementation plans each
-    lane's current request once through :meth:`plan_assignment` (the
-    per-request reference backend) and replays the planned nodes one VNF at a
-    time; vectorizable heuristics override :meth:`select_actions` with array
-    kernels over the ``(K, A)`` validity masks.
+    lane's current request once through :meth:`plan_assignment` and replays
+    the planned nodes one VNF at a time; it is the production path of the
+    random, Viterbi and brute-force baselines.  The node-scoring heuristics
+    override :meth:`select_actions` with array kernels over the ``(K, A)``
+    validity masks.
     """
 
     #: Human-readable name used in result tables.
@@ -67,8 +68,9 @@ class PlacementPolicy(ABC):
     ) -> Optional[Tuple[int, ...]]:
         """The node assignment this policy would choose, or ``None`` to reject.
 
-        This is the per-request reference backend of the batched protocol.
-        The default derives it from :meth:`place`; assignment-first policies
+        This is the per-request planner of the batched protocol, which the
+        default :meth:`select_actions` replays one VNF at a time.  This
+        default derives it from :meth:`place`; assignment-first policies
         override it directly and derive :meth:`place` from it instead.
         """
         placement = self.place(request, network)
@@ -134,30 +136,21 @@ class PlacementPolicy(ABC):
         evaluation may skip encoding entirely); ``greedy`` is accepted for
         signature compatibility and ignored — heuristics have no exploration
         mode.
-        """
-        return self.select_actions_reference(states, masks, greedy=greedy)
 
-    def select_actions_reference(
-        self,
-        states: Optional[np.ndarray] = None,
-        masks: Optional[np.ndarray] = None,
-        greedy: bool = True,
-    ) -> np.ndarray:
-        """The per-request reference backend of the batched acting API.
-
-        Plans each lane's current request once via :meth:`plan_assignment`
-        (against that lane's live substrate) and replays the planned nodes
-        one VNF decision at a time.  Vectorized overrides of
-        :meth:`select_actions` must be decision-for-decision identical to
-        this path; the equivalence suite asserts it bitwise.
+        This default plans each lane's current request once via
+        :meth:`plan_assignment` (against that lane's live substrate) and
+        replays the planned nodes one VNF decision at a time.  Vectorized
+        overrides must be decision-for-decision identical to it; the
+        equivalence suite calls ``PlacementPolicy.select_actions(policy)``
+        and asserts it bitwise.
         """
         lanes = self.bound_lanes
         actions = np.empty(len(lanes), dtype=int)
         for lane, env in enumerate(lanes):
-            actions[lane] = self._lane_reference_action(lane, env)
+            actions[lane] = self._lane_planned_action(lane, env)
         return actions
 
-    def _lane_reference_action(self, lane: int, env) -> int:
+    def _lane_planned_action(self, lane: int, env) -> int:
         request = env.current_request
         if request is None:
             return env.actions.reject_action

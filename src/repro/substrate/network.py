@@ -1,11 +1,12 @@
 """The geo-distributed substrate network.
 
 :class:`SubstrateNetwork` combines :class:`~repro.substrate.node.ComputeNode`
-and :class:`~repro.substrate.link.Link` objects on top of a
-:class:`networkx.Graph` and provides the operations that placement policies
-and the discrete-event simulator need:
+and :class:`~repro.substrate.link.Link` objects, keyed by node id and by
+canonical link endpoints, and provides the operations that placement
+policies and the discrete-event simulator need:
 
-* latency-weighted shortest-path routing between any two nodes,
+* latency-weighted shortest-path routing between any two nodes, answered
+  from one all-pairs latency matrix and next-hop table,
 * feasibility-checked allocation/rollback of node resources and path
   bandwidth,
 * utilization, cost and load-balance statistics, and
@@ -17,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.substrate.geo import GeoPoint, propagation_latency_ms
@@ -37,18 +37,6 @@ class UnknownNodeError(KeyError):
 
 class NoRouteError(RuntimeError):
     """Raised when two nodes are not connected in the substrate graph."""
-
-
-#: Routing backends of :class:`SubstrateNetwork`.
-#:
-#: * ``"dense"``     — precomputed all-pairs latency matrix + next-hop table;
-#:                     lookups are O(1) array reads (the default).
-#: * ``"cached"``    — per-pair networkx Dijkstra memoized under a canonical
-#:                     ``(min, max)`` key (the seed's strategy).
-#: * ``"per_query"`` — networkx Dijkstra on every call, no cache.  This is the
-#:                     pre-change reference path kept for equivalence tests
-#:                     and the ``bench_envstep`` baseline.
-ROUTING_MODES = ("dense", "cached", "per_query")
 
 
 class DenseRouting:
@@ -124,15 +112,11 @@ class PathInfo:
 class SubstrateNetwork:
     """A capacitated, latency-weighted graph of edge and cloud nodes."""
 
-    def __init__(self, routing: str = "dense") -> None:
-        if routing not in ROUTING_MODES:
-            raise ValueError(f"routing must be one of {ROUTING_MODES}, got {routing!r}")
-        self._graph = nx.Graph()
+    def __init__(self) -> None:
         self._nodes: Dict[int, ComputeNode] = {}
         self._links: Dict[Tuple[int, int], Link] = {}
         #: Routed paths memoized under their canonical (min, max) id pair.
         self._path_cache: Dict[Tuple[int, int], PathInfo] = {}
-        self.routing = routing
         self._dense: Optional[DenseRouting] = None
         self._ledger: Optional[SubstrateLedger] = None
 
@@ -195,7 +179,6 @@ class SubstrateNetwork:
         if node.node_id in self._nodes:
             raise ValueError(f"node id {node.node_id} already present")
         self._nodes[node.node_id] = node
-        self._graph.add_node(node.node_id)
         self._invalidate_topology_caches()
 
     def add_link(
@@ -228,7 +211,6 @@ class SubstrateNetwork:
             cost_per_mbps=cost_per_mbps,
         )
         self._links[key] = link
-        self._graph.add_edge(*key, latency=latency_ms)
         self._invalidate_topology_caches()
         return link
 
@@ -286,98 +268,64 @@ class SubstrateNetwork:
         """True if nodes ``u`` and ``v`` are directly connected."""
         return canonical_endpoints(u, v) in self._links
 
-    def neighbors(self, node_id: int) -> List[int]:
-        """Node ids directly connected to ``node_id``."""
-        if node_id not in self._nodes:
-            raise UnknownNodeError(f"unknown node id {node_id}")
-        return list(self._graph.neighbors(node_id))
-
     def is_connected(self) -> bool:
-        """True when every node can reach every other node."""
-        if self.num_nodes <= 1:
-            return True
-        return nx.is_connected(self._graph)
+        """True when every node can reach every other node.
+
+        The all-pairs latency matrix holds ``inf`` exactly for unreachable
+        pairs, so it answers reachability too.
+        """
+        return bool(np.isfinite(self.latency_matrix).all())
 
     # ------------------------------------------------------------------ #
     # Routing
     # ------------------------------------------------------------------ #
-    def _nx_shortest_path(self, source: int, target: int) -> Tuple[Tuple[int, ...], float]:
-        """Reference per-query routing: one networkx Dijkstra call."""
-        try:
-            nodes = nx.shortest_path(self._graph, source, target, weight="latency")
-        except nx.NetworkXNoPath as exc:
-            raise NoRouteError(f"no route between {source} and {target}") from exc
-        return tuple(nodes), self.path_latency(nodes)
-
     def shortest_path(self, source: int, target: int) -> PathInfo:
         """Latency-shortest path between two nodes.
 
-        In ``"dense"`` mode the path is reconstructed by walking the
-        precomputed next-hop table; in ``"cached"`` mode it is computed with
-        networkx Dijkstra; ``"per_query"`` recomputes on every call.  Routed
-        paths are memoized under the canonical ``(min, max)`` id pair — the
-        reverse orientation is a cheap tuple reversal, never a second cache
-        entry.  Caches are invalidated whenever topology changes; bandwidth
-        reservations do not change the latency metric so routing stays stable
-        within an episode, matching the behaviour of latency-based routing in
-        SDN controllers.
+        The path is reconstructed by walking the precomputed next-hop
+        table.  Routed paths are memoized under the canonical ``(min, max)``
+        id pair — the reverse orientation is a cheap tuple reversal, never a
+        second cache entry.  Caches are invalidated whenever topology
+        changes; bandwidth reservations do not change the latency metric so
+        routing stays stable within an episode, matching the behaviour of
+        latency-based routing in SDN controllers.
         """
         for node_id in (source, target):
             if node_id not in self._nodes:
                 raise UnknownNodeError(f"unknown node id {node_id}")
         if source == target:
             return PathInfo(nodes=(source,), latency_ms=0.0)
-        if self.routing == "per_query":
-            nodes, latency = self._nx_shortest_path(source, target)
-            return PathInfo(nodes=nodes, latency_ms=latency)
         key = canonical_endpoints(source, target)
         cached = self._path_cache.get(key)
         if cached is None:
-            if self.routing == "dense":
-                dense = self.dense_routing
-                nodes = dense.walk(*key)
-                latency = float(dense.latency[dense.index[key[0]], dense.index[key[1]]])
-            else:
-                nodes, latency = self._nx_shortest_path(*key)
+            dense = self.dense_routing
+            nodes = dense.walk(*key)
+            latency = float(dense.latency[dense.index[key[0]], dense.index[key[1]]])
             cached = PathInfo(nodes=nodes, latency_ms=latency)
             self._path_cache[key] = cached
         if source == key[0]:
             return cached
         return PathInfo(nodes=cached.nodes[::-1], latency_ms=cached.latency_ms)
 
-    def path_latency(self, nodes: Sequence[int]) -> float:
-        """Total latency along an explicit node sequence."""
-        total = 0.0
-        for i in range(len(nodes) - 1):
-            total += self.link(nodes[i], nodes[i + 1]).latency_ms
-        return total
-
     def latency_between(self, source: int, target: int) -> float:
         """Latency of the shortest path between two nodes.
 
-        In ``"dense"`` mode this is a single O(1) matrix lookup.
+        This is a single O(1) matrix lookup.
         """
-        if self.routing == "dense":
-            dense = self.dense_routing
-            try:
-                value = dense.latency[dense.index[source], dense.index[target]]
-            except KeyError as exc:
-                raise UnknownNodeError(f"unknown node id {exc.args[0]}") from exc
-            if value == np.inf:
-                raise NoRouteError(f"no route between {source} and {target}")
-            return float(value)
-        return self.shortest_path(source, target).latency_ms
+        dense = self.dense_routing
+        try:
+            value = dense.latency[dense.index[source], dense.index[target]]
+        except KeyError as exc:
+            raise UnknownNodeError(f"unknown node id {exc.args[0]}") from exc
+        if value == np.inf:
+            raise NoRouteError(f"no route between {source} and {target}")
+        return float(value)
 
     def path_available_bandwidth(self, nodes: Sequence[int]) -> float:
         """Bottleneck free bandwidth along an explicit node sequence."""
         if len(nodes) <= 1:
             return float("inf")
-        if self.routing == "dense":
-            return self.ledger.path_available_bandwidth(nodes)
-        return min(
-            self.link(nodes[i], nodes[i + 1]).available_bandwidth
-            for i in range(len(nodes) - 1)
-        )
+        return self.ledger.path_available_bandwidth(nodes)
 
     def path_can_carry(self, nodes: Sequence[int], bandwidth: float) -> bool:
         """True when every link along the path can carry ``bandwidth``."""
@@ -511,13 +459,9 @@ class SubstrateNetwork:
 
     def nodes_sorted_by_latency_from(self, source: int) -> List[int]:
         """All node ids sorted by routed latency from ``source``."""
-        if self.routing == "dense":
-            dense = self.dense_routing
-            order = np.argsort(self.latency_row(source), kind="stable")
-            return [dense.node_ids[i] for i in order]
-        return sorted(
-            self.node_ids, key=lambda nid: self.latency_between(source, nid)
-        )
+        dense = self.dense_routing
+        order = np.argsort(self.latency_row(source), kind="stable")
+        return [dense.node_ids[i] for i in order]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

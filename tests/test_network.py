@@ -84,6 +84,21 @@ class TestRouting:
             network.shortest_path(0, 7)
         assert not network.is_connected()
 
+    def test_is_connected_flips_when_link_joins_isolated_node(self):
+        network = build_triangle()
+        network.add_node(ComputeNode(7, GeoPoint(10, 10), ResourceVector(1, 1, 1)))
+        assert not network.is_connected()
+        # The cached latency matrix must be rebuilt after the new link.
+        network.add_link(2, 7, 100.0, latency_ms=3.0)
+        assert network.is_connected()
+        assert network.latency_between(0, 7) == pytest.approx(5.0)
+
+    def test_empty_and_single_node_networks_are_connected(self):
+        network = SubstrateNetwork()
+        assert network.is_connected()
+        network.add_node(ComputeNode(0, GeoPoint(0, 0), ResourceVector(1, 1, 1)))
+        assert network.is_connected()
+
     def test_unknown_node_in_routing(self):
         network = build_triangle()
         with pytest.raises(UnknownNodeError):

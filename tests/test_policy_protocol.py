@@ -22,6 +22,7 @@ from repro.experiments.runner import (
     evaluate_baseline_across_scenarios,
 )
 from repro.sim.failures import FailureConfig
+from repro.sim.simulation import PlacementPolicy
 from repro.workloads.scenarios import reference_scenario, scenario_grid
 
 SEED = 2
@@ -76,7 +77,7 @@ class TestBatchedMatchesReference:
             batched_actions = batched.select_actions(
                 masks=venv_batched.valid_action_masks()
             )
-            reference_actions = reference.select_actions_reference()
+            reference_actions = PlacementPolicy.select_actions(reference)
             np.testing.assert_array_equal(
                 batched_actions, reference_actions,
                 err_msg=f"{batched.name} diverged at step {step}",
@@ -107,7 +108,7 @@ class TestBatchedMatchesReference:
             env.reset(observe=False)
         for step in range(60):
             batched_actions = batched.select_actions()
-            reference_actions = reference.select_actions_reference()
+            reference_actions = PlacementPolicy.select_actions(reference)
             np.testing.assert_array_equal(batched_actions, reference_actions)
             for lanes, actions in ((lanes_a, batched_actions), (lanes_b, reference_actions)):
                 for lane, env in enumerate(lanes):

@@ -39,6 +39,25 @@ class TestStepReward:
         after = calculator.step_reward(request, small_network, 1, 2.0, 0)
         assert after < before
 
+    def test_loaded_node_matches_per_object_formula(self, calculator, small_network, catalog):
+        from repro.substrate.resources import ResourceVector
+
+        request = build_request(catalog, source=0)
+        small_network.allocate_node(1, "hog", ResourceVector(6, 12, 80))
+        config = calculator.config
+        node = small_network.node(1)
+        vnf = request.chain.vnf_at(0)
+        hosting = node.hosting_cost(
+            vnf.demand_for(request.bandwidth_mbps), request.holding_time
+        )
+        expected = -(
+            config.step_latency_weight * (2.0 / request.sla.max_latency_ms)
+            + config.step_cost_weight * (hosting / config.cost_normalizer)
+            + config.load_balance_weight * 0.1 * node.max_utilization()
+        )
+        reward = calculator.step_reward(request, small_network, 1, 2.0, 0)
+        assert reward == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_zero_weights_give_zero_step_reward(self, small_network, catalog):
         calculator = RewardCalculator(
             RewardConfig(step_latency_weight=0.0, step_cost_weight=0.0, load_balance_weight=0.0)

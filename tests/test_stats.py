@@ -120,11 +120,13 @@ class TestComparePolicies:
 
 
 class TestLazyScipy:
-    def test_import_repro_leaves_scipy_unloaded(self):
-        # scipy is most of `import repro`; only the statistics above use it.
+    # scipy is most of `import repro`; only the statistics above use it.
+    # networkx is the Dijkstra oracle of the routing tests and nothing more.
+    @pytest.mark.parametrize("module", ["scipy", "networkx"])
+    def test_import_repro_leaves_module_unloaded(self, module):
         src = Path(__file__).resolve().parents[1] / "src"
         env = {**os.environ, "PYTHONPATH": str(src)}
-        probe = "import sys, repro; print('scipy' in sys.modules)"
+        probe = f"import sys, repro; print({module!r} in sys.modules)"
         output = subprocess.run(
             [sys.executable, "-c", probe],
             env=env,

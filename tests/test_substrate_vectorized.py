@@ -1,9 +1,10 @@
 """Vectorized-vs-reference equivalence tests for the dense substrate core.
 
 The dense routing tables, the array-backed ledger and the batched
-state/mask encoders must agree exactly (up to float tolerance) with the
-per-query / per-object reference implementations they replaced.  Every test
-is property-style over several seeds and random topologies.
+state/mask encoders must agree exactly (up to float tolerance) with
+networkx Dijkstra and with the per-object oracles in
+``tests/substrate_oracles.py``.  Every test is property-style over several
+seeds and random topologies.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ from repro.substrate.topology import (
     waxman_topology,
 )
 from repro.workloads.generator import RequestGenerator, WorkloadConfig
+from tests.substrate_oracles import (
+    encode_reference,
+    is_feasible_reference,
+    valid_mask_reference,
+)
 
 SEEDS = [0, 1, 7, 42]
 
@@ -98,19 +104,21 @@ class TestDenseRoutingEquivalence:
                     )
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_per_query_reference_agrees(self, seed):
+    def test_lookups_match_single_source_dijkstra(self, seed):
         for network in random_topologies(seed):
-            # Flip the same network into reference mode instead of rebuilding.
-            network.routing = "per_query"
-            try:
-                pairs = [(u, v) for u in network.node_ids for v in network.node_ids]
-                per_query = {pair: network.latency_between(*pair) for pair in pairs}
-            finally:
-                network.routing = "dense"
-            for pair, expected in per_query.items():
-                assert network.latency_between(*pair) == pytest.approx(
-                    expected, rel=1e-9, abs=1e-9
+            graph = nx_graph_of(network)
+            for u in network.node_ids:
+                reference = nx.single_source_dijkstra_path_length(
+                    graph, u, weight="latency"
                 )
+                for v in network.node_ids:
+                    expected = reference[v]
+                    assert network.latency_between(u, v) == pytest.approx(
+                        expected, rel=1e-9, abs=1e-9
+                    )
+                    assert network.shortest_path(u, v).latency_ms == pytest.approx(
+                        expected, rel=1e-9, abs=1e-9
+                    )
 
     def test_no_route_raises_in_dense_mode(self):
         from repro.substrate.geo import GeoPoint
@@ -210,14 +218,19 @@ class TestEncoderAndMaskEquivalence:
                 vectorized_state = env.encoder.encode(
                     request, env._vnf_index, env._partial_assignment, env._partial_latency
                 )
-                reference_state = env.encoder.encode_reference(
-                    request, env._vnf_index, env._partial_assignment, env._partial_latency
+                reference_state = encode_reference(
+                    env.encoder,
+                    request,
+                    env._vnf_index,
+                    env._partial_assignment,
+                    env._partial_latency,
                 )
                 np.testing.assert_allclose(
                     vectorized_state, reference_state, rtol=1e-9, atol=1e-9
                 )
                 mask = env.valid_action_mask()
-                reference_mask = env.actions.valid_mask_reference(
+                reference_mask = valid_mask_reference(
+                    env.actions,
                     request,
                     env._vnf_index,
                     env._partial_assignment,
@@ -243,7 +256,7 @@ class TestEncoderAndMaskEquivalence:
                 ]
                 placement = Placement.build(request, assignment, network)
                 assert placement.is_feasible(network) == (
-                    placement.is_feasible_reference(network)
+                    is_feasible_reference(placement, network)
                 )
                 assert placement.transport_cost(network) == pytest.approx(
                     sum(
