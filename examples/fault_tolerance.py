@@ -2,11 +2,12 @@
 """Evaluating placement policies under edge-node failures.
 
 Geo-distributed edge sites are far less reliable than a hardened cloud
-datacenter.  This example runs the online simulation with exponential node
-failure/repair processes injected (``repro.sim.failures``) and compares how
-different placement strategies cope: policies that concentrate chains on few
-nearby nodes lose more accepted services when a node dies; policies that keep
-some traffic in the (reliable) cloud are disrupted less.
+datacenter.  This example runs the online simulation with an exponential
+node failure/repair process injected (``NFVSimulation(..., failure_config)``
+with a :class:`repro.sim.failures.FailureConfig`) and compares how different
+placement strategies cope: policies that concentrate chains on few nearby
+nodes lose more accepted services when a node dies; policies that keep some
+traffic in the (reliable) cloud are disrupted less.
 
 Run with::
 
@@ -23,13 +24,14 @@ from repro import (
     EnvConfig,
     GreedyNearestPolicy,
     ManagerConfig,
+    NFVSimulation,
     SimulationConfig,
     TrainingConfig,
     ViterbiPlacementPolicy,
     VNFManager,
     reference_scenario,
 )
-from repro.sim.failures import FailureConfig, FaultyNFVSimulation
+from repro.sim.failures import FailureConfig
 
 
 def main() -> None:
@@ -65,19 +67,19 @@ def main() -> None:
 
     runs = {}
     drl_network = scenario.build_network()
-    runs["drl"] = FaultyNFVSimulation(
+    runs["drl"] = NFVSimulation(
         drl_network, manager.build_policy(drl_network), simulation_config, failure_config
     )
-    runs["greedy_nearest"] = FaultyNFVSimulation(
+    runs["greedy_nearest"] = NFVSimulation(
         scenario.build_network(), GreedyNearestPolicy(), simulation_config, failure_config
     )
-    runs["viterbi"] = FaultyNFVSimulation(
+    runs["viterbi"] = NFVSimulation(
         scenario.build_network(),
         ViterbiPlacementPolicy(cost_weight=0.2, load_weight=0.2),
         simulation_config,
         failure_config,
     )
-    runs["cloud_only"] = FaultyNFVSimulation(
+    runs["cloud_only"] = NFVSimulation(
         scenario.build_network(), CloudOnlyPolicy(), simulation_config, failure_config
     )
 

@@ -101,7 +101,6 @@ def default_config() -> AnalysisConfig:
                 "handler_modules": [
                     "src/repro/sim/engine.py",
                     "src/repro/sim/simulation.py",
-                    "src/repro/sim/failures.py",
                     "src/repro/serving/service.py",
                 ],
                 "register_methods": ["on"],

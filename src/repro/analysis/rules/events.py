@@ -4,10 +4,10 @@ The discrete-event engine dispatches by :class:`EventType`; an enum member
 nobody registers a handler for is dropped on the floor at dispatch time
 (the engine has no "unhandled event" failure mode — END_OF_SIMULATION is
 special-cased by identity comparison inside the run loop).  Adding an event
-type in ``sim/events.py`` without teaching ``sim/simulation.py``,
-``sim/failures.py`` or ``serving/service.py`` to handle it is exactly the
-kind of cross-module drift a per-file linter cannot see, so this rule runs
-at project scope over the configured modules.
+type in ``sim/events.py`` without teaching ``sim/simulation.py`` or
+``serving/service.py`` to handle it is exactly the kind of cross-module
+drift a per-file linter cannot see, so this rule runs at project scope over
+the configured modules.
 
 Configured via options::
 

@@ -35,6 +35,7 @@ from repro.nfv.catalog import VNFCatalog, default_catalog
 from repro.nfv.placement import Placement, PlacementError
 from repro.nfv.sfc import SFCRequest
 from repro.sim.failures import FailureConfig, FailureEvent, FailureInjector
+from repro.sim.lifecycle import refresh_node_fence, release_node_fence
 from repro.substrate.network import NoRouteError, SubstrateNetwork
 from repro.utils.rng import derive_seed
 from repro.utils.validation import check_positive
@@ -103,8 +104,6 @@ class VNFPlacementEnv:
     ``disrupted``), and failed nodes are masked out of
     :meth:`valid_action_mask` until they recover.
     """
-
-    _FENCE_PREFIX = "fence:env:"
 
     def __init__(
         self,
@@ -275,9 +274,6 @@ class VNFPlacementEnv:
                 self._recover_node(event.node_id)
         self._release_departed(now)
 
-    def _fence_handle(self, node_id: int) -> str:
-        return f"{self._FENCE_PREFIX}{node_id}"
-
     def _fail_node(self, node_id: int) -> None:
         """Fence ``node_id`` and tear down every active placement on it."""
         if node_id in self._failed_nodes:
@@ -287,19 +283,14 @@ class VNFPlacementEnv:
             if placement.is_committed and node_id in placement.node_assignment:
                 placement.release(self.network)
                 self.stats.disrupted += 1
-        node = self.network.node(node_id)
-        remaining = node.available
-        if not remaining.is_zero():
-            node.allocate(self._fence_handle(node_id), remaining)
+        refresh_node_fence(self.network, node_id)
 
     def _recover_node(self, node_id: int) -> None:
         """Lift the fence of a recovered node."""
         if node_id not in self._failed_nodes:
             return
         self._failed_nodes.discard(node_id)
-        node = self.network.node(node_id)
-        if node.holds(self._fence_handle(node_id)):
-            node.release(self._fence_handle(node_id))
+        release_node_fence(self.network, node_id)
 
     def _release_departed(self, now: float) -> None:
         while self._active and self._active[0][0] <= now:

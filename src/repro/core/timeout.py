@@ -104,9 +104,6 @@ class BudgetedPolicy(PlacementPolicy):
     ) -> Optional[Placement]:
         return self.decide(request, network).placement
 
-    def on_departure(self, request_id: int, network: SubstrateNetwork) -> None:
-        self.policy.on_departure(request_id, network)
-
     def reset(self) -> None:
         self.policy.reset()
         self.calls = 0

@@ -15,13 +15,16 @@ policies as a bounded-queue event loop:
    ``decision_time_scale``, which is what makes slow policies *cause* queueing
    and admission pressure rather than just being measured.
 3. **Commit** — the winning placement is re-validated and committed at
-   decision-completion time, so a failure or departure racing the decision
-   surfaces as an explicit ``commit_failed`` outcome instead of corrupting
-   capacity accounting.
-4. **Chaos + retry** — correlated fault-domain and link failures (from
-   :mod:`repro.sim.failures`) fence capacity and disrupt running chains;
-   disrupted chains enter a re-placement pipeline with exponential backoff
-   and a bounded retry budget before being declared lost.
+   decision-completion time through the
+   :class:`~repro.sim.lifecycle.PlacementLifecycle` the simulator also
+   composes, so a failure or departure racing the decision surfaces as an
+   explicit ``commit_failed`` outcome instead of corrupting capacity
+   accounting.
+4. **Chaos + retry** — correlated fault-domain and link failures (scheduled
+   by :mod:`repro.sim.failures`) go to the lifecycle, which fences capacity
+   and evicts the running chains they hit; those disrupted chains enter a
+   re-placement pipeline with exponential backoff and a bounded retry budget
+   before being declared lost.
 
 Everything the loop accounts for streams into the fixed-memory
 :class:`~repro.serving.report.ServingReport`, so the service stays memory-flat
@@ -32,24 +35,25 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.core.timeout import BudgetedPolicy
-from repro.nfv.placement import Placement, PlacementError
+from repro.nfv.placement import Placement
 from repro.nfv.sfc import SFCRequest
 from repro.serving.admission import AdmissionConfig, AdmissionController
 from repro.serving.report import BoundedTrajectory, ServingReport, StreamingHistogram
 from repro.sim.engine import EventEngine
 from repro.sim.events import Event, EventType, arrival_event, monitoring_event
-from repro.sim.failures import (
-    DomainFailureInjector,
+from repro.sim.failures import DomainFailureInjector
+from repro.sim.lifecycle import PlacementLifecycle
+# Re-exported for the benchmark harness, which traces these names on this module.
+from repro.sim.lifecycle import (  # noqa: F401
     placement_traverses_link,
     refresh_link_fence,
     refresh_node_fence,
     release_link_fence,
     release_node_fence,
 )
-from repro.substrate.link import canonical_endpoints
 from repro.substrate.network import SubstrateNetwork
 from repro.utils.validation import check_non_negative, check_positive
 
@@ -178,10 +182,8 @@ class OnlinePlacementService:
         self.engine = EventEngine()
         self.admission = AdmissionController(self.config.admission)
         self.report = ServingReport()
+        self.lifecycle = PlacementLifecycle(network)
         self._queue: Deque[SFCRequest] = deque()
-        self._active: Dict[int, Placement] = {}
-        self._failed_nodes: set[int] = set()
-        self._failed_links: set[Tuple[int, int]] = set()
         self._decision_busy = False
         self._arrivals: Iterator[SFCRequest] = iter(())
         self._window = {"arrivals": 0, "shed": 0, "accepted": 0, "sla_violations": 0}
@@ -252,11 +254,10 @@ class OnlinePlacementService:
 
     def _commit_decision(self, request: SFCRequest, placement: Placement) -> None:
         # The placement was planned at decision *start*; failures, recoveries
-        # or departures may have intervened, so re-validate before committing.
-        if not self._try_commit(placement):
+        # or departures may have intervened, so the lifecycle re-validates it.
+        if self.lifecycle.commit(request.request_id, placement) is not None:
             self.report.commit_failed += 1
             return
-        self._active[request.request_id] = placement
         self.engine.schedule(
             Event.create(
                 max(self.engine.now, request.departure_time),
@@ -270,94 +271,36 @@ class OnlinePlacementService:
             self.report.sla_violations += 1
             self._window["sla_violations"] += 1
 
-    def _try_commit(self, placement: Placement) -> bool:
-        if not placement.is_feasible(self.network):
-            return False
-        try:
-            placement.commit(self.network)
-        except PlacementError:
-            return False
-        return True
-
     def _handle_departure(self, event: Event) -> None:
-        request_id: int = event.payload
-        placement = self._active.pop(request_id, None)
-        if placement is None:
-            return  # disrupted earlier (and possibly lost) — nothing to free
-        if placement.is_committed:
-            placement.release(self.network)
-            self._refold_fences(placement)
-        for tier in self.chain.tiers:
-            tier.on_departure(request_id, self.network)
+        # A request disrupted earlier (and possibly lost) has nothing to free.
+        self.lifecycle.depart(event.payload)
 
     # ------------------------------------------------------------------ #
     # Chaos: failures, fencing, disruption
     # ------------------------------------------------------------------ #
     def _handle_node_failure(self, event: Event) -> None:
-        node_id: int = event.payload
-        if node_id in self._failed_nodes:
-            return
-        self._failed_nodes.add(node_id)
-        self._disrupt(
-            [
-                (request_id, placement)
-                for request_id, placement in self._active.items()
-                if node_id in placement.node_assignment
-            ]
-        )
-        refresh_node_fence(self.network, node_id)
+        self._disrupt(self.lifecycle.fail_node(event.payload))
 
     def _handle_node_recovery(self, event: Event) -> None:
-        node_id: int = event.payload
-        if node_id not in self._failed_nodes:
-            return
-        self._failed_nodes.discard(node_id)
-        release_node_fence(self.network, node_id)
+        self.lifecycle.recover_node(event.payload)
 
     def _handle_link_failure(self, event: Event) -> None:
-        endpoints = canonical_endpoints(*event.payload)
-        if endpoints in self._failed_links or not self.network.has_link(*endpoints):
-            return
-        self._failed_links.add(endpoints)
-        self._disrupt(
-            [
-                (request_id, placement)
-                for request_id, placement in self._active.items()
-                if placement_traverses_link(placement, endpoints)
-            ]
-        )
-        refresh_link_fence(self.network, endpoints)
+        self._disrupt(self.lifecycle.fail_link(event.payload))
 
     def _handle_link_recovery(self, event: Event) -> None:
-        endpoints = canonical_endpoints(*event.payload)
-        if endpoints not in self._failed_links:
-            return
-        self._failed_links.discard(endpoints)
-        release_link_fence(self.network, endpoints)
+        self.lifecycle.recover_link(event.payload)
 
-    def _disrupt(self, victims: List[Tuple[int, Placement]]) -> None:
-        """Tear down disrupted placements and enqueue them for re-placement."""
-        for request_id, placement in victims:
-            if placement.is_committed:
-                placement.release(self.network)
-            self._refold_fences(placement)
-            request = self._active.pop(request_id).request
+    def _disrupt(self, evicted: Optional[List[Placement]]) -> None:
+        """Enqueue the chains a failure evicted for re-placement."""
+        for placement in evicted or ():
             self.report.disrupted += 1
             self.engine.schedule(
                 Event.create(
                     self.engine.now + self.config.retry_base_delay,
                     EventType.REPLACEMENT_RETRY,
-                    payload=_RetryState(request=request, attempt=0),
+                    payload=_RetryState(request=placement.request, attempt=0),
                 )
             )
-
-    def _refold_fences(self, placement: Placement) -> None:
-        """Fold capacity a release freed on fenced components back into fences."""
-        for node_id in set(placement.node_assignment) & self._failed_nodes:
-            refresh_node_fence(self.network, node_id)
-        for endpoints in self._failed_links:
-            if placement_traverses_link(placement, endpoints):
-                refresh_link_fence(self.network, endpoints)
 
     # ------------------------------------------------------------------ #
     # Re-placement pipeline
@@ -373,8 +316,10 @@ class OnlinePlacementService:
         # occupy the decision server (the request already paid for its
         # original decision), but they go through the same budgeted chain.
         decision = self.chain.decide(request, self.network)
-        if decision.placement is not None and self._try_commit(decision.placement):
-            self._active[request.request_id] = decision.placement
+        if (
+            decision.placement is not None
+            and self.lifecycle.commit(request.request_id, decision.placement) is None
+        ):
             self.report.replaced += 1
             # The departure event from the original acceptance is still
             # scheduled and will release this re-placement at the right time.
@@ -440,9 +385,7 @@ class OnlinePlacementService:
             ),
         )
         self._queue.clear()
-        self._active.clear()
-        self._failed_nodes.clear()
-        self._failed_links.clear()
+        self.lifecycle.clear()
         self._decision_busy = False
         for key in self._window:
             self._window[key] = 0

@@ -1,26 +1,21 @@
-"""Failure injection for availability / fault-tolerance evaluation.
+"""Failure models for availability / fault-tolerance evaluation.
 
-The base :class:`~repro.sim.simulation.NFVSimulation` assumes a fault-free
-substrate.  This module adds the failure models used by availability
-experiments and the online serving harness:
+This module generates the failure schedules used by availability experiments
+and the online serving harness:
 
-* :class:`FailureConfig` / :class:`FailureInjector` — generate a reproducible
+* :class:`FailureConfig` / :class:`FailureInjector` — a reproducible
   *independent per-node* failure/recovery schedule (exponential time to
   failure and time to repair),
 * :class:`FaultDomain` / :class:`DomainFailureConfig` /
   :class:`DomainFailureInjector` — *correlated* failures: a whole rack/metro/
   region domain of nodes fails together, optionally taking its incident links
   down with it, plus independent link failures, and
-* :class:`FaultyNFVSimulation` — an :class:`NFVSimulation` subclass that
-  injects those events into the run: when a node (or link) fails, every active
-  placement touching it is torn down and counted as *disrupted*, and the
-  component is fenced off (its remaining capacity/bandwidth is reserved under
-  a failure handle) so no policy can place onto it until it recovers.
+* :class:`DisruptionReport` — the fault-tolerance counters of one run.
 
-The fencing primitives (:func:`refresh_node_fence`, :func:`refresh_link_fence`
-and their release counterparts) are module-level so other consumers — notably
-the :mod:`repro.serving` online loop — apply the exact same capacity-fencing
-semantics without subclassing the simulation.
+The schedules are consumed by :class:`~repro.sim.simulation.NFVSimulation`
+(``failure_config=`` / ``domain_config=``), the serving loop and the
+environments; what a failure *does* to the substrate — eviction and capacity
+fencing — lives in :mod:`repro.sim.lifecycle`.
 
 Disruptions are reported separately from rejections: a disrupted request was
 admitted and then lost service, which is the quantity availability SLAs care
@@ -32,89 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.nfv.placement import Placement
 from repro.sim.events import Event, EventType
-from repro.sim.simulation import NFVSimulation, PlacementPolicy, SimulationConfig, SimulationResult
-from repro.substrate.link import canonical_endpoints
 from repro.substrate.network import SubstrateNetwork
 from repro.utils.rng import RandomState, derive_seed, new_rng
 from repro.utils.validation import check_positive
-
-
-# --------------------------------------------------------------------------- #
-# Capacity fencing primitives
-# --------------------------------------------------------------------------- #
-_NODE_FENCE_PREFIX = "fence:node:"
-_LINK_FENCE_PREFIX = "fence:link:"
-
-
-def node_fence_handle(node_id: int) -> str:
-    """The allocation handle a failed node's fence reserves capacity under."""
-    return f"{_NODE_FENCE_PREFIX}{node_id}"
-
-
-def link_fence_handle(endpoints: Tuple[int, int]) -> str:
-    """The reservation handle a failed link's fence reserves bandwidth under."""
-    u, v = canonical_endpoints(*endpoints)
-    return f"{_LINK_FENCE_PREFIX}{u}:{v}"
-
-
-def refresh_node_fence(network: SubstrateNetwork, node_id: int) -> None:
-    """(Re)size a node's failure fence to consume all of its free capacity.
-
-    Idempotent: releases any existing fence first, then reserves whatever is
-    free.  Keeps the invariant "a failed node has zero available capacity"
-    even when capacity is freed on an already-fenced node.
-    """
-    node = network.node(node_id)
-    handle = node_fence_handle(node_id)
-    if node.holds(handle):
-        node.release(handle)
-    remaining = node.available
-    if not remaining.is_zero():
-        node.allocate(handle, remaining)
-
-
-def release_node_fence(network: SubstrateNetwork, node_id: int) -> None:
-    """Drop a node's failure fence (no-op when the node holds none)."""
-    node = network.node(node_id)
-    handle = node_fence_handle(node_id)
-    if node.holds(handle):
-        node.release(handle)
-
-
-def refresh_link_fence(network: SubstrateNetwork, endpoints: Tuple[int, int]) -> None:
-    """(Re)size a link's failure fence to consume all of its free bandwidth.
-
-    The bandwidth analogue of :func:`refresh_node_fence`: a failed link must
-    never offer placeable bandwidth, even when reservations on it are released
-    mid-failure.
-    """
-    link = network.link(*endpoints)
-    handle = link_fence_handle(endpoints)
-    if link.holds(handle):
-        link.release(handle)
-    remaining = link.available_bandwidth
-    if remaining > 0.0:
-        link.reserve(handle, remaining)
-
-
-def release_link_fence(network: SubstrateNetwork, endpoints: Tuple[int, int]) -> None:
-    """Drop a link's failure fence (no-op when the link holds none)."""
-    link = network.link(*endpoints)
-    handle = link_fence_handle(endpoints)
-    if link.holds(handle):
-        link.release(handle)
-
-
-def placement_traverses_link(
-    placement: Placement, endpoints: Tuple[int, int]
-) -> bool:
-    """True when any routed segment of ``placement`` crosses ``endpoints``."""
-    key = canonical_endpoints(*endpoints)
-    return any(
-        key in segment.path.links() for segment in placement.segments
-    )
 
 
 @dataclass(frozen=True)
@@ -150,6 +66,11 @@ class FailureEvent:
     time: float
     node_id: int
     is_failure: bool
+
+    def to_engine_event(self) -> Event:
+        """The :class:`~repro.sim.events.Event` this failure event injects."""
+        kind = EventType.NODE_FAILURE if self.is_failure else EventType.NODE_RECOVERY
+        return Event.create(self.time, kind, payload=self.node_id)
 
 
 class FailureInjector:
@@ -429,228 +350,3 @@ class DisruptionReport:
             "link_recovery_events": self.link_recovery_events,
             "disrupted_requests": self.disrupted_requests,
         }
-
-
-class FaultyNFVSimulation(NFVSimulation):
-    """An online simulation with node, link, and fault-domain failures.
-
-    On failure, the component is *fenced*: its free capacity (node) or
-    bandwidth (link) is reserved under a failure handle so no subsequent
-    placement can use it, and every active placement hosting a VNF on the
-    node — or routed across the link — is released and counted as disrupted.
-    On recovery the fence is removed.
-
-    Failure processes compose: ``failure_config`` drives independent per-node
-    failures, ``domain_config`` drives correlated domain + link chaos.  When
-    neither is given the historical default (independent node failures with
-    :class:`FailureConfig` defaults) applies; passing only ``domain_config``
-    runs pure correlated chaos without an extra independent-node process.
-    """
-
-    _FENCE_PREFIX = _NODE_FENCE_PREFIX
-
-    def __init__(
-        self,
-        network: SubstrateNetwork,
-        policy: PlacementPolicy,
-        config: Optional[SimulationConfig] = None,
-        failure_config: Optional[FailureConfig] = None,
-        domain_config: Optional[DomainFailureConfig] = None,
-        domains: Optional[Sequence[FaultDomain]] = None,
-    ) -> None:
-        super().__init__(network, policy, config)
-        if failure_config is None and domain_config is None and domains is None:
-            failure_config = FailureConfig()
-        self.failure_config = failure_config
-        self.injector = (
-            FailureInjector(failure_config) if failure_config is not None else None
-        )
-        self.domain_injector: Optional[DomainFailureInjector] = None
-        if domain_config is not None or domains is not None:
-            resolved = (
-                list(domains) if domains is not None
-                else fault_domains_from_network(network)
-            )
-            self.domain_injector = DomainFailureInjector(resolved, domain_config)
-        self.report = DisruptionReport()
-        self._failed_nodes: set[int] = set()
-        self._failed_links: set[Tuple[int, int]] = set()
-        self.engine.on(EventType.NODE_FAILURE, self._handle_failure)
-        self.engine.on(EventType.NODE_RECOVERY, self._handle_recovery)
-        self.engine.on(EventType.LINK_FAILURE, self._handle_link_failure)
-        self.engine.on(EventType.LINK_RECOVERY, self._handle_link_recovery)
-
-    # ------------------------------------------------------------------ #
-    # Failure handling
-    # ------------------------------------------------------------------ #
-    @property
-    def failed_nodes(self) -> List[int]:
-        """Node ids currently fenced due to failure."""
-        return sorted(self._failed_nodes)
-
-    @property
-    def failed_links(self) -> List[Tuple[int, int]]:
-        """Canonical endpoint pairs of links currently fenced due to failure."""
-        return sorted(self._failed_links)
-
-    def _fence_handle(self, node_id: int) -> str:
-        return node_fence_handle(node_id)
-
-    def _handle_failure(self, event: Event) -> None:
-        node_id: int = event.payload
-        if node_id in self._failed_nodes:
-            return
-        self._failed_nodes.add(node_id)
-        self.report.failure_events += 1
-        self._evict_placements_on(node_id)
-        # Fence the node: consume whatever capacity remains so that placement
-        # feasibility checks reject it until recovery.
-        self._refresh_fence(node_id)
-
-    def _handle_recovery(self, event: Event) -> None:
-        node_id: int = event.payload
-        if node_id not in self._failed_nodes:
-            return
-        self._failed_nodes.discard(node_id)
-        self.report.recovery_events += 1
-        release_node_fence(self.network, node_id)
-
-    def _handle_link_failure(self, event: Event) -> None:
-        endpoints = canonical_endpoints(*event.payload)
-        if endpoints in self._failed_links or not self.network.has_link(*endpoints):
-            return
-        self._failed_links.add(endpoints)
-        self.report.link_failure_events += 1
-        self._evict_placements_traversing(endpoints)
-        refresh_link_fence(self.network, endpoints)
-
-    def _handle_link_recovery(self, event: Event) -> None:
-        endpoints = canonical_endpoints(*event.payload)
-        if endpoints not in self._failed_links:
-            return
-        self._failed_links.discard(endpoints)
-        self.report.link_recovery_events += 1
-        release_link_fence(self.network, endpoints)
-
-    def _handle_departure(self, event: Event) -> None:
-        # A departing placement should never still touch a fenced component
-        # (its placements were torn down when the component failed), but if
-        # any release does free capacity on a failed node or bandwidth on a
-        # failed link, fold it back into the fence so a fenced component can
-        # never regain placeable capacity mid-failure.
-        placement = self._active_placements.get(event.payload)
-        super()._handle_departure(event)
-        if placement is None:
-            return
-        if self._failed_nodes:
-            for node_id in set(placement.node_assignment) & self._failed_nodes:
-                self._refresh_fence(node_id)
-        if self._failed_links:
-            for endpoints in self._failed_links:
-                if placement_traverses_link(placement, endpoints):
-                    refresh_link_fence(self.network, endpoints)
-
-    def _refresh_fence(self, node_id: int) -> None:
-        """(Re)size the failure fence to consume all free capacity of a node."""
-        refresh_node_fence(self.network, node_id)
-
-    def release_fences(self) -> None:
-        """Release every failure fence and clear the failed-component sets.
-
-        Called at the start of :meth:`run` so a rerun on a substrate that
-        still carries fences from a previous (interrupted or horizon-ended)
-        run starts from a conserved state; also usable by callers that want
-        to reuse the network after a run that ended with components still
-        down.
-        """
-        for node_id in sorted(self._failed_nodes):
-            release_node_fence(self.network, node_id)
-        self._failed_nodes.clear()
-        for endpoints in sorted(self._failed_links):
-            release_link_fence(self.network, endpoints)
-        self._failed_links.clear()
-
-    def _evict_placements_on(self, node_id: int) -> None:
-        """Tear down every active placement hosting a VNF on ``node_id``."""
-        self._evict(
-            [
-                (request_id, placement)
-                for request_id, placement in self._active_placements.items()
-                if node_id in placement.node_assignment
-            ]
-        )
-
-    def _evict_placements_traversing(self, endpoints: Tuple[int, int]) -> None:
-        """Tear down every active placement routed across ``endpoints``."""
-        self._evict(
-            [
-                (request_id, placement)
-                for request_id, placement in self._active_placements.items()
-                if placement_traverses_link(placement, endpoints)
-            ]
-        )
-
-    def _evict(self, victims: List[Tuple[int, Placement]]) -> None:
-        for request_id, placement in victims:
-            if placement.is_committed:
-                placement.release(self.network)
-            del self._active_placements[request_id]
-            self.report.disrupted_requests += 1
-            self.report.disrupted_request_ids.append(request_id)
-            # The release may have freed capacity on components that failed
-            # *earlier* and are already fenced — fold it back into the fences.
-            for node_id in set(placement.node_assignment) & self._failed_nodes:
-                refresh_node_fence(self.network, node_id)
-            for endpoints in self._failed_links:
-                if placement_traverses_link(placement, endpoints):
-                    refresh_link_fence(self.network, endpoints)
-
-    # ------------------------------------------------------------------ #
-    # Run
-    # ------------------------------------------------------------------ #
-    def run(self, requests) -> SimulationResult:
-        """Run the simulation with failure/recovery events injected."""
-        # Pre-generate the failure schedules so that a fresh engine (reset in
-        # the parent run()) can be populated before arrivals are processed.
-        schedule: List[FailureEvent] = (
-            self.injector.schedule(self.network, self.config.horizon)
-            if self.injector is not None
-            else []
-        )
-        chaos: List[ChaosEvent] = (
-            self.domain_injector.schedule(self.network, self.config.horizon)
-            if self.domain_injector is not None
-            else []
-        )
-        self.report = DisruptionReport()
-        # Fully release fences left by a previous run (the parent run() also
-        # resets the whole network right after, but the explicit release keeps
-        # fence bookkeeping and the failed-component sets consistent on their
-        # own).
-        self.release_fences()
-        # The parent run() resets the engine before scheduling arrivals, so the
-        # failure schedule is injected right after that reset by temporarily
-        # wrapping the engine's reset method.
-        original_reset = self.engine.reset
-
-        def reset_and_inject() -> None:
-            original_reset()
-            for failure in schedule:
-                self.engine.schedule(
-                    Event.create(
-                        failure.time,
-                        EventType.NODE_FAILURE
-                        if failure.is_failure
-                        else EventType.NODE_RECOVERY,
-                        payload=failure.node_id,
-                    )
-                )
-            for chaos_event in chaos:
-                self.engine.schedule(chaos_event.to_engine_event())
-
-        self.engine.reset = reset_and_inject  # type: ignore[method-assign]
-        try:
-            result = super().run(requests)
-        finally:
-            self.engine.reset = original_reset  # type: ignore[method-assign]
-        return result

@@ -1,10 +1,15 @@
-"""Online NFV simulation: arrivals, admission, departures, metrics.
+"""Online NFV simulation: arrivals, admission, departures, failures, metrics.
 
 :class:`NFVSimulation` wires a :class:`SubstrateNetwork`, a stream of
 :class:`~repro.nfv.sfc.SFCRequest` objects and a :class:`PlacementPolicy`
 into the discrete-event engine.  Every policy — learned or heuristic — is
 evaluated through exactly the same admission loop, which is what makes the
 cross-policy comparisons in the benchmark harness fair.
+
+Placements are committed, released, evicted and fenced through a
+:class:`~repro.sim.lifecycle.PlacementLifecycle`, the one the serving loop
+also composes, so the simulator is that lifecycle plus immediate decisions
+and, given a failure model, injected node and link failures.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nfv.placement import Placement, PlacementError
+from repro.nfv.placement import Placement
 from repro.nfv.sfc import SFCRequest
 from repro.sim.engine import EventEngine
 from repro.sim.events import (
@@ -25,6 +30,16 @@ from repro.sim.events import (
     departure_event,
     monitoring_event,
 )
+from repro.sim.failures import (
+    DisruptionReport,
+    DomainFailureConfig,
+    DomainFailureInjector,
+    FailureConfig,
+    FailureInjector,
+    FaultDomain,
+    fault_domains_from_network,
+)
+from repro.sim.lifecycle import PlacementLifecycle
 from repro.sim.metrics import MetricsCollector, MetricsSummary
 from repro.substrate.network import SubstrateNetwork
 from repro.utils.validation import check_positive
@@ -167,9 +182,6 @@ class PlacementPolicy(ABC):
             return env.actions.reject_action
         return plan[env.vnf_index]
 
-    def on_departure(self, request_id: int, network: SubstrateNetwork) -> None:
-        """Hook invoked when an accepted request departs (optional)."""
-
     def reset(self) -> None:
         """Hook invoked at the start of every simulation run (optional).
 
@@ -189,7 +201,6 @@ class SimulationConfig:
     horizon: float = 1000.0
     monitoring_interval: float = 25.0
     revenue_per_mbps: float = 1.0
-    commit_placements: bool = True
 
     def __post_init__(self) -> None:
         check_positive(self.horizon, "horizon")
@@ -216,49 +227,68 @@ class SimulationResult:
 
 
 class NFVSimulation:
-    """Drives one placement policy over one request trace."""
+    """Drives one placement policy over one request trace.
+
+    With ``failure_config`` (independent node failures) and/or
+    ``domain_config`` / ``domains`` (correlated fault-domain and link chaos;
+    ``domains`` defaults to :func:`~repro.sim.failures.fault_domains_from_network`)
+    the run also injects failure and recovery events: a failed component is
+    fenced, every active placement on it is torn down and counted as
+    disrupted in :attr:`report`, and the fence lifts on recovery.  Without
+    any of them the substrate never fails.
+    """
 
     def __init__(
         self,
         network: SubstrateNetwork,
         policy: PlacementPolicy,
         config: Optional[SimulationConfig] = None,
+        failure_config: Optional[FailureConfig] = None,
+        domain_config: Optional[DomainFailureConfig] = None,
+        domains: Optional[Sequence[FaultDomain]] = None,
     ) -> None:
         self.network = network
         self.policy = policy
         self.config = config or SimulationConfig()
         self.engine = EventEngine()
         self.collector = MetricsCollector()
-        self._active_placements: Dict[int, Placement] = {}
-        self._register_handlers()
+        self.lifecycle = PlacementLifecycle(network)
+        self.report = DisruptionReport()
+        self.injector = (
+            FailureInjector(failure_config) if failure_config is not None else None
+        )
+        self.domain_injector: Optional[DomainFailureInjector] = None
+        if domain_config is not None or domains is not None:
+            resolved = (
+                list(domains) if domains is not None
+                else fault_domains_from_network(network)
+            )
+            self.domain_injector = DomainFailureInjector(resolved, domain_config)
+        engine = self.engine
+        engine.on(EventType.REQUEST_ARRIVAL, self._handle_arrival)
+        engine.on(EventType.REQUEST_DEPARTURE, self._handle_departure)
+        engine.on(EventType.MONITORING, self._handle_monitoring)
+        engine.on(EventType.NODE_FAILURE, self._handle_failure)
+        engine.on(EventType.NODE_RECOVERY, self._handle_recovery)
+        engine.on(EventType.LINK_FAILURE, self._handle_link_failure)
+        engine.on(EventType.LINK_RECOVERY, self._handle_link_recovery)
 
     # ------------------------------------------------------------------ #
     # Event handlers
     # ------------------------------------------------------------------ #
-    def _register_handlers(self) -> None:
-        self.engine.on(EventType.REQUEST_ARRIVAL, self._handle_arrival)
-        self.engine.on(EventType.REQUEST_DEPARTURE, self._handle_departure)
-        self.engine.on(EventType.MONITORING, self._handle_monitoring)
-
     def _handle_arrival(self, event: Event) -> None:
         request: SFCRequest = event.payload
         placement = self.policy.place(request, self.network)
         if placement is None:
             self.collector.record_rejection(request, reason="policy_rejected")
             return
-        if not placement.is_feasible(self.network):
-            self.collector.record_rejection(request, reason="infeasible_placement")
+        reason = self.lifecycle.commit(request.request_id, placement)
+        if reason is not None:
+            self.collector.record_rejection(request, reason=reason)
             return
-        if self.config.commit_placements:
-            try:
-                placement.commit(self.network)
-            except PlacementError:
-                self.collector.record_rejection(request, reason="commit_failed")
-                return
-            self._active_placements[request.request_id] = placement
-            self.engine.schedule(
-                departure_event(request.departure_time, request.request_id)
-            )
+        self.engine.schedule(
+            departure_event(request.departure_time, request.request_id)
+        )
         self.collector.record_acceptance(
             request,
             latency_ms=placement.end_to_end_latency_ms(),
@@ -269,11 +299,7 @@ class NFVSimulation:
         )
 
     def _handle_departure(self, event: Event) -> None:
-        request_id: int = event.payload
-        placement = self._active_placements.pop(request_id, None)
-        if placement is not None and placement.is_committed:
-            placement.release(self.network)
-        self.policy.on_departure(request_id, self.network)
+        self.lifecycle.depart(event.payload)
 
     def _handle_monitoring(self, event: Event) -> None:
         # One pass over the ledger arrays yields all three utilization
@@ -287,30 +313,68 @@ class NFVSimulation:
             mean_edge_utilization=mean_edge_utilization,
             utilization_imbalance=utilization_imbalance,
             cost_rate=ledger.cost_rate(),
-            active_requests=len(self._active_placements),
+            active_requests=len(self.lifecycle.active),
+        )
+
+    def _handle_failure(self, event: Event) -> None:
+        evicted = self.lifecycle.fail_node(event.payload)
+        if evicted is not None:
+            self.report.failure_events += 1
+            self._disrupt(evicted)
+
+    def _handle_recovery(self, event: Event) -> None:
+        if self.lifecycle.recover_node(event.payload):
+            self.report.recovery_events += 1
+
+    def _handle_link_failure(self, event: Event) -> None:
+        evicted = self.lifecycle.fail_link(event.payload)
+        if evicted is not None:
+            self.report.link_failure_events += 1
+            self._disrupt(evicted)
+
+    def _handle_link_recovery(self, event: Event) -> None:
+        if self.lifecycle.recover_link(event.payload):
+            self.report.link_recovery_events += 1
+
+    def _disrupt(self, evicted: List[Placement]) -> None:
+        self.report.disrupted_requests += len(evicted)
+        self.report.disrupted_request_ids.extend(
+            placement.request.request_id for placement in evicted
         )
 
     # ------------------------------------------------------------------ #
     # Run
     # ------------------------------------------------------------------ #
     def run(self, requests: Iterable[SFCRequest]) -> SimulationResult:
-        """Simulate the policy over ``requests`` and return reduced metrics."""
+        """Simulate the policy over ``requests`` and return reduced metrics.
+
+        Requests arriving after the horizon are not simulated.
+        """
+        horizon = self.config.horizon
         self.network.reset()
         self.engine.reset()
+        # Failure events go in before arrivals: at equal timestamps the
+        # engine's FIFO tie-break then fails a component before admitting.
+        for injector in (self.injector, self.domain_injector):
+            if injector is not None:
+                for failure in injector.schedule(self.network, horizon):
+                    self.engine.schedule(failure.to_engine_event())
         self.collector.reset()
-        self._active_placements.clear()
+        self.lifecycle.clear()
+        self.report = DisruptionReport()
         self.policy.reset()
 
-        request_list = sorted(requests, key=lambda r: r.arrival_time)
-        for request in request_list:
+        for request in sorted(requests, key=lambda r: r.arrival_time):
+            if request.arrival_time > horizon:
+                break
             self.engine.schedule(arrival_event(request.arrival_time, request))
 
         time = self.config.monitoring_interval
-        while time <= self.config.horizon:
+        while time <= horizon:
             self.engine.schedule(monitoring_event(time))
             time += self.config.monitoring_interval
 
-        processed = self.engine.run(until=self.config.horizon)
+        processed = self.engine.run(until=horizon)
         # Drain departures scheduled past the horizon so allocations release.
         processed += self.engine.run()
 
@@ -319,7 +383,7 @@ class NFVSimulation:
             summary=self.collector.summary(),
             collector=self.collector,
             processed_events=processed,
-            horizon=self.config.horizon,
+            horizon=horizon,
         )
 
 

@@ -1,4 +1,4 @@
-"""Tests for node-failure injection and the faulty simulation."""
+"""Tests for failure injection and the simulation under failures."""
 
 import numpy as np
 import pytest
@@ -10,29 +10,41 @@ from repro.sim.failures import (
     FailureConfig,
     FailureInjector,
     FaultDomain,
-    FaultyNFVSimulation,
     fault_domains_from_network,
 )
-from repro.sim.simulation import SimulationConfig
+from repro.sim.lifecycle import refresh_node_fence
+from repro.sim.simulation import NFVSimulation, SimulationConfig
 from repro.substrate.topology import TopologyConfig, linear_chain_topology, metro_edge_cloud_topology
 from tests.conftest import build_request
 from tests.test_simulation import AcceptFirstNodePolicy
 
 
 def assert_capacity_conserved(network):
-    """Per node: the sum of live allocations must equal the used vector, and
-    used + available must equal capacity (the conservation invariant)."""
-    for node in network.nodes():
-        allocated = sum(
-            (demand.as_array() for demand in node._allocations.values()),
-            np.zeros(3),
-        )
-        np.testing.assert_allclose(allocated, node._used_arr, atol=1e-6)
-        np.testing.assert_allclose(
-            node._used_arr + node.available.as_array(),
-            node._capacity_arr,
-            atol=1e-6,
-        )
+    """Per node and per link: the sum of live allocations must equal the used
+    amount, and used + available must equal capacity (the conservation
+    invariant).  Rows are nodes (links), compared in one call each."""
+    nodes = list(network.nodes())
+    allocated = [
+        sum((demand.as_array() for demand in node._allocations.values()), np.zeros(3))
+        for node in nodes
+    ]
+    used = np.array([node._used_arr for node in nodes])
+    np.testing.assert_allclose(allocated, used, atol=1e-6)
+    np.testing.assert_allclose(
+        used + [node.available.as_array() for node in nodes],
+        [node._capacity_arr for node in nodes],
+        atol=1e-6,
+    )
+    links = list(network.links())
+    link_used = np.array([link.used_bandwidth for link in links])
+    np.testing.assert_allclose(
+        [sum(link._reservations.values()) for link in links], link_used, atol=1e-6
+    )
+    np.testing.assert_allclose(
+        link_used + [link.available_bandwidth for link in links],
+        [link.bandwidth_capacity for link in links],
+        atol=1e-6,
+    )
 
 
 class TestFailureConfig:
@@ -94,7 +106,7 @@ class TestFailureInjector:
 class TestFaultySimulation:
     def _run(self, failure_config, catalog, horizon=100.0, holding=200.0):
         network = linear_chain_topology(num_edge_nodes=4, link_latency_ms=2.0, seed=7)
-        simulation = FaultyNFVSimulation(
+        simulation = NFVSimulation(
             network,
             AcceptFirstNodePolicy(1),
             SimulationConfig(horizon=horizon, monitoring_interval=20.0),
@@ -112,14 +124,14 @@ class TestFaultySimulation:
             mean_time_to_failure=10.0, mean_time_to_repair=1e6, edge_only=True, seed=5
         )
         simulation, result = self._run(failure_config, catalog)
-        if simulation.report.failure_events and 1 in simulation.failed_nodes:
+        if simulation.report.failure_events and 1 in simulation.lifecycle.failed_nodes:
             assert simulation.report.disrupted_requests > 0
             # Disrupted requests were accepted first.
             assert result.summary.accepted_requests >= simulation.report.disrupted_requests
 
     def test_failed_node_is_fenced_for_new_requests(self, catalog):
         network = linear_chain_topology(num_edge_nodes=4, link_latency_ms=2.0, seed=7)
-        simulation = FaultyNFVSimulation(
+        simulation = NFVSimulation(
             network,
             AcceptFirstNodePolicy(1),
             SimulationConfig(horizon=10.0),
@@ -129,12 +141,12 @@ class TestFaultySimulation:
         from repro.sim.events import Event, EventType
 
         simulation._handle_failure(Event.create(1.0, EventType.NODE_FAILURE, payload=1))
-        assert simulation.failed_nodes == [1]
+        assert simulation.lifecycle.failed_nodes == {1}
         assert not network.node(1).can_host(
             build_request(catalog, source=0).chain.vnf_at(0).demand_for(10.0)
         )
         simulation._handle_recovery(Event.create(2.0, EventType.NODE_RECOVERY, payload=1))
-        assert simulation.failed_nodes == []
+        assert simulation.lifecycle.failed_nodes == set()
         assert network.node(1).can_host(
             build_request(catalog, source=0).chain.vnf_at(0).demand_for(10.0)
         )
@@ -167,7 +179,7 @@ class TestFaultySimulation:
         network = scenario.build_network()
         from repro.baselines import GreedyNearestPolicy
 
-        simulation = FaultyNFVSimulation(
+        simulation = NFVSimulation(
             network,
             GreedyNearestPolicy(),
             SimulationConfig(horizon=300.0, monitoring_interval=25.0),
@@ -183,17 +195,17 @@ class TestFaultySimulation:
             assert_capacity_conserved(network)
             # Whatever survived the run is either a fence of a still-failed
             # node or nothing; failed nodes hold zero available capacity.
-            for node_id in simulation.failed_nodes:
+            for node_id in simulation.lifecycle.failed_nodes:
                 assert network.node(node_id).available.is_zero(tol=1e-9)
-        simulation.release_fences()
-        assert simulation.failed_nodes == []
+        simulation.lifecycle.release_fences()
+        assert simulation.lifecycle.failed_nodes == set()
         assert_capacity_conserved(network)
 
     def test_fence_absorbs_capacity_freed_on_failed_node(self, catalog):
         """Capacity released on an already-fenced node folds into the fence,
         so a failed node can never regain placeable capacity mid-failure."""
         network = linear_chain_topology(num_edge_nodes=4, link_latency_ms=2.0, seed=7)
-        simulation = FaultyNFVSimulation(
+        simulation = NFVSimulation(
             network,
             AcceptFirstNodePolicy(1),
             SimulationConfig(horizon=50.0),
@@ -213,7 +225,7 @@ class TestFaultySimulation:
         placement.release(network)
         assert not network.node(1).available.is_zero(tol=1e-9)
         # ...and refreshing the fence (as the departure hook does) re-absorbs it.
-        simulation._refresh_fence(1)
+        refresh_node_fence(network, 1)
         assert network.node(1).available.is_zero(tol=1e-9)
         assert_capacity_conserved(network)
         simulation._handle_recovery(Event.create(3.0, EventType.NODE_RECOVERY, payload=1))
@@ -225,7 +237,7 @@ class TestFaultySimulation:
         """If a tracked placement's departure ever releases capacity on a
         fenced node, the departure hook refreshes that node's fence."""
         network = linear_chain_topology(num_edge_nodes=4, link_latency_ms=2.0, seed=7)
-        simulation = FaultyNFVSimulation(
+        simulation = NFVSimulation(
             network,
             AcceptFirstNodePolicy(1),
             SimulationConfig(horizon=50.0),
@@ -236,14 +248,14 @@ class TestFaultySimulation:
         request = build_request(catalog, source=0, arrival=1.0, holding=30.0)
         placement = Placement.build(request, [1] * request.num_vnfs, network)
         placement.commit(network)
-        simulation._active_placements[request.request_id] = placement
-        simulation._failed_nodes.add(1)  # fenced state without eviction
-        simulation._refresh_fence(1)
+        simulation.lifecycle.active[request.request_id] = placement
+        simulation.lifecycle.failed_nodes.add(1)  # fenced state without eviction
+        refresh_node_fence(network, 1)
         assert network.node(1).available.is_zero(tol=1e-9)
         simulation._handle_departure(
             Event.create(5.0, EventType.REQUEST_DEPARTURE, payload=request.request_id)
         )
-        assert request.request_id not in simulation._active_placements
+        assert request.request_id not in simulation.lifecycle.active
         assert network.node(1).available.is_zero(tol=1e-9)
         assert_capacity_conserved(network)
 
@@ -264,7 +276,7 @@ class TestFaultySimulationEdgeCases:
         network = linear_chain_topology(
             num_edge_nodes=num_nodes, link_latency_ms=2.0, seed=7
         )
-        simulation = FaultyNFVSimulation(
+        simulation = NFVSimulation(
             network,
             AcceptFirstNodePolicy(1),
             SimulationConfig(horizon=50.0),
@@ -301,7 +313,7 @@ class TestFaultySimulationEdgeCases:
         simulation._handle_recovery(Event.create(t, EventType.NODE_RECOVERY, payload=2))
         simulation._handle_recovery(Event.create(t, EventType.NODE_RECOVERY, payload=2))
         assert simulation.report.recovery_events == 1  # duplicate ignored
-        assert simulation.failed_nodes == []
+        assert simulation.lifecycle.failed_nodes == set()
         assert network.node(2).used.is_zero(tol=1e-9)
         assert_capacity_conserved(network)
         # And a second full cycle at the same instant still round-trips.
@@ -321,16 +333,16 @@ class TestFaultySimulationEdgeCases:
 
         placement = Placement.build(request, [1] * request.num_vnfs, network)
         placement.commit(network)
-        simulation._active_placements[request.request_id] = placement
+        simulation.lifecycle.active[request.request_id] = placement
 
         t = 2.0
         for node_id in network.node_ids:
             simulation._handle_failure(
                 Event.create(t, EventType.NODE_FAILURE, payload=node_id)
             )
-        assert sorted(simulation.failed_nodes) == sorted(network.node_ids)
+        assert sorted(simulation.lifecycle.failed_nodes) == sorted(network.node_ids)
         assert simulation.report.disrupted_requests == 1
-        assert simulation._active_placements == {}
+        assert simulation.lifecycle.active == {}
         for node_id in network.node_ids:
             assert network.node(node_id).available.is_zero(tol=1e-9)
         assert_capacity_conserved(network)
@@ -338,7 +350,7 @@ class TestFaultySimulationEdgeCases:
             simulation._handle_recovery(
                 Event.create(t + 1.0, EventType.NODE_RECOVERY, payload=node_id)
             )
-        assert simulation.failed_nodes == []
+        assert simulation.lifecycle.failed_nodes == set()
         for node_id in network.node_ids:
             assert network.node(node_id).used.is_zero(tol=1e-9)
         assert_capacity_conserved(network)
@@ -449,7 +461,7 @@ class TestLinkFailures:
         network = linear_chain_topology(
             num_edge_nodes=4, link_latency_ms=2.0, seed=7
         )
-        simulation = FaultyNFVSimulation(
+        simulation = NFVSimulation(
             network,
             AcceptFirstNodePolicy(1),
             SimulationConfig(horizon=50.0),
@@ -461,7 +473,7 @@ class TestLinkFailures:
         request = build_request(catalog, source=0, arrival=1.0, holding=40.0)
         placement = Placement.build(request, [1] * request.num_vnfs, network)
         placement.commit(network)
-        simulation._active_placements[request.request_id] = placement
+        simulation.lifecycle.active[request.request_id] = placement
         return network, simulation, request
 
     def test_link_failure_evicts_traversing_chain_and_fences_bandwidth(
@@ -471,16 +483,16 @@ class TestLinkFailures:
         simulation._handle_link_failure(
             Event.create(2.0, EventType.LINK_FAILURE, payload=(1, 0))
         )
-        assert simulation.failed_links == [(0, 1)]  # canonicalized
+        assert simulation.lifecycle.failed_links == {(0, 1)}  # canonicalized
         assert simulation.report.link_failure_events == 1
         assert simulation.report.disrupted_requests == 1
-        assert request.request_id not in simulation._active_placements
+        assert request.request_id not in simulation.lifecycle.active
         assert network.link(0, 1).available_bandwidth == pytest.approx(0.0)
         assert_capacity_conserved(network)
         simulation._handle_link_recovery(
             Event.create(3.0, EventType.LINK_RECOVERY, payload=(0, 1))
         )
-        assert simulation.failed_links == []
+        assert simulation.lifecycle.failed_links == set()
         assert simulation.report.link_recovery_events == 1
         assert network.link(0, 1).available_bandwidth == pytest.approx(
             network.link(0, 1).bandwidth_capacity
@@ -493,7 +505,7 @@ class TestLinkFailures:
             Event.create(2.0, EventType.LINK_FAILURE, payload=(2, 3))
         )
         assert simulation.report.disrupted_requests == 0
-        assert request.request_id in simulation._active_placements
+        assert request.request_id in simulation.lifecycle.active
         simulation._handle_link_recovery(
             Event.create(3.0, EventType.LINK_RECOVERY, payload=(2, 3))
         )
@@ -503,7 +515,7 @@ class TestLinkFailures:
         simulation._handle_link_failure(
             Event.create(2.0, EventType.LINK_FAILURE, payload=(0, 3))
         )
-        assert simulation.failed_links == []
+        assert simulation.lifecycle.failed_links == set()
         assert simulation.report.link_failure_events == 0
 
     def test_domain_chaos_end_to_end_conserves_capacity(self, catalog):
@@ -514,7 +526,7 @@ class TestLinkFailures:
             arrival_rate=1.0, num_edge_nodes=8, horizon=300.0, seed=1
         )
         network = scenario.build_network()
-        simulation = FaultyNFVSimulation(
+        simulation = NFVSimulation(
             network,
             GreedyNearestPolicy(),
             SimulationConfig(horizon=300.0, monitoring_interval=25.0),
@@ -529,12 +541,13 @@ class TestLinkFailures:
         assert simulation.report.failure_events > 0
         assert simulation.report.link_failure_events > 0
         assert_capacity_conserved(network)
-        for node_id in simulation.failed_nodes:
+        for node_id in simulation.lifecycle.failed_nodes:
             assert network.node(node_id).available.is_zero(tol=1e-9)
-        for endpoints in simulation.failed_links:
+        for endpoints in simulation.lifecycle.failed_links:
             assert network.link(*endpoints).available_bandwidth == pytest.approx(
                 0.0, abs=1e-9
             )
-        simulation.release_fences()
-        assert simulation.failed_nodes == [] and simulation.failed_links == []
+        simulation.lifecycle.release_fences()
+        assert not simulation.lifecycle.failed_nodes
+        assert not simulation.lifecycle.failed_links
         assert_capacity_conserved(network)

@@ -290,7 +290,7 @@ class TestOnlinePlacementService:
         assert report.arrivals == 3
         assert report.accepted == 3
         assert report.shed == 0 and report.rejected == 0
-        assert not service._active, "all placements released at departure"
+        assert not service.lifecycle.active, "all placements released at departure"
         node = service.network.node(0)
         assert node.available.as_array() == pytest.approx(
             node._capacity_arr
@@ -389,7 +389,7 @@ class TestOnlinePlacementService:
         assert report.arrivals == (
             report.shed + report.accepted + report.rejected + report.commit_failed
         )
-        assert not service._active
+        assert not service.lifecycle.active
 
     def test_disruption_taxonomy_closes(self, catalog):
         chaos = FixedChaos(

@@ -120,6 +120,26 @@ class TestSimulationLifecycle:
         assert data["policy"] == "fixed"
         assert data["horizon"] == 10.0
 
+    def test_arrivals_after_horizon_are_not_simulated(self):
+        """Only requests arriving by the horizon are admitted; the post-horizon
+        drain releases departures but places no late arrivals."""
+        from repro.workloads.scenarios import reference_scenario
+
+        scenario = reference_scenario(
+            arrival_rate=1.0, num_edge_nodes=8, horizon=100.0, seed=1
+        )
+        requests = scenario.generate_requests()
+        in_horizon = [r for r in requests if r.arrival_time <= 50.0]
+        assert 0 < len(in_horizon) < len(requests)
+        simulation = NFVSimulation(
+            scenario.build_network(),
+            GreedyNearestPolicy(),
+            SimulationConfig(horizon=50.0),
+        )
+        result = simulation.run(requests)
+        assert result.summary.total_requests == len(in_horizon)
+        assert not simulation.lifecycle.active
+
 
 class TestPolicyComparison:
     def test_comparison_uses_fresh_networks(self, catalog):

@@ -19,6 +19,7 @@ from repro.core.vecenv import (
 )
 from repro.experiments.runner import evaluate_agent_across_scenarios
 from repro.sim.failures import FailureConfig
+from repro.sim.lifecycle import node_fence_handle
 from repro.workloads.scenarios import (
     reference_scenario,
     sample_scenarios,
@@ -372,7 +373,7 @@ class TestFaultInjectedLanes:
         assert env.network.node(node_id).available.is_zero()
         env._recover_node(node_id)
         assert env.failed_nodes == []
-        assert not env.network.node(node_id).holds(env._fence_handle(node_id))
+        assert not env.network.node(node_id).holds(node_fence_handle(node_id))
 
 
 class TestExplorationDecayEquivalence:
