@@ -9,8 +9,8 @@ halves of that claim over a K=16 scenario-diverse load sweep:
   time spent producing placement decisions per batched step (one
   ``(K, A)`` mask kernel + one vectorized ``select_actions``) versus the
   per-request reference: each lane's request planned by the policy's
-  per-object oracle (``tests/baseline_oracles.py``: one ``can_host`` and one
-  score call per node object, ``min()`` over the candidate list).
+  per-node oracle (``tests/baseline_oracles.py``: one scalar fit check and
+  one score call per node, ``min()`` over the candidate list).
   Production ``plan_assignment`` calls the kernels' own score functions, so
   timing it would compare ledger scoring with itself rather than batching
   with per-object planning.  Both drives run identically-seeded lane

@@ -1254,11 +1254,11 @@ class SoAVecPlacementEnv:
           left-associated scalar sums bit-for-bit.
         * Node commits add non-negative demands, and correctly-rounded
           addition of a non-negative term is monotone — the sequential
-          per-instance ``can_host`` checks pass iff the *final* sequential
+          per-instance node fit checks pass iff the *final* sequential
           value (computed with ``np.add.at``, which also applies repeated
           indices in input order) stays within ``capacity + tol`` on every
           touched row/dim.  The batch verdict is therefore exact.
-        * Link ``can_carry`` checks read the running value *before* each
+        * Link fit checks read the running value *before* each
           traversal's add, so the batch screen tests the strictly harder
           post-commit value: a screen pass proves every reference check
           passes, while a screen fail (or a node-commit fail, whose partial
@@ -1701,7 +1701,7 @@ class SoAVecPlacementEnv:
             next0 = u0 + demand_t[0]
             next1 = u1 + demand_t[1]
             next2 = u2 + demand_t[2]
-            # ComputeNode.can_host: used[d] + demand[d] <= capacity[d] + tol.
+            # SubstrateLedger.allocate_node: used[d] + demand[d] <= capacity[d] + tol.
             if not (
                 next0 <= cap_tol[0]
                 and next1 <= cap_tol[1]
@@ -1724,7 +1724,7 @@ class SoAVecPlacementEnv:
             segment_failure = False
             for slot in slots:
                 current = link_used[slot]
-                # Link.can_carry: bw <= max(0, capacity - used) + 1e-9.
+                # SubstrateLedger.reserve_link: bw <= max(0, capacity - used) + 1e-9.
                 if not bw <= max(0.0, link_capacity[slot] - current) + 1e-9:
                     # allocate_path rolls back this segment's own partial
                     # reservations (forward order) before re-raising.

@@ -9,11 +9,15 @@ release frees on a fenced component is folded back into the fence.
 
 The fencing primitives are module-level, so the reference
 :class:`~repro.core.env.VNFPlacementEnv` fences with the same semantics.
+They work on the network's :class:`~repro.substrate.ledger.SubstrateLedger`
+rows and slots, the only usage state of the substrate.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.nfv.placement import Placement, PlacementError
 from repro.substrate.link import canonical_endpoints
@@ -45,21 +49,23 @@ def refresh_node_fence(network: SubstrateNetwork, node_id: int) -> None:
     free.  Keeps the invariant "a failed node has zero available capacity"
     even when capacity is freed on an already-fenced node.
     """
-    node = network.node(node_id)
+    ledger = network.ledger
+    row = ledger.node_row[node_id]
     handle = node_fence_handle(node_id)
-    if node.holds(handle):
-        node.release(handle)
-    remaining = node.available
-    if not remaining.is_zero():
-        node.allocate(handle, remaining)
+    if handle in ledger.node_records[row]:
+        ledger.release_node(row, handle)
+    remaining = np.maximum(ledger.node_capacity[row] - ledger.node_used[row], 0.0)
+    if remaining[0] + remaining[1] + remaining[2] > 1e-12:
+        ledger.allocate_node(row, handle, remaining)
 
 
 def release_node_fence(network: SubstrateNetwork, node_id: int) -> None:
     """Drop a node's failure fence (no-op when the node holds none)."""
-    node = network.node(node_id)
+    ledger = network.ledger
+    row = ledger.node_row[node_id]
     handle = node_fence_handle(node_id)
-    if node.holds(handle):
-        node.release(handle)
+    if handle in ledger.node_records[row]:
+        ledger.release_node(row, handle)
 
 
 def refresh_link_fence(network: SubstrateNetwork, endpoints: Tuple[int, int]) -> None:
@@ -69,21 +75,23 @@ def refresh_link_fence(network: SubstrateNetwork, endpoints: Tuple[int, int]) ->
     never offer placeable bandwidth, even when reservations on it are released
     mid-failure.
     """
-    link = network.link(*endpoints)
+    ledger = network.ledger
+    slot = ledger.edge_index[canonical_endpoints(*endpoints)]
     handle = link_fence_handle(endpoints)
-    if link.holds(handle):
-        link.release(handle)
-    remaining = link.available_bandwidth
+    if handle in ledger.link_records[slot]:
+        ledger.release_link(slot, handle)
+    remaining = max(0.0, ledger.link_capacity[slot] - ledger.link_used[slot])
     if remaining > 0.0:
-        link.reserve(handle, remaining)
+        ledger.reserve_link(slot, handle, remaining)
 
 
 def release_link_fence(network: SubstrateNetwork, endpoints: Tuple[int, int]) -> None:
     """Drop a link's failure fence (no-op when the link holds none)."""
-    link = network.link(*endpoints)
+    ledger = network.ledger
+    slot = ledger.edge_index[canonical_endpoints(*endpoints)]
     handle = link_fence_handle(endpoints)
-    if link.holds(handle):
-        link.release(handle)
+    if handle in ledger.link_records[slot]:
+        ledger.release_link(slot, handle)
 
 
 def placement_traverses_link(

@@ -1,24 +1,28 @@
-"""Array-backed resource ledger for the substrate.
+"""The array-backed usage ledger of one substrate network.
 
-The :class:`SubstrateLedger` mirrors the per-object bookkeeping of
-:class:`~repro.substrate.node.ComputeNode` and
-:class:`~repro.substrate.link.Link` into contiguous numpy arrays:
+:class:`SubstrateLedger` is the only usage state of a
+:class:`~repro.substrate.network.SubstrateNetwork`.  Nodes and links are
+static descriptions; what is allocated on them lives here, in contiguous
+numpy arrays plus one record dict per node row and per link slot:
 
 * ``node_capacity`` / ``node_used`` — ``(num_nodes, 3)`` matrices in the
-  canonical ``(cpu, memory, storage)`` dimension order,
+  canonical ``(cpu, memory, storage)`` dimension order, with
+  ``node_alloc_count`` and ``node_records`` (handle → demand) per row,
 * ``link_capacity`` / ``link_used`` / ``link_latency`` / ``link_cost`` —
   ``(num_links,)`` vectors addressed through ``edge_index``, a map from
-  canonical link endpoints to array slot.
+  canonical link endpoints to array slot, with ``link_records``
+  (handle → bandwidth) per slot.
 
-Nodes and links keep their object API (allocation handles, rollback,
-snapshots) and *write through* to the ledger on every mutation, so the arrays
-are always exact mirrors.  Hot paths — state encoding, action masking,
+:meth:`~SubstrateLedger.allocate_node`, :meth:`~SubstrateLedger.release_node`,
+:meth:`~SubstrateLedger.reserve_link`, :meth:`~SubstrateLedger.release_link`
+and :meth:`~SubstrateLedger.reset` update those arrays in place, so views
+held by consumers stay valid.  Hot paths — state encoding, action masking,
 placement feasibility, utilization statistics — read whole columns at once
 instead of looping node-by-node or link-by-link.
 
-The ledger is built lazily by :attr:`SubstrateNetwork.ledger` and invalidated
-only on topology mutation (``add_node`` / ``add_link``); allocations and
-releases never invalidate it.
+The ledger is built lazily by :attr:`SubstrateNetwork.ledger` and rebuilt,
+empty, after a topology mutation (``add_node`` / ``add_link``), which the
+network refuses while any allocation or reservation is live.
 """
 
 from __future__ import annotations
@@ -27,17 +31,23 @@ from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.substrate.link import canonical_endpoints
+from repro.substrate.link import (
+    InsufficientBandwidthError,
+    UnknownReservationError,
+    canonical_endpoints,
+)
+from repro.substrate.node import InsufficientCapacityError, UnknownAllocationError
+from repro.utils.validation import check_non_negative
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.substrate.network import SubstrateNetwork
 
-#: Feasibility tolerance shared with the object-level checks.
+#: Feasibility tolerance of every node and link fit check.
 CAPACITY_TOL = 1e-9
 
 
 class SubstrateLedger:
-    """Contiguous-array mirror of one substrate's nodes and links."""
+    """Capacities, usage and live allocations of one substrate's nodes and links."""
 
     def __init__(self, network: "SubstrateNetwork") -> None:
         nodes = list(network.nodes())
@@ -67,6 +77,8 @@ class SubstrateLedger:
             [node.activation_cost for node in nodes], dtype=float
         )
         self.node_alloc_count = np.zeros(len(nodes), dtype=np.int64)
+        #: Live allocations per node row: handle -> demand, a ``(3,)`` array.
+        self.node_records: List[Dict[str, np.ndarray]] = [{} for _ in nodes]
         self.edge_tier_mask = np.array([node.is_edge for node in nodes], dtype=bool)
         self.cloud_tier_mask = ~self.edge_tier_mask
 
@@ -85,6 +97,8 @@ class SubstrateLedger:
         self.link_used = np.zeros(len(links), dtype=float)
         self.link_latency = np.array([link.latency_ms for link in links], dtype=float)
         self.link_cost = np.array([link.cost_per_mbps for link in links], dtype=float)
+        #: Live reservations per link slot: handle -> bandwidth (Mbps).
+        self.link_records: List[Dict[str, float]] = [{} for _ in links]
 
         #: Memo of path node-sequence -> link slot array (paths repeat a lot
         #: because routed paths are themselves cached per node pair).
@@ -106,48 +120,123 @@ class SubstrateLedger:
         self._can_host_key: Tuple[int, bytes] = (-1, b"")
         self._can_host_result: np.ndarray = np.zeros(len(nodes), dtype=bool)
 
-        # Bind write-through mirrors; binding copies current object state in.
-        for row, node in enumerate(nodes):
-            node._bind_ledger(self, row)
-        for slot, link in enumerate(links):
-            link._bind_ledger(self, slot)
+    # ------------------------------------------------------------------ #
+    # Allocation primitives (every usage write goes through these)
+    # ------------------------------------------------------------------ #
+    def allocate_node(self, row: int, handle: str, demand: np.ndarray) -> None:
+        """Reserve ``demand`` (a ``(3,)`` array) on node ``row`` under ``handle``.
 
-    # ------------------------------------------------------------------ #
-    # Write-through hooks (called by ComputeNode / Link on every mutation)
-    # ------------------------------------------------------------------ #
-    def sync_node(self, row: int, used: np.ndarray, alloc_count: int) -> None:
-        """Mirror one node's usage vector and live-allocation count."""
-        self.node_used[row] = used
-        self.node_alloc_count[row] = alloc_count
+        Raises
+        ------
+        InsufficientCapacityError
+            If the demand does not fit in the node's free capacity.
+        ValueError
+            If the node already holds ``handle`` (allocations must be unique
+            so that release is unambiguous).
+        """
+        records = self.node_records[row]
+        if handle in records:
+            raise ValueError(
+                f"allocation handle {handle!r} already exists on node {self.node_ids[row]}"
+            )
+        used = self.node_used[row]
+        if not (used + demand <= self._capacity_plus_tol[row]).all():
+            free = np.maximum(self.node_capacity[row] - used, 0.0)
+            raise InsufficientCapacityError(
+                f"node {self.node_ids[row]} cannot host demand {demand.tolist()}; "
+                f"free {free.tolist()}"
+            )
+        records[handle] = demand
+        used += demand
+        self.node_alloc_count[row] = len(records)
         self._node_version += 1
 
-    def sync_link(self, slot: int, used: float) -> None:
-        """Mirror one link's reserved bandwidth."""
-        self.link_used[slot] = used
+    def release_node(self, row: int, handle: str) -> np.ndarray:
+        """Free the allocation held under ``handle`` on node ``row`` and return it."""
+        records = self.node_records[row]
+        if handle not in records:
+            raise UnknownAllocationError(
+                f"node {self.node_ids[row]} holds no allocation {handle!r}"
+            )
+        demand = records.pop(handle)
+        used = self.node_used[row]
+        # Clamp at zero like ResourceVector.__sub__ to absorb float noise.
+        np.maximum(used - demand, 0.0, out=used)
+        self.node_alloc_count[row] = len(records)
+        self._node_version += 1
+        return demand
+
+    def reserve_link(self, slot: int, handle: str, bandwidth: float) -> None:
+        """Reserve ``bandwidth`` Mbps on link ``slot`` under ``handle``.
+
+        Raises
+        ------
+        InsufficientBandwidthError
+            If the bandwidth does not fit in the link's free capacity.
+        ValueError
+            If ``bandwidth`` is negative or the link already holds ``handle``.
+        """
+        check_non_negative(bandwidth, "bandwidth")
+        records = self.link_records[slot]
+        if handle in records:
+            raise ValueError(
+                f"reservation handle {handle!r} already exists on link "
+                f"{self._link_key(slot)}"
+            )
+        free = max(0.0, self.link_capacity[slot] - self.link_used[slot])
+        if not bandwidth <= free + CAPACITY_TOL:
+            raise InsufficientBandwidthError(
+                f"link {self._link_key(slot)} cannot carry {bandwidth} Mbps "
+                f"(available {free:.3f} Mbps)"
+            )
+        records[handle] = bandwidth
+        self.link_used[slot] += bandwidth
+
+    def release_link(self, slot: int, handle: str) -> float:
+        """Free the reservation held under ``handle`` on link ``slot`` and return it."""
+        records = self.link_records[slot]
+        if handle not in records:
+            raise UnknownReservationError(
+                f"link {self._link_key(slot)} holds no reservation {handle!r}"
+            )
+        bandwidth = records.pop(handle)
+        self.link_used[slot] = max(0.0, self.link_used[slot] - bandwidth)
+        return bandwidth
+
+    def reset(self) -> None:
+        """Drop every allocation and reservation (start of an episode)."""
+        for node_records in self.node_records:
+            node_records.clear()
+        for link_records in self.link_records:
+            link_records.clear()
+        self.node_used.fill(0.0)
+        self.node_alloc_count.fill(0)
+        self.link_used.fill(0.0)
+        self._node_version += 1
+
+    def _link_key(self, slot: int) -> Tuple[int, int]:
+        u, v = self.link_endpoints[slot].tolist()
+        return (u, v)
 
     # ------------------------------------------------------------------ #
     # Vectorized node queries
     # ------------------------------------------------------------------ #
     @property
     def num_nodes(self) -> int:
-        """Number of mirrored compute nodes."""
+        """Number of compute nodes."""
         return len(self.node_ids)
 
     @property
     def num_links(self) -> int:
-        """Number of mirrored links."""
+        """Number of links."""
         return len(self.link_capacity)
-
-    def node_available(self) -> np.ndarray:
-        """Free capacity per node, ``(num_nodes, 3)``, clamped at zero."""
-        return np.maximum(self.node_capacity - self.node_used, 0.0)
 
     def can_host_all(self, demand: np.ndarray) -> np.ndarray:
         """Vectorized feasibility: which nodes can host ``demand``.
 
         ``demand`` is a ``(3,)`` array in canonical dimension order; the
-        result is a boolean vector over ledger rows, equivalent to calling
-        :meth:`ComputeNode.can_host` on every node.  Treat it as read-only:
+        result is a boolean vector over ledger rows, true where
+        :meth:`allocate_node` would accept it.  Treat it as read-only:
         consecutive queries for the same demand (the encoder and the action
         mask of one decision) share one memoized computation.
         """
@@ -204,12 +293,13 @@ class SubstrateLedger:
     # ------------------------------------------------------------------ #
     # Vectorized link / path queries
     # ------------------------------------------------------------------ #
-    def link_available(self) -> np.ndarray:
-        """Free bandwidth per link, ``(num_links,)``, clamped at zero."""
-        return np.maximum(self.link_capacity - self.link_used, 0.0)
+    def path_entry(self, nodes: Sequence[int]) -> Tuple[np.ndarray, float]:
+        """(link slots, cost-per-Mbps sum) of an explicit path (memoized).
 
-    def _path_entry(self, nodes: Sequence[int]) -> Tuple[np.ndarray, float]:
-        """Memoized (link slots, cost-per-Mbps sum) of an explicit path."""
+        One lookup serving consumers that need both halves — e.g. the SoA
+        environment core's shared routed-path cache — without paying the memo
+        probe twice.
+        """
         key = tuple(nodes)
         cached = self._path_edge_cache.get(key)
         if cached is None:
@@ -225,22 +315,13 @@ class SubstrateLedger:
             self._path_edge_cache[key] = cached
         return cached
 
-    def path_entry(self, nodes: Sequence[int]) -> Tuple[np.ndarray, float]:
-        """(link slots, cost-per-Mbps sum) of an explicit path (memoized).
-
-        One lookup serving consumers that need both halves — e.g. the SoA
-        environment core's shared routed-path cache — without paying the memo
-        probe twice.
-        """
-        return self._path_entry(nodes)
-
     def path_edge_indices(self, nodes: Sequence[int]) -> np.ndarray:
         """Ledger slots of the links along an explicit node sequence (memoized)."""
-        return self._path_entry(nodes)[0]
+        return self.path_entry(nodes)[0]
 
     def path_cost_per_mbps(self, nodes: Sequence[int]) -> float:
         """Sum of per-Mbps link costs along an explicit node sequence (memoized)."""
-        return self._path_entry(nodes)[1]
+        return self.path_entry(nodes)[1]
 
     def path_available_bandwidth(self, nodes: Sequence[int]) -> float:
         """Bottleneck free bandwidth along an explicit node sequence."""

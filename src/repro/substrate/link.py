@@ -1,14 +1,15 @@
-"""Capacitated, latency-weighted links between substrate nodes."""
+"""Capacitated, latency-weighted links between substrate nodes.
+
+A :class:`Link` is a static description.  The bandwidth reserved on it lives
+in the network's :class:`~repro.substrate.ledger.SubstrateLedger`.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.utils.validation import check_non_negative, check_positive
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.substrate.ledger import SubstrateLedger
 
 
 class InsufficientBandwidthError(RuntimeError):
@@ -56,89 +57,6 @@ class Link:
         check_positive(self.bandwidth_capacity, "bandwidth_capacity")
         check_non_negative(self.latency_ms, "latency_ms")
         check_non_negative(self.cost_per_mbps, "cost_per_mbps")
-        self._reservations: Dict[str, float] = {}
-        self._used = 0.0
-        self._ledger: Optional["SubstrateLedger"] = None
-        self._ledger_slot = -1
-
-    def _bind_ledger(self, ledger: Optional["SubstrateLedger"], slot: int) -> None:
-        """Attach (or detach) the array-backed ledger mirroring this link."""
-        self._ledger = ledger
-        self._ledger_slot = slot
-        self._sync_ledger()
-
-    def _sync_ledger(self) -> None:
-        if self._ledger is not None:
-            self._ledger.sync_link(self._ledger_slot, self._used)
-
-    # ------------------------------------------------------------------ #
-    # Capacity queries
-    # ------------------------------------------------------------------ #
-    @property
-    def used_bandwidth(self) -> float:
-        """Bandwidth currently reserved on this link (Mbps)."""
-        return self._used
-
-    @property
-    def available_bandwidth(self) -> float:
-        """Bandwidth still free on this link (Mbps)."""
-        return max(0.0, self.bandwidth_capacity - self._used)
-
-    @property
-    def utilization(self) -> float:
-        """Fraction of capacity currently reserved."""
-        return self._used / self.bandwidth_capacity
-
-    def can_carry(self, bandwidth: float) -> bool:
-        """True when ``bandwidth`` Mbps fits in the free capacity."""
-        return bandwidth <= self.available_bandwidth + 1e-9
-
-    # ------------------------------------------------------------------ #
-    # Reservation lifecycle
-    # ------------------------------------------------------------------ #
-    def reserve(self, handle: str, bandwidth: float) -> None:
-        """Reserve ``bandwidth`` Mbps under ``handle``."""
-        check_non_negative(bandwidth, "bandwidth")
-        if handle in self._reservations:
-            raise ValueError(
-                f"reservation handle {handle!r} already exists on link {self.endpoints}"
-            )
-        if not self.can_carry(bandwidth):
-            raise InsufficientBandwidthError(
-                f"link {self.endpoints} cannot carry {bandwidth} Mbps "
-                f"(available {self.available_bandwidth:.3f} Mbps)"
-            )
-        self._reservations[handle] = bandwidth
-        self._used += bandwidth
-        self._sync_ledger()
-
-    def release(self, handle: str) -> float:
-        """Free the reservation stored under ``handle`` and return it."""
-        if handle not in self._reservations:
-            raise UnknownReservationError(
-                f"link {self.endpoints} holds no reservation {handle!r}"
-            )
-        bandwidth = self._reservations.pop(handle)
-        self._used = max(0.0, self._used - bandwidth)
-        self._sync_ledger()
-        return bandwidth
-
-    def holds(self, handle: str) -> bool:
-        """True if the link currently holds a reservation for ``handle``."""
-        return handle in self._reservations
-
-    def reset(self) -> None:
-        """Drop all reservations (start of an episode)."""
-        self._reservations.clear()
-        self._used = 0.0
-        self._sync_ledger()
-
-    # ------------------------------------------------------------------ #
-    # Cost and introspection
-    # ------------------------------------------------------------------ #
-    def usage_cost_rate(self) -> float:
-        """Cost per unit time of the link's current reservations."""
-        return self._used * self.cost_per_mbps
 
     def transport_cost(self, bandwidth: float, duration: float) -> float:
         """Cost of carrying ``bandwidth`` Mbps for ``duration`` time units."""
@@ -147,12 +65,9 @@ class Link:
         return bandwidth * self.cost_per_mbps * duration
 
     def snapshot(self) -> Dict[str, object]:
-        """A JSON-friendly summary of the link's state."""
+        """A JSON-friendly summary of the link's static fields."""
         return {
             "endpoints": list(self.endpoints),
             "bandwidth_capacity": self.bandwidth_capacity,
-            "used_bandwidth": self._used,
             "latency_ms": self.latency_ms,
-            "utilization": self.utilization,
-            "reservations": len(self._reservations),
         }

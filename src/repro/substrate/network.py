@@ -1,14 +1,18 @@
 """The geo-distributed substrate network.
 
-:class:`SubstrateNetwork` combines :class:`~repro.substrate.node.ComputeNode`
-and :class:`~repro.substrate.link.Link` objects, keyed by node id and by
-canonical link endpoints, and provides the operations that placement
-policies and the discrete-event simulator need:
+:class:`SubstrateNetwork` combines static
+:class:`~repro.substrate.node.ComputeNode` and
+:class:`~repro.substrate.link.Link` descriptions, keyed by node id and by
+canonical link endpoints, with one
+:class:`~repro.substrate.ledger.SubstrateLedger` that holds all usage.  It
+provides the operations that placement policies and the discrete-event
+simulator need:
 
 * latency-weighted shortest-path routing between any two nodes, answered
   from one all-pairs latency matrix and next-hop table,
 * feasibility-checked allocation/rollback of node resources and path
-  bandwidth,
+  bandwidth, addressed by node id and path and applied to ledger rows and
+  link slots,
 * utilization, cost and load-balance statistics, and
 * cheap state snapshots used by the RL state encoder.
 """
@@ -27,7 +31,7 @@ from repro.substrate.link import (
     Link,
     canonical_endpoints,
 )
-from repro.substrate.node import ComputeNode, InsufficientCapacityError, NodeTier
+from repro.substrate.node import ComputeNode, NodeTier
 from repro.substrate.resources import ResourceVector
 
 
@@ -121,22 +125,21 @@ class SubstrateNetwork:
         self._ledger: Optional[SubstrateLedger] = None
 
     def _invalidate_topology_caches(self) -> None:
-        """Drop every derived structure after a topology mutation."""
+        """Drop every derived structure before a topology mutation.
+
+        The rebuilt ledger starts empty, so the topology may change only
+        while nothing is allocated.
+        """
+        ledger = self._ledger
+        if ledger is not None and (any(ledger.node_records) or any(ledger.link_records)):
+            raise RuntimeError("cannot change the topology while allocations are live")
         self._path_cache.clear()
         self._dense = None
-        if self._ledger is not None:
-            # Detach the stale mirror so objects stop writing through to it.
-            for row, node in enumerate(self._nodes.values()):
-                if node._ledger is self._ledger:
-                    node._ledger = None
-            for link in self._links.values():
-                if link._ledger is self._ledger:
-                    link._ledger = None
-            self._ledger = None
+        self._ledger = None
 
     @property
     def ledger(self) -> SubstrateLedger:
-        """The array-backed resource ledger (built lazily, kept in sync)."""
+        """The array-backed usage ledger (built lazily, empty after a rebuild)."""
         if self._ledger is None:
             self._ledger = SubstrateLedger(self)
         return self._ledger
@@ -178,8 +181,8 @@ class SubstrateNetwork:
         """Register a compute node.  Node ids must be unique."""
         if node.node_id in self._nodes:
             raise ValueError(f"node id {node.node_id} already present")
-        self._nodes[node.node_id] = node
         self._invalidate_topology_caches()
+        self._nodes[node.node_id] = node
 
     def add_link(
         self,
@@ -210,8 +213,8 @@ class SubstrateNetwork:
             latency_ms=latency_ms,
             cost_per_mbps=cost_per_mbps,
         )
-        self._links[key] = link
         self._invalidate_topology_caches()
+        self._links[key] = link
         return link
 
     # ------------------------------------------------------------------ #
@@ -334,32 +337,46 @@ class SubstrateNetwork:
     # ------------------------------------------------------------------ #
     # Allocation (nodes + paths) with rollback on partial failure
     # ------------------------------------------------------------------ #
+    def _node_row(self, node_id: int) -> int:
+        try:
+            return self.ledger.node_row[node_id]
+        except KeyError:
+            raise UnknownNodeError(f"unknown node id {node_id}") from None
+
+    def _link_slot(self, u: int, v: int) -> int:
+        try:
+            return self.ledger.edge_index[canonical_endpoints(u, v)]
+        except KeyError:
+            raise UnknownNodeError(f"no link between {u} and {v}") from None
+
     def allocate_node(self, node_id: int, handle: str, demand: ResourceVector) -> None:
         """Reserve node resources under ``handle``."""
-        self.node(node_id).allocate(handle, demand)
+        self.ledger.allocate_node(self._node_row(node_id), handle, demand.as_array())
 
     def release_node(self, node_id: int, handle: str) -> None:
         """Free node resources stored under ``handle``."""
-        self.node(node_id).release(handle)
+        self.ledger.release_node(self._node_row(node_id), handle)
 
     def allocate_path(
         self, nodes: Sequence[int], handle: str, bandwidth: float
     ) -> None:
         """Reserve ``bandwidth`` on every link of a path, atomically.
 
-        If any link rejects the reservation, reservations already made under
-        the same handle are rolled back before re-raising, so a failed
-        allocation never leaks bandwidth.
+        If any link rejects the reservation (too little free bandwidth, or a
+        handle it already holds), reservations already made under the same
+        handle are rolled back before re-raising, so a failed allocation
+        never leaks bandwidth.
         """
-        reserved: List[Tuple[int, int]] = []
+        ledger = self.ledger
+        reserved: List[int] = []
         try:
             for i in range(len(nodes) - 1):
-                link = self.link(nodes[i], nodes[i + 1])
-                link.reserve(handle, bandwidth)
-                reserved.append(link.endpoints)
-        except InsufficientBandwidthError:
-            for endpoints in reserved:
-                self._links[endpoints].release(handle)
+                slot = self._link_slot(nodes[i], nodes[i + 1])
+                ledger.reserve_link(slot, handle, bandwidth)
+                reserved.append(slot)
+        except (InsufficientBandwidthError, ValueError):
+            for slot in reserved:
+                ledger.release_link(slot, handle)
             raise
 
     def release_path(self, nodes: Sequence[int], handle: str) -> None:
@@ -368,17 +385,15 @@ class SubstrateNetwork:
         Links that do not hold the handle are skipped so that rollback after
         partial allocation failures stays idempotent.
         """
+        ledger = self.ledger
         for i in range(len(nodes) - 1):
-            link = self.link(nodes[i], nodes[i + 1])
-            if link.holds(handle):
-                link.release(handle)
+            slot = self._link_slot(nodes[i], nodes[i + 1])
+            if handle in ledger.link_records[slot]:
+                ledger.release_link(slot, handle)
 
     def reset(self) -> None:
         """Clear all allocations on every node and link."""
-        for node in self._nodes.values():
-            node.reset()
-        for link in self._links.values():
-            link.reset()
+        self.ledger.reset()
 
     # ------------------------------------------------------------------ #
     # Aggregate statistics
@@ -429,6 +444,19 @@ class SubstrateNetwork:
 
     def snapshot(self) -> Dict[str, object]:
         """A JSON-friendly summary of the whole substrate."""
+        ledger = self.ledger
+        available = np.maximum(ledger.node_capacity - ledger.node_used, 0.0)
+        max_utilization = ledger.max_utilization()
+        nodes = [
+            {
+                **node.snapshot(),
+                "used": ResourceVector.from_array(ledger.node_used[row]).as_dict(),
+                "available": ResourceVector.from_array(available[row]).as_dict(),
+                "allocations": len(ledger.node_records[row]),
+                "max_utilization": float(max_utilization[row]),
+            }
+            for row, node in enumerate(self._nodes.values())
+        ]
         return {
             "num_nodes": self.num_nodes,
             "num_edge_nodes": len(self.edge_node_ids),
@@ -437,7 +465,7 @@ class SubstrateNetwork:
             "mean_edge_utilization": self.mean_node_utilization(NodeTier.EDGE),
             "utilization_imbalance": self.utilization_imbalance(NodeTier.EDGE),
             "cost_rate": self.compute_cost_rate(),
-            "nodes": [node.snapshot() for node in self._nodes.values()],
+            "nodes": nodes,
         }
 
     # ------------------------------------------------------------------ #

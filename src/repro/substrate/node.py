@@ -9,22 +9,20 @@ Two node tiers exist in the model:
 
 The tension between these two tiers is what makes VNF placement a non-trivial
 sequential decision problem.
+
+A :class:`ComputeNode` is a static description of a site.  What is allocated
+on it lives in the network's :class:`~repro.substrate.ledger.SubstrateLedger`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Dict, Optional
-
-import numpy as np
+from typing import Dict, Optional
 
 from repro.substrate.geo import GeoPoint
-from repro.substrate.resources import RESOURCE_DIMENSIONS, ResourceVector
+from repro.substrate.resources import ResourceVector
 from repro.utils.validation import check_non_negative
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.substrate.ledger import SubstrateLedger
 
 
 class NodeTier(Enum):
@@ -44,7 +42,7 @@ class UnknownAllocationError(KeyError):
 
 @dataclass
 class ComputeNode:
-    """A capacitated compute site with allocation bookkeeping.
+    """A capacitated compute site.
 
     Parameters
     ----------
@@ -78,47 +76,6 @@ class ComputeNode:
 
     def __post_init__(self) -> None:
         check_non_negative(self.activation_cost, "activation_cost")
-        # Usage bookkeeping lives in small numpy arrays so an attached
-        # SubstrateLedger can mirror them into contiguous matrices.
-        self._capacity_arr = self.capacity.as_array()
-        self._capacity_safe = np.where(self._capacity_arr > 0, self._capacity_arr, np.inf)
-        self._used_arr = np.zeros_like(self._capacity_arr)
-        self._peak_arr = np.zeros_like(self._capacity_arr)
-        self._allocations: Dict[str, ResourceVector] = {}
-        self._ledger: Optional["SubstrateLedger"] = None
-        self._ledger_row = -1
-
-    def _bind_ledger(self, ledger: Optional["SubstrateLedger"], row: int) -> None:
-        """Attach (or detach) the array-backed ledger mirroring this node."""
-        self._ledger = ledger
-        self._ledger_row = row
-        self._sync_ledger()
-
-    def _sync_ledger(self) -> None:
-        if self._ledger is not None:
-            self._ledger.sync_node(
-                self._ledger_row, self._used_arr, len(self._allocations)
-            )
-
-    # ------------------------------------------------------------------ #
-    # Capacity queries
-    # ------------------------------------------------------------------ #
-    @property
-    def used(self) -> ResourceVector:
-        """Resources currently allocated on this node."""
-        return ResourceVector.from_array(self._used_arr)
-
-    @property
-    def available(self) -> ResourceVector:
-        """Resources still free on this node."""
-        return ResourceVector.from_array(
-            np.maximum(self._capacity_arr - self._used_arr, 0.0)
-        )
-
-    @property
-    def peak_used(self) -> ResourceVector:
-        """High-water mark of usage since construction or :meth:`reset`."""
-        return ResourceVector.from_array(self._peak_arr)
 
     @property
     def is_edge(self) -> bool:
@@ -130,124 +87,24 @@ class ComputeNode:
         """True for cloud-tier nodes."""
         return self.tier is NodeTier.CLOUD
 
-    @property
-    def is_active(self) -> bool:
-        """True when the node hosts at least one allocation."""
-        return bool(self._allocations)
-
-    @property
-    def allocation_count(self) -> int:
-        """Number of live allocations (VNF instances) on the node."""
-        return len(self._allocations)
-
-    def can_host(self, demand: ResourceVector, tol: float = 1e-9) -> bool:
-        """True when ``demand`` fits in the currently free capacity."""
-        used = self._used_arr
-        cap = self._capacity_arr
-        return bool(
-            used[0] + demand.cpu <= cap[0] + tol
-            and used[1] + demand.memory <= cap[1] + tol
-            and used[2] + demand.storage <= cap[2] + tol
-        )
-
-    def utilization(self) -> Dict[str, float]:
-        """Per-dimension utilization ratios."""
-        ratios = self._used_arr / self._capacity_safe
-        return dict(zip(RESOURCE_DIMENSIONS, ratios.tolist()))
-
-    def max_utilization(self) -> float:
-        """The bottleneck utilization ratio (largest dimension)."""
-        return float(np.max(self._used_arr / self._capacity_safe))
-
-    def mean_utilization(self) -> float:
-        """Average utilization ratio across dimensions."""
-        return float(np.mean(self._used_arr / self._capacity_safe))
-
-    # ------------------------------------------------------------------ #
-    # Allocation lifecycle
-    # ------------------------------------------------------------------ #
-    def allocate(self, handle: str, demand: ResourceVector) -> None:
-        """Reserve ``demand`` under ``handle``.
-
-        Raises
-        ------
-        InsufficientCapacityError
-            If the demand does not fit in the free capacity.
-        ValueError
-            If the handle is already in use (allocations must be unique so
-            that release is unambiguous).
-        """
-        if handle in self._allocations:
-            raise ValueError(f"allocation handle {handle!r} already exists on node {self.node_id}")
-        if not self.can_host(demand):
-            deficit = (self.used + demand).deficit_against(self.capacity)
-            raise InsufficientCapacityError(
-                f"node {self.node_id} cannot host demand {demand.as_dict()}; "
-                f"deficit {deficit.as_dict()}"
-            )
-        self._allocations[handle] = demand
-        self._used_arr += demand.as_array()
-        np.maximum(self._peak_arr, self._used_arr, out=self._peak_arr)
-        self._sync_ledger()
-
-    def release(self, handle: str) -> ResourceVector:
-        """Free the allocation stored under ``handle`` and return it."""
-        if handle not in self._allocations:
-            raise UnknownAllocationError(
-                f"node {self.node_id} holds no allocation {handle!r}"
-            )
-        demand = self._allocations.pop(handle)
-        # Clamp at zero like ResourceVector.__sub__ to absorb float noise.
-        np.maximum(self._used_arr - demand.as_array(), 0.0, out=self._used_arr)
-        self._sync_ledger()
-        return demand
-
-    def holds(self, handle: str) -> bool:
-        """True if the node currently holds an allocation for ``handle``."""
-        return handle in self._allocations
-
-    def reset(self) -> None:
-        """Drop all allocations and usage statistics (start of an episode)."""
-        self._allocations.clear()
-        self._used_arr[:] = 0.0
-        self._peak_arr[:] = 0.0
-        self._sync_ledger()
-
-    # ------------------------------------------------------------------ #
-    # Cost model
-    # ------------------------------------------------------------------ #
-    def usage_cost_rate(self) -> float:
-        """Cost per unit time of the node's current allocations."""
-        cost = float(self._used_arr @ self.cost_per_unit.as_array())
-        if self.is_active:
-            cost += self.activation_cost
-        return cost
-
     def hosting_cost(self, demand: ResourceVector, duration: float) -> float:
         """Cost of hosting ``demand`` for ``duration`` time units."""
         check_non_negative(duration, "duration")
         return demand.dot(self.cost_per_unit) * duration
 
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
     def snapshot(self) -> Dict[str, object]:
-        """A JSON-friendly summary of the node's state."""
+        """A JSON-friendly summary of the node's static fields."""
         return {
             "node_id": self.node_id,
             "name": self.name,
             "tier": self.tier.value,
             "capacity": self.capacity.as_dict(),
-            "used": self.used.as_dict(),
-            "available": self.available.as_dict(),
-            "allocations": len(self._allocations),
-            "max_utilization": self.max_utilization(),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ComputeNode(id={self.node_id}, tier={self.tier.value}, "
-            f"used={self.used.as_tuple()}, cap={self.capacity.as_tuple()})"
+            f"cap={self.capacity.as_tuple()})"
         )
 
 

@@ -1,8 +1,9 @@
 """Multi-dimensional resource vectors.
 
 Edge nodes expose CPU (vCPU cores), memory (GB) and storage (GB).  VNF
-instances consume a :class:`ResourceVector`; nodes track capacity and usage as
-vectors.  The class is intentionally immutable (frozen dataclass) so that
+instances consume a :class:`ResourceVector` and nodes declare their capacity
+as one; the substrate ledger keeps usage in ``(cpu, memory, storage)``
+arrays.  The class is intentionally immutable (frozen dataclass) so that
 demands and capacities can be shared safely between requests, placements and
 snapshots without defensive copying.
 """
@@ -28,8 +29,7 @@ class ResourceVector:
 
     Units are conventional rather than enforced: CPU in virtual cores, memory
     and storage in gigabytes.  Negative components are rejected at
-    construction time except through :meth:`unchecked`, which internal code
-    uses for deficit computations.
+    construction time.
     """
 
     cpu: float = 0.0
@@ -85,8 +85,7 @@ class ResourceVector:
         """Component-wise difference clamped at zero.
 
         Subtraction is used to compute *remaining* capacity; clamping avoids
-        tiny negative floats from accumulation noise.  Use
-        :meth:`deficit_against` when the actual shortfall is required.
+        tiny negative floats from accumulation noise.
         """
         return ResourceVector(
             max(0.0, self.cpu - other.cpu),
@@ -103,55 +102,9 @@ class ResourceVector:
 
     __rmul__ = __mul__
 
-    def fits_within(self, capacity: "ResourceVector", tol: float = 1e-9) -> bool:
-        """True when every dimension of ``self`` fits inside ``capacity``."""
-        return (
-            self.cpu <= capacity.cpu + tol
-            and self.memory <= capacity.memory + tol
-            and self.storage <= capacity.storage + tol
-        )
-
-    def deficit_against(self, capacity: "ResourceVector") -> "ResourceVector":
-        """Per-dimension amount by which ``self`` exceeds ``capacity``."""
-        return ResourceVector(
-            max(0.0, self.cpu - capacity.cpu),
-            max(0.0, self.memory - capacity.memory),
-            max(0.0, self.storage - capacity.storage),
-        )
-
-    def elementwise_max(self, other: "ResourceVector") -> "ResourceVector":
-        """Component-wise maximum, used for peak-usage accounting."""
-        return ResourceVector(
-            max(self.cpu, other.cpu),
-            max(self.memory, other.memory),
-            max(self.storage, other.storage),
-        )
-
     # ------------------------------------------------------------------ #
-    # Ratios and reductions
+    # Reductions
     # ------------------------------------------------------------------ #
-    def utilization_against(self, capacity: "ResourceVector") -> Dict[str, float]:
-        """Per-dimension utilization ratio of ``self`` relative to ``capacity``.
-
-        Dimensions with zero capacity report 0.0 utilization (they cannot be
-        consumed), which keeps downstream averaging well defined.
-        """
-        ratios: Dict[str, float] = {}
-        for dim in RESOURCE_DIMENSIONS:
-            cap = getattr(capacity, dim)
-            used = getattr(self, dim)
-            ratios[dim] = 0.0 if cap <= 0 else used / cap
-        return ratios
-
-    def max_utilization_against(self, capacity: "ResourceVector") -> float:
-        """The bottleneck (largest) utilization ratio across dimensions."""
-        return max(self.utilization_against(capacity).values())
-
-    def mean_utilization_against(self, capacity: "ResourceVector") -> float:
-        """The mean utilization ratio across dimensions."""
-        ratios = self.utilization_against(capacity)
-        return sum(ratios.values()) / len(ratios)
-
     def dot(self, weights: "ResourceVector") -> float:
         """Weighted sum, used by cost models (price per resource unit)."""
         return (

@@ -1,11 +1,11 @@
-"""Per-object reference planners of the heuristic baselines (test oracles).
+"""Per-node reference planners of the heuristic baselines (test oracles).
 
 Each class subclasses its production policy and overrides only
-``plan_assignment`` with a loop over node objects: ``hosting_candidates``
-asks every ``ComputeNode.can_host``, scores come from one
-``latency_between`` or node-method call per candidate, and ``min()`` over
-the ordered candidate list breaks ties (Viterbi also keeps its per-node
-``_node_cost``).  The production planners score ledger rows instead;
+``plan_assignment`` with a loop over nodes: ``hosting_candidates`` asks
+``node_can_host`` of every node, scores come from one ``latency_between``,
+``hosting_cost`` or scalar ledger reader (``tests/substrate_oracles.py``)
+per candidate, and ``min()`` over the ordered candidate list breaks ties
+(Viterbi also keeps its per-node ``_node_cost``).  The production planners score ledger rows instead;
 ``tests/test_baselines.py`` asserts that their plans equal these on live
 simulated substrates, and ``benchmarks/bench_policyeval.py`` times the
 batched kernels against them.
@@ -34,6 +34,7 @@ from repro.baselines import (
 from repro.baselines.optimal import SearchSpaceTooLargeError
 from repro.nfv.sfc import SFCRequest
 from repro.substrate.network import SubstrateNetwork
+from tests.substrate_oracles import node_available, node_can_host, node_max_utilization
 
 
 def hosting_candidates(
@@ -45,7 +46,7 @@ def hosting_candidates(
     """Nodes with enough free capacity for VNF ``vnf_index`` of ``request``."""
     demand = request.chain.vnf_at(vnf_index).demand_for(request.bandwidth_mbps)
     pool = list(node_ids) if node_ids is not None else network.node_ids
-    return [node_id for node_id in pool if network.node(node_id).can_host(demand)]
+    return [node_id for node_id in pool if node_can_host(network, node_id, demand)]
 
 
 class GreedyNearestOracle(GreedyNearestPolicy):
@@ -82,7 +83,7 @@ class GreedyLeastLoadedOracle(GreedyLeastLoadedPolicy):
                 return None
             best = min(
                 candidates,
-                key=lambda node_id: network.node(node_id).max_utilization(),
+                key=lambda node_id: node_max_utilization(network, node_id),
             )
             assignment.append(best)
         return tuple(assignment)
@@ -140,8 +141,7 @@ class BestFitOracle(BestFitPolicy):
             demand = request.chain.vnf_at(vnf_index).demand_for(request.bandwidth_mbps)
 
             def remaining_slack(node_id: int) -> float:
-                node = network.node(node_id)
-                return (node.available - demand).total()
+                return (node_available(network, node_id) - demand).total()
 
             assignment.append(min(candidates, key=remaining_slack))
         return tuple(assignment)
@@ -263,7 +263,9 @@ class ViterbiOracle(ViterbiPlacementPolicy):
         )
         return (
             self.cost_weight * hosting / self.cost_normalizer * request.sla.max_latency_ms
-            + self.load_weight * node.max_utilization() * request.sla.max_latency_ms
+            + self.load_weight
+            * node_max_utilization(network, node_id)
+            * request.sla.max_latency_ms
         )
 
     def plan_assignment(

@@ -1,14 +1,21 @@
-"""Per-object references of the encoder, the action mask and feasibility (test oracles).
+"""Scalar usage readers and per-node references of the encoder, the action mask
+and feasibility (test oracles).
 
-Each function is the loop over node and link objects that the batched
+The readers (:func:`node_used`, :func:`node_available`, :func:`node_can_host`,
+:func:`node_utilization`, :func:`node_max_utilization`, :func:`link_used`,
+:func:`link_available` and :func:`link_can_carry`) answer one node or link at
+a time from its ledger row or slot, with the scalar float arithmetic of a
+single fit check.
+
+Each reference function is the loop over nodes and links that the batched
 production method replaced: :func:`encode_reference` for
 ``StateEncoder.encode``, :func:`valid_mask_reference` for
 ``ActionSpace.valid_mask`` and :func:`is_feasible_reference` for
-``Placement.is_feasible``.  They ask ``ComputeNode.utilization`` /
-``can_host``, ``Link.can_carry`` and ``SubstrateNetwork.latency_between``
-one object at a time, where production reads the ledger arrays and the
-all-pairs latency matrix.  ``tests/test_substrate_vectorized.py`` asserts
-that both sides agree through whole episodes on random topologies.
+``Placement.is_feasible``.  They call the scalar readers and
+``SubstrateNetwork.latency_between`` one node or link at a time, where
+production reads whole ledger columns and the all-pairs latency matrix.
+``tests/test_substrate_vectorized.py`` asserts that both sides agree through
+whole episodes on random topologies.
 """
 
 from __future__ import annotations
@@ -23,9 +30,82 @@ from repro.nfv.placement import Placement
 from repro.nfv.sfc import SFCRequest
 from repro.nfv.vnf import VNFInstance
 from repro.substrate.network import SubstrateNetwork
-from repro.substrate.resources import aggregate
+from repro.substrate.resources import RESOURCE_DIMENSIONS, ResourceVector, aggregate
 
 
+# --------------------------------------------------------------------------- #
+# Scalar usage readers over ledger rows and slots
+# --------------------------------------------------------------------------- #
+def _row(network: SubstrateNetwork, node_id: int) -> Tuple[np.ndarray, np.ndarray]:
+    ledger = network.ledger
+    row = ledger.node_row[node_id]
+    return ledger.node_used[row], ledger.node_capacity[row]
+
+
+def node_used(network: SubstrateNetwork, node_id: int) -> ResourceVector:
+    """Resources currently allocated on ``node_id``."""
+    return ResourceVector.from_array(_row(network, node_id)[0])
+
+
+def node_available(network: SubstrateNetwork, node_id: int) -> ResourceVector:
+    """Resources still free on ``node_id``, clamped at zero."""
+    used, capacity = _row(network, node_id)
+    return ResourceVector.from_array(np.maximum(capacity - used, 0.0))
+
+
+def node_can_host(
+    network: SubstrateNetwork, node_id: int, demand: ResourceVector, tol: float = 1e-9
+) -> bool:
+    """True when ``demand`` fits in the free capacity of ``node_id``."""
+    used, capacity = _row(network, node_id)
+    return bool(
+        used[0] + demand.cpu <= capacity[0] + tol
+        and used[1] + demand.memory <= capacity[1] + tol
+        and used[2] + demand.storage <= capacity[2] + tol
+    )
+
+
+def node_utilization(network: SubstrateNetwork, node_id: int) -> Dict[str, float]:
+    """Per-dimension utilization ratios (0.0 in a zero-capacity dimension)."""
+    used, capacity = _row(network, node_id)
+    return {
+        dim: (float(used[i] / capacity[i]) if capacity[i] > 0 else 0.0)
+        for i, dim in enumerate(RESOURCE_DIMENSIONS)
+    }
+
+
+def node_max_utilization(network: SubstrateNetwork, node_id: int) -> float:
+    """The bottleneck (largest-dimension) utilization ratio of ``node_id``."""
+    return max(node_utilization(network, node_id).values())
+
+
+def _slot(network: SubstrateNetwork, u: int, v: int) -> Tuple[float, float]:
+    ledger = network.ledger
+    slot = ledger.edge_index[network.link(u, v).endpoints]
+    return float(ledger.link_used[slot]), float(ledger.link_capacity[slot])
+
+
+def link_used(network: SubstrateNetwork, u: int, v: int) -> float:
+    """Bandwidth currently reserved on the link ``u``–``v`` (Mbps)."""
+    return _slot(network, u, v)[0]
+
+
+def link_available(network: SubstrateNetwork, u: int, v: int) -> float:
+    """Bandwidth still free on the link ``u``–``v`` (Mbps), clamped at zero."""
+    used, capacity = _slot(network, u, v)
+    return max(0.0, capacity - used)
+
+
+def link_can_carry(
+    network: SubstrateNetwork, u: int, v: int, bandwidth: float
+) -> bool:
+    """True when ``bandwidth`` Mbps fits in the free capacity of ``u``–``v``."""
+    return bandwidth <= link_available(network, u, v) + 1e-9
+
+
+# --------------------------------------------------------------------------- #
+# Per-node references of the batched encoder, mask and feasibility check
+# --------------------------------------------------------------------------- #
 def encode_reference(
     encoder: StateEncoder,
     request: SFCRequest,
@@ -45,14 +125,14 @@ def encode_reference(
 
     features = np.zeros(encoder.state_dim, dtype=float)
     offset = 0
+    network = encoder.network
     for node_id in encoder.node_order:
-        node = encoder.network.node(node_id)
-        utilization = node.utilization()
-        latency = encoder.network.latency_between(anchor, node_id)
+        utilization = node_utilization(network, node_id)
+        latency = network.latency_between(anchor, node_id)
         features[offset + 0] = min(1.0, utilization["cpu"])
         features[offset + 1] = min(1.0, utilization["memory"])
         features[offset + 2] = min(1.0, latency / sla)
-        features[offset + 3] = 1.0 if node.can_host(demand) else 0.0
+        features[offset + 3] = 1.0 if node_can_host(network, node_id, demand) else 0.0
         offset += NODE_FEATURES
 
     one_hot_offset = offset + encoder.catalog.index_of(next_vnf.name)
@@ -83,8 +163,7 @@ def valid_mask_reference(
     mask = np.zeros(actions.num_actions, dtype=bool)
     mask[actions.reject_action] = True
     for index, node_id in enumerate(actions.node_order):
-        node = actions.network.node(node_id)
-        if not node.can_host(demand):
+        if not node_can_host(actions.network, node_id, demand):
             continue
         if latency_check:
             added = (
@@ -108,7 +187,7 @@ def is_feasible_reference(placement: Placement, network: SubstrateNetwork) -> bo
     """The original object-by-object check of ``Placement.is_feasible``."""
     for node_id, instances in _aggregated_node_demand(placement).items():
         demand = aggregate(inst.demand for inst in instances)
-        if not network.node(node_id).can_host(demand):
+        if not node_can_host(network, node_id, demand):
             return False
     bandwidth = placement.request.bandwidth_mbps
     # A link shared by several segments must carry each traversal.
@@ -117,6 +196,6 @@ def is_feasible_reference(placement: Placement, network: SubstrateNetwork) -> bo
         for endpoints in segment.path.links():
             link_load[endpoints] = link_load.get(endpoints, 0.0) + bandwidth
     for endpoints, load in link_load.items():
-        if not network.link(*endpoints).can_carry(load):
+        if not link_can_carry(network, *endpoints, load):
             return False
     return placement.satisfies_sla(network)

@@ -50,7 +50,7 @@ class TestAllPoliciesProduceFeasiblePlacements:
         request = build_request(catalog, source=0, sla_ms=100.0)
         policy.place(request, small_network)
         assert small_network.total_used().is_zero()
-        assert all(link.used_bandwidth == 0.0 for link in small_network.links())
+        assert not small_network.ledger.link_used.any()
 
     @pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.name)
     def test_reject_when_no_capacity(self, policy, small_network, catalog):
@@ -68,7 +68,7 @@ class TestMaskBoundary:
         self, policy, small_network, catalog
     ):
         # nat needs 1.1 cpu at 50 Mbps.  On top of 6.900000001 used of 8.0,
-        # ComputeNode.can_host (used + d <= cap + tol) still admits it, while
+        # the allocation fit check (used + d <= cap + tol) still admits it, while
         # the masks (d <= (cap + tol) - used) and placement feasibility
         # (d <= (cap - used) + tol) do not; planning node 2 would reject a
         # request that three empty nodes fit.

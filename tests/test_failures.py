@@ -16,33 +16,30 @@ from repro.sim.lifecycle import refresh_node_fence
 from repro.sim.simulation import NFVSimulation, SimulationConfig
 from repro.substrate.topology import TopologyConfig, linear_chain_topology, metro_edge_cloud_topology
 from tests.conftest import build_request
+from tests.substrate_oracles import link_available, node_available, node_can_host, node_used
 from tests.test_simulation import AcceptFirstNodePolicy
 
 
 def assert_capacity_conserved(network):
-    """Per node and per link: the sum of live allocations must equal the used
-    amount, and used + available must equal capacity (the conservation
-    invariant).  Rows are nodes (links), compared in one call each."""
-    nodes = list(network.nodes())
-    allocated = [
-        sum((demand.as_array() for demand in node._allocations.values()), np.zeros(3))
-        for node in nodes
-    ]
-    used = np.array([node._used_arr for node in nodes])
+    """Per node row and per link slot of the ledger: the live records must sum
+    to the used amount, and used + available must equal capacity (the
+    conservation invariant).  Rows are nodes (links), compared in one call each."""
+    ledger = network.ledger
+    allocated = [sum(records.values(), np.zeros(3)) for records in ledger.node_records]
+    used = ledger.node_used
     np.testing.assert_allclose(allocated, used, atol=1e-6)
     np.testing.assert_allclose(
-        used + [node.available.as_array() for node in nodes],
-        [node._capacity_arr for node in nodes],
+        used + np.maximum(ledger.node_capacity - used, 0.0),
+        ledger.node_capacity,
         atol=1e-6,
     )
-    links = list(network.links())
-    link_used = np.array([link.used_bandwidth for link in links])
+    link_used = ledger.link_used
     np.testing.assert_allclose(
-        [sum(link._reservations.values()) for link in links], link_used, atol=1e-6
+        [sum(records.values()) for records in ledger.link_records], link_used, atol=1e-6
     )
     np.testing.assert_allclose(
-        link_used + [link.available_bandwidth for link in links],
-        [link.bandwidth_capacity for link in links],
+        link_used + np.maximum(ledger.link_capacity - link_used, 0.0),
+        ledger.link_capacity,
         atol=1e-6,
     )
 
@@ -142,13 +139,13 @@ class TestFaultySimulation:
 
         simulation._handle_failure(Event.create(1.0, EventType.NODE_FAILURE, payload=1))
         assert simulation.lifecycle.failed_nodes == {1}
-        assert not network.node(1).can_host(
-            build_request(catalog, source=0).chain.vnf_at(0).demand_for(10.0)
+        assert not node_can_host(
+            network, 1, build_request(catalog, source=0).chain.vnf_at(0).demand_for(10.0)
         )
         simulation._handle_recovery(Event.create(2.0, EventType.NODE_RECOVERY, payload=1))
         assert simulation.lifecycle.failed_nodes == set()
-        assert network.node(1).can_host(
-            build_request(catalog, source=0).chain.vnf_at(0).demand_for(10.0)
+        assert node_can_host(
+            network, 1, build_request(catalog, source=0).chain.vnf_at(0).demand_for(10.0)
         )
 
     def test_no_failures_matches_fault_free_behaviour(self, catalog):
@@ -196,7 +193,7 @@ class TestFaultySimulation:
             # Whatever survived the run is either a fence of a still-failed
             # node or nothing; failed nodes hold zero available capacity.
             for node_id in simulation.lifecycle.failed_nodes:
-                assert network.node(node_id).available.is_zero(tol=1e-9)
+                assert node_available(network, node_id).is_zero(tol=1e-9)
         simulation.lifecycle.release_fences()
         assert simulation.lifecycle.failed_nodes == set()
         assert_capacity_conserved(network)
@@ -220,17 +217,17 @@ class TestFaultySimulation:
         placement.commit(network)
 
         simulation._handle_failure(Event.create(2.0, EventType.NODE_FAILURE, payload=1))
-        assert network.node(1).available.is_zero(tol=1e-9)
+        assert node_available(network, 1).is_zero(tol=1e-9)
         # The out-of-band release frees capacity on the fenced node...
         placement.release(network)
-        assert not network.node(1).available.is_zero(tol=1e-9)
+        assert not node_available(network, 1).is_zero(tol=1e-9)
         # ...and refreshing the fence (as the departure hook does) re-absorbs it.
         refresh_node_fence(network, 1)
-        assert network.node(1).available.is_zero(tol=1e-9)
+        assert node_available(network, 1).is_zero(tol=1e-9)
         assert_capacity_conserved(network)
         simulation._handle_recovery(Event.create(3.0, EventType.NODE_RECOVERY, payload=1))
         # Full recovery: the node is completely free again.
-        assert network.node(1).used.is_zero(tol=1e-9)
+        assert node_used(network, 1).is_zero(tol=1e-9)
         assert_capacity_conserved(network)
 
     def test_tracked_departure_on_fenced_node_keeps_fence_tight(self, catalog):
@@ -251,12 +248,12 @@ class TestFaultySimulation:
         simulation.lifecycle.active[request.request_id] = placement
         simulation.lifecycle.failed_nodes.add(1)  # fenced state without eviction
         refresh_node_fence(network, 1)
-        assert network.node(1).available.is_zero(tol=1e-9)
+        assert node_available(network, 1).is_zero(tol=1e-9)
         simulation._handle_departure(
             Event.create(5.0, EventType.REQUEST_DEPARTURE, payload=request.request_id)
         )
         assert request.request_id not in simulation.lifecycle.active
-        assert network.node(1).available.is_zero(tol=1e-9)
+        assert node_available(network, 1).is_zero(tol=1e-9)
         assert_capacity_conserved(network)
 
     def test_rerun_resets_report(self, catalog):
@@ -293,12 +290,12 @@ class TestFaultySimulationEdgeCases:
         )
         assert simulation.report.disrupted_requests == 0
         assert simulation.report.failure_events == 1
-        assert network.node(1).available.is_zero(tol=1e-9)
+        assert node_available(network, 1).is_zero(tol=1e-9)
         assert_capacity_conserved(network)
         simulation._handle_recovery(
             Event.create(2.0, EventType.NODE_RECOVERY, payload=1)
         )
-        assert network.node(1).used.is_zero(tol=1e-9)
+        assert node_used(network, 1).is_zero(tol=1e-9)
         assert_capacity_conserved(network)
 
     def test_back_to_back_fail_recover_same_node_same_step(self):
@@ -314,13 +311,13 @@ class TestFaultySimulationEdgeCases:
         simulation._handle_recovery(Event.create(t, EventType.NODE_RECOVERY, payload=2))
         assert simulation.report.recovery_events == 1  # duplicate ignored
         assert simulation.lifecycle.failed_nodes == set()
-        assert network.node(2).used.is_zero(tol=1e-9)
+        assert node_used(network, 2).is_zero(tol=1e-9)
         assert_capacity_conserved(network)
         # And a second full cycle at the same instant still round-trips.
         simulation._handle_failure(Event.create(t, EventType.NODE_FAILURE, payload=2))
-        assert network.node(2).available.is_zero(tol=1e-9)
+        assert node_available(network, 2).is_zero(tol=1e-9)
         simulation._handle_recovery(Event.create(t, EventType.NODE_RECOVERY, payload=2))
-        assert network.node(2).used.is_zero(tol=1e-9)
+        assert node_used(network, 2).is_zero(tol=1e-9)
         assert_capacity_conserved(network)
 
     def test_all_nodes_simultaneously_failed_fence_accounting(self, catalog):
@@ -344,7 +341,7 @@ class TestFaultySimulationEdgeCases:
         assert simulation.report.disrupted_requests == 1
         assert simulation.lifecycle.active == {}
         for node_id in network.node_ids:
-            assert network.node(node_id).available.is_zero(tol=1e-9)
+            assert node_available(network, node_id).is_zero(tol=1e-9)
         assert_capacity_conserved(network)
         for node_id in network.node_ids:
             simulation._handle_recovery(
@@ -352,7 +349,7 @@ class TestFaultySimulationEdgeCases:
             )
         assert simulation.lifecycle.failed_nodes == set()
         for node_id in network.node_ids:
-            assert network.node(node_id).used.is_zero(tol=1e-9)
+            assert node_used(network, node_id).is_zero(tol=1e-9)
         assert_capacity_conserved(network)
 
 
@@ -487,14 +484,14 @@ class TestLinkFailures:
         assert simulation.report.link_failure_events == 1
         assert simulation.report.disrupted_requests == 1
         assert request.request_id not in simulation.lifecycle.active
-        assert network.link(0, 1).available_bandwidth == pytest.approx(0.0)
+        assert link_available(network, 0, 1) == pytest.approx(0.0)
         assert_capacity_conserved(network)
         simulation._handle_link_recovery(
             Event.create(3.0, EventType.LINK_RECOVERY, payload=(0, 1))
         )
         assert simulation.lifecycle.failed_links == set()
         assert simulation.report.link_recovery_events == 1
-        assert network.link(0, 1).available_bandwidth == pytest.approx(
+        assert link_available(network, 0, 1) == pytest.approx(
             network.link(0, 1).bandwidth_capacity
         )
 
@@ -542,9 +539,9 @@ class TestLinkFailures:
         assert simulation.report.link_failure_events > 0
         assert_capacity_conserved(network)
         for node_id in simulation.lifecycle.failed_nodes:
-            assert network.node(node_id).available.is_zero(tol=1e-9)
+            assert node_available(network, node_id).is_zero(tol=1e-9)
         for endpoints in simulation.lifecycle.failed_links:
-            assert network.link(*endpoints).available_bandwidth == pytest.approx(
+            assert link_available(network, *endpoints) == pytest.approx(
                 0.0, abs=1e-9
             )
         simulation.lifecycle.release_fences()

@@ -103,4 +103,4 @@ class TestEndToEndPipeline:
         requests = scenario.generate_requests(horizon=60.0)
         NFVSimulation(network, policy, SimulationConfig(horizon=60.0)).run(requests)
         assert network.total_used().is_zero()
-        assert all(link.used_bandwidth == pytest.approx(0.0) for link in network.links())
+        assert all(used == pytest.approx(0.0) for used in network.ledger.link_used)

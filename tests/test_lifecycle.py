@@ -21,6 +21,7 @@ from repro.sim.failures import ChaosEvent
 from repro.sim.lifecycle import PlacementLifecycle, placement_traverses_link
 from repro.substrate.topology import linear_chain_topology
 from tests.conftest import build_request
+from tests.substrate_oracles import link_available, link_used, node_available, node_used
 from tests.test_failures import assert_capacity_conserved
 from tests.test_serving import FixedChaos, budgeted
 from tests.test_simulation import AcceptFirstNodePolicy
@@ -41,9 +42,9 @@ def assert_lifecycle_invariants(lifecycle):
     network = lifecycle.network
     assert_capacity_conserved(network)
     for node_id in lifecycle.failed_nodes:
-        assert network.node(node_id).available.is_zero(tol=1e-9)
+        assert node_available(network, node_id).is_zero(tol=1e-9)
     for endpoints in lifecycle.failed_links:
-        assert network.link(*endpoints).available_bandwidth == pytest.approx(
+        assert link_available(network, *endpoints) == pytest.approx(
             0.0, abs=1e-9
         )
     for placement in lifecycle.active.values():
@@ -107,10 +108,10 @@ class TestPlacementLifecycleProperties:
         for request_id in list(lifecycle.active):
             lifecycle.depart(request_id)
         assert_capacity_conserved(network)
-        for node in network.nodes():
-            assert node.used.is_zero(tol=1e-9)
+        for node_id in network.node_ids:
+            assert node_used(network, node_id).is_zero(tol=1e-9)
         for link in network.links():
-            assert link.used_bandwidth == pytest.approx(0.0, abs=1e-9)
+            assert link_used(network, *link.endpoints) == pytest.approx(0.0, abs=1e-9)
 
 
 arrivals = st.lists(

@@ -7,6 +7,7 @@ from repro.substrate.link import InsufficientBandwidthError
 from repro.substrate.network import NoRouteError, SubstrateNetwork, UnknownNodeError
 from repro.substrate.node import ComputeNode, NodeTier, make_cloud_node
 from repro.substrate.resources import ResourceVector
+from tests.substrate_oracles import link_used
 
 
 def build_triangle():
@@ -117,7 +118,7 @@ class TestRouting:
 class TestPathBandwidth:
     def test_available_bandwidth_is_bottleneck(self):
         network = build_triangle()
-        network.link(0, 1).reserve("x", 60.0)
+        network.allocate_path([0, 1], "x", 60.0)
         assert network.path_available_bandwidth([0, 1, 2]) == pytest.approx(40.0)
         assert network.path_can_carry([0, 1, 2], 40.0)
         assert not network.path_can_carry([0, 1, 2], 41.0)
@@ -129,18 +130,19 @@ class TestPathBandwidth:
     def test_allocate_path_and_release(self):
         network = build_triangle()
         network.allocate_path([0, 1, 2], "flow", 30.0)
-        assert network.link(0, 1).used_bandwidth == 30.0
-        assert network.link(1, 2).used_bandwidth == 30.0
+        assert link_used(network, 0, 1) == 30.0
+        assert link_used(network, 1, 2) == 30.0
         network.release_path([0, 1, 2], "flow")
-        assert network.link(0, 1).used_bandwidth == 0.0
+        assert link_used(network, 0, 1) == 0.0
 
     def test_allocate_path_rolls_back_on_failure(self):
         network = build_triangle()
-        network.link(1, 2).reserve("other", 90.0)
+        network.allocate_path([1, 2], "other", 90.0)
         with pytest.raises(InsufficientBandwidthError):
             network.allocate_path([0, 1, 2], "flow", 30.0)
         # The first link must have been rolled back.
-        assert network.link(0, 1).used_bandwidth == 0.0
+        assert link_used(network, 0, 1) == 0.0
+        assert "flow" not in network.ledger.link_records[0]
 
     def test_release_path_is_idempotent_for_missing_handles(self):
         network = build_triangle()
@@ -168,7 +170,7 @@ class TestStatistics:
         network = build_triangle()
         assert network.compute_cost_rate() == 0.0
         network.allocate_node(1, "a", ResourceVector(2, 2, 2))
-        network.link(0, 1).reserve("f", 10.0)
+        network.allocate_path([0, 1], "f", 10.0)
         assert network.compute_cost_rate() > 0.0
 
     def test_reset_clears_all_allocations(self):
@@ -177,7 +179,7 @@ class TestStatistics:
         network.allocate_path([0, 1], "f", 10.0)
         network.reset()
         assert network.total_used().is_zero()
-        assert network.link(0, 1).used_bandwidth == 0.0
+        assert link_used(network, 0, 1) == 0.0
 
     def test_snapshot_structure(self):
         network = build_triangle()
@@ -185,3 +187,70 @@ class TestStatistics:
         assert snapshot["num_nodes"] == 3
         assert snapshot["num_links"] == 3
         assert len(snapshot["nodes"]) == 3
+
+    def test_snapshot_reads_usage_from_the_ledger(self):
+        network = build_triangle()
+        network.allocate_node(1, "a", ResourceVector(5, 2.5, 1))
+        network.allocate_node(1, "b", ResourceVector(1, 1, 1))
+        network.allocate_path([0, 1, 2], "f", 10.0)
+        idle = {
+            "used": {"cpu": 0.0, "memory": 0.0, "storage": 0.0},
+            "available": {"cpu": 10.0, "memory": 10.0, "storage": 10.0},
+            "allocations": 0,
+            "max_utilization": 0.0,
+        }
+        static = {
+            "name": "",
+            "tier": "edge",
+            "capacity": {"cpu": 10, "memory": 10, "storage": 10},
+        }
+        expected = [
+            {"node_id": 0, **static, **idle},
+            {
+                "node_id": 1,
+                **static,
+                "used": {"cpu": 6.0, "memory": 3.5, "storage": 2.0},
+                "available": {"cpu": 4.0, "memory": 6.5, "storage": 8.0},
+                "allocations": 2,
+                "max_utilization": 0.6,
+            },
+            {"node_id": 2, **static, **idle},
+        ]
+        nodes = network.snapshot()["nodes"]
+        assert nodes == expected
+        assert [list(node) for node in nodes] == [list(node) for node in expected]
+
+
+class TestTopologyGuard:
+    """The rebuilt ledger starts empty, so topology changes wait for releases."""
+
+    def test_topology_change_refused_while_allocated(self):
+        network = SubstrateNetwork()
+        for node_id in range(3):
+            network.add_node(
+                ComputeNode(node_id, GeoPoint(40.0, -74.0 + node_id), ResourceVector(10, 10, 10))
+            )
+        network.add_link(0, 1, 100.0, latency_ms=1.0)
+        network.add_link(1, 2, 100.0, latency_ms=1.0)
+        network.allocate_node(0, "a", ResourceVector(1, 1, 1))
+        network.allocate_path([0, 1], "f", 0.0)
+        new_node = ComputeNode(3, GeoPoint(41.0, -74.0), ResourceVector(5, 5, 5))
+        with pytest.raises(RuntimeError):
+            network.add_node(new_node)
+        with pytest.raises(RuntimeError):
+            network.add_link(0, 2, 100.0)
+        assert network.num_nodes == 3 and network.num_links == 2
+
+        network.release_node(0, "a")
+        with pytest.raises(RuntimeError):  # a zero-bandwidth reservation is live too
+            network.add_node(new_node)
+        network.release_path([0, 1], "f")
+        network.add_node(new_node)
+        network.add_link(2, 3, 100.0)
+        network.add_link(0, 2, 100.0)
+        ledger = network.ledger
+        assert ledger.num_nodes == 4 and ledger.node_row[3] == 3
+        assert ledger.num_links == 4 and (2, 3) in ledger.edge_index
+        assert not ledger.node_used.any() and not ledger.link_used.any()
+        network.allocate_node(3, "b", ResourceVector(5, 5, 5))
+        assert ledger.node_alloc_count[3] == 1

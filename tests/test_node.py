@@ -3,6 +3,7 @@
 import pytest
 
 from repro.substrate.geo import GeoPoint
+from repro.substrate.network import SubstrateNetwork
 from repro.substrate.node import (
     ComputeNode,
     InsufficientCapacityError,
@@ -12,6 +13,7 @@ from repro.substrate.node import (
     make_edge_node,
 )
 from repro.substrate.resources import ResourceVector
+from tests.substrate_oracles import node_available, node_used
 
 
 @pytest.fixture
@@ -22,6 +24,18 @@ def node():
         capacity=ResourceVector(8.0, 16.0, 100.0),
         tier=NodeTier.EDGE,
     )
+
+
+@pytest.fixture
+def network(node):
+    network = SubstrateNetwork()
+    network.add_node(node)
+    return network
+
+
+def records_of(network):
+    """The live allocation records of the network's only node."""
+    return network.ledger.node_records[0]
 
 
 class TestConstruction:
@@ -52,73 +66,73 @@ class TestConstruction:
 
 
 class TestAllocation:
-    def test_allocate_updates_usage(self, node):
-        node.allocate("a", ResourceVector(2, 4, 10))
-        assert node.used.as_tuple() == (2.0, 4.0, 10.0)
-        assert node.available.as_tuple() == (6.0, 12.0, 90.0)
-        assert node.is_active
-        assert node.allocation_count == 1
+    """Node allocations through the network API, checked on the ledger row."""
 
-    def test_allocate_rejects_over_capacity(self, node):
+    def test_allocate_updates_usage(self, network):
+        network.allocate_node(1, "a", ResourceVector(2, 4, 10))
+        assert node_used(network, 1).as_tuple() == (2.0, 4.0, 10.0)
+        assert node_available(network, 1).as_tuple() == (6.0, 12.0, 90.0)
+        assert list(records_of(network)) == ["a"]
+        assert network.ledger.node_alloc_count[0] == 1
+
+    def test_allocate_rejects_over_capacity(self, network):
         with pytest.raises(InsufficientCapacityError):
-            node.allocate("big", ResourceVector(9, 1, 1))
-        assert not node.is_active
+            network.allocate_node(1, "big", ResourceVector(9, 1, 1))
+        assert not records_of(network)
+        assert node_used(network, 1).is_zero()
 
-    def test_allocate_duplicate_handle_rejected(self, node):
-        node.allocate("a", ResourceVector(1, 1, 1))
+    def test_allocate_duplicate_handle_rejected(self, network):
+        network.allocate_node(1, "a", ResourceVector(1, 1, 1))
         with pytest.raises(ValueError, match="already exists"):
-            node.allocate("a", ResourceVector(1, 1, 1))
+            network.allocate_node(1, "a", ResourceVector(1, 1, 1))
 
-    def test_release_returns_demand(self, node):
+    def test_release_returns_demand(self, network):
         demand = ResourceVector(2, 2, 2)
-        node.allocate("a", demand)
-        assert node.release("a") == demand
-        assert node.used.is_zero()
-        assert not node.is_active
+        network.allocate_node(1, "a", demand)
+        released = network.ledger.release_node(network.ledger.node_row[1], "a")
+        assert tuple(released) == demand.as_tuple()
+        assert node_used(network, 1).is_zero()
+        assert not records_of(network)
 
-    def test_release_unknown_handle(self, node):
+    def test_release_unknown_handle(self, network):
         with pytest.raises(UnknownAllocationError):
-            node.release("missing")
+            network.release_node(1, "missing")
 
-    def test_can_host_respects_current_usage(self, node):
-        node.allocate("a", ResourceVector(6, 1, 1))
-        assert not node.can_host(ResourceVector(3, 1, 1))
-        assert node.can_host(ResourceVector(2, 1, 1))
+    def test_can_host_respects_current_usage(self, network):
+        network.allocate_node(1, "a", ResourceVector(6, 1, 1))
+        ledger = network.ledger
+        assert not ledger.can_host_all(ResourceVector(3, 1, 1).as_array())[0]
+        assert ledger.can_host_all(ResourceVector(2, 1, 1).as_array())[0]
 
-    def test_multiple_allocations_accumulate(self, node):
-        node.allocate("a", ResourceVector(2, 2, 2))
-        node.allocate("b", ResourceVector(3, 3, 3))
-        assert node.used.as_tuple() == (5.0, 5.0, 5.0)
-        node.release("a")
-        assert node.used.as_tuple() == (3.0, 3.0, 3.0)
+    def test_multiple_allocations_accumulate(self, network):
+        network.allocate_node(1, "a", ResourceVector(2, 2, 2))
+        network.allocate_node(1, "b", ResourceVector(3, 3, 3))
+        assert node_used(network, 1).as_tuple() == (5.0, 5.0, 5.0)
+        network.release_node(1, "a")
+        assert node_used(network, 1).as_tuple() == (3.0, 3.0, 3.0)
 
-    def test_reset_clears_everything(self, node):
-        node.allocate("a", ResourceVector(2, 2, 2))
-        node.reset()
-        assert node.used.is_zero()
-        assert node.peak_used.is_zero()
-        assert not node.holds("a")
+    def test_reset_clears_everything(self, network):
+        network.allocate_node(1, "a", ResourceVector(2, 2, 2))
+        network.reset()
+        assert node_used(network, 1).is_zero()
+        assert "a" not in records_of(network)
+        assert network.ledger.node_alloc_count[0] == 0
 
-    def test_peak_usage_tracks_high_water_mark(self, node):
-        node.allocate("a", ResourceVector(4, 4, 4))
-        node.release("a")
-        node.allocate("b", ResourceVector(1, 1, 1))
-        assert node.peak_used.as_tuple() == (4.0, 4.0, 4.0)
-
-    def test_allocation_exactly_filling_capacity(self, node):
-        node.allocate("full", ResourceVector(8, 16, 100))
-        assert node.max_utilization() == pytest.approx(1.0)
-        assert not node.can_host(ResourceVector(0.1, 0, 0))
+    def test_allocation_exactly_filling_capacity(self, network):
+        network.allocate_node(1, "full", ResourceVector(8, 16, 100))
+        ledger = network.ledger
+        assert ledger.max_utilization()[0] == pytest.approx(1.0)
+        assert not ledger.can_host_all(ResourceVector(0.1, 0, 0).as_array())[0]
 
 
 class TestUtilizationAndCost:
-    def test_utilization_ratios(self, node):
-        node.allocate("a", ResourceVector(4, 4, 10))
-        utilization = node.utilization()
-        assert utilization["cpu"] == pytest.approx(0.5)
-        assert utilization["memory"] == pytest.approx(0.25)
-        assert node.max_utilization() == pytest.approx(0.5)
-        assert node.mean_utilization() == pytest.approx((0.5 + 0.25 + 0.1) / 3)
+    def test_utilization_ratios(self, network):
+        network.allocate_node(1, "a", ResourceVector(4, 4, 10))
+        utilization = network.ledger.utilization_matrix()[0]
+        assert utilization[0] == pytest.approx(0.5)
+        assert utilization[1] == pytest.approx(0.25)
+        assert network.ledger.max_utilization()[0] == pytest.approx(0.5)
+        assert utilization.mean() == pytest.approx((0.5 + 0.25 + 0.1) / 3)
 
     def test_hosting_cost_scales_with_duration(self, node):
         demand = ResourceVector(2, 2, 2)
@@ -131,19 +145,28 @@ class TestUtilizationAndCost:
             node.hosting_cost(ResourceVector(1, 1, 1), -1.0)
 
     def test_usage_cost_rate_includes_activation(self):
-        node = ComputeNode(
-            node_id=0,
-            location=GeoPoint(0, 0),
-            capacity=ResourceVector(10, 10, 10),
-            activation_cost=5.0,
+        network = SubstrateNetwork()
+        network.add_node(
+            ComputeNode(
+                node_id=0,
+                location=GeoPoint(0, 0),
+                capacity=ResourceVector(10, 10, 10),
+                activation_cost=5.0,
+            )
         )
-        assert node.usage_cost_rate() == 0.0
-        node.allocate("a", ResourceVector(1, 1, 1))
-        assert node.usage_cost_rate() > 5.0
+        assert network.compute_cost_rate() == 0.0
+        network.allocate_node(0, "a", ResourceVector(1, 1, 1))
+        assert network.compute_cost_rate() > 5.0
 
-    def test_snapshot_contains_key_fields(self, node):
-        node.allocate("a", ResourceVector(1, 1, 1))
-        snapshot = node.snapshot()
+    def test_snapshot_contains_key_fields(self, node, network):
+        network.allocate_node(1, "a", ResourceVector(1, 1, 1))
+        assert node.snapshot() == {
+            "node_id": 1,
+            "name": "",
+            "tier": "edge",
+            "capacity": {"cpu": 8.0, "memory": 16.0, "storage": 100.0},
+        }
+        snapshot = network.snapshot()["nodes"][0]
         assert snapshot["node_id"] == 1
         assert snapshot["tier"] == "edge"
         assert snapshot["allocations"] == 1

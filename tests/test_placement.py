@@ -5,6 +5,13 @@ import pytest
 from repro.nfv.placement import Placement, PlacementError
 from repro.substrate.resources import ResourceVector
 from tests.conftest import build_request
+from tests.substrate_oracles import link_used
+
+
+def allocation_count(network, node_id):
+    """Live allocations on ``node_id``, from its ledger row."""
+    ledger = network.ledger
+    return len(ledger.node_records[ledger.node_row[node_id]])
 
 
 class TestRoutingAndLatency:
@@ -96,13 +103,13 @@ class TestCommitRelease:
         placement = Placement.build(request, [1, 2], small_network)
         placement.commit(small_network)
         assert placement.is_committed
-        assert small_network.node(1).allocation_count == 1
-        assert small_network.node(2).allocation_count == 1
-        assert small_network.link(0, 1).used_bandwidth == pytest.approx(50.0)
+        assert allocation_count(small_network, 1) == 1
+        assert allocation_count(small_network, 2) == 1
+        assert link_used(small_network, 0, 1) == pytest.approx(50.0)
         placement.release(small_network)
         assert not placement.is_committed
         assert small_network.total_used().is_zero()
-        assert small_network.link(0, 1).used_bandwidth == 0.0
+        assert link_used(small_network, 0, 1) == 0.0
 
     def test_double_commit_rejected(self, small_network, catalog):
         request = build_request(catalog, source=0)
@@ -125,8 +132,8 @@ class TestCommitRelease:
         with pytest.raises(PlacementError):
             placement.commit(small_network)
         # Node 1's allocation from the partial commit must have been rolled back.
-        assert small_network.node(1).allocation_count == 0
-        assert small_network.link(0, 1).used_bandwidth == 0.0
+        assert allocation_count(small_network, 1) == 0
+        assert link_used(small_network, 0, 1) == 0.0
         assert not placement.is_committed
 
 

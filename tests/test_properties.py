@@ -10,10 +10,11 @@ from repro.nn.activations import softmax
 from repro.nn.losses import HuberLoss, MSELoss
 from repro.nn.network import MLP
 from repro.sim.arrivals import PoissonProcess
-from repro.substrate.link import Link
 from repro.substrate.geo import GeoPoint, haversine_km
+from repro.substrate.network import SubstrateNetwork
 from repro.substrate.node import ComputeNode
 from repro.substrate.resources import ResourceVector
+from tests.substrate_oracles import link_available, link_used, node_available, node_used
 
 # Strategy helpers -----------------------------------------------------------
 
@@ -42,10 +43,6 @@ class TestResourceVectorProperties:
         result = a - b
         assert result.cpu >= 0 and result.memory >= 0 and result.storage >= 0
 
-    @given(resource_vectors, resource_vectors)
-    def test_fits_within_consistent_with_deficit(self, a, b):
-        assert a.fits_within(b) == a.deficit_against(b).is_zero(tol=1e-9)
-
     @given(resource_vectors, st.floats(min_value=0.0, max_value=1e3, allow_nan=False))
     def test_scaling_preserves_order(self, a, factor):
         scaled = a * factor
@@ -68,6 +65,15 @@ class TestGeoProperties:
         assert haversine_km(a, c) <= haversine_km(a, b) + haversine_km(b, c) + 1e-6
 
 
+def two_node_network(capacity, bandwidth=100.0):
+    """Nodes 0 and 1 of ``capacity`` joined by one ``bandwidth`` Mbps link."""
+    network = SubstrateNetwork()
+    network.add_node(ComputeNode(0, GeoPoint(0, 0), capacity))
+    network.add_node(ComputeNode(1, GeoPoint(0, 1), capacity))
+    network.add_link(0, 1, bandwidth, latency_ms=1.0)
+    return network
+
+
 class TestNodeAllocationProperties:
     @given(
         st.lists(
@@ -80,27 +86,28 @@ class TestNodeAllocationProperties:
         )
     )
     def test_allocate_release_conserves_capacity(self, demands):
-        node = ComputeNode(0, GeoPoint(0, 0), ResourceVector(1000, 1000, 1000))
+        capacity = ResourceVector(1000, 1000, 1000)
+        network = two_node_network(capacity)
         handles = []
         for index, (cpu, memory) in enumerate(demands):
             handle = f"h{index}"
-            node.allocate(handle, ResourceVector(cpu, memory, 0.0))
+            network.allocate_node(0, handle, ResourceVector(cpu, memory, 0.0))
             handles.append(handle)
         for handle in handles:
-            node.release(handle)
-        assert node.used.is_zero(tol=1e-6)
-        assert node.available.almost_equal(node.capacity, tol=1e-6)
+            network.release_node(0, handle)
+        assert node_used(network, 0).is_zero(tol=1e-6)
+        assert node_available(network, 0).almost_equal(capacity, tol=1e-6)
 
     @given(st.floats(min_value=0.0, max_value=100.0, allow_nan=False))
     def test_can_host_iff_allocate_succeeds(self, cpu):
-        node = ComputeNode(0, GeoPoint(0, 0), ResourceVector(50, 50, 50))
+        network = two_node_network(ResourceVector(50, 50, 50))
         demand = ResourceVector(cpu, 0, 0)
-        if node.can_host(demand):
-            node.allocate("x", demand)
-            assert node.holds("x")
+        if network.ledger.can_host_all(demand.as_array())[0]:
+            network.allocate_node(0, "x", demand)
+            assert "x" in network.ledger.node_records[0]
         else:
             with pytest.raises(Exception):
-                node.allocate("x", demand)
+                network.allocate_node(0, "x", demand)
 
 
 class TestLinkProperties:
@@ -108,12 +115,12 @@ class TestLinkProperties:
         st.lists(st.floats(min_value=0.0, max_value=30.0, allow_nan=False), min_size=1, max_size=15)
     )
     def test_reservations_never_exceed_capacity(self, bandwidths):
-        link = Link(endpoints=(0, 1), bandwidth_capacity=100.0, latency_ms=1.0)
+        network = two_node_network(ResourceVector(1, 1, 1))
         for index, bandwidth in enumerate(bandwidths):
-            if link.can_carry(bandwidth):
-                link.reserve(f"r{index}", bandwidth)
-        assert link.used_bandwidth <= link.bandwidth_capacity + 1e-6
-        assert link.available_bandwidth >= -1e-6
+            if network.path_can_carry([0, 1], bandwidth):
+                network.allocate_path([0, 1], f"r{index}", bandwidth)
+        assert link_used(network, 0, 1) <= 100.0 + 1e-6
+        assert link_available(network, 0, 1) >= -1e-6
 
 
 class TestSLAProperties:

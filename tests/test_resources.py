@@ -57,10 +57,6 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             ResourceVector(1, 1, 1) * -1
 
-    def test_elementwise_max(self):
-        result = ResourceVector(1, 5, 2).elementwise_max(ResourceVector(3, 1, 2))
-        assert result.as_tuple() == (3.0, 5.0, 2.0)
-
     def test_aggregate(self):
         vectors = [ResourceVector(1, 1, 1)] * 3
         assert aggregate(vectors).as_tuple() == (3.0, 3.0, 3.0)
@@ -69,40 +65,7 @@ class TestArithmetic:
         assert aggregate([]).is_zero()
 
 
-class TestFitsAndDeficit:
-    def test_fits_within_true(self):
-        assert ResourceVector(1, 1, 1).fits_within(ResourceVector(2, 2, 2))
-
-    def test_fits_within_false_single_dimension(self):
-        assert not ResourceVector(3, 1, 1).fits_within(ResourceVector(2, 2, 2))
-
-    def test_fits_within_exact_boundary(self):
-        assert ResourceVector(2, 2, 2).fits_within(ResourceVector(2, 2, 2))
-
-    def test_deficit_against(self):
-        deficit = ResourceVector(3, 1, 5).deficit_against(ResourceVector(2, 2, 2))
-        assert deficit.as_tuple() == (1.0, 0.0, 3.0)
-
-
 class TestRatiosAndReductions:
-    def test_utilization_against(self):
-        ratios = ResourceVector(1, 2, 0).utilization_against(ResourceVector(2, 4, 8))
-        assert ratios == {"cpu": 0.5, "memory": 0.5, "storage": 0.0}
-
-    def test_utilization_with_zero_capacity_dimension(self):
-        ratios = ResourceVector(1, 0, 0).utilization_against(ResourceVector(0, 4, 8))
-        assert ratios["cpu"] == 0.0
-
-    def test_max_utilization(self):
-        value = ResourceVector(1, 3, 0).max_utilization_against(ResourceVector(2, 4, 8))
-        assert value == pytest.approx(0.75)
-
-    def test_mean_utilization(self):
-        value = ResourceVector(1, 2, 4).mean_utilization_against(
-            ResourceVector(2, 4, 8)
-        )
-        assert value == pytest.approx(0.5)
-
     def test_dot_product(self):
         assert ResourceVector(1, 2, 3).dot(ResourceVector(2, 0.5, 1)) == pytest.approx(6.0)
 

@@ -11,6 +11,7 @@ from repro.core.reward import (
 )
 from repro.nfv.placement import Placement
 from tests.conftest import build_request
+from tests.substrate_oracles import node_max_utilization
 
 
 @pytest.fixture
@@ -53,7 +54,7 @@ class TestStepReward:
         expected = -(
             config.step_latency_weight * (2.0 / request.sla.max_latency_ms)
             + config.step_cost_weight * (hosting / config.cost_normalizer)
-            + config.load_balance_weight * 0.1 * node.max_utilization()
+            + config.load_balance_weight * 0.1 * node_max_utilization(small_network, 1)
         )
         reward = calculator.step_reward(request, small_network, 1, 2.0, 0)
         assert reward == pytest.approx(expected, rel=1e-12, abs=0.0)

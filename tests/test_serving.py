@@ -23,6 +23,7 @@ from repro.substrate.topology import TopologyConfig, linear_chain_topology
 from repro.workloads.scenarios import reference_scenario
 from tests.conftest import build_request
 from tests.test_simulation import AcceptFirstNodePolicy, RejectAllPolicy
+from tests.substrate_oracles import node_available
 
 
 # --------------------------------------------------------------------------- #
@@ -291,9 +292,9 @@ class TestOnlinePlacementService:
         assert report.accepted == 3
         assert report.shed == 0 and report.rejected == 0
         assert not service.lifecycle.active, "all placements released at departure"
-        node = service.network.node(0)
-        assert node.available.as_array() == pytest.approx(
-            node._capacity_arr
+        network = service.network
+        assert node_available(network, 0).as_array() == pytest.approx(
+            network.node(0).capacity.as_array()
         ), "capacity fully restored after departures"
 
     def test_rejection_accounted_separately_from_shed(self, catalog):
@@ -349,8 +350,10 @@ class TestOnlinePlacementService:
         assert report.replaced == 1
         assert report.lost == 0 and report.expired == 0
         # The re-placement's departure still fires and releases capacity.
-        node = service.network.node(1)
-        assert node.available.as_array() == pytest.approx(node._capacity_arr)
+        network = service.network
+        assert node_available(network, 1).as_array() == pytest.approx(
+            network.node(1).capacity.as_array()
+        )
 
     def test_retry_budget_exhaustion_declares_lost(self, catalog):
         # The only placement target fails and never recovers: retries back

@@ -12,6 +12,7 @@ from repro.sim.simulation import (
     run_policy_comparison,
 )
 from tests.conftest import build_request
+from tests.substrate_oracles import link_used
 
 
 class AcceptFirstNodePolicy(PlacementPolicy):
@@ -52,7 +53,7 @@ class TestSimulationLifecycle:
         assert result.summary.accepted_requests == 2
         # After the horizon all departures have been processed.
         assert small_network.total_used().is_zero()
-        assert small_network.link(0, 1).used_bandwidth == 0.0
+        assert link_used(small_network, 0, 1) == 0.0
 
     def test_reject_all_policy(self, small_network, catalog):
         requests = [build_request(catalog, arrival=float(i + 1)) for i in range(5)]

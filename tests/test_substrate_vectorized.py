@@ -30,6 +30,10 @@ from repro.workloads.generator import RequestGenerator, WorkloadConfig
 from tests.substrate_oracles import (
     encode_reference,
     is_feasible_reference,
+    link_used,
+    node_can_host,
+    node_max_utilization,
+    node_used,
     valid_mask_reference,
 )
 
@@ -64,10 +68,11 @@ def allocate_some_load(network: SubstrateNetwork, seed: int) -> None:
                 node.capacity.memory * fraction,
                 node.capacity.storage * fraction * 0.5,
             )
-            node.allocate(f"load:{node.node_id}", demand)
+            network.allocate_node(node.node_id, f"load:{node.node_id}", demand)
     for link in network.links():
         if rng.random() < 0.5:
-            link.reserve(
+            network.allocate_path(
+                link.endpoints,
                 f"flow:{link.endpoints}",
                 link.bandwidth_capacity * float(rng.uniform(0.1, 0.8)),
             )
@@ -147,20 +152,24 @@ class TestDenseRoutingEquivalence:
 
 class TestLedgerEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_ledger_mirrors_objects(self, seed):
+    def test_ledger_arrays_equal_record_sums(self, seed):
         for network in random_topologies(seed):
             ledger = network.ledger
+            used_rows, used_slots = ledger.node_used, ledger.link_used
             allocate_some_load(network, seed)
-            for node in network.nodes():
-                row = ledger.node_row[node.node_id]
-                assert np.allclose(ledger.node_used[row], node.used.as_array())
-                assert ledger.node_alloc_count[row] == node.allocation_count
-            for link in network.links():
-                slot = ledger.edge_index[link.endpoints]
-                assert ledger.link_used[slot] == pytest.approx(link.used_bandwidth)
+            assert ledger.node_alloc_count.any() and used_slots.any()
+            for row, records in enumerate(ledger.node_records):
+                assert np.allclose(used_rows[row], sum(records.values(), np.zeros(3)))
+                assert ledger.node_alloc_count[row] == len(records)
+            for slot, records in enumerate(ledger.link_records):
+                assert used_slots[slot] == pytest.approx(sum(records.values()))
             network.reset()
-            assert np.all(ledger.node_used == 0.0)
-            assert np.all(ledger.link_used == 0.0)
+            # Reset zeroes the arrays in place: held views see it.
+            assert used_rows is ledger.node_used and used_slots is ledger.link_used
+            assert np.all(used_rows == 0.0)
+            assert np.all(ledger.node_alloc_count == 0)
+            assert np.all(used_slots == 0.0)
+            assert not any(ledger.node_records) and not any(ledger.link_records)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_can_host_all_matches_per_node_loop(self, seed):
@@ -175,16 +184,18 @@ class TestLedgerEquivalence:
                     float(rng.uniform(0, 400)),
                 )
                 vector = ledger.can_host_all(demand.as_array())
-                for node in network.nodes():
-                    row = ledger.node_row[node.node_id]
-                    assert bool(vector[row]) == node.can_host(demand)
+                for node_id in network.node_ids:
+                    row = ledger.node_row[node_id]
+                    assert bool(vector[row]) == node_can_host(network, node_id, demand)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_utilization_stats_match_object_loops(self, seed):
         for network in random_topologies(seed):
             allocate_some_load(network, seed)
             values = [
-                node.max_utilization() for node in network.nodes() if node.is_edge
+                node_max_utilization(network, node.node_id)
+                for node in network.nodes()
+                if node.is_edge
             ]
             mean, std = network.ledger.utilization_stats(edge_only=True)
             assert mean == pytest.approx(sum(values) / len(values))
@@ -193,9 +204,15 @@ class TestLedgerEquivalence:
                 / len(values)
             ) ** 0.5
             assert std == pytest.approx(reference_std)
+            ledger = network.ledger
             reference_cost = sum(
-                node.usage_cost_rate() for node in network.nodes()
-            ) + sum(link.usage_cost_rate() for link in network.links())
+                node_used(network, node.node_id).dot(node.cost_per_unit)
+                + (node.activation_cost if ledger.node_records[row] else 0.0)
+                for row, node in enumerate(network.nodes())
+            ) + sum(
+                link_used(network, *link.endpoints) * link.cost_per_mbps
+                for link in network.links()
+            )
             assert network.compute_cost_rate() == pytest.approx(reference_cost)
 
 

@@ -25,6 +25,7 @@ from repro.workloads.scenarios import (
     sample_scenarios,
     scenario_grid,
 )
+from tests.substrate_oracles import node_available
 
 SEED = 7
 ENV_CONFIG = EnvConfig(requests_per_episode=6)
@@ -349,14 +350,12 @@ class TestFaultInjectedLanes:
             actions = [masked_random_action(masks[i], rng) for i in range(2)]
             venv.step(actions)
             for env in venv.envs:
-                for node in env.network.nodes():
-                    total = sum(
-                        (d.as_array() for d in node._allocations.values()),
-                        np.zeros(3),
-                    )
-                    np.testing.assert_allclose(total, node._used_arr, atol=1e-6)
+                ledger = env.network.ledger
+                for records, used in zip(ledger.node_records, ledger.node_used):
+                    total = sum(records.values(), np.zeros(3))
+                    np.testing.assert_allclose(total, used, atol=1e-6)
                 for node_id in env.failed_nodes:
-                    assert env.network.node(node_id).available.is_zero(tol=1e-9)
+                    assert node_available(env.network, node_id).is_zero(tol=1e-9)
 
     def test_recovery_releases_fence(self):
         scenario = small_scenario()
@@ -370,10 +369,11 @@ class TestFaultInjectedLanes:
         node_id = env.network.edge_node_ids[0]
         env._fail_node(node_id)
         assert env.failed_nodes == [node_id]
-        assert env.network.node(node_id).available.is_zero()
+        assert node_available(env.network, node_id).is_zero()
         env._recover_node(node_id)
         assert env.failed_nodes == []
-        assert not env.network.node(node_id).holds(node_fence_handle(node_id))
+        ledger = env.network.ledger
+        assert node_fence_handle(node_id) not in ledger.node_records[ledger.node_row[node_id]]
 
 
 class TestExplorationDecayEquivalence:
