@@ -6,9 +6,16 @@ on the chain ``0 — 1 — 2 — 3``.  After every operation the books must
 balance, usage must stay within capacity, a call that raised must leave the
 ledger bitwise unchanged, and the memoized ``can_host_all`` must agree with
 a scalar fit check on every node.
+
+The unit tests pin the float rules of each primitive one at a time: the
+per-dimension node fit and its tolerance, the fit against clamped free
+bandwidth, release clamped at zero, in-place array updates, memo
+invalidation on every node write, and fences sized to exactly the free
+capacity.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -150,3 +157,155 @@ def test_zero_capacity_dimension_reports_zero_utilization():
     network.add_node(ComputeNode(0, GeoPoint(0, 0), ResourceVector(2, 4, 0)))
     network.allocate_node(0, "a", ResourceVector(1, 2, 0))
     assert network.ledger.utilization_matrix()[0].tolist() == [0.5, 0.5, 0.0]
+
+
+# --------------------------------------------------------------------------- #
+# The float rules of each primitive
+# --------------------------------------------------------------------------- #
+CAPACITY = np.array([8.0, 16.0, 100.0])  # every node of the chain
+BANDWIDTH = 1000.0  # every link of the chain
+
+
+@pytest.fixture
+def chain():
+    return linear_chain_topology(num_edge_nodes=NUM_NODES, seed=7)
+
+
+class TestNodePrimitives:
+    @pytest.mark.parametrize("dim", [0, 1, 2], ids=["cpu", "memory", "storage"])
+    def test_fit_checks_each_dimension(self, chain, dim):
+        ledger = chain.ledger
+        ledger.allocate_node(1, "base", CAPACITY / 2)
+        before = ledger_state(ledger)
+        demand = CAPACITY / 2
+        demand[dim] += 1e-6  # overflows in this dimension only
+        with pytest.raises(InsufficientCapacityError, match=r"node 1 .* free \[4\.0, 8\.0, 50\.0\]"):
+            ledger.allocate_node(1, "over", demand)
+        assert ledger_state(ledger) == before
+        ledger.allocate_node(1, "exact", CAPACITY / 2)
+        assert ledger.node_used[1].tolist() == CAPACITY.tolist()
+
+    def test_fit_tolerance_does_not_accumulate(self, chain):
+        # used + d <= cap + 1e-9: one overshoot inside the tolerance is
+        # accepted, a second one on top of it is not.
+        ledger = chain.ledger
+        ledger.allocate_node(0, "a", CAPACITY + 0.9e-9)
+        with pytest.raises(InsufficientCapacityError):
+            ledger.allocate_node(0, "b", np.array([0.9e-9, 0.0, 0.0]))
+        ledger.allocate_node(0, "zero", np.zeros(3))
+        with pytest.raises(InsufficientCapacityError):
+            ledger.allocate_node(2, "c", CAPACITY + np.array([0.0, 2e-9, 0.0]))
+        assert not ledger.node_records[2] and not ledger.node_used[2].any()
+
+    def test_release_clamps_float_residue_at_zero(self, chain):
+        ledger = chain.ledger
+        assert 0.3 + 0.6 - 0.3 - 0.6 < 0.0  # the unclamped residue is negative
+        ledger.allocate_node(3, "a", np.array([0.3, 0.3, 0.3]))
+        ledger.allocate_node(3, "b", np.array([0.6, 0.6, 0.6]))
+        ledger.release_node(3, "a")
+        ledger.release_node(3, "b")
+        assert ledger.node_used[3].tolist() == [0.0, 0.0, 0.0]
+        assert ledger.node_alloc_count[3] == 0
+
+    def test_max_utilization_is_the_bottleneck_dimension(self, chain):
+        ledger = chain.ledger
+        ledger.allocate_node(0, "cpu-bound", np.array([6.0, 4.0, 10.0]))
+        ledger.allocate_node(1, "storage-bound", np.array([2.0, 4.0, 90.0]))
+        assert ledger.max_utilization().tolist() == [0.75, 0.9, 0.0, 0.0]
+        values = np.array([0.75, 0.9, 0.0, 0.0])
+        mean, std = ledger.utilization_stats()
+        assert mean == pytest.approx(values.mean())
+        assert std == pytest.approx(values.std())
+
+    def test_every_node_write_refreshes_the_memos(self, chain):
+        ledger = chain.ledger
+        probe = np.array([5.0, 0.0, 0.0])
+        assert ledger.max_utilization()[2] == 0.0 and ledger.can_host_all(probe)[2]
+        ledger.allocate_node(2, "a", np.array([4.0, 0.0, 0.0]))
+        assert ledger.utilization_matrix()[2].tolist() == [0.5, 0.0, 0.0]
+        assert ledger.max_utilization()[2] == 0.5 and not ledger.can_host_all(probe)[2]
+        ledger.release_node(2, "a")
+        assert ledger.max_utilization()[2] == 0.0 and ledger.can_host_all(probe)[2]
+        ledger.allocate_node(2, "b", np.array([8.0, 0.0, 0.0]))
+        assert ledger.max_utilization()[2] == 1.0 and not ledger.can_host_all(probe)[2]
+        ledger.reset()
+        assert not ledger.utilization_matrix().any()
+        assert ledger.max_utilization()[2] == 0.0 and ledger.can_host_all(probe)[2]
+
+    def test_writes_keep_the_arrays_in_place(self, chain):
+        ledger = chain.ledger
+        views = (ledger.node_used, ledger.node_alloc_count, ledger.link_used)
+        held_row = ledger.node_used[1]  # a row view, as DecisionRows holds
+        ledger.allocate_node(1, "a", np.array([1.0, 2.0, 3.0]))
+        ledger.reserve_link(0, "f", 10.0)
+        assert held_row.tolist() == [1.0, 2.0, 3.0] and views[2][0] == 10.0
+        ledger.release_node(1, "a")
+        ledger.release_link(0, "f")
+        ledger.allocate_node(1, "b", np.array([2.0, 2.0, 2.0]))
+        ledger.reset()
+        after = (ledger.node_used, ledger.node_alloc_count, ledger.link_used)
+        assert all(held is current for held, current in zip(views, after))
+        assert not held_row.any() and not views[1].any()
+
+
+class TestLinkPrimitives:
+    def test_fit_reads_the_clamped_free_bandwidth(self, chain):
+        # bw <= max(0, cap - used) + 1e-9: once a link is filled inside the
+        # tolerance its free bandwidth reads 0, not a negative amount.
+        ledger = chain.ledger
+        ledger.reserve_link(1, "a", BANDWIDTH + 0.9e-9)
+        ledger.reserve_link(1, "b", 0.9e-9)
+        ledger.reserve_link(1, "zero", 0.0)
+        before = ledger_state(ledger)
+        with pytest.raises(InsufficientBandwidthError, match=r"link \(1, 2\)"):
+            ledger.reserve_link(1, "c", 2e-9)
+        assert ledger_state(ledger) == before
+
+    def test_release_clamps_float_residue_at_zero(self, chain):
+        ledger = chain.ledger
+        ledger.reserve_link(2, "a", 0.3)
+        ledger.reserve_link(2, "b", 0.6)
+        ledger.release_link(2, "a")
+        ledger.release_link(2, "b")
+        assert ledger.link_used[2] == 0.0 and not ledger.link_records[2]
+
+
+class TestFences:
+    def test_node_fence_takes_exactly_the_free_capacity(self, chain):
+        ledger = chain.ledger
+        ledger.allocate_node(1, "a", np.array([0.3, 1.7, 33.3]))
+        used = ledger.node_used[1].copy()
+        remaining = np.maximum(CAPACITY - used, 0.0)
+        refresh_node_fence(chain, 1)
+        fence = ledger.node_records[1]["fence:node:1"]
+        assert fence.tobytes() == remaining.tobytes()
+        assert ledger.node_used[1].tobytes() == (used + remaining).tobytes()
+        assert not ledger.can_host_all(np.array([1e-6, 0.0, 0.0]))[1]
+        refresh_node_fence(chain, 1)  # idempotent: the fence is re-sized, not stacked
+        assert list(ledger.node_records[1]) == ["a", "fence:node:1"]
+        assert ledger.node_alloc_count[1] == 2
+        release_node_fence(chain, 1)
+        assert list(ledger.node_records[1]) == ["a"]
+        assert ledger.node_used[1] == pytest.approx(used)
+
+    def test_node_fence_skips_a_full_node(self, chain):
+        ledger = chain.ledger
+        ledger.allocate_node(2, "full", CAPACITY.copy())
+        before = ledger_state(ledger)
+        refresh_node_fence(chain, 2)
+        release_node_fence(chain, 2)
+        assert ledger_state(ledger) == before
+        assert list(ledger.node_records[2]) == ["full"]
+
+    def test_link_fence_takes_exactly_the_free_bandwidth(self, chain):
+        ledger = chain.ledger
+        ledger.reserve_link(0, "f", 123.4)
+        refresh_link_fence(chain, (1, 0))
+        assert ledger.link_records[0]["fence:link:0:1"] == BANDWIDTH - 123.4
+        assert ledger.link_used[0] == 123.4 + (BANDWIDTH - 123.4)
+        release_link_fence(chain, (0, 1))
+        assert list(ledger.link_records[0]) == ["f"]
+        ledger.reserve_link(0, "rest", BANDWIDTH - 123.4)
+        before = ledger_state(ledger)
+        refresh_link_fence(chain, (0, 1))  # a full link gets no fence
+        assert ledger_state(ledger) == before
