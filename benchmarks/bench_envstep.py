@@ -1,6 +1,6 @@
 """Microbenchmark of the environment core and its routing layer.
 
-Two measurements over the dense routing tables (all-pairs latency matrix
+Three measurements over the dense routing tables (all-pairs latency matrix
 with next-hop reconstruction), the array-backed substrate ledger and the
 batched state/mask encoding:
 
@@ -9,7 +9,10 @@ batched state/mask encoding:
   masked-random episodes on the default metro/cloud topology;
 * ``latency_lookups`` — ``latency_between`` throughput and Floyd–Warshall
   build time as a function of topology size; lookups should stay
-  near-constant in N while the build grows as O(N³).
+  near-constant in N while the build grows as O(N³);
+* ``placement_ops`` — µs per call of ``Placement.build``, ``is_feasible``,
+  ``commit`` and ``release`` over one reference-scenario trace, replayed
+  the way the simulator and the serving loop drive placements.
 
 Run standalone::
 
@@ -23,12 +26,15 @@ per-object oracles.
 
 from __future__ import annotations
 
+import heapq
 import time
 from typing import Dict, List
 
 import numpy as np
 
+from repro.baselines import GreedyLeastLoadedPolicy
 from repro.core.env import EnvConfig, VNFPlacementEnv
+from repro.nfv.placement import Placement
 from repro.substrate.network import DenseRouting
 from repro.substrate.topology import (
     TopologyConfig,
@@ -36,10 +42,16 @@ from repro.substrate.topology import (
     scaled_topology,
 )
 from repro.workloads.generator import RequestGenerator, WorkloadConfig
+from repro.workloads.scenarios import reference_scenario
 
 EPISODES = 4
 REQUESTS_PER_EPISODE = 60
 SEED = 0
+#: The placement trace: the reference scenario at a load that fills nodes.
+PLACEMENT_ARRIVAL_RATE = 1.2
+PLACEMENT_HORIZON = 600.0
+PLACEMENT_REPEATS = 5
+PLACEMENT_OPS = ("build", "is_feasible", "commit", "release")
 
 
 def _make_env() -> VNFPlacementEnv:
@@ -128,6 +140,70 @@ def measure_latency_lookups(
     return rows
 
 
+def _replay_placements(scenario, requests, policy) -> Dict[str, List[float]]:
+    """One pass of the trace on a fresh network: (calls, seconds) per op.
+
+    Per arrival: release the departed placements, plan with ``policy``,
+    build, check, check again (the re-validation at commit time) and commit.
+    """
+    network = scenario.build_network()
+    network.prepare()
+    totals = {op: [0, 0.0] for op in PLACEMENT_OPS}
+    live: List[tuple] = []
+    clock = time.perf_counter
+
+    def timed(op: str, call, *args):
+        start = clock()
+        result = call(*args)
+        entry = totals[op]
+        entry[0] += 1
+        entry[1] += clock() - start
+        return result
+
+    for request in requests:
+        while live and live[0][0] <= request.arrival_time:
+            timed("release", heapq.heappop(live)[2].release, network)
+        assignment = policy.plan_assignment(request, network)
+        if assignment is None:
+            continue
+        placement = timed("build", Placement.build, request, assignment, network)
+        if not (
+            timed("is_feasible", placement.is_feasible, network)
+            and timed("is_feasible", placement.is_feasible, network)
+        ):
+            continue
+        timed("commit", placement.commit, network)
+        heapq.heappush(live, (request.departure_time, request.request_id, placement))
+    return totals
+
+
+def measure_placement_ops(repeats: int = PLACEMENT_REPEATS) -> Dict[str, object]:
+    """µs per call of each placement operation (best mean of ``repeats`` passes)."""
+    scenario = reference_scenario(
+        arrival_rate=PLACEMENT_ARRIVAL_RATE, horizon=PLACEMENT_HORIZON, seed=SEED
+    )
+    requests = scenario.generate_requests()
+    policy = GreedyLeastLoadedPolicy()
+    best = {op: float("inf") for op in PLACEMENT_OPS}
+    calls: Dict[str, int] = {}
+    for _ in range(repeats):
+        for op, (count, seconds) in _replay_placements(scenario, requests, policy).items():
+            calls[op] = count
+            best[op] = min(best[op], seconds / max(count, 1) * 1e6)
+    return {
+        "trace": {
+            "scenario": scenario.name,
+            "arrival_rate": PLACEMENT_ARRIVAL_RATE,
+            "horizon": PLACEMENT_HORIZON,
+            "requests": len(requests),
+            "policy": policy.name,
+            "repeats": repeats,
+        },
+        "calls": calls,
+        "us_per_call": best,
+    }
+
+
 def run_envstep_benchmark(episodes: int = EPISODES) -> Dict[str, object]:
     """Run both microbenchmarks and persist the JSON."""
     results: Dict[str, object] = {
@@ -139,6 +215,7 @@ def run_envstep_benchmark(episodes: int = EPISODES) -> Dict[str, object]:
         },
         "env_step": measure_env_step(episodes),
         "latency_lookups": measure_latency_lookups(),
+        "placement_ops": measure_placement_ops(),
     }
     from benchmarks.common import RESULTS_DIR
     from repro.utils.serialization import save_json
@@ -169,6 +246,10 @@ def main() -> None:
             f"  n={row['num_nodes']:4d}  dense {row['dense_lookups_per_s']:12.0f}"
             f"  (matrix build {row['matrix_build_s'] * 1e3:.1f} ms)"
         )
+    placement = results["placement_ops"]
+    print(f"placement ops ({placement['trace']['requests']} reference requests)")
+    for op, us in placement["us_per_call"].items():
+        print(f"  {op:12s} {us:8.2f} us/call  ({placement['calls'][op]} calls)")
 
 
 if __name__ == "__main__":

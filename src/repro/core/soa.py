@@ -44,7 +44,10 @@ from repro.core.vecenv import (
 from repro.nfv.sfc import SFCRequest
 from repro.nfv.sla import DEFAULT_NODE_AVAILABILITY
 from repro.sim.failures import FailureConfig, FailureEvent, FailureInjector
+from repro.substrate.ledger import free_chain, reserve_chain
+from repro.substrate.link import InsufficientBandwidthError
 from repro.substrate.network import NoRouteError, SubstrateNetwork
+from repro.substrate.node import InsufficientCapacityError
 from repro.utils.rng import RandomState, derive_seed
 from repro.workloads.scenarios import Scenario
 
@@ -380,11 +383,6 @@ class SoAVecPlacementEnv:
         self._capacity_plus_tol = ledger._capacity_plus_tol
         self._cost_per_unit = ledger.node_cost_per_unit
         self._link_capacity = ledger.link_capacity
-        # Python-float copies for the scalar commit/feasibility hot paths.
-        self._capacity_rows = [tuple(row) for row in self._capacity.tolist()]
-        self._cap_tol_rows = [tuple(row) for row in self._capacity_plus_tol.tolist()]
-        self._cost_rows = [tuple(row) for row in self._cost_per_unit.tolist()]
-        self._link_cap_list = self._link_capacity.tolist()
         self._node_row: Dict[int, int] = dict(ledger.node_row)
         self._row_ids: List[int] = list(ledger.node_ids)
         cloud = ledger.cloud_tier_mask
@@ -436,14 +434,12 @@ class SoAVecPlacementEnv:
         #: the type object itself so hits can be identity-validated (see
         #: :meth:`_vnf_info` for why ``id()`` keys are unsafe).
         self._type_info: Dict[str, tuple] = {}
-        #: (row pair) -> (latency, oriented slot list, cost-per-mbps) or the
-        #: NoRoute sentinel; delegated to the shared template network/ledger
-        #: caches so every lane reuses one routed-path set.
-        self._paths: Dict[Tuple[int, int], Optional[Tuple[float, List[int], float]]] = {}
-        #: Dense per-row-pair gather arrays over the same routed-path cache,
-        #: lazily filled through :meth:`_ensure_pair`; they let the batched
-        #: commit pipeline gather whole routing walks with array indexing
-        #: instead of per-segment dict lookups.
+        #: Dense per-row-pair routing arrays (reachable, latency, per-Mbps
+        #: cost, oriented slot list), filled lazily through
+        #: :meth:`_ensure_pair` from the template network's and ledger's
+        #: path caches, so every lane reuses one routed-path set and the
+        #: batched commit pipeline gathers whole routing walks with array
+        #: indexing instead of per-segment dict lookups.
         num_cells = self._num_nodes * self._num_nodes
         self._seg_known = np.zeros(num_cells, dtype=bool)
         self._seg_ok = np.zeros(num_cells, dtype=bool)
@@ -631,29 +627,6 @@ class SoAVecPlacementEnv:
             vnfs=vnfs,
         )
 
-    def _path(self, a_row: int, b_row: int) -> Optional[Tuple[float, List[int], float]]:
-        """Routed path between two rows: (latency, oriented slots, cost).
-
-        ``None`` encodes NoRoute.  Delegates to the template network's
-        canonical-pair path cache and the template ledger's oriented-tuple
-        slot/cost memo, so latency and cost floats are bitwise identical to
-        what per-lane networks would compute.
-        """
-        key = (a_row, b_row)
-        entry = self._paths.get(key, False)
-        if entry is False:
-            try:
-                path = self._network.shortest_path(
-                    self._row_ids[a_row], self._row_ids[b_row]
-                )
-            except NoRouteError:
-                entry = None
-            else:
-                slots, cost = self._ledger.path_entry(path.nodes)
-                entry = (path.latency_ms, slots.tolist(), cost)
-            self._paths[key] = entry
-        return entry
-
     # ------------------------------------------------------------------ #
     # Episode lifecycle
     # ------------------------------------------------------------------ #
@@ -762,19 +735,14 @@ class SoAVecPlacementEnv:
     def _release_record(self, lane: int, rec: int) -> None:
         """Free a committed record's reservations (segments first, then nodes)."""
         store = self._store
-        bw = store.bandwidth[rec]
-        link_used = self._link_used[lane]
-        for slots in store.segments[rec]:
-            for slot in slots:
-                link_used[slot] = max(0.0, link_used[slot] - bw)
-        used = self._node_used[lane]
-        for row, demand_t in zip(store.rows[rec], store.demands[rec]):
-            u0, u1, u2 = used[row].tolist()
-            used[row] = (
-                max(0.0, u0 - demand_t[0]),
-                max(0.0, u1 - demand_t[1]),
-                max(0.0, u2 - demand_t[2]),
-            )
+        free_chain(
+            self._node_used[lane],
+            self._link_used[lane],
+            store.rows[rec],
+            store.demands[rec],
+            store.segments[rec],
+            store.bandwidth[rec],
+        )
         store.committed[rec] = False
 
     def _fail_node(self, lane: int, st: _LaneState, row: int) -> None:
@@ -1220,18 +1188,22 @@ class SoAVecPlacementEnv:
     def _ensure_pair(self, pair_index: int) -> None:
         """Fill the dense routing-gather arrays for one flat ``(a, b)`` pair.
 
-        Delegates to :meth:`_path`, which also populates ``self._paths`` for
-        the scalar fallback path — both views share the same slot lists, so
-        store records alias identical objects either way.
+        From the template network's and ledger's path caches, so latency and
+        cost floats are bitwise what per-lane networks would compute.
         """
         a_row, b_row = divmod(pair_index, self._num_nodes)
-        entry = self._path(a_row, b_row)
         self._seg_known[pair_index] = True
-        if entry is not None:
-            self._seg_ok[pair_index] = True
-            self._seg_lat[pair_index] = entry[0]
-            self._seg_cost[pair_index] = entry[2]
-            self._seg_slots[pair_index] = entry[1]
+        try:
+            path = self._network.shortest_path(
+                self._row_ids[a_row], self._row_ids[b_row]
+            )
+        except NoRouteError:
+            return
+        _, cost, slots = self._ledger.path_entry(path.nodes)
+        self._seg_ok[pair_index] = True
+        self._seg_lat[pair_index] = path.latency_ms
+        self._seg_cost[pair_index] = cost
+        self._seg_slots[pair_index] = slots
 
     def _finalize_batch(
         self,
@@ -1263,8 +1235,9 @@ class SoAVecPlacementEnv:
           post-commit value: a screen pass proves every reference check
           passes, while a screen fail (or a node-commit fail, whose partial
           commit + rollback drifts floats through ``max(0, x - d)``) replays
-          that lane through the scalar :meth:`_finalize_request` path, which
-          *is* the reference arithmetic.
+          that lane's commit alone through :meth:`_finalize_request`, i.e.
+          the ledger's chain kernel (:func:`~repro.substrate.ledger.reserve_chain`),
+          which *is* the reference arithmetic.
         * Ordered float sums whose accumulation order the reference fixes
           per lane (propagation, per-mbps cost, hosting+license interleave)
           stay scalar loops over gathered values — ``np.add.reduceat`` is
@@ -1299,7 +1272,13 @@ class SoAVecPlacementEnv:
 
         # ---- per-lane route assembly (ordered sums stay scalar) -------- #
         n_completing = len(completing)
-        NO_ROUTE, INFEASIBLE, ACCEPT, FALLBACK = 0, 1, 2, 3
+        # Verdicts are outcome codes, except FALLBACK: a lane whose commit
+        # the batch screen could not prove replays it alone.
+        NO_ROUTE, INFEASIBLE, ACCEPT, COMMIT_FAILED = (
+            OUTCOME_CODE[name]
+            for name in ("no_route", "infeasible", "accepted", "commit_failed")
+        )
+        FALLBACK = -1
         verdicts = [NO_ROUTE] * n_completing
         routed: List[int] = []
         prop_list = [0.0] * n_completing
@@ -1488,6 +1467,14 @@ class SoAVecPlacementEnv:
         cost_normalizer = self._cost_normalizer
         for pos, (lane, st, view) in enumerate(completing):
             verdict = verdicts[pos]
+            if verdict == FALLBACK:
+                verdict = (
+                    ACCEPT
+                    if self._finalize_request(
+                        lane, view, st.partial_rows, slots_per_pos[pos]
+                    )
+                    else COMMIT_FAILED
+                )
             if verdict == ACCEPT:
                 rows = st.partial_rows
                 st.counter += 1
@@ -1522,248 +1509,38 @@ class SoAVecPlacementEnv:
                     - self._cost_weight * cost_fraction
                 )
                 rewards[lane] = place_list[lane] + terminal
-                out_codes[lane] = 3  # accepted
-            elif verdict == FALLBACK:
-                reward, _, outcome = self._finalize_request(
-                    lane, st, view, place_list[lane]
-                )
-                rewards[lane] = reward
-                out_codes[lane] = OUTCOME_CODE[outcome]
+                out_codes[lane] = ACCEPT
             else:
                 rewards[lane] = place_list[lane] + -infeasible_penalty
                 st.stats.infeasible += 1
-                out_codes[lane] = 4 if verdict == NO_ROUTE else 5
+                out_codes[lane] = verdict
             self._begin_next_request(lane, st)
 
     def _finalize_request(
-        self, lane: int, st: _LaneState, view: _RequestView, reward: float
-    ) -> Tuple[float, bool, str]:
-        rows = st.partial_rows
-        # Route the service path: source -> hosts (-> destination), summing
-        # propagation latency and per-mbps transport cost along the way (the
-        # accumulation order matches the reference per-segment sums).
-        anchors = [view.source_row, *rows]
-        if view.dest_row is not None:
-            anchors.append(view.dest_row)
-        paths = self._paths
-        segments: List[Tuple[float, List[int], float]] = []
-        propagation = 0.0
-        per_mbps = 0.0
-        prev = anchors[0]
-        for anchor in anchors[1:]:
-            entry = paths.get((prev, anchor), False)
-            if entry is False:
-                entry = self._path(prev, anchor)
-            if entry is None:
-                st.stats.infeasible += 1
-                return reward + -self._infeasible_penalty, True, "no_route"
-            propagation += entry[0]
-            per_mbps += entry[2]
-            segments.append(entry)
-            prev = anchor
-
-        feasible, e2e, total_cost = self._check_feasible(
-            lane, view, rows, segments, propagation, per_mbps
-        )
-        if not feasible:
-            st.stats.infeasible += 1
-            return reward + -self._infeasible_penalty, True, "infeasible"
-        if not self._commit(lane, view, rows, segments):
-            st.stats.infeasible += 1
-            return reward + -self._infeasible_penalty, True, "commit_failed"
-
-        st.counter += 1
-        rec = self._store.alloc(
-            lane,
-            view.departure,
-            view.bw,
-            tuple(rows),
-            [vnf[1] for vnf in view.vnfs],
-            [entry[1] for entry in segments],
-            frozenset(rows),
-        )
-        heapq.heappush(st.heap, (view.departure, st.counter, rec))
-        st.stats.accepted += 1
-        st.stats.total_latency_ms += e2e
-        st.stats.total_cost += total_cost
-        # Terminal acceptance reward, exact reference association order.
-        sla_fraction = e2e / view.sla
-        cost_fraction = total_cost / self._cost_normalizer
-        revenue = (
-            self._revenue_scale * (1.0 * view.bw * view.holding / 100.0) / 100.0
-        )
-        terminal = (
-            self._accept_reward
-            + revenue
-            - self._latency_weight * sla_fraction
-            - self._cost_weight * cost_fraction
-        )
-        return reward + terminal, True, "accepted"
-
-    def _check_feasible(
         self,
         lane: int,
         view: _RequestView,
         rows: List[int],
-        segments: List[Tuple[float, List[int], float]],
-        propagation: float,
-        per_mbps: float,
-    ) -> Tuple[bool, float, float]:
-        """Placement.is_feasible + cost/latency aggregation in one pass.
-
-        Returns ``(feasible, end_to_end_latency, total_cost)``; the latency
-        and cost are only meaningful when feasible (they feed the stats and
-        the terminal reward on the accept path).  ``propagation`` and
-        ``per_mbps`` are the segment sums accumulated by the routing loop.
-        """
-        used = self._node_used[lane]
-        capacity_rows = self._capacity_rows
-        # Per-node aggregated demand, grouped by row in instance order.
-        grouped: Dict[int, List[float]] = {}
-        for vnf, row in zip(view.vnfs, rows):
-            demand_t = vnf[1]
-            prior = grouped.get(row)
-            if prior is None:
-                grouped[row] = demand_t
-            else:
-                grouped[row] = [
-                    prior[0] + demand_t[0],
-                    prior[1] + demand_t[1],
-                    prior[2] + demand_t[2],
-                ]
-        for row, demand in grouped.items():
-            cap_row = capacity_rows[row]
-            used_row = used[row].tolist()
-            if not (
-                demand[0] <= (cap_row[0] - used_row[0]) + 1e-9
-                and demand[1] <= (cap_row[1] - used_row[1]) + 1e-9
-                and demand[2] <= (cap_row[2] - used_row[2]) + 1e-9
-            ):
-                return False, 0.0, 0.0
-        # A link shared by several segments must carry each traversal.
-        bw = view.bw
-        traversals: Dict[int, int] = {}
-        get_count = traversals.get
-        for entry in segments:
-            for slot in entry[1]:
-                traversals[slot] = get_count(slot, 0) + 1
-        link_capacity = self._link_cap_list
-        link_used = self._link_used[lane]
-        for slot, count in traversals.items():
-            if count * bw > link_capacity[slot] - link_used[slot] + 1e-9:
-                return False, 0.0, 0.0
-        # SLA: end-to-end latency then series-system availability.
-        e2e = propagation + view.total_proc
-        if not e2e <= view.sla + 1e-9:
-            return False, 0.0, 0.0
-        availability = 1.0
-        seen: set = set()
-        row_avail = self._row_avail
-        for row in rows:
-            if row not in seen:
-                seen.add(row)
-                availability *= row_avail[row]
-        if not availability + 1e-12 >= view.min_avail:
-            return False, 0.0, 0.0
-        # Hosting cost (per instance, interleaved with license cost) plus
-        # transport cost — exact reference accumulation order.
-        holding = view.holding
-        cost_rows = self._cost_rows
-        cost = 0.0
-        for vnf, row in zip(view.vnfs, rows):
-            demand_t = vnf[1]
-            cost_row = cost_rows[row]
-            cost += (
-                demand_t[0] * cost_row[0]
-                + demand_t[1] * cost_row[1]
-                + demand_t[2] * cost_row[2]
-            ) * holding
-            cost += vnf[4]
-        total_cost = cost + bw * per_mbps * holding
-        return True, e2e, total_cost
-
-    def _commit(
-        self,
-        lane: int,
-        view: _RequestView,
-        rows: List[int],
-        segments: List[Tuple[float, List[int], float]],
+        segments: List[List[int]],
     ) -> bool:
-        """Atomic commit with exact reference rollback order on failure."""
-        used = self._node_used[lane]
-        committed_nodes = 0
-        node_failure = False
-        cap_tol_rows = self._cap_tol_rows
-        for vnf, row in zip(view.vnfs, rows):
-            u0, u1, u2 = used[row].tolist()
-            demand_t = vnf[1]
-            cap_tol = cap_tol_rows[row]
-            next0 = u0 + demand_t[0]
-            next1 = u1 + demand_t[1]
-            next2 = u2 + demand_t[2]
-            # SubstrateLedger.allocate_node: used[d] + demand[d] <= capacity[d] + tol.
-            if not (
-                next0 <= cap_tol[0]
-                and next1 <= cap_tol[1]
-                and next2 <= cap_tol[2]
-            ):
-                node_failure = True
-                break
-            used[row] = (next0, next1, next2)
-            committed_nodes += 1
-        if node_failure:
-            self._rollback(lane, view, rows, [], committed_nodes)
-            return False
-        bw = view.bw
-        link_capacity = self._link_cap_list
-        link_used = self._link_used[lane]
-        committed_segments: List[List[int]] = []
-        for entry in segments:
-            slots = entry[1]
-            reserved = 0
-            segment_failure = False
-            for slot in slots:
-                current = link_used[slot]
-                # SubstrateLedger.reserve_link: bw <= max(0, capacity - used) + 1e-9.
-                if not bw <= max(0.0, link_capacity[slot] - current) + 1e-9:
-                    # allocate_path rolls back this segment's own partial
-                    # reservations (forward order) before re-raising.
-                    for done_slot in slots[:reserved]:
-                        link_used[done_slot] = max(0.0, link_used[done_slot] - bw)
-                    segment_failure = True
-                    break
-                link_used[slot] = current + bw
-                reserved += 1
-            if segment_failure:
-                self._rollback(lane, view, rows, committed_segments, len(rows))
-                return False
-            committed_segments.append(slots)
-        return True
+        """Commit one lane's checked and priced chain through the ledger kernel.
 
-    def _rollback(
-        self,
-        lane: int,
-        view: _RequestView,
-        rows: List[int],
-        committed_segments: List[List[int]],
-        committed_nodes: int,
-    ) -> None:
-        """Release fully-committed paths then nodes, in commit order."""
-        bw = view.bw
-        link_used = self._link_used[lane]
-        for slots in committed_segments:
-            for slot in slots:
-                link_used[slot] = max(0.0, link_used[slot] - bw)
-        used = self._node_used[lane]
-        for index in range(committed_nodes):
-            row = rows[index]
-            demand_t = view.vnfs[index][1]
-            u0, u1, u2 = used[row].tolist()
-            used[row] = (
-                max(0.0, u0 - demand_t[0]),
-                max(0.0, u1 - demand_t[1]),
-                max(0.0, u2 - demand_t[2]),
+        The batch screen could not prove this commit passes; the kernel's
+        exact rules and rollback decide.  Returns whether it committed.
+        """
+        try:
+            reserve_chain(
+                self._ledger,
+                self._node_used[lane],
+                self._link_used[lane],
+                rows,
+                view.demand_lists,
+                segments,
+                view.bw,
             )
+        except (InsufficientCapacityError, InsufficientBandwidthError):
+            return False
+        return True
 
     # ------------------------------------------------------------------ #
     # Introspection (shared vec-env surface)

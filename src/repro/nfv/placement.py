@@ -9,7 +9,10 @@ to a substrate node and routes traffic source → VNF₁ → ... → VNFₙ
 * atomically commit to / release from a :class:`SubstrateNetwork`.
 
 Placement construction is cheap and side-effect free; only
-:meth:`Placement.commit` mutates the substrate.
+:meth:`Placement.commit` mutates the substrate.  On first use against a
+ledger a placement compiles itself into a
+:class:`~repro.substrate.ledger.CompiledChain` (rows, demands, link slots),
+and the check, commit and release run the ledger's chain kernel on it.
 """
 
 from __future__ import annotations
@@ -17,13 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.nfv.sfc import SFCRequest
 from repro.nfv.sla import placement_availability
 from repro.nfv.vnf import VNFInstance
+from repro.substrate.ledger import CompiledChain, SubstrateLedger, chain_fits
 from repro.substrate.link import InsufficientBandwidthError
-from repro.substrate.network import NoRouteError, PathInfo, SubstrateNetwork
+from repro.substrate.network import PathInfo, SubstrateNetwork
 from repro.substrate.node import InsufficientCapacityError
 
 
@@ -60,6 +62,11 @@ class Placement:
     _segments: List[PlacementSegment] = field(default_factory=list, repr=False)
     _instances: List[VNFInstance] = field(default_factory=list, repr=False)
     _committed: bool = field(default=False, repr=False)
+    # Memos set on first use: plain class attributes, not dataclass fields.
+    _compiled = None  # Optional[CompiledChain], for one ledger
+    _sla_ok = None  # Optional[bool], for that ledger's node tiers
+    _latency_ms = None  # Optional[float]
+    _handles = None  # Optional[Tuple[List[str], List[str]]]
 
     def __post_init__(self) -> None:
         self.node_assignment = tuple(self.node_assignment)
@@ -142,14 +149,28 @@ class Placement:
         return self.request.chain.total_processing_delay_ms()
 
     def end_to_end_latency_ms(self) -> float:
-        """Propagation plus processing latency of the placed chain."""
-        return self.propagation_latency_ms() + self.processing_latency_ms()
+        """Propagation plus processing latency of the placed chain (memoized)."""
+        if self._latency_ms is None:
+            propagation = self.propagation_latency_ms()
+            self._latency_ms = propagation + self.processing_latency_ms()
+        return self._latency_ms
 
     def satisfies_sla(self, network: Optional[SubstrateNetwork] = None) -> bool:
-        """True when the end-to-end latency and availability meet the SLA."""
-        return self.request.sla.is_satisfied(
-            self.end_to_end_latency_ms(), self.availability(network)
-        )
+        """True when the end-to-end latency and availability meet the SLA.
+
+        With a network, the verdict is kept while its ledger is: latency and
+        availability read routes and node tiers, never usage.
+        """
+        if network is None:
+            return self.request.sla.is_satisfied(
+                self.end_to_end_latency_ms(), self.availability(None)
+            )
+        self.compiled(network.ledger)
+        if self._sla_ok is None:
+            self._sla_ok = self.request.sla.is_satisfied(
+                self.end_to_end_latency_ms(), self.availability(network)
+            )
+        return self._sla_ok
 
     def availability(self, network: Optional[SubstrateNetwork] = None) -> float:
         """Series-system availability estimate over distinct hosting nodes.
@@ -158,19 +179,16 @@ class Placement:
         the per-component availability; without it every node is assumed to
         be edge tier (the conservative choice).
         """
-        return placement_availability(self._distinct_node_tiers(network))
-
-    def _distinct_node_tiers(
-        self, network: Optional[SubstrateNetwork] = None
-    ) -> Dict[int, str]:
-        tiers: Dict[int, str] = {}
-        for instance in self._instances:
-            if network is not None:
-                tier = "cloud" if network.node(instance.node_id).is_cloud else "edge"
-            else:
-                tier = "edge"
-            tiers.setdefault(instance.node_id, tier)
-        return tiers
+        if network is None:
+            return placement_availability(dict.fromkeys(self.node_assignment, "edge"))
+        ledger = network.ledger
+        cloud = ledger.cloud_tier_mask
+        return placement_availability(
+            {
+                node_id: "cloud" if cloud[ledger.node_row[node_id]] else "edge"
+                for node_id in self.node_assignment
+            }
+        )
 
     def distinct_nodes(self) -> List[int]:
         """Distinct substrate nodes hosting at least one VNF of the chain."""
@@ -188,22 +206,25 @@ class Placement:
         """Fraction of the chain's VNFs hosted on edge nodes."""
         if not self.node_assignment:
             return 0.0
-        edge_count = sum(
-            1 for nid in self.node_assignment if network.node(nid).is_edge
-        )
-        return edge_count / len(self.node_assignment)
+        edge = network.ledger.edge_tier_mask
+        rows = self.compiled(network.ledger).rows
+        return sum(1 for row in rows if edge[row]) / len(rows)
 
     # ------------------------------------------------------------------ #
     # Cost model
     # ------------------------------------------------------------------ #
     def hosting_cost(self, network: SubstrateNetwork) -> float:
         """Node-resource cost of the placement over the holding time."""
+        ledger = network.ledger
+        record = self.compiled(ledger)
         duration = self.request.holding_time
         cost = 0.0
-        for instance in self._instances:
-            node = network.node(instance.node_id)
-            cost += node.hosting_cost(instance.demand, duration)
-            cost += instance.vnf_type.license_cost
+        for row, (d0, d1, d2), vnf_type in zip(
+            record.rows, record.demands, self.request.chain.vnf_types
+        ):
+            c0, c1, c2 = ledger.node_cost_per_unit[row].tolist()
+            cost += (d0 * c0 + d1 * c1 + d2 * c2) * duration
+            cost += vnf_type.license_cost
         return cost
 
     def transport_cost(self, network: SubstrateNetwork) -> float:
@@ -224,79 +245,72 @@ class Placement:
     # ------------------------------------------------------------------ #
     # Feasibility / commit / release
     # ------------------------------------------------------------------ #
+    def compiled(self, ledger: SubstrateLedger) -> CompiledChain:
+        """This placement flattened against ``ledger`` (built on first use).
+
+        A placement used against another ledger (a twin network, or the one a
+        topology change rebuilds) recompiles.
+        """
+        record = self._compiled
+        if record is None or record.ledger is not ledger:
+            node_row = ledger.node_row
+            bandwidth = self.request.bandwidth_mbps
+            record = self._compiled = CompiledChain(
+                ledger,
+                [node_row[node_id] for node_id in self.node_assignment],
+                [
+                    vnf_type.demand_array_for(bandwidth)
+                    for vnf_type in self.request.chain.vnf_types
+                ],
+                [ledger.path_entry(seg.path.nodes)[2] for seg in self._segments],
+                bandwidth,
+            )
+            self._sla_ok = None
+        return record
+
+    def _allocation_handles(self) -> Tuple[List[str], List[str]]:
+        """(handle per instance, handle per segment), built on first commit."""
+        if self._handles is None:
+            request_id = self.request.request_id
+            self._handles = (
+                [instance.allocation_handle for instance in self._instances],
+                [f"req:{request_id}:seg:{i}" for i in range(len(self._segments))],
+            )
+        return self._handles
+
     def is_feasible(self, network: SubstrateNetwork) -> bool:
         """Check node capacity, path bandwidth and SLA without mutating state.
 
         Node feasibility aggregates the demands of all VNFs of this chain
         colocated on the same node, so a node cannot be "double booked" by a
-        single placement.  The node and link checks reduce to array
-        comparisons against the substrate ledger.
+        single placement; a link crossed by several segments must carry each
+        traversal.  Both checks read the compiled record.
         """
         ledger = network.ledger
-
-        # Per-node aggregated demand (chains are short, the dict stays tiny).
-        grouped: Dict[int, np.ndarray] = {}
-        for instance in self._instances:
-            demand = instance.demand_array
-            row = ledger.node_row[instance.node_id]
-            if row in grouped:
-                grouped[row] = grouped[row] + demand
-            else:
-                grouped[row] = demand
-        if grouped:
-            rows = np.fromiter(grouped.keys(), dtype=np.int64, count=len(grouped))
-            demands = np.stack(list(grouped.values()))
-            free = ledger.node_capacity[rows] - ledger.node_used[rows]
-            if not bool(np.all(demands <= free + 1e-9)):
-                return False
-
-        # A link shared by several segments must carry each traversal.
-        # Accumulating per traversed slot keeps this O(path hops) instead of
-        # touching every substrate link.
-        bandwidth = self.request.bandwidth_mbps
-        traversals: Dict[int, int] = {}
-        for segment in self._segments:
-            for slot in ledger.path_edge_indices(segment.path.nodes).tolist():
-                traversals[slot] = traversals.get(slot, 0) + 1
-        link_capacity = ledger.link_capacity
-        link_used = ledger.link_used
-        for slot, count in traversals.items():
-            if count * bandwidth > link_capacity[slot] - link_used[slot] + 1e-9:
-                return False
+        if not chain_fits(ledger.node_used, ledger.link_used, self.compiled(ledger)):
+            return False
         return self.satisfies_sla(network)
 
     def commit(self, network: SubstrateNetwork) -> None:
         """Atomically reserve node resources and path bandwidth.
 
-        On any failure every reservation made so far is rolled back and
-        :class:`PlacementError` is raised; the substrate is left unchanged.
+        On any failure — too little capacity or bandwidth, or a handle the
+        substrate already holds — nothing stays reserved and
+        :class:`PlacementError` is raised.
         """
         if self._committed:
             raise PlacementError(
                 f"placement for request {self.request.request_id} is already committed"
             )
-        committed_nodes: List[Tuple[int, str]] = []
-        committed_paths: List[Tuple[Tuple[int, ...], str]] = []
+        ledger = network.ledger
         try:
-            for instance in self._instances:
-                network.allocate_node(
-                    instance.node_id, instance.allocation_handle, instance.demand
-                )
-                committed_nodes.append((instance.node_id, instance.allocation_handle))
-            for index, segment in enumerate(self._segments):
-                handle = self._segment_handle(index)
-                network.allocate_path(
-                    segment.path.nodes, handle, self.request.bandwidth_mbps
-                )
-                committed_paths.append((segment.path.nodes, handle))
-        except (InsufficientCapacityError, InsufficientBandwidthError, NoRouteError) as exc:
-            for nodes, handle in committed_paths:
-                network.release_path(nodes, handle)
-            for node_id, handle in committed_nodes:
-                network.release_node(node_id, handle)
+            ledger.allocate_chain(self.compiled(ledger), *self._allocation_handles())
+        except (
+            InsufficientCapacityError, InsufficientBandwidthError, ValueError
+        ) as err:
             raise PlacementError(
-                f"placement for request {self.request.request_id} is infeasible: {exc}"
-            ) from exc
+                f"placement for request {self.request.request_id} is infeasible: {err}"
+            ) from err
         self._committed = True
 
     def release(self, network: SubstrateNetwork) -> None:
@@ -305,14 +319,9 @@ class Placement:
             raise PlacementError(
                 f"placement for request {self.request.request_id} is not committed"
             )
-        for index, segment in enumerate(self._segments):
-            network.release_path(segment.path.nodes, self._segment_handle(index))
-        for instance in self._instances:
-            network.release_node(instance.node_id, instance.allocation_handle)
+        ledger = network.ledger
+        ledger.release_chain(self.compiled(ledger), *self._allocation_handles())
         self._committed = False
-
-    def _segment_handle(self, index: int) -> str:
-        return f"req:{self.request.request_id}:seg:{index}"
 
     # ------------------------------------------------------------------ #
     # Introspection

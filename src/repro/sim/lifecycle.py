@@ -95,13 +95,12 @@ def release_link_fence(network: SubstrateNetwork, endpoints: Tuple[int, int]) ->
 
 
 def placement_traverses_link(
-    placement: Placement, endpoints: Tuple[int, int]
+    placement: Placement, endpoints: Tuple[int, int], network: SubstrateNetwork
 ) -> bool:
     """True when any routed segment of ``placement`` crosses ``endpoints``."""
-    key = canonical_endpoints(*endpoints)
-    return any(
-        key in segment.path.links() for segment in placement.segments
-    )
+    ledger = network.ledger
+    slot = ledger.edge_index.get(canonical_endpoints(*endpoints))
+    return slot in placement.compiled(ledger).traversals
 
 
 # --------------------------------------------------------------------------- #
@@ -171,8 +170,9 @@ class PlacementLifecycle:
         if endpoints in self.failed_links or not self.network.has_link(*endpoints):
             return None
         self.failed_links.add(endpoints)
+        network = self.network
         evicted = self._evict(
-            lambda placement: placement_traverses_link(placement, endpoints)
+            lambda placement: placement_traverses_link(placement, endpoints, network)
         )
         refresh_link_fence(self.network, endpoints)
         return evicted
@@ -220,5 +220,5 @@ class PlacementLifecycle:
         for node_id in set(placement.node_assignment) & self.failed_nodes:
             refresh_node_fence(self.network, node_id)
         for endpoints in self.failed_links:
-            if placement_traverses_link(placement, endpoints):
+            if placement_traverses_link(placement, endpoints, self.network):
                 refresh_link_fence(self.network, endpoints)

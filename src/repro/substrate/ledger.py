@@ -14,11 +14,16 @@ numpy arrays plus one record dict per node row and per link slot:
   (handle → bandwidth) per slot.
 
 :meth:`~SubstrateLedger.allocate_node`, :meth:`~SubstrateLedger.release_node`,
-:meth:`~SubstrateLedger.reserve_link`, :meth:`~SubstrateLedger.release_link`
+:meth:`~SubstrateLedger.reserve_link`, :meth:`~SubstrateLedger.release_link`,
+:meth:`~SubstrateLedger.allocate_chain`, :meth:`~SubstrateLedger.release_chain`
 and :meth:`~SubstrateLedger.reset` update those arrays in place, so views
 held by consumers stay valid.  Hot paths — state encoding, action masking,
-placement feasibility, utilization statistics — read whole columns at once
-instead of looping node-by-node or link-by-link.
+utilization statistics — read whole columns at once instead of looping
+node-by-node or link-by-link.
+
+One kernel — :func:`chain_fits`, :func:`reserve_chain`, :func:`free_chain` —
+checks, commits and releases a placed chain (a :class:`CompiledChain`) on
+``(node_used, link_used)`` views: a ledger's arrays or one SoA lane's rows.
 
 The ledger is built lazily by :attr:`SubstrateNetwork.ledger` and rebuilt,
 empty, after a topology mutation (``add_node`` / ``add_link``), which the
@@ -100,9 +105,9 @@ class SubstrateLedger:
         #: Live reservations per link slot: handle -> bandwidth (Mbps).
         self.link_records: List[Dict[str, float]] = [{} for _ in links]
 
-        #: Memo of path node-sequence -> link slot array (paths repeat a lot
-        #: because routed paths are themselves cached per node pair).
-        self._path_edge_cache: Dict[Tuple[int, ...], np.ndarray] = {}
+        #: Memo of path node-sequence -> :meth:`path_entry` (paths repeat a
+        #: lot because routed paths are themselves cached per node pair).
+        self._path_edge_cache: Dict[Tuple[int, ...], tuple] = {}
 
         # Version counter bumped on every node mutation; derived matrices
         # (utilization, per-node max utilization) are memoized against it so
@@ -113,6 +118,10 @@ class SubstrateLedger:
         self._max_util_version = -1
         self._max_util: np.ndarray = np.zeros(len(nodes))
         self._capacity_plus_tol = self.node_capacity + CAPACITY_TOL
+        # Python-float copies of the static columns for the scalar chain kernel.
+        self._capacity_rows: List[List[float]] = self.node_capacity.tolist()
+        self._capacity_tol_rows: List[List[float]] = self._capacity_plus_tol.tolist()
+        self._link_capacity_list: List[float] = self.link_capacity.tolist()
         self._free_tol_version = -1
         self._free_tol: np.ndarray = np.zeros_like(self.node_capacity)
         # Single-entry memo for can_host_all: the encoder and the action mask
@@ -202,6 +211,67 @@ class SubstrateLedger:
         bandwidth = records.pop(handle)
         self.link_used[slot] = max(0.0, self.link_used[slot] - bandwidth)
         return bandwidth
+
+    def allocate_chain(
+        self, chain: CompiledChain, node_handles: List[str], segment_handles: List[str]
+    ) -> None:
+        """Reserve a chain under one handle per instance and per segment, atomically.
+
+        A handle already held raises ``ValueError`` before any write; a miss
+        raises once :func:`reserve_chain` has rolled back.
+        """
+        node_records, link_records = self.node_records, self.link_records
+        for row, handle in zip(chain.rows, node_handles):
+            if handle in node_records[row]:
+                raise ValueError(f"node {self.node_ids[row]} already holds {handle!r}")
+        for slots, handle in zip(chain.segments, segment_handles):
+            for slot in slots:
+                if handle in link_records[slot]:
+                    link = self._link_key(slot)
+                    raise ValueError(f"link {link} already holds {handle!r}")
+        try:
+            reserve_chain(
+                self, self.node_used, self.link_used,
+                chain.rows, chain.demands, chain.segments, chain.bandwidth,
+            )
+        finally:
+            self._node_version += 1
+        for row, handle, demand in zip(chain.rows, node_handles, chain.arrays):
+            node_records[row][handle] = demand
+            self.node_alloc_count[row] = len(node_records[row])
+        for slots, handle in zip(chain.segments, segment_handles):
+            for slot in slots:
+                link_records[slot][handle] = chain.bandwidth
+
+    def release_chain(
+        self, chain: CompiledChain, node_handles: List[str], segment_handles: List[str]
+    ) -> None:
+        """Free what :meth:`allocate_chain` reserved, hops first, like the primitives.
+
+        A hop whose link lacks its handle is skipped; the first instance whose
+        node lacks its handle (say, after a reset) raises
+        :class:`UnknownAllocationError` once the instances before it are freed.
+        """
+        link_records, node_records = self.link_records, self.node_records
+        segments = [
+            [slot for slot in slots if link_records[slot].pop(handle, None) is not None]
+            for slots, handle in zip(chain.segments, segment_handles)
+        ]
+        freed = 0
+        for row, handle in zip(chain.rows, node_handles):
+            if node_records[row].pop(handle, None) is None:
+                break
+            self.node_alloc_count[row] = len(node_records[row])
+            freed += 1
+        free_chain(
+            self.node_used, self.link_used,
+            chain.rows[:freed], chain.demands, segments, chain.bandwidth,
+        )
+        self._node_version += 1
+        if freed < len(chain.rows):
+            row, handle = chain.rows[freed], node_handles[freed]
+            node_id = self.node_ids[row]
+            raise UnknownAllocationError(f"node {node_id} holds no {handle!r}")
 
     def reset(self) -> None:
         """Drop every allocation and reservation (start of an episode)."""
@@ -293,12 +363,12 @@ class SubstrateLedger:
     # ------------------------------------------------------------------ #
     # Vectorized link / path queries
     # ------------------------------------------------------------------ #
-    def path_entry(self, nodes: Sequence[int]) -> Tuple[np.ndarray, float]:
-        """(link slots, cost-per-Mbps sum) of an explicit path (memoized).
+    def path_entry(self, nodes: Sequence[int]) -> Tuple[np.ndarray, float, List[int]]:
+        """(link slots, cost-per-Mbps sum, the slots as a list) of a path (memoized).
 
-        One lookup serving consumers that need both halves — e.g. the SoA
-        environment core's shared routed-path cache — without paying the memo
-        probe twice.
+        One lookup serving consumers that need several parts — e.g. the SoA
+        environment core's shared routed-path cache or a compiled placement —
+        without paying the memo probe twice.  Treat the parts as read-only.
         """
         key = tuple(nodes)
         cached = self._path_edge_cache.get(key)
@@ -311,7 +381,7 @@ class SubstrateLedger:
                 dtype=np.int64,
             )
             cost = float(self.link_cost[slots].sum()) if slots.size else 0.0
-            cached = (slots, cost)
+            cached = (slots, cost, slots.tolist())
             self._path_edge_cache[key] = cached
         return cached
 
@@ -333,6 +403,141 @@ class SubstrateLedger:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SubstrateLedger(nodes={self.num_nodes}, links={self.num_links})"
+        )
+
+
+class CompiledChain:
+    """One placed chain flattened against one ledger's rows and slots.
+
+    Per instance in chain order: ``rows``, ``arrays`` (the ``(3,)`` demand
+    records) and ``demands`` (as float lists); per segment, its link slots.
+    For the check: ``row_demands`` (each distinct row, the demands on it
+    summed in instance order), ``traversals`` (hops per slot) and
+    ``slot_loads`` (slot, ``traversals * bandwidth``).
+    """
+
+    __slots__ = (
+        "ledger", "rows", "arrays", "demands", "segments", "bandwidth",
+        "row_demands", "traversals", "slot_loads",
+    )
+
+    def __init__(
+        self, ledger: SubstrateLedger, rows: List[int], arrays: List[np.ndarray],
+        segments: List[List[int]], bandwidth: float,
+    ) -> None:
+        self.ledger = ledger
+        self.rows = rows
+        self.arrays = arrays
+        self.demands = demands = [array.tolist() for array in arrays]
+        self.segments = segments
+        self.bandwidth = bandwidth
+        grouped: Dict[int, List[float]] = {}
+        for row, demand in zip(rows, demands):
+            prior = grouped.get(row)
+            grouped[row] = (
+                demand
+                if prior is None
+                else [prior[0] + demand[0], prior[1] + demand[1], prior[2] + demand[2]]
+            )
+        self.row_demands = list(grouped.items())
+        traversals: Dict[int, int] = {}
+        for slots in segments:
+            for slot in slots:
+                traversals[slot] = traversals.get(slot, 0) + 1
+        self.traversals = traversals
+        self.slot_loads = [
+            (slot, count * bandwidth) for slot, count in traversals.items()
+        ]
+
+
+# --------------------------------------------------------------------------- #
+# The chain kernel.  Capacities come from a ledger (SoA lanes share their
+# template's); each write is the float expression of the primitive it
+# replaces, in the same order, so usage stays bitwise what those would leave.
+# --------------------------------------------------------------------------- #
+def chain_fits(
+    node_used: np.ndarray, link_used: np.ndarray, chain: CompiledChain
+) -> bool:
+    """True when all ``d <= (cap - used) + tol`` and no ``load > cap - used + tol``."""
+    ledger = chain.ledger
+    capacity = ledger._capacity_rows
+    for row, (d0, d1, d2) in chain.row_demands:
+        c0, c1, c2 = capacity[row]
+        u0, u1, u2 = node_used[row].tolist()
+        if not (
+            d0 <= (c0 - u0) + CAPACITY_TOL
+            and d1 <= (c1 - u1) + CAPACITY_TOL
+            and d2 <= (c2 - u2) + CAPACITY_TOL
+        ):
+            return False
+    link_capacity = ledger._link_capacity_list
+    for slot, load in chain.slot_loads:
+        if load > link_capacity[slot] - link_used.item(slot) + CAPACITY_TOL:
+            return False
+    return True
+
+
+def reserve_chain(
+    ledger: SubstrateLedger, node_used: np.ndarray, link_used: np.ndarray,
+    rows: Sequence[int], demands: Sequence[Sequence[float]],
+    segments: Sequence[Sequence[int]], bandwidth: float,
+) -> None:
+    """Add a chain's instances, then its hops, as the allocation primitives would.
+
+    On the first miss, :func:`free_chain` takes back the failing segment's
+    earlier hops, the earlier segments and the instances, each front to back
+    (usage may drift by rounding), and the primitive's error is raised.
+    """
+    capacity_tol = ledger._capacity_tol_rows
+    for placed, (row, (d0, d1, d2)) in enumerate(zip(rows, demands)):
+        u0, u1, u2 = node_used[row].tolist()
+        n0, n1, n2 = u0 + d0, u1 + d1, u2 + d2
+        c0, c1, c2 = capacity_tol[row]
+        if not (n0 <= c0 and n1 <= c1 and n2 <= c2):
+            c0, c1, c2 = ledger._capacity_rows[row]
+            free = [max(0.0, c0 - u0), max(0.0, c1 - u1), max(0.0, c2 - u2)]
+            free_chain(node_used, link_used, rows[:placed], demands, (), bandwidth)
+            raise InsufficientCapacityError(
+                f"node {ledger.node_ids[row]} cannot host demand "
+                f"{[d0, d1, d2]}; free {free}"
+            )
+        node_used[row] = (n0, n1, n2)
+    link_capacity = ledger._link_capacity_list
+    for index, slots in enumerate(segments):
+        for hop, slot in enumerate(slots):
+            current = link_used.item(slot)
+            free = link_capacity[slot] - current
+            free = free if free > 0.0 else 0.0  # max(0.0, free) without the call
+            if not bandwidth <= free + CAPACITY_TOL:
+                free_chain(
+                    node_used, link_used, rows, demands,
+                    [slots[:hop], *segments[:index]], bandwidth,
+                )
+                raise InsufficientBandwidthError(
+                    f"link {ledger._link_key(slot)} cannot carry {bandwidth} Mbps "
+                    f"(available {free:.3f} Mbps)"
+                )
+            link_used[slot] = current + bandwidth
+
+
+def free_chain(
+    node_used: np.ndarray, link_used: np.ndarray, rows: Sequence[int],
+    demands: Sequence[Sequence[float]], segments: Sequence[Sequence[int]],
+    bandwidth: float,
+) -> None:
+    """Take a chain's hops, then its instances, off the usage, clamped at zero.
+
+    ``x if x > 0.0 else 0.0`` is ``max(0.0, x)`` bit for bit, without the call.
+    """
+    for slots in segments:
+        for slot in slots:
+            left = link_used.item(slot) - bandwidth
+            link_used[slot] = left if left > 0.0 else 0.0
+    for row, (d0, d1, d2) in zip(rows, demands):
+        u0, u1, u2 = node_used[row].tolist()
+        u0, u1, u2 = u0 - d0, u1 - d1, u2 - d2
+        node_used[row] = (
+            u0 if u0 > 0.0 else 0.0, u1 if u1 > 0.0 else 0.0, u2 if u2 > 0.0 else 0.0
         )
 
 

@@ -16,6 +16,13 @@ production method replaced: :func:`encode_reference` for
 production reads whole ledger columns and the all-pairs latency matrix.
 ``tests/test_substrate_vectorized.py`` asserts that both sides agree through
 whole episodes on random topologies.
+
+:func:`check_reference`, :func:`commit_reference` and
+:func:`release_reference` are ``Placement.is_feasible``, ``commit`` and
+``release`` as they ran before placements compiled: every call regroups the
+demands, looks up the link slots and goes through the per-instance and
+per-hop network primitives.  ``tests/test_ledger.py`` drives them and the
+compiled path on twin networks and asserts bitwise-equal ledgers.
 """
 
 from __future__ import annotations
@@ -26,10 +33,12 @@ import numpy as np
 
 from repro.core.action import ActionSpace
 from repro.core.state import NODE_FEATURES, StateEncoder
-from repro.nfv.placement import Placement
+from repro.nfv.placement import Placement, PlacementError
 from repro.nfv.sfc import SFCRequest
 from repro.nfv.vnf import VNFInstance
-from repro.substrate.network import SubstrateNetwork
+from repro.substrate.link import InsufficientBandwidthError
+from repro.substrate.network import NoRouteError, SubstrateNetwork
+from repro.substrate.node import InsufficientCapacityError
 from repro.substrate.resources import RESOURCE_DIMENSIONS, ResourceVector, aggregate
 
 
@@ -199,3 +208,85 @@ def is_feasible_reference(placement: Placement, network: SubstrateNetwork) -> bo
         if not link_can_carry(network, *endpoints, load):
             return False
     return placement.satisfies_sla(network)
+
+
+# --------------------------------------------------------------------------- #
+# Per-call references of the compiled check, commit and release
+# --------------------------------------------------------------------------- #
+def check_reference(placement: Placement, network: SubstrateNetwork) -> bool:
+    """``Placement.is_feasible`` re-deriving rows, demands and slots per call."""
+    ledger = network.ledger
+    grouped: Dict[int, np.ndarray] = {}
+    for instance in placement.instances:
+        demand = instance.demand_array
+        row = ledger.node_row[instance.node_id]
+        grouped[row] = grouped[row] + demand if row in grouped else demand
+    if grouped:
+        rows = np.fromiter(grouped.keys(), dtype=np.int64, count=len(grouped))
+        demands = np.stack(list(grouped.values()))
+        free = ledger.node_capacity[rows] - ledger.node_used[rows]
+        if not bool(np.all(demands <= free + 1e-9)):
+            return False
+    bandwidth = placement.request.bandwidth_mbps
+    traversals: Dict[int, int] = {}
+    for segment in placement.segments:
+        for slot in ledger.path_edge_indices(segment.path.nodes).tolist():
+            traversals[slot] = traversals.get(slot, 0) + 1
+    for slot, count in traversals.items():
+        if count * bandwidth > ledger.link_capacity[slot] - ledger.link_used[slot] + 1e-9:
+            return False
+    return placement.request.sla.is_satisfied(
+        placement.end_to_end_latency_ms(), placement.availability(network)
+    )
+
+
+def _segment_handle(placement: Placement, index: int) -> str:
+    return f"req:{placement.request.request_id}:seg:{index}"
+
+
+def commit_reference(placement: Placement, network: SubstrateNetwork) -> None:
+    """``Placement.commit`` through one primitive call per instance and segment.
+
+    A capacity, bandwidth or route error rolls back what was reserved, paths
+    then nodes in commit order, and raises :class:`PlacementError`; any other
+    error (such as a handle the substrate already holds) escapes unrolled.
+    """
+    request = placement.request
+    if placement.is_committed:
+        raise PlacementError(
+            f"placement for request {request.request_id} is already committed"
+        )
+    committed_nodes: List[Tuple[int, str]] = []
+    committed_paths: List[Tuple[Tuple[int, ...], str]] = []
+    try:
+        for instance in placement.instances:
+            network.allocate_node(
+                instance.node_id, instance.allocation_handle, instance.demand
+            )
+            committed_nodes.append((instance.node_id, instance.allocation_handle))
+        for index, segment in enumerate(placement.segments):
+            handle = _segment_handle(placement, index)
+            network.allocate_path(segment.path.nodes, handle, request.bandwidth_mbps)
+            committed_paths.append((segment.path.nodes, handle))
+    except (InsufficientCapacityError, InsufficientBandwidthError, NoRouteError) as exc:
+        for nodes, handle in committed_paths:
+            network.release_path(nodes, handle)
+        for node_id, handle in committed_nodes:
+            network.release_node(node_id, handle)
+        raise PlacementError(
+            f"placement for request {request.request_id} is infeasible: {exc}"
+        ) from exc
+    placement._committed = True
+
+
+def release_reference(placement: Placement, network: SubstrateNetwork) -> None:
+    """``Placement.release`` through one primitive call per segment and instance."""
+    if not placement.is_committed:
+        raise PlacementError(
+            f"placement for request {placement.request.request_id} is not committed"
+        )
+    for index, segment in enumerate(placement.segments):
+        network.release_path(segment.path.nodes, _segment_handle(placement, index))
+    for instance in placement.instances:
+        network.release_node(instance.node_id, instance.allocation_handle)
+    placement._committed = False

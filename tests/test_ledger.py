@@ -1,11 +1,15 @@
-"""Tests of the substrate ledger's allocation primitives.
+"""Tests of the substrate ledger's allocation primitives and chain kernel.
 
 The property test drives random interleavings of node allocation and
-release, path reservation and release, the four fence primitives and reset
-on the chain ``0 — 1 — 2 — 3``.  After every operation the books must
-balance, usage must stay within capacity, a call that raised must leave the
-ledger bitwise unchanged, and the memoized ``can_host_all`` must agree with
-a scalar fit check on every node.
+release, path reservation and release, the four fence primitives, reset,
+placement build/check/commit/release in any order, and ledger rebuilds (a
+chord added to the chain ``0 — 1 — 2 — 3``) on twin networks: placements
+run compiled on one and through the per-call references of
+``tests/substrate_oracles.py`` on the other.  After every operation both
+twins must agree bitwise — usage, records, allocation counts, verdicts and
+exception types — the books must balance, usage must stay within capacity,
+a primitive that raised must leave the ledger bitwise unchanged, and the
+memoized ``can_host_all`` must agree with a scalar fit check on every node.
 
 The unit tests pin the float rules of each primitive one at a time: the
 per-dimension node fit and its tolerance, the fit against clamped free
@@ -14,11 +18,15 @@ invalidation on every node write, and fences sized to exactly the free
 capacity.
 """
 
+import copy
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.nfv.catalog import default_catalog
+from repro.nfv.placement import Placement, PlacementError
 from repro.sim.lifecycle import (
     refresh_link_fence,
     refresh_node_fence,
@@ -35,7 +43,13 @@ from repro.substrate.node import (
 )
 from repro.substrate.resources import ResourceVector
 from repro.substrate.topology import linear_chain_topology
-from tests.substrate_oracles import node_can_host
+from tests.conftest import build_request
+from tests.substrate_oracles import (
+    check_reference,
+    commit_reference,
+    node_can_host,
+    release_reference,
+)
 
 NUM_NODES = 4  # the chain 0 — 1 — 2 — 3, capacity (8, 16, 100), links 1000 Mbps
 PROBES = [
@@ -52,29 +66,48 @@ REJECTIONS = (
     ValueError,
 )
 
+CATALOG = default_catalog()
+#: Links a rebuild adds to the chain; each one re-routes some node pairs.
+CHORDS = [(0, 2), (1, 3), (0, 3)]
+
 node_ids = st.integers(min_value=0, max_value=NUM_NODES - 1)
 link_heads = st.integers(min_value=0, max_value=NUM_NODES - 2)  # link (u, u + 1)
 amounts = st.floats(min_value=0.0, max_value=9.0, allow_nan=False)
-ledger_ops = st.lists(
-    st.one_of(
-        st.tuples(
-            st.just("allocate_node"), node_ids, st.integers(0, 3),
-            amounts, amounts.map(lambda x: 2 * x), amounts.map(lambda x: 12 * x),
-        ),
-        st.tuples(st.just("release_node"), node_ids, st.integers(0, 3)),
-        st.tuples(
-            st.just("allocate_path"), node_ids, node_ids, st.integers(0, 3),
-            st.sampled_from([0.0, 120.0, 450.0, 700.0]),
-        ),
-        st.tuples(st.just("release_path"), node_ids, node_ids, st.integers(0, 3)),
-        st.tuples(st.just("refresh_node_fence"), node_ids),
-        st.tuples(st.just("release_node_fence"), node_ids),
-        st.tuples(st.just("refresh_link_fence"), link_heads),
-        st.tuples(st.just("release_link_fence"), link_heads),
-        st.just(("reset",)),
+placement_picks = st.integers(min_value=0, max_value=7)
+primitive_ops = st.one_of(
+    st.tuples(
+        st.just("allocate_node"), node_ids, st.integers(0, 3),
+        amounts, amounts.map(lambda x: 2 * x), amounts.map(lambda x: 12 * x),
     ),
-    min_size=5,
-    max_size=40,
+    st.tuples(st.just("release_node"), node_ids, st.integers(0, 3)),
+    st.tuples(
+        st.just("allocate_path"), node_ids, node_ids, st.integers(0, 3),
+        st.sampled_from([0.0, 120.0, 450.0, 700.0]),
+    ),
+    st.tuples(st.just("release_path"), node_ids, node_ids, st.integers(0, 3)),
+    st.tuples(st.just("refresh_node_fence"), node_ids),
+    st.tuples(st.just("release_node_fence"), node_ids),
+    st.tuples(st.just("refresh_link_fence"), link_heads),
+    st.tuples(st.just("release_link_fence"), link_heads),
+    st.just(("reset",)),
+    st.tuples(st.just("add_link"), st.sampled_from(CHORDS)),
+)
+build_ops = st.tuples(
+    st.just("build"), node_ids,
+    st.lists(st.sampled_from(CATALOG.names), min_size=1, max_size=3),
+    st.lists(node_ids, min_size=1, max_size=3),
+    st.sampled_from([50.0, 300.0, 700.0]), st.sampled_from([6.0, 1e6]),
+)
+placement_ops = st.one_of(
+    build_ops,
+    build_ops,
+    st.tuples(st.just("check"), placement_picks),
+    st.tuples(st.just("commit"), placement_picks),
+    st.tuples(st.just("commit"), placement_picks),
+    st.tuples(st.just("release"), placement_picks),
+)
+ledger_ops = st.lists(
+    st.one_of(primitive_ops, placement_ops), min_size=5, max_size=40
 )
 
 
@@ -101,8 +134,62 @@ def apply(network, op):
         FENCES[kind](network, op[1])
     elif kind.endswith("link_fence"):
         FENCES[kind](network, (op[1], op[1] + 1))
+    elif kind == "add_link":
+        network.add_link(*op[1], 1000.0, latency_ms=1.0)
     else:
         network.reset()
+
+
+PRODUCTION = {
+    "check": Placement.is_feasible,
+    "commit": Placement.commit,
+    "release": Placement.release,
+}
+REFERENCE = {
+    "check": check_reference,
+    "commit": commit_reference,
+    "release": release_reference,
+}
+#: A check's verdict, a commit or release that returned, or one that was
+#: refused (a release after a reset finds no allocation on the first node).
+PLACEMENT_OUTCOMES = (None, True, False, PlacementError, UnknownAllocationError)
+
+
+def outcome(call, *args):
+    """What ``call`` returned, or the type of what it raised."""
+    try:
+        return call(*args)
+    except Exception as exc:  # compared across the twins, never swallowed
+        return type(exc)
+
+
+def apply_to_twins(network, twin, op, placements):
+    """Apply ``op`` to both twins; placements run compiled on ``network`` only.
+
+    ``placements`` collects (compiled, reference) pairs: the reference is a
+    shallow copy made before first use, so both share VNF instances (and so
+    handles) and routes.  Returns the outcome on each twin.
+    """
+    kind = op[0]
+    if kind == "build":
+        _, source, names, assignment, bandwidth, sla_ms = op
+        size = min(len(names), len(assignment))
+        request = build_request(
+            CATALOG, vnf_names=tuple(names[:size]), bandwidth=bandwidth,
+            source=source, sla_ms=sla_ms,
+        )
+        placement = Placement.build(request, assignment[:size], network)
+        placements.append((placement, copy.copy(placement)))
+        return None, None
+    if kind in PRODUCTION:
+        if not placements:
+            return None, None
+        compiled, reference = placements[op[1] % len(placements)]
+        return (
+            outcome(PRODUCTION[kind], compiled, network),
+            outcome(REFERENCE[kind], reference, twin),
+        )
+    return outcome(apply, network, op), outcome(apply, twin, op)
 
 
 def ledger_state(ledger):
@@ -135,20 +222,56 @@ def assert_books_balance(network):
             assert bool(fits[ledger.node_row[node_id]]) == node_can_host(network, node_id, probe)
 
 
+def _build(source, names, assignment, bandwidth=50.0):
+    return ("build", source, list(names), list(assignment), bandwidth, 1e6)
+
+
 class TestLedgerPrimitiveProperties:
     @given(ledger_ops)
     @settings(max_examples=200, deadline=None)
+    # A reset drops the records of a committed placement; its release then
+    # frees nothing on the links and raises on its first instance.
+    @example([_build(0, ["firewall", "nat"], [1, 2]), ("commit", 0), ("reset",),
+              ("release", 0), ("commit", 0)])
+    # A chord rebuilds the ledger: a placement checked on the old one
+    # recompiles, and new builds route over the chord.
+    @example([_build(0, ["firewall"], [3]), ("check", 0), ("add_link", (0, 3)),
+              ("check", 0), ("commit", 0), _build(0, ["nat"], [3]), ("commit", 1),
+              ("release", 0), ("release", 1)])
+    # The second chain's last hop overflows link (2, 3): the hop before it,
+    # its first segment and both instances roll back; the third chain fills
+    # links to exactly their capacity, and the retry then fits.
+    @example([_build(2, ["firewall"], [3], 700.0), ("commit", 0),
+              _build(0, ["nat", "firewall"], [1, 3], 700.0), ("commit", 1),
+              _build(0, ["nat", "ids"], [2, 3], 300.0), ("commit", 2),
+              ("release", 0), ("commit", 1), ("release", 2), ("release", 1)])
+    # Releases on a fenced node, out of commit order, then the fence lifts.
+    @example([_build(0, ["ids"], [1]), _build(2, ["nat", "ids"], [1, 3]),
+              ("commit", 0), ("commit", 1), ("refresh_node_fence", 1),
+              ("release", 0), ("refresh_node_fence", 1), ("release", 1),
+              ("release_node_fence", 1)])
     def test_random_interleavings_keep_the_books(self, ops):
         network = linear_chain_topology(num_edge_nodes=NUM_NODES, seed=7)
-        ledger = network.ledger
+        twin = linear_chain_topology(num_edge_nodes=NUM_NODES, seed=7)
+        placements = []
         assert_books_balance(network)
         for op in ops:
+            ledger = network.ledger
             before = ledger_state(ledger)
-            try:
-                apply(network, op)
-            except REJECTIONS:
-                assert ledger_state(ledger) == before, op
-            assert network.ledger is ledger
+            result, twin_result = apply_to_twins(network, twin, op, placements)
+            assert result == twin_result, op
+            if op[0] in PRODUCTION:
+                assert result in PLACEMENT_OUTCOMES, op
+            elif op[0] != "build":
+                # A topology change is refused while anything is allocated.
+                assert result is None or result in (*REJECTIONS, RuntimeError), op
+                if result is not None:
+                    assert ledger_state(network.ledger) == before, op
+                if op[0] != "add_link":
+                    assert network.ledger is ledger
+            for compiled, reference in placements:
+                assert compiled.is_committed == reference.is_committed
+            assert ledger_state(network.ledger) == ledger_state(twin.ledger), op
             assert_books_balance(network)
 
 

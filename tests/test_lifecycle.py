@@ -51,7 +51,7 @@ def assert_lifecycle_invariants(lifecycle):
         assert placement.is_committed
         assert not set(placement.node_assignment) & lifecycle.failed_nodes
         assert not any(
-            placement_traverses_link(placement, endpoints)
+            placement_traverses_link(placement, endpoints, network)
             for endpoints in lifecycle.failed_links
         )
 

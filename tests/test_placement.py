@@ -136,6 +136,27 @@ class TestCommitRelease:
         assert link_used(small_network, 0, 1) == 0.0
         assert not placement.is_committed
 
+    def test_duplicate_segment_handle_fails_without_leaking(self, small_network, catalog):
+        # A second placement for the same request id reuses the segment
+        # handle on link (0, 1).  Its commit must fail as a PlacementError
+        # before reserving anything, not after its instances were allocated.
+        request = build_request(catalog, source=0)
+        first = Placement.build(request, [1, 2], small_network)
+        first.commit(small_network)
+        ledger = small_network.ledger
+        node_before = ledger.node_used.copy()
+        link_before = ledger.link_used.copy()
+        second = Placement.build(request, [1, 3], small_network)
+        with pytest.raises(PlacementError):
+            second.commit(small_network)
+        assert not second.is_committed
+        assert allocation_count(small_network, 1) == 1
+        assert allocation_count(small_network, 3) == 0
+        assert ledger.node_used.tobytes() == node_before.tobytes()
+        assert ledger.link_used.tobytes() == link_before.tobytes()
+        first.release(small_network)
+        assert small_network.total_used().is_zero()
+
 
 class TestCost:
     def test_cost_positive_and_additive(self, small_network, catalog):

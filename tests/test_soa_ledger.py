@@ -2,14 +2,17 @@
 
 :class:`~repro.core.soa.SoAVecPlacementEnv` keeps each lane's node and link
 usage in two numpy arrays, ``_node_used`` ``(K, N, 3)`` and ``_link_used``
-``(K, L)``, and every scalar path reads and writes them directly: the
-feasibility check and atomic commit of the scalar replay, the rollback of a
-partial commit, the release of a departing or disrupted record, node
-fencing on failure and its removal on recovery, and the per-lane reset.
-These tests drive each primitive on a fresh lane with a chain the scalar
-replay really committed in the tight-link campaign, and check the exact
-ledger effect, that the other lanes stay untouched, and that the decision
-reads see what was written.
+``(K, L)``.  Its scalar paths run the substrate ledger's chain kernel
+(:func:`~repro.substrate.ledger.chain_fits`,
+:func:`~repro.substrate.ledger.reserve_chain`,
+:func:`~repro.substrate.ledger.free_chain`) on one lane's rows of those
+arrays: the commit a chain replays when the batched screen cannot prove it,
+with its rollback, and the release of a departing or disrupted record.  The
+env adds node fencing on failure, its removal on recovery, and the per-lane
+reset.  These tests drive each primitive on a fresh lane with a chain the
+scalar replay really committed in the tight-link campaign, and check the
+exact ledger effect, that the other lanes stay untouched, and that the
+decision reads see what was written.
 """
 
 import numpy as np
@@ -17,6 +20,9 @@ import pytest
 
 from differential import masked_random_actions, tight_link_factory
 from repro.core.soa import SoAVecPlacementEnv
+from repro.substrate.ledger import CompiledChain, chain_fits, free_chain, reserve_chain
+from repro.substrate.link import InsufficientBandwidthError
+from repro.substrate.node import InsufficientCapacityError
 
 #: Releases clamp at zero (``max(0, u - d)``), so round trips drift by rounding.
 ATOL = 1e-12
@@ -27,20 +33,21 @@ LANE = 1
 def replayed(monkeypatch):
     """A freshly reset tight-link env and one chain its replay committed.
 
-    Drives the campaign until ``_commit`` accepts a chain that crosses at
-    least one link, then resets every lane, so the ledgers start at zero.
-    Returns ``(env, view, rows, segments, propagation, per_mbps)``.
+    Drives the campaign until ``_finalize_request`` commits a chain that
+    crosses at least one link, then resets every lane, so the ledgers start
+    at zero.  Returns ``(env, view, rows, segments)``, ``segments`` being
+    one list of link slots per routed segment.
     """
     captured = []
-    commit = SoAVecPlacementEnv._commit
+    finalize = SoAVecPlacementEnv._finalize_request
 
     def spy(self, lane, view, rows, segments):
-        ok = commit(self, lane, view, rows, segments)
-        if ok and not captured and any(entry[1] for entry in segments):
+        ok = finalize(self, lane, view, rows, segments)
+        if ok and not captured and any(segments):
             captured.append((view, list(rows), list(segments)))
         return ok
 
-    monkeypatch.setattr(SoAVecPlacementEnv, "_commit", spy)
+    monkeypatch.setattr(SoAVecPlacementEnv, "_finalize_request", spy)
     env = tight_link_factory(SoAVecPlacementEnv)()
     rng = np.random.default_rng(123)
     env.reset(observe=False)
@@ -52,14 +59,33 @@ def replayed(monkeypatch):
     monkeypatch.undo()
     assert captured, "the scalar replay committed no chain"
     view, rows, segments = captured[0]
-    propagation = 0.0
-    per_mbps = 0.0
-    for entry in segments:
-        propagation += entry[0]
-        per_mbps += entry[2]
     env.reset(observe=False)
     assert not env._node_used.any() and not env._link_used.any()
-    return env, view, rows, segments, propagation, per_mbps
+    return env, view, rows, segments
+
+
+def _commit(env, lane, view, rows, segments):
+    """The kernel's commit of one chain on one lane's rows."""
+    reserve_chain(
+        env._ledger, env._node_used[lane], env._link_used[lane],
+        rows, view.demand_lists, segments, view.bw,
+    )
+
+
+def _fits(env, lane, view, rows, segments):
+    """The kernel's read-only check of one chain on one lane's rows."""
+    chain = CompiledChain(
+        env._ledger, rows, [vnf[0] for vnf in view.vnfs], segments, view.bw
+    )
+    return chain_fits(env._node_used[lane], env._link_used[lane], chain)
+
+
+def _release(env, lane, view, rows, segments):
+    """The kernel's release of one chain from one lane's rows."""
+    free_chain(
+        env._node_used[lane], env._link_used[lane],
+        rows, view.demand_lists, segments, view.bw,
+    )
 
 
 def _expected_usage(env, view, rows, segments):
@@ -68,8 +94,8 @@ def _expected_usage(env, view, rows, segments):
     for vnf, row in zip(view.vnfs, rows):
         node[row] += vnf[1]
     link = np.zeros_like(env._link_used[LANE])
-    for entry in segments:
-        for slot in entry[1]:
+    for slots in segments:
+        for slot in slots:
             link[slot] += view.bw
     return node, link
 
@@ -83,8 +109,8 @@ def _store_record(env, view, rows, segments):
         view.departure,
         view.bw,
         tuple(rows),
-        [vnf[1] for vnf in view.vnfs],
-        [entry[1] for entry in segments],
+        view.demand_lists,
+        segments,
         frozenset(rows),
     )
     st.heap.append((view.departure, st.counter, rec))
@@ -97,10 +123,10 @@ def _other_lanes(array):
 
 class TestCommitAndRollback:
     def test_commit_reserves_demands_and_bandwidth(self, replayed):
-        env, view, rows, segments, _, _ = replayed
+        env, view, rows, segments = replayed
         others_node = _other_lanes(env._node_used)
         others_link = _other_lanes(env._link_used)
-        assert env._commit(LANE, view, rows, segments)
+        _commit(env, LANE, view, rows, segments)
         node, link = _expected_usage(env, view, rows, segments)
         np.testing.assert_allclose(env._node_used[LANE], node, rtol=0.0, atol=ATOL)
         np.testing.assert_allclose(env._link_used[LANE], link, rtol=0.0, atol=ATOL)
@@ -108,21 +134,23 @@ class TestCommitAndRollback:
         np.testing.assert_array_equal(_other_lanes(env._link_used), others_link)
 
     def test_node_overflow_rolls_back_placed_instances(self, replayed):
-        env, view, rows, segments, _, _ = replayed
+        env, view, rows, segments = replayed
         full_row = rows[-1]
         env._node_used[LANE, full_row] = env._capacity[full_row]
         before = env._node_used[LANE].copy()
-        assert not env._commit(LANE, view, rows, segments)
+        with pytest.raises(InsufficientCapacityError):
+            _commit(env, LANE, view, rows, segments)
         np.testing.assert_allclose(env._node_used[LANE], before, rtol=0.0, atol=ATOL)
         assert not env._link_used[LANE].any()
 
     def test_link_overflow_rolls_back_nodes_and_segments(self, replayed):
-        env, view, rows, segments, _, _ = replayed
-        last_slots = [entry[1] for entry in segments if entry[1]][-1]
+        env, view, rows, segments = replayed
+        last_slots = [slots for slots in segments if slots][-1]
         full_slot = last_slots[-1]
-        env._link_used[LANE, full_slot] = env._link_cap_list[full_slot]
+        env._link_used[LANE, full_slot] = env._link_capacity[full_slot]
         link_before = env._link_used[LANE].copy()
-        assert not env._commit(LANE, view, rows, segments)
+        with pytest.raises(InsufficientBandwidthError):
+            _commit(env, LANE, view, rows, segments)
         np.testing.assert_allclose(env._node_used[LANE], 0.0, rtol=0.0, atol=ATOL)
         np.testing.assert_allclose(
             env._link_used[LANE], link_before, rtol=0.0, atol=ATOL
@@ -134,70 +162,57 @@ class TestCommitAndRollback:
         # Every route of the tight-link topology is one hop, so the two-link
         # segment is synthetic: its first slot is taken before the second
         # one overflows.
-        env, view, rows, _, _, _ = replayed
+        env, view, rows, _ = replayed
         free_slot, full_slot = 0, 1
-        env._link_used[LANE, full_slot] = env._link_cap_list[full_slot]
+        env._link_used[LANE, full_slot] = env._link_capacity[full_slot]
         link_before = env._link_used[LANE].copy()
-        assert not env._commit(LANE, view, rows, [(0.0, [free_slot, full_slot], 0.0)])
+        with pytest.raises(InsufficientBandwidthError):
+            _commit(env, LANE, view, rows, [[free_slot, full_slot]])
         np.testing.assert_allclose(env._node_used[LANE], 0.0, rtol=0.0, atol=ATOL)
         np.testing.assert_array_equal(env._link_used[LANE], link_before)
 
 
 class TestFeasibilityReadsTheLedger:
     def test_committed_chain_is_feasible_on_an_empty_lane(self, replayed):
-        env, view, rows, segments, propagation, per_mbps = replayed
-        feasible, e2e, cost = env._check_feasible(
-            LANE, view, rows, segments, propagation, per_mbps
-        )
-        assert feasible
-        assert 0.0 < e2e <= view.sla + 1e-9
-        assert cost > 0.0
+        env, view, rows, segments = replayed
+        assert _fits(env, LANE, view, rows, segments)
 
     def test_full_node_makes_the_chain_infeasible(self, replayed):
-        env, view, rows, segments, propagation, per_mbps = replayed
+        env, view, rows, segments = replayed
         env._node_used[LANE, rows[0]] = env._capacity[rows[0]]
-        assert env._check_feasible(
-            LANE, view, rows, segments, propagation, per_mbps
-        ) == (False, 0.0, 0.0)
+        assert not _fits(env, LANE, view, rows, segments)
         # Another lane's usage is not this lane's.
-        assert env._check_feasible(
-            LANE - 1, view, rows, segments, propagation, per_mbps
-        )[0]
+        assert _fits(env, LANE - 1, view, rows, segments)
 
     def test_full_link_makes_the_chain_infeasible(self, replayed):
-        env, view, rows, segments, propagation, per_mbps = replayed
-        slot = [entry[1] for entry in segments if entry[1]][0][0]
-        env._link_used[LANE, slot] = env._link_cap_list[slot]
-        assert env._check_feasible(
-            LANE, view, rows, segments, propagation, per_mbps
-        ) == (False, 0.0, 0.0)
+        env, view, rows, segments = replayed
+        slot = [slots for slots in segments if slots][0][0]
+        env._link_used[LANE, slot] = env._link_capacity[slot]
+        assert not _fits(env, LANE, view, rows, segments)
 
 
 class TestRelease:
     def test_release_returns_the_reservation(self, replayed):
-        env, view, rows, segments, _, _ = replayed
-        assert env._commit(LANE, view, rows, segments)
-        rec = _store_record(env, view, rows, segments)
-        env._release_record(LANE, rec)
-        assert not env._store.committed[rec]
+        env, view, rows, segments = replayed
+        _commit(env, LANE, view, rows, segments)
+        _release(env, LANE, view, rows, segments)
         np.testing.assert_allclose(env._node_used[LANE], 0.0, rtol=0.0, atol=ATOL)
         np.testing.assert_allclose(env._link_used[LANE], 0.0, rtol=0.0, atol=ATOL)
 
     def test_release_clamps_at_zero(self, replayed):
-        env, view, rows, segments, _, _ = replayed
-        rec = _store_record(env, view, rows, segments)
-        # The ledger holds less than the record reserved (rounding loss).
-        slot = [entry[1] for entry in segments if entry[1]][0][0]
+        env, view, rows, segments = replayed
+        # The ledger holds less than the chain reserved (rounding loss).
+        slot = [slots for slots in segments if slots][0][0]
         env._node_used[LANE, rows[0]] = 1e-15
         env._link_used[LANE, slot] = 1e-15
-        env._release_record(LANE, rec)
+        _release(env, LANE, view, rows, segments)
         assert not env._node_used[LANE].any()
         assert not env._link_used[LANE].any()
 
 
 class TestFailAndRecover:
     def test_fail_fences_the_free_capacity(self, replayed):
-        env, _, rows, _, _, _ = replayed
+        env, _, rows, _ = replayed
         st = env._lanes[LANE]
         row = rows[0]
         env._fail_node(LANE, st, row)
@@ -208,9 +223,9 @@ class TestFailAndRecover:
         assert not env._node_used[LANE - 1].any()
 
     def test_fail_tears_down_hosted_records(self, replayed):
-        env, view, rows, segments, _, _ = replayed
+        env, view, rows, segments = replayed
         st = env._lanes[LANE]
-        assert env._commit(LANE, view, rows, segments)
+        _commit(env, LANE, view, rows, segments)
         rec = _store_record(env, view, rows, segments)
         disrupted = st.stats.disrupted
         row = rows[-1]
@@ -227,7 +242,7 @@ class TestFailAndRecover:
         )
 
     def test_recover_removes_the_fence(self, replayed):
-        env, _, rows, _, _, _ = replayed
+        env, _, rows, _ = replayed
         st = env._lanes[LANE]
         row = rows[0]
         env._fail_node(LANE, st, row)
@@ -237,7 +252,7 @@ class TestFailAndRecover:
         assert not env._fence_rows[LANE, row]
 
     def test_fail_and_recover_are_idempotent(self, replayed):
-        env, _, rows, _, _, _ = replayed
+        env, _, rows, _ = replayed
         st = env._lanes[LANE]
         row = rows[0]
         env._recover_node(LANE, st, row)
@@ -253,9 +268,9 @@ class TestFailAndRecover:
 
 class TestResetLane:
     def test_reset_lane_clears_only_its_ledgers(self, replayed):
-        env, view, rows, segments, _, _ = replayed
+        env, view, rows, segments = replayed
         for lane in range(env.num_lanes):
-            assert env._commit(lane, view, rows, segments)
+            _commit(env, lane, view, rows, segments)
         env._fail_node(LANE, env._lanes[LANE], rows[0])
         others_node = _other_lanes(env._node_used)
         others_link = _other_lanes(env._link_used)
