@@ -11,8 +11,8 @@ check:
 	bash scripts/check.sh
 
 ## lint: reprolint project-contract static analysis (see docs/ANALYSIS.md)
-## Pass extra flags via LINT_ARGS, e.g. `make lint LINT_ARGS="--cache"`
-## or `make lint LINT_ARGS="--select RPL203 --format json"`.
+## Pass extra flags via LINT_ARGS, e.g.
+## `make lint LINT_ARGS="--select RPL203 --format json"`.
 lint:
 	python -m repro.analysis src benchmarks tests $(LINT_ARGS)
 

@@ -29,8 +29,9 @@ count K:
   batched step, solved per interleaved window pair (t4 = f + 4p,
   t64 = f + 64p, so machine-speed drift between pairs cannot skew the
   fit) for each step protocol (full / lean / core), plus the per-phase
-  kernel timers of a profiled K=64 run.  The per-lane bar below is
-  asserted on the core protocol's best pair (timer noise is one-sided:
+  times of a K=64 lean run, summed from ``Tracer`` spans around the SoA
+  env's mask, observe, commit and step methods.  The per-lane bar below
+  is asserted on the core protocol's best pair (timer noise is one-sided:
   slow machine phases only ever inflate p).
 * ``training_loop`` — the full DQN training decision loop (mask → batched
   ``select_actions`` → ``step`` → ``observe_batch`` → ``update``), i.e.
@@ -65,6 +66,8 @@ from repro.core.vecenv import (
     lane_workload_seed,
 )
 from repro.workloads.scenarios import Scenario, reference_scenario
+
+from benchmarks.e2e.measure import Tracer
 
 #: Required speedup of the K=16 training loop over the serial baseline.
 MIN_SPEEDUP_K16 = 4.0
@@ -116,6 +119,15 @@ SCALING_WINDOW_BATCH_STEPS = {4: 400, 64: 150}
 SEED = 0
 
 _BACKENDS = {"reference": VecPlacementEnv, "soa": SoAVecPlacementEnv}
+
+#: SoA env method -> phase it times in ``decomposition.kernel_timings_k64``.
+#: ``_observe_batch`` and ``_finalize_batch`` run inside ``step``.
+KERNEL_PHASES = {
+    "valid_action_masks": "mask",
+    "_observe_batch": "observe",
+    "_finalize_batch": "commit",
+    "step": "step",
+}
 
 
 def _scenario() -> Scenario:
@@ -360,20 +372,30 @@ def decompose_scaling_row(row: Dict[str, object]) -> Dict[str, object]:
     }
 
 
+def trace_kernel_phases(tracer: Tracer, venv: SoAVecPlacementEnv) -> None:
+    """Wrap ``venv``'s :data:`KERNEL_PHASES` methods with ``tracer``.
+
+    The wrappers are instance attributes, so ``step``'s own calls to
+    ``_observe_batch`` and ``_finalize_batch`` are traced too; leaving the
+    tracer's context restores the class methods.
+    """
+    for method, phase in KERNEL_PHASES.items():
+        tracer.patch(venv, method, phase)
+
+
 def measure_kernel_timings(
     num_lanes: int = 64,
     batch_steps: int = 200,
     protocol: str = "lean",
-) -> Dict[str, float]:
-    """Per-phase kernel timers of a profiled SoA run (us per batch step).
+) -> Dict[str, object]:
+    """Per-phase SoA kernel times of a traced run (us per batch step).
 
-    Builds the environment with ``profile=True`` so the mask / observe /
-    commit / info phase spans accumulate (see
-    ``SoAVecPlacementEnv.kernel_timings``), then reports each phase in
-    microseconds per batched step plus the per-lane share of the whole
-    step.  Instrumentation overhead is a few percent; the numbers feed the
-    decomposition payload as a *qualitative* phase breakdown, not an
-    asserted quantity.
+    After an untraced warmup, :func:`trace_kernel_phases` wraps the env and
+    ``batch_steps`` batch steps run; each phase reports its summed span time
+    per batch step, plus the per-lane share of the whole step.  The lean
+    protocol builds no info dicts, so there is no info phase.  The numbers
+    feed the decomposition payload as a *qualitative* phase breakdown, not
+    an asserted quantity.
     """
     from benchmarks.common import STEP_PROTOCOLS, masked_random_actions
 
@@ -386,7 +408,7 @@ def measure_kernel_timings(
         num_lanes,
         EnvConfig(requests_per_episode=requests_per_episode),
     )
-    venv = SoAVecPlacementEnv.from_specs(specs, profile=True)
+    venv = SoAVecPlacementEnv.from_specs(specs)
     rng = np.random.default_rng(SEED)
     venv.reset()
     for _ in range(STEADY_WARMUP_BATCH_STEPS):
@@ -394,21 +416,23 @@ def measure_kernel_timings(
             masked_random_actions(venv.valid_action_masks(), rng),
             **step_kwargs,
         )
-    baseline = venv.kernel_timings()
-    for _ in range(batch_steps):
-        venv.step(
-            masked_random_actions(venv.valid_action_masks(), rng),
-            **step_kwargs,
-        )
-    timings = venv.kernel_timings()
-    window = {key: timings[key] - baseline[key] for key in timings}
-    steps = window.pop("steps")
+    with Tracer() as tracer:
+        trace_kernel_phases(tracer, venv)
+        for _ in range(batch_steps):
+            venv.step(
+                masked_random_actions(venv.valid_action_masks(), rng),
+                **step_kwargs,
+            )
     venv.close()
-    per_batch_us = {
-        f"{key[:-2]}_us": value / steps * 1e6 for key, value in window.items()
+    total_ns = dict.fromkeys(KERNEL_PHASES.values(), 0)
+    for name, start_ns, end_ns, _, _ in tracer.spans:
+        total_ns[name] += end_ns - start_ns
+    per_batch_us: Dict[str, object] = {
+        f"{phase}_us": value / batch_steps / 1e3
+        for phase, value in total_ns.items()
     }
     per_batch_us["lanes"] = num_lanes
-    per_batch_us["batch_steps"] = steps
+    per_batch_us["batch_steps"] = batch_steps
     per_batch_us["protocol"] = protocol
     per_batch_us["per_lane_us"] = per_batch_us["step_us"] / num_lanes
     return per_batch_us
@@ -750,7 +774,7 @@ def main() -> None:
     print(
         f"  K=64 {kernels['protocol']} phases (us/batch step): "
         f"mask {kernels['mask_us']:.0f}, observe {kernels['observe_us']:.0f}, "
-        f"commit {kernels['commit_us']:.0f}, info {kernels['info_us']:.0f}, "
+        f"commit {kernels['commit_us']:.0f}, "
         f"step {kernels['step_us']:.0f} "
         f"({kernels['per_lane_us']:.1f} us/lane)"
     )

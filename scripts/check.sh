@@ -37,12 +37,11 @@ PYTHONPATH="src:.${PYTHONPATH:+:$PYTHONPATH}" python benchmarks/bench_serving.py
 
 echo "==> reprolint (project-contract static analysis, all rules enabled)"
 # One invocation both gates the tree and refreshes the committed
-# machine-readable payload that the schema gate below validates.  --cache
-# skips unchanged files (content-hashed; output stays byte-identical to a
-# cold run) and --format github surfaces findings as PR annotations when
-# this script runs inside a workflow.
+# machine-readable payload that the schema gate below validates.
+# --format github surfaces findings as PR annotations when this script runs
+# inside a workflow.
 python -m repro.analysis src benchmarks tests \
-    --cache --format github \
+    --format github \
     --output benchmarks/results/reprolint.json
 
 echo "==> committed benchmark-result schema gate"

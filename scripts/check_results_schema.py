@@ -48,23 +48,12 @@ ENGINEERING_SCHEMAS = {
     },
 }
 
-#: Required keys of the reprolint payload's summary section (schema v2:
-#: per-rule counts and the incremental-cache section joined in).
-REPROLINT_SUMMARY_KEYS = {
-    "files",
-    "findings",
-    "suppressed",
-    "clean",
-    "by_rule",
-    "cache",
-}
+#: Required keys of the reprolint payload's summary section.
+REPROLINT_SUMMARY_KEYS = {"files", "findings", "suppressed", "clean", "by_rule"}
 
-#: Required keys of summary.cache (hit/miss detail deliberately excluded —
-#: it would differ between cold and warm runs of the same tree).
-REPROLINT_CACHE_KEYS = {"enabled", "files"}
-
-#: Minimum reprolint JSON schema version the gate understands.
-REPROLINT_MIN_SCHEMA_VERSION = 2
+#: Minimum reprolint JSON schema version the gate understands (v3 dropped
+#: the incremental-cache block).
+REPROLINT_MIN_SCHEMA_VERSION = 3
 
 #: Required nested keys of the vecenv payload's lean-step extensions: the
 #: per-protocol cost-model fits plus the lean stepping series themselves.
@@ -112,7 +101,14 @@ def check_file(path: Path) -> list:
     problems = []
     if path.name == "reprolint.json":
         summary_missing = sorted(REPROLINT_SUMMARY_KEYS - set(payload["summary"]))
-        if summary_missing:
+        if payload["schema_version"] < REPROLINT_MIN_SCHEMA_VERSION:
+            problems.append(
+                f"{path.name}: stale schema_version "
+                f"{payload['schema_version']} "
+                f"(gate requires >= {REPROLINT_MIN_SCHEMA_VERSION}; "
+                "re-run scripts/check.sh to refresh)"
+            )
+        elif summary_missing:
             problems.append(
                 f"{path.name}: summary missing keys {summary_missing}"
             )
@@ -124,13 +120,6 @@ def check_file(path: Path) -> list:
                 f"({payload['summary']['findings']} findings)"
             )
         else:
-            if payload["schema_version"] < REPROLINT_MIN_SCHEMA_VERSION:
-                problems.append(
-                    f"{path.name}: stale schema_version "
-                    f"{payload['schema_version']} "
-                    f"(gate requires >= {REPROLINT_MIN_SCHEMA_VERSION}; "
-                    "re-run scripts/check.sh to refresh)"
-                )
             by_rule = payload["summary"]["by_rule"]
             if not isinstance(by_rule, dict) or not all(
                 isinstance(count, int) for count in by_rule.values()
@@ -142,12 +131,6 @@ def check_file(path: Path) -> list:
                 problems.append(
                     f"{path.name}: summary.by_rule missing enabled rules "
                     f"{sorted(set(payload['rules_enabled']) - set(by_rule))}"
-                )
-            cache = payload["summary"]["cache"]
-            cache_missing = sorted(REPROLINT_CACHE_KEYS - set(cache))
-            if cache_missing:
-                problems.append(
-                    f"{path.name}: summary.cache missing keys {cache_missing}"
                 )
     if path.name == "vecenv.json":
         for section, nested in (

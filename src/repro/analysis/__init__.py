@@ -11,7 +11,6 @@ violating diff fails ``make lint`` / CI before any campaign runs.
 See ``docs/ANALYSIS.md`` for the rule catalog and how to add a rule.
 """
 
-from repro.analysis.cache import CacheStats, LintCache
 from repro.analysis.config import AnalysisConfig, RuleScope, default_config
 from repro.analysis.engine import analyze_modules, analyze_paths, analyze_source
 from repro.analysis.findings import Finding, Report
@@ -29,8 +28,6 @@ __all__ = [
     "AnalysisConfig",
     "RuleScope",
     "default_config",
-    "CacheStats",
-    "LintCache",
     "render_github",
     "analyze_modules",
     "analyze_paths",

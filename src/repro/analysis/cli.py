@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.analysis.cache import DEFAULT_CACHE_FILE
 from repro.analysis.config import default_config
 from repro.analysis.engine import analyze_paths
 from repro.analysis.registry import FRAMEWORK_RULES, all_rules
@@ -43,16 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json", "github"), default="text",
         help="stdout report format (default: text); 'github' emits one "
              "::error workflow-command annotation per finding",
-    )
-    parser.add_argument(
-        "--cache", action="store_true",
-        help="use the content-hash incremental cache (unchanged files skip "
-             "analysis; output stays byte-identical to a cold run)",
-    )
-    parser.add_argument(
-        "--cache-file", type=Path, default=None,
-        help=f"cache location (default: <root>/{DEFAULT_CACHE_FILE}; "
-             "implies --cache)",
     )
     parser.add_argument(
         "--output", type=Path, default=None,
@@ -114,16 +103,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"no such path(s): {missing}", file=sys.stderr)
         return 2
 
-    cache_file = args.cache_file
-    if cache_file is None and args.cache:
-        cache_file = root / DEFAULT_CACHE_FILE
-    report = analyze_paths(
-        args.paths, config=config, root=root, cache_file=cache_file
-    )
-    if report.cache_stats is not None:
-        # Hit/miss detail goes to stderr only: stdout (and --output) must be
-        # byte-identical between cold and warm runs.
-        print(report.cache_stats.describe(), file=sys.stderr)
+    report = analyze_paths(args.paths, config=config, root=root)
     if args.output is not None:
         args.output.parent.mkdir(parents=True, exist_ok=True)
         args.output.write_text(render_json(report), encoding="utf-8")

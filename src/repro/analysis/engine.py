@@ -1,28 +1,15 @@
 """The analysis driver: collect files, run rules, apply suppressions.
 
-Two execution paths produce byte-identical reports:
-
-* :func:`analyze_modules` — the cold path: parse everything, run every
-  enabled rule.
-* the cached path inside :func:`analyze_paths` (``cache_file=...``) — per
-  file, a content-hash hit replays the stored raw findings and suppression
-  map instead of parsing; per project rule, an input-scope hit replays the
-  stored findings.  Only *raw* (pre-suppression) findings are cached, so
-  the shared suppression/sort/summary tail runs identically either way.
+Every run parses each collected file and runs every enabled rule
+(:func:`analyze_modules`); :func:`analyze_paths` and :func:`analyze_source`
+only differ in where the modules come from.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-from repro.analysis.cache import (
-    CacheStats,
-    LintCache,
-    config_fingerprint,
-    file_digest,
-    project_scope_digest,
-)
 from repro.analysis.config import AnalysisConfig, default_config
 from repro.analysis.findings import Finding, Report
 from repro.analysis.module import SourceModule
@@ -89,30 +76,14 @@ def _split_rules(config: AnalysisConfig):
     return enabled, file_rules, project_rules
 
 
-def _file_rule_findings(
-    module: SourceModule, file_rules, config: AnalysisConfig
-) -> List[Finding]:
-    """Framework + in-scope file-rule raw findings for one module.
-
-    This exact function feeds both the cold path and cache misses, so a
-    cache entry can never diverge from what a cold run would compute.
-    """
-    findings = _framework_findings(module)
-    for rule in file_rules:
-        if config.scope_for(rule.rule_id).applies_to(module.rel):
-            findings.extend(rule.check_module(module))
-    return findings
-
-
 def _finalize(
     raw: List[Finding],
     suppression_maps: Dict[str, Dict[int, Set[str]]],
     root: Path,
     enabled: Sequence[str],
     rels: Sequence[str],
-    cache_stats: Optional[CacheStats] = None,
 ) -> Report:
-    """The shared suppression/sort/summary tail of every run."""
+    """Apply suppressions, sort the findings and build the report."""
     findings: List[Finding] = []
     suppressed = 0
     for finding in raw:
@@ -137,7 +108,6 @@ def _finalize(
         suppressed=suppressed,
         rules_enabled=sorted(enabled),
         paths=sorted(rels),
-        cache_stats=cache_stats,
     )
 
 
@@ -146,11 +116,14 @@ def analyze_modules(
     config: AnalysisConfig,
     root: Path,
 ) -> Report:
-    """Run every enabled rule over pre-loaded modules (the cold path)."""
+    """Run every enabled rule over pre-loaded modules."""
     enabled, file_rules, project_rules = _split_rules(config)
     raw: List[Finding] = []
     for module in modules:
-        raw.extend(_file_rule_findings(module, file_rules, config))
+        raw.extend(_framework_findings(module))
+        for rule in file_rules:
+            if config.scope_for(rule.rule_id).applies_to(module.rel):
+                raw.extend(rule.check_module(module))
     by_rel = {module.rel: module for module in modules}
     for rule in project_rules:
         raw.extend(rule.check_project(by_rel, root))
@@ -160,86 +133,15 @@ def analyze_modules(
     return _finalize(raw, suppression_maps, root, enabled, sorted(by_rel))
 
 
-def _analyze_cached(
-    files: List[Path],
-    config: AnalysisConfig,
-    root: Path,
-    cache_file: Path,
-) -> Tuple[Report, CacheStats]:
-    from repro.analysis.reporters import JSON_SCHEMA_VERSION
-
-    enabled, file_rules, project_rules = _split_rules(config)
-    fingerprint = config_fingerprint(config, all_rules(), JSON_SCHEMA_VERSION)
-    cache = LintCache.load(cache_file, fingerprint)
-    stats = CacheStats()
-
-    raw: List[Finding] = []
-    suppression_maps: Dict[str, Dict[int, Set[str]]] = {}
-    digests: Dict[str, str] = {}
-    parsed: Dict[str, SourceModule] = {}
-    rels: List[str] = []
-    for path in files:
-        rel = _rel_path(path, root)
-        rels.append(rel)
-        text = path.read_text(encoding="utf-8")
-        digest = file_digest(text)
-        digests[rel] = digest
-        applicable = [
-            rule.rule_id
-            for rule in file_rules
-            if config.scope_for(rule.rule_id).applies_to(rel)
-        ]
-        entry = cache.lookup_file(rel, digest, applicable)
-        if entry is not None:
-            stats.file_hits += 1
-            raw.extend(LintCache.entry_findings(entry))
-            suppression_maps[rel] = LintCache.entry_suppressions(entry)
-            continue
-        stats.file_misses += 1
-        module = SourceModule.from_source(text, path=path, rel=rel)
-        parsed[rel] = module
-        findings = _file_rule_findings(module, file_rules, config)
-        raw.extend(findings)
-        suppression_maps[rel] = module.suppressions
-        cache.store_file(rel, digest, applicable, findings, module.suppressions)
-
-    for rule in project_rules:
-        scope_digest = project_scope_digest(
-            rule.project_inputs(), digests, root
-        )
-        cached = cache.lookup_project(rule.rule_id, scope_digest)
-        if cached is not None:
-            stats.project_hits += 1
-            raw.extend(cached)
-            continue
-        stats.project_misses += 1
-        findings = rule.check_project(parsed, root)
-        raw.extend(findings)
-        cache.store_project(rule.rule_id, scope_digest, findings)
-
-    cache.save(cache_file)
-    report = _finalize(raw, suppression_maps, root, enabled, rels, stats)
-    return report, stats
-
-
 def analyze_paths(
     paths: Sequence[str],
     config: Optional[AnalysisConfig] = None,
     root: Optional[Path] = None,
-    cache_file: Optional[Path] = None,
 ) -> Report:
-    """Analyze files/directories; the main entry point for CLI and tests.
-
-    With ``cache_file`` the incremental cache is consulted and refreshed;
-    the returned report is byte-identical to a cold run's and carries the
-    hit/miss counters in ``report.cache_stats``.
-    """
+    """Analyze files/directories; the main entry point for CLI and tests."""
     config = config if config is not None else default_config()
     root = (root or Path.cwd()).resolve()
     files = collect_files([Path(p) for p in paths], root, config)
-    if cache_file is not None:
-        report, _ = _analyze_cached(files, config, root, cache_file)
-        return report
     modules = [SourceModule.load(path, _rel_path(path, root)) for path in files]
     return analyze_modules(modules, config, root)
 

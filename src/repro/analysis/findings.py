@@ -47,10 +47,6 @@ class Report:
     suppressed: int = 0
     rules_enabled: list = field(default_factory=list)
     paths: list = field(default_factory=list)
-    #: CacheStats when the run used the incremental cache, else None.
-    #: Hit/miss detail never enters the payload (see cache module docstring);
-    #: reporters only expose whether caching was on.
-    cache_stats: object = None
 
     @property
     def clean(self) -> bool:

@@ -7,7 +7,7 @@ top-level shape is versioned and changes require a schema bump:
 .. code-block:: json
 
     {
-      "schema_version": 2,
+      "schema_version": 3,
       "tool": "reprolint",
       "rules_enabled": ["RPL101", "..."],
       "paths_scanned": 123,
@@ -15,17 +15,15 @@ top-level shape is versioned and changes require a schema bump:
         {"rule": "...", "path": "...", "line": 1, "col": 1,
          "message": "...", "symbol": "..."}
       ],
-      "summary": {"files": 123, "findings": 0, "suppressed": 12,
+      "summary": {"files": 123, "findings": 0, "suppressed": 0,
                   "clean": true,
-                  "by_rule": {"RPL101": 0, "...": 0},
-                  "cache": {"enabled": true, "files": 123}}
+                  "by_rule": {"RPL101": 0, "...": 0}}
     }
 
 Schema history: v1 had no ``summary.by_rule``/``summary.cache``; v2 added
 both (per-rule post-suppression counts with zeros for every enabled rule,
-and whether the incremental cache served the run).  Cache hit/miss counts
-deliberately stay out of the payload — they differ between a cold and a
-warm run, and the committed artifact must be byte-identical across both.
+and whether the incremental cache served the run); v3 dropped
+``summary.cache`` with the cache itself.
 
 Output is deterministic: findings sort by (path, line, col, rule) and no
 timestamps or absolute paths appear anywhere.
@@ -44,7 +42,7 @@ import json
 from repro.analysis.findings import Report
 
 #: Bumped whenever the JSON payload's shape changes.
-JSON_SCHEMA_VERSION = 2
+JSON_SCHEMA_VERSION = 3
 
 
 def render_text(report: Report) -> str:
@@ -113,10 +111,6 @@ def render_json(report: Report) -> str:
             "suppressed": report.suppressed,
             "clean": report.clean,
             "by_rule": report.by_rule(),
-            "cache": {
-                "enabled": report.cache_stats is not None,
-                "files": report.files_scanned,
-            },
         },
     }
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"

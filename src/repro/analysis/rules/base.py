@@ -57,17 +57,6 @@ class ProjectRule(Rule):
     ) -> List[Finding]:
         raise NotImplementedError
 
-    def project_inputs(self) -> Optional[List[str]]:
-        """Root-relative files this rule reads, for cache invalidation.
-
-        The incremental cache re-runs a project rule only when one of the
-        declared inputs changed.  Returning None (the default) declares the
-        whole scan set as input — always sound, never incremental.  A rule
-        overriding this must access sources exclusively through
-        :meth:`load_module` on the declared rels.
-        """
-        return None
-
     def load_module(
         self, modules: Dict[str, SourceModule], root: Path, rel: str
     ) -> Optional[SourceModule]:

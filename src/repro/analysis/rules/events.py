@@ -98,11 +98,6 @@ class EventHandlerExhaustivenessRule(ProjectRule):
         "registration (or dispatch comparison) in any handler module"
     )
 
-    def project_inputs(self) -> List[str]:
-        events_rel = self.options.get("events_module")
-        handler_rels = list(self.options.get("handler_modules", ()))
-        return ([events_rel] if events_rel else []) + handler_rels
-
     def check_project(
         self, modules: Dict[str, SourceModule], root: Path
     ) -> List[Finding]:

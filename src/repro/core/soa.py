@@ -21,12 +21,16 @@ The per-lane object path is retained as the reference backend; this class is
 reference operation order (see ``tests/differential.py`` for the harness that
 enforces this).  The only intentional difference is memory layout: lanes
 share constants and routed-path caches instead of duplicating them K times.
+
+The class carries no timers.  Per-phase times are measured from outside by
+wrapping ``valid_action_masks`` (mask), ``_observe_batch`` (observe),
+``_finalize_batch`` (commit) and ``step`` on an instance with the end-to-end
+harness's ``Tracer`` (see ``benchmarks/bench_vecenv.py``).
 """
 
 from __future__ import annotations
 
 import heapq
-from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -310,7 +314,6 @@ class SoAVecPlacementEnv:
         specs: Sequence[LaneSpec],
         auto_reset: bool = True,
         lane_names: Optional[Sequence[str]] = None,
-        profile: bool = False,
     ) -> None:
         specs = list(specs)
         if not specs:
@@ -478,18 +481,6 @@ class SoAVecPlacementEnv:
         self._req_done: List[bool] = [False] * num_lanes
         self._req_ids: List[int] = [0] * num_lanes
         self._finished_stats: Dict[int, Dict[str, float]] = {}
-        #: Cumulative per-phase kernel timers (mask / observe / commit /
-        #: info), enabled via ``profile=True``; disabled they cost one
-        #: attribute check per phase.
-        self._profile = bool(profile)
-        self._timings: Dict[str, float] = {
-            "mask_s": 0.0,
-            "observe_s": 0.0,
-            "commit_s": 0.0,
-            "info_s": 0.0,
-            "step_s": 0.0,
-            "steps": 0.0,
-        }
 
     # ------------------------------------------------------------------ #
     # Construction from scenarios (mirrors VecPlacementEnv)
@@ -505,7 +496,6 @@ class SoAVecPlacementEnv:
         encoder_config: Optional[EncoderConfig] = None,
         auto_reset: bool = True,
         failure_config: Optional[FailureConfig] = None,
-        profile: bool = False,
     ) -> "SoAVecPlacementEnv":
         """K lanes of one scenario with independent derived workload seeds."""
         if num_lanes <= 0:
@@ -518,7 +508,6 @@ class SoAVecPlacementEnv:
             encoder_config=encoder_config,
             auto_reset=auto_reset,
             failure_config=failure_config,
-            profile=profile,
         )
 
     @classmethod
@@ -532,7 +521,6 @@ class SoAVecPlacementEnv:
         auto_reset: bool = True,
         derive_lane_seeds: bool = True,
         failure_config: Optional[FailureConfig] = None,
-        profile: bool = False,
     ) -> "SoAVecPlacementEnv":
         """One lane per scenario, with the standard per-lane seed derivation."""
         specs = lane_specs_from_scenarios(
@@ -544,21 +532,19 @@ class SoAVecPlacementEnv:
             derive_lane_seeds=derive_lane_seeds,
             failure_config=failure_config,
         )
-        return cls.from_specs(specs, auto_reset=auto_reset, profile=profile)
+        return cls.from_specs(specs, auto_reset=auto_reset)
 
     @classmethod
     def from_specs(
         cls,
         specs: Sequence[LaneSpec],
         auto_reset: bool = True,
-        profile: bool = False,
     ) -> "SoAVecPlacementEnv":
         """Build one lane per :class:`LaneSpec`."""
         return cls(
             specs,
             auto_reset=auto_reset,
             lane_names=[spec.name for spec in specs],
-            profile=profile,
         )
 
     # ------------------------------------------------------------------ #
@@ -862,14 +848,6 @@ class SoAVecPlacementEnv:
         per-lane failed-node loop replaced by the columnar ``(K, N)`` fence
         mask.
         """
-        if self._profile:
-            t0 = perf_counter()  # repro-lint: disable=RPL102 — opt-in profiling timer (profile=True), not simulation state
-            masks = self._masks_kernel()
-            self._timings["mask_s"] += perf_counter() - t0  # repro-lint: disable=RPL102 — opt-in profiling timer (profile=True), not simulation state
-            return masks
-        return self._masks_kernel()
-
-    def _masks_kernel(self) -> np.ndarray:
         context = self.lane_decision_context()
         num_actions = self.num_actions
         num_nodes = self._num_nodes
@@ -893,14 +871,6 @@ class SoAVecPlacementEnv:
     # ------------------------------------------------------------------ #
     def _observe_batch(self) -> np.ndarray:
         """Fused batched state encoding (bitwise equal to per-lane encode)."""
-        if self._profile:
-            t0 = perf_counter()  # repro-lint: disable=RPL102 — opt-in profiling timer (profile=True), not simulation state
-            states = self._observe_kernel()
-            self._timings["observe_s"] += perf_counter() - t0  # repro-lint: disable=RPL102 — opt-in profiling timer (profile=True), not simulation state
-            return states
-        return self._observe_kernel()
-
-    def _observe_kernel(self) -> np.ndarray:
         context = self.lane_decision_context()
         onehots, remaining, bandwidths, partials, vnf_indices, chain_lengths = (
             self._obs_extras
@@ -1005,9 +975,6 @@ class SoAVecPlacementEnv:
         arrays are recorded unconditionally, so lean and full steps traverse
         the same state transitions bitwise.
         """
-        profiling = self._profile
-        if profiling:
-            step_t0 = perf_counter()  # repro-lint: disable=RPL102 — opt-in profiling timer (profile=True), not simulation state
         acts = np.asarray(actions, dtype=int).ravel()
         num_lanes = self.num_lanes
         if acts.shape[0] != num_lanes:
@@ -1119,11 +1086,7 @@ class SoAVecPlacementEnv:
                     req_done[lane] = True
                     completing.append((lane, st, view))
         if completing:
-            if profiling:
-                commit_t0 = perf_counter()  # repro-lint: disable=RPL102 — opt-in profiling timer (profile=True), not simulation state
             self._finalize_batch(completing, rewards, place_list)
-            if profiling:
-                self._timings["commit_s"] += perf_counter() - commit_t0  # repro-lint: disable=RPL102 — opt-in profiling timer (profile=True), not simulation state
 
         # Reward/stat accumulation and episode boundaries run as one pass
         # after the batch commit, so completing lanes already carry their
@@ -1145,8 +1108,6 @@ class SoAVecPlacementEnv:
         self.episodes_completed += episodes_done
 
         if info:
-            if profiling:
-                info_t0 = perf_counter()  # repro-lint: disable=RPL102 — opt-in profiling timer (profile=True), not simulation state
             infos: Optional[List[Dict[str, object]]] = []
             lane_names = self.lane_names
             append_info = infos.append
@@ -1169,17 +1130,12 @@ class SoAVecPlacementEnv:
                         else zero_state
                     )
                 append_info(payload)
-            if profiling:
-                self._timings["info_s"] += perf_counter() - info_t0  # repro-lint: disable=RPL102 — opt-in profiling timer (profile=True), not simulation state
         else:
             infos = None
         if observe:
             states = self._observe_batch()
         else:
             states = np.zeros((num_lanes, self.state_dim), dtype=float)
-        if profiling:
-            self._timings["step_s"] += perf_counter() - step_t0  # repro-lint: disable=RPL102 — opt-in profiling timer (profile=True), not simulation state
-            self._timings["steps"] += 1.0
         return states, rewards, dones, infos
 
     # ------------------------------------------------------------------ #
@@ -1587,16 +1543,6 @@ class SoAVecPlacementEnv:
             raise KeyError(
                 f"lane {lane} did not finish an episode in the last step"
             ) from None
-
-    def kernel_timings(self) -> Dict[str, float]:
-        """Cumulative per-phase kernel timers (profile mode only).
-
-        Keys: ``mask_s`` / ``observe_s`` / ``commit_s`` / ``info_s`` phase
-        seconds, ``step_s`` whole-step seconds and ``steps`` the number of
-        profiled batch steps.  All zero unless the environment was built
-        with ``profile=True``.
-        """
-        return dict(self._timings)
 
     def close(self) -> None:
         """Release lane resources (a no-op for the in-process SoA core)."""

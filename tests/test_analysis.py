@@ -206,18 +206,16 @@ class TestReporters:
             "schema_version", "tool", "rules_enabled", "paths_scanned",
             "findings", "summary",
         }
-        assert payload["schema_version"] == 2
+        assert payload["schema_version"] == 3
         assert payload["tool"] == "reprolint"
         summary = payload["summary"]
         assert set(summary) == {
-            "files", "findings", "suppressed", "clean", "by_rule", "cache"
+            "files", "findings", "suppressed", "clean", "by_rule"
         }
         assert summary["clean"] is False
         assert summary["findings"] == len(payload["findings"])
-        # v2: per-rule counts cover every enabled rule (zeros included) and
-        # the cache block records whether the incremental cache was active.
+        # Per-rule counts cover every enabled rule (zeros included).
         assert summary["by_rule"] == {"RPL101": 4}
-        assert summary["cache"] == {"enabled": False, "files": 1}
         for entry in payload["findings"]:
             assert set(entry) == {
                 "rule", "path", "line", "col", "message", "symbol"
@@ -333,90 +331,6 @@ class TestCli:
         assert payload["paths_scanned"] == 1
 
 
-class TestCache:
-    """Incremental cache: warm runs replay, never change observable output."""
-
-    def _scan(self, tmp_path, cache_file, select=("RPL101",)):
-        config = AnalysisConfig(select=list(select))
-        return analyze_paths(
-            ["module.py"], config=config, root=tmp_path, cache_file=cache_file
-        )
-
-    def test_cold_and_warm_runs_byte_identical(self, tmp_path):
-        (tmp_path / "module.py").write_text(
-            (FIXTURES / "rpl101_trigger.py").read_text()
-        )
-        cache_file = tmp_path / "cache.json"
-        cold = self._scan(tmp_path, cache_file)
-        assert cold.cache_stats.file_misses == 1
-        assert cold.cache_stats.file_hits == 0
-        warm = self._scan(tmp_path, cache_file)
-        assert warm.cache_stats.file_hits == 1
-        assert warm.cache_stats.file_misses == 0
-        # The acceptance bar: both renderings byte-identical to the cold run.
-        assert render_text(warm) == render_text(cold)
-        assert render_json(warm) == render_json(cold)
-        # And the cached run matches an uncached one finding-for-finding.
-        uncached = analyze_paths(
-            ["module.py"],
-            config=AnalysisConfig(select=["RPL101"]),
-            root=tmp_path,
-        )
-        assert [f.to_dict() for f in uncached.findings] == [
-            f.to_dict() for f in cold.findings
-        ]
-
-    def test_content_change_invalidates_entry(self, tmp_path):
-        target = tmp_path / "module.py"
-        target.write_text("import time\n")
-        cache_file = tmp_path / "cache.json"
-        first = self._scan(tmp_path, cache_file, select=("RPL102",))
-        assert first.findings == []
-        target.write_text("import time\nt = time.time()\n")
-        second = self._scan(tmp_path, cache_file, select=("RPL102",))
-        assert second.cache_stats.file_misses == 1
-        assert [f.rule_id for f in second.findings] == ["RPL102"]
-        # Unchanged content afterwards hits again.
-        third = self._scan(tmp_path, cache_file, select=("RPL102",))
-        assert third.cache_stats.file_hits == 1
-        assert render_json(third) == render_json(second)
-
-    def test_config_change_invalidates_whole_cache(self, tmp_path):
-        target = tmp_path / "module.py"
-        target.write_text("import time\nt = time.time()\n")
-        cache_file = tmp_path / "cache.json"
-        self._scan(tmp_path, cache_file, select=("RPL102",))
-        # A different rule selection must not replay stale entries.
-        other = self._scan(tmp_path, cache_file, select=("RPL101", "RPL102"))
-        assert other.cache_stats.file_misses == 1
-
-    def test_suppressions_replay_from_cache(self, tmp_path):
-        (tmp_path / "module.py").write_text(
-            (FIXTURES / "suppressed_ok.py").read_text()
-        )
-        cache_file = tmp_path / "cache.json"
-        cold = self._scan(tmp_path, cache_file, select=("RPL102",))
-        warm = self._scan(tmp_path, cache_file, select=("RPL102",))
-        assert warm.cache_stats.file_hits == 1
-        assert cold.suppressed == warm.suppressed == 2
-        assert cold.findings == warm.findings == []
-
-    def test_project_rule_scope_cached(self, tmp_path):
-        config = default_config()
-        config.select = ["RPL107"]
-        cache_file = tmp_path / "cache.json"
-        rel = "src/repro/sim"
-        cold = analyze_paths(
-            [rel], config=config, root=REPO_ROOT, cache_file=cache_file
-        )
-        assert cold.cache_stats.project_misses == 1
-        warm = analyze_paths(
-            [rel], config=config, root=REPO_ROOT, cache_file=cache_file
-        )
-        assert warm.cache_stats.project_hits == 1
-        assert render_json(warm) == render_json(cold)
-
-
 class TestRepoClean:
     """The tree itself must pass with every rule enabled."""
 
@@ -428,9 +342,9 @@ class TestRepoClean:
         # Sanity: this really scanned the tree with the full catalog.
         assert report.files_scanned > 100
         assert report.rules_enabled == sorted(all_rules())
-        # The committed suppressions (the ten soa.py profiling timers) are
-        # in effect, not silently ignored.
-        assert report.suppressed >= 10
+        # The tree carries no suppressions: every finding is fixed, not
+        # waived.
+        assert report.suppressed == 0
 
     def test_real_event_enum_is_exhaustively_handled(self):
         config = default_config()

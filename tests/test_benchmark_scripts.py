@@ -1,9 +1,19 @@
-"""The benchmark scripts' CI entry points leave the committed results alone."""
+"""The benchmark scripts' entry points: committed results stay untouched,
+and the vec-env phase breakdown is measured without perturbing the env."""
 
 import sys
+from collections import Counter
+
+import numpy as np
+import pytest
 
 import benchmarks.bench_serving as bench_serving
+import benchmarks.bench_vecenv as bench_vecenv
 import benchmarks.common as common
+from benchmarks.e2e.measure import Tracer
+from repro.core.env import EnvConfig
+from repro.core.soa import SoAVecPlacementEnv
+from repro.core.vecenv import OUTCOME_CODE
 
 
 def test_serving_smoke_asserts_and_prints_but_writes_nothing(
@@ -17,3 +27,78 @@ def test_serving_smoke_asserts_and_prints_but_writes_nothing(
     assert "serving smoke:" in capsys.readouterr().out
     assert list(tmp_path.iterdir()) == []
     assert committed.read_bytes() == before
+
+
+def _comparable(step_result):
+    """A step's output without request ids: they come from a process-wide
+    counter, so two envs stepped in turn draw different ones."""
+    states, rewards, dones, infos = step_result
+    if infos is not None:
+        infos = [
+            {key: value for key, value in info.items() if key != "request_id"}
+            for info in infos
+        ]
+    return states, rewards, dones, infos
+
+
+@pytest.mark.parametrize("protocol", ["full", "lean"])
+def test_traced_kernel_phases_leave_trajectory_bitwise_equal(protocol):
+    """A Tracer around the four phase methods changes no state or output."""
+    step_kwargs = common.STEP_PROTOCOLS[protocol]
+    specs = bench_vecenv._lane_specs(
+        bench_vecenv._scenario(), 4, EnvConfig(requests_per_episode=5)
+    )
+    plain = SoAVecPlacementEnv.from_specs(specs)
+    traced = SoAVecPlacementEnv.from_specs(specs)
+    rng_plain, rng_traced = np.random.default_rng(7), np.random.default_rng(7)
+    steps, episode_ends, accepting_steps = 40, 0, 0
+    with Tracer() as tracer:
+        bench_vecenv.trace_kernel_phases(tracer, traced)
+        np.testing.assert_array_equal(plain.reset(), traced.reset())
+        for _ in range(steps):
+            masks = plain.valid_action_masks()
+            np.testing.assert_array_equal(masks, traced.valid_action_masks())
+            actions = common.masked_random_actions(masks, rng_plain)
+            np.testing.assert_array_equal(
+                actions, common.masked_random_actions(masks, rng_traced)
+            )
+            expected = _comparable(plain.step(actions, **step_kwargs))
+            # States, rewards, dones and infos (None under the lean protocol).
+            np.testing.assert_equal(
+                _comparable(traced.step(actions, **step_kwargs)), expected
+            )
+            np.testing.assert_array_equal(
+                traced.last_outcome_codes(), plain.last_outcome_codes()
+            )
+            np.testing.assert_array_equal(
+                traced.last_request_done(), plain.last_request_done()
+            )
+            episode_ends += int(expected[2].sum())
+            accepting_steps += bool(
+                (plain.last_outcome_codes() == OUTCOME_CODE["accepted"]).any()
+            )
+    assert episode_ends > 0
+    calls = Counter(span[0] for span in tracer.spans)
+    assert set(calls) == set(bench_vecenv.KERNEL_PHASES.values())
+    assert calls["mask"] == calls["step"] == steps
+    assert calls["observe"] == steps + 1  # reset() observes too
+    # At most one batched commit per step, and one on every step that
+    # accepted a chain.
+    assert 0 < accepting_steps <= calls["commit"] <= steps
+    # Leaving the tracer restores the class methods on the instance.
+    assert not set(bench_vecenv.KERNEL_PHASES) & set(vars(traced))
+    for stats_plain, stats_traced in zip(plain.lane_stats(), traced.lane_stats()):
+        assert stats_traced.as_dict() == stats_plain.as_dict()
+
+
+def test_measure_kernel_timings_reports_nested_phases():
+    timings = bench_vecenv.measure_kernel_timings(num_lanes=4, batch_steps=20)
+    for phase in bench_vecenv.KERNEL_PHASES.values():
+        assert timings[f"{phase}_us"] > 0.0
+    # Observe and commit run inside step; mask runs beside it.
+    assert timings["observe_us"] + timings["commit_us"] <= timings["step_us"]
+    assert timings["per_lane_us"] == timings["step_us"] / 4
+    assert "info_us" not in timings
+    assert (timings["lanes"], timings["batch_steps"], timings["protocol"]) == (
+        4, 20, "lean"
+    )

@@ -1,13 +1,10 @@
-"""Lean-step protocol unit tests plus SoA cache/profiling regressions.
+"""Lean-step protocol unit tests plus an SoA cache regression.
 
-Covers the three satellite behaviours around the lean-step fast path:
+Covers two behaviours around the lean-step fast path:
 
 * the ``_type_info`` cache must key on stable type *names* (with an
   identity check), never on ``id()`` — CPython recycles ids after GC,
   which silently handed brand-new VNF types a stale cached row;
-* the optional kernel-timing counters (``profile=True``) must accumulate
-  per-phase seconds without affecting results, and stay zero when
-  disabled;
 * the lean accessors (``last_outcome_codes`` / ``last_request_done`` /
   ``last_request_ids`` / ``last_episode_stats``) must mirror the info
   dicts of the full protocol and reject lanes that did not finish.
@@ -32,13 +29,12 @@ def _scenario(seed: int = 0):
     )
 
 
-def _soa_env(num_lanes: int = 3, *, profile: bool = False, seed: int = 0):
+def _soa_env(num_lanes: int = 3, *, seed: int = 0):
     return SoAVecPlacementEnv.from_scenario(
         _scenario(seed),
         num_lanes,
         seed=seed,
         env_config=EnvConfig(requests_per_episode=6),
-        profile=profile,
     )
 
 
@@ -121,60 +117,6 @@ class TestTypeInfoCache:
         assert env._vnf_info(second)[0] == 9.9
         # And a repeat hit on the cached object stays a genuine cache hit.
         assert env._vnf_info(second)[3] is second
-
-
-class TestKernelTimings:
-    """The opt-in per-phase profiling counters."""
-
-    @staticmethod
-    def _run_steps(env, steps: int = 5):
-        rng = np.random.default_rng(3)
-        env.reset()
-        for _ in range(steps):
-            masks = env.valid_action_masks()
-            env.step(masked_random_actions(masks, rng))
-
-    def test_disabled_by_default(self):
-        env = _soa_env(2)
-        self._run_steps(env)
-        timings = env.kernel_timings()
-        assert set(timings) == {
-            "mask_s", "observe_s", "commit_s", "info_s", "step_s", "steps"
-        }
-        assert all(value == 0.0 for value in timings.values())
-
-    def test_profile_flag_accumulates_phases(self):
-        env = _soa_env(2, profile=True)
-        self._run_steps(env, steps=5)
-        timings = env.kernel_timings()
-        assert timings["steps"] == 5.0
-        assert timings["step_s"] > 0.0
-        assert timings["mask_s"] > 0.0
-        assert timings["observe_s"] > 0.0
-        assert timings["commit_s"] >= 0.0
-        assert timings["info_s"] >= 0.0
-        # Phase totals are sub-spans of whole steps plus the mask calls.
-        assert timings["commit_s"] + timings["info_s"] <= timings["step_s"]
-
-    def test_profiled_run_matches_unprofiled(self):
-        """Timing instrumentation must not perturb trajectories."""
-        plain, profiled = _soa_env(2), _soa_env(2, profile=True)
-        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
-        states_a, states_b = plain.reset(), profiled.reset()
-        np.testing.assert_array_equal(states_a, states_b)
-        for _ in range(8):
-            masks_a = plain.valid_action_masks()
-            masks_b = profiled.valid_action_masks()
-            np.testing.assert_array_equal(masks_a, masks_b)
-            actions = masked_random_actions(masks_a, rng_a)
-            np.testing.assert_array_equal(
-                actions, masked_random_actions(masks_b, rng_b)
-            )
-            sa, ra, da, _ = plain.step(actions)
-            sb, rb, db, _ = profiled.step(actions)
-            np.testing.assert_array_equal(sa, sb)
-            np.testing.assert_array_equal(ra, rb)
-            np.testing.assert_array_equal(da, db)
 
 
 class TestLeanAccessors:
