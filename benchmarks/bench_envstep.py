@@ -1,8 +1,8 @@
 """Microbenchmark of the environment core and its routing layer.
 
-Three measurements over the dense routing tables (all-pairs latency matrix
-with next-hop reconstruction), the array-backed substrate ledger and the
-batched state/mask encoding:
+Four measurements over the dense routing tables (all-pairs latency matrix
+with next-hop reconstruction), the array-backed substrate ledger, the
+batched state/mask encoding and the request layer that feeds them:
 
 * ``env_step`` — steps/s of the single-environment decision loop
   (``valid_action_mask()`` + ``step()``, which encodes the next state) over
@@ -12,7 +12,10 @@ batched state/mask encoding:
   near-constant in N while the build grows as O(N³);
 * ``placement_ops`` — µs per call of ``Placement.build``, ``is_feasible``,
   ``commit`` and ``release`` over one reference-scenario trace, replayed
-  the way the simulator and the serving loop drive placements.
+  the way the simulator and the serving loop drive placements;
+* ``request_ops`` — µs per call of ``RequestGenerator.sample_request``, of
+  a fresh chain's first ``demand_rows`` read and of the SoA core's
+  ``_request_view`` over the arrival times of the same trace.
 
 Run standalone::
 
@@ -28,19 +31,23 @@ from __future__ import annotations
 
 import heapq
 import time
+from operator import attrgetter
 from typing import Dict, List
 
 import numpy as np
 
 from repro.baselines import GreedyLeastLoadedPolicy
 from repro.core.env import EnvConfig, VNFPlacementEnv
+from repro.core.soa import SoAVecPlacementEnv
 from repro.nfv.placement import Placement
+from repro.nfv.sfc import ServiceFunctionChain
 from repro.substrate.network import DenseRouting
 from repro.substrate.topology import (
     TopologyConfig,
     metro_edge_cloud_topology,
     scaled_topology,
 )
+from repro.utils.rng import derive_seed
 from repro.workloads.generator import RequestGenerator, WorkloadConfig
 from repro.workloads.scenarios import reference_scenario
 
@@ -52,6 +59,8 @@ PLACEMENT_ARRIVAL_RATE = 1.2
 PLACEMENT_HORIZON = 600.0
 PLACEMENT_REPEATS = 5
 PLACEMENT_OPS = ("build", "is_feasible", "commit", "release")
+REQUEST_REPEATS = 5
+REQUEST_OPS = ("sample_request", "demand_rows", "request_view")
 
 
 def _make_env() -> VNFPlacementEnv:
@@ -204,8 +213,69 @@ def measure_placement_ops(repeats: int = PLACEMENT_REPEATS) -> Dict[str, object]
     }
 
 
+def _request_pass(generator, times, env) -> Dict[str, List[float]]:
+    """One pass over the arrival times: (calls, seconds) per request op.
+
+    ``generator`` draws each request; the SoA core then describes it (its
+    first ``demand_rows`` read happens there, as on a lane), and an unread
+    twin of its chain times the ``demand_rows`` build alone.
+    """
+    totals = {op: [0, 0.0] for op in REQUEST_OPS}
+    clock = time.perf_counter
+    read_rows = attrgetter("demand_rows")
+
+    def timed(op: str, call, arg):
+        start = clock()
+        result = call(arg)
+        entry = totals[op]
+        entry[0] += 1
+        entry[1] += clock() - start
+        return result
+
+    for arrival in times:
+        request = timed("sample_request", generator.sample_request, arrival)
+        timed("request_view", env._request_view, request)
+        chain = request.chain
+        twin = ServiceFunctionChain(
+            chain.vnf_types, chain.bandwidth_mbps, chain.service_class
+        )
+        timed("demand_rows", read_rows, twin)
+    return totals
+
+
+def measure_request_ops(
+    repeats: int = REQUEST_REPEATS, horizon: float = PLACEMENT_HORIZON
+) -> Dict[str, object]:
+    """µs per call of drawing and describing a request (best mean of ``repeats``)."""
+    scenario = reference_scenario(
+        arrival_rate=PLACEMENT_ARRIVAL_RATE, horizon=horizon, seed=SEED
+    )
+    network = scenario.build_network()
+    times = list(scenario.build_arrival_process().arrival_times(horizon))
+    env = SoAVecPlacementEnv.from_scenario(scenario, num_lanes=1, seed=SEED)
+    best = {op: float("inf") for op in REQUEST_OPS}
+    for repeat in range(repeats):
+        # A new workload seed per pass: no pass redraws an earlier pass's
+        # bandwidths, just as a lane never sees one twice.
+        generator = scenario.with_workload_seed(
+            derive_seed(SEED, "request_ops", repeat)
+        ).build_generator(network)
+        for op, (count, seconds) in _request_pass(generator, times, env).items():
+            best[op] = min(best[op], seconds / max(count, 1) * 1e6)
+    return {
+        "trace": {
+            "scenario": scenario.name,
+            "arrival_rate": PLACEMENT_ARRIVAL_RATE,
+            "horizon": horizon,
+            "requests": len(times),
+            "repeats": repeats,
+        },
+        "us_per_call": best,
+    }
+
+
 def run_envstep_benchmark(episodes: int = EPISODES) -> Dict[str, object]:
-    """Run both microbenchmarks and persist the JSON."""
+    """Run every microbenchmark and persist the JSON."""
     results: Dict[str, object] = {
         "config": {
             "topology": "metro_edge_cloud_topology(default)",
@@ -216,6 +286,7 @@ def run_envstep_benchmark(episodes: int = EPISODES) -> Dict[str, object]:
         "env_step": measure_env_step(episodes),
         "latency_lookups": measure_latency_lookups(),
         "placement_ops": measure_placement_ops(),
+        "request_ops": measure_request_ops(),
     }
     from benchmarks.common import RESULTS_DIR
     from repro.utils.serialization import save_json
@@ -250,6 +321,10 @@ def main() -> None:
     print(f"placement ops ({placement['trace']['requests']} reference requests)")
     for op, us in placement["us_per_call"].items():
         print(f"  {op:12s} {us:8.2f} us/call  ({placement['calls'][op]} calls)")
+    request_ops = results["request_ops"]
+    print(f"request ops ({request_ops['trace']['requests']} reference arrivals)")
+    for op, us in request_ops["us_per_call"].items():
+        print(f"  {op:14s} {us:8.2f} us/call")
 
 
 if __name__ == "__main__":

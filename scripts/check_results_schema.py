@@ -22,7 +22,9 @@ RESULTS_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
 #: Required top-level keys per engineering-benchmark payload.
 ENGINEERING_SCHEMAS = {
     "hotpath.json": {"dqn_update", "replay_sampling"},
-    "envstep.json": {"config", "env_step", "latency_lookups", "placement_ops"},
+    "envstep.json": {
+        "config", "env_step", "latency_lookups", "placement_ops", "request_ops",
+    },
     "vecenv.json": {
         "config",
         "env_steps",

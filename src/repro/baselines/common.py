@@ -61,10 +61,7 @@ def candidate_rows(
     """
     ledger = network.ledger
     rows = []
-    for vnf_index in range(request.num_vnfs):
-        demand = request.chain.vnf_at(vnf_index).demand_array_for(
-            request.bandwidth_mbps
-        )
+    for demand in request.chain.demand_rows:
         valid = np.flatnonzero(ledger.can_host_all(demand))
         if valid.size == 0:
             return None
@@ -206,10 +203,7 @@ class NodeScoringPolicy(AssignmentPolicy):
         tier = None if self.tier_mask is None else getattr(ledger, self.tier_mask)
         anchor = ledger.node_row[request.source_node_id]
         assignment = []
-        for vnf_index in range(request.num_vnfs):
-            demand = request.chain.vnf_at(vnf_index).demand_array_for(
-                request.bandwidth_mbps
-            )
+        for demand in request.chain.demand_rows:
             valid = ledger.can_host_all(demand)
             if tier is not None:
                 valid = valid & tier
@@ -241,9 +235,7 @@ class NodeScoringPolicy(AssignmentPolicy):
             request = requests[lane]
             if request is None:
                 continue
-            demand = request.chain.vnf_at(env.vnf_index).demand_array_for(
-                request.bandwidth_mbps
-            )
+            demand = request.chain.demand_rows[env.vnf_index]
             network = env.network
             scores[lane] = self.node_scores(
                 DecisionRows(

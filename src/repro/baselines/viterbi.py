@@ -76,7 +76,7 @@ class ViterbiPlacementPolicy(AssignmentPolicy):
             rows = DecisionRows(
                 ledger,
                 None,
-                vnf.demand_array_for(request.bandwidth_mbps),
+                request.chain.demand_rows[vnf_index],
                 request.holding_time,
             )
             transition = (

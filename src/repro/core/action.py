@@ -82,7 +82,7 @@ class ActionSpace:
         ledger and latency matrix.
         """
         next_vnf = request.chain.vnf_at(vnf_index)
-        demand = next_vnf.demand_array_for(request.bandwidth_mbps)
+        demand = request.chain.demand_rows[vnf_index]
         anchor = (
             partial_assignment[-1] if partial_assignment else request.source_node_id
         )

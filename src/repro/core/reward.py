@@ -80,18 +80,12 @@ class RewardCalculator:
         sla = request.sla.max_latency_ms
         latency_term = config.step_latency_weight * (added_latency_ms / sla)
 
-        vnf = request.chain.vnf_at(vnf_index)
         # Read the node's cost row and memoized bottleneck utilization from
         # the ledger instead of rebuilding resource vectors.
         ledger = network.ledger
         row = ledger.node_row[node_id]
-        hosting = (
-            float(
-                vnf.demand_array_for(request.bandwidth_mbps)
-                @ ledger.node_cost_per_unit[row]
-            )
-            * request.holding_time
-        )
+        demand = request.chain.demand_rows[vnf_index]
+        hosting = float(demand @ ledger.node_cost_per_unit[row]) * request.holding_time
         utilization = float(ledger.max_utilization()[row])
         cost_term = config.step_cost_weight * (hosting / config.cost_normalizer)
 

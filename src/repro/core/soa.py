@@ -161,6 +161,7 @@ class _RequestView:
         "total_proc",
         "vnfs",
         "ctx_row",
+        "demand_rows",
         "demand_lists",
         "licenses",
     )
@@ -179,6 +180,7 @@ class _RequestView:
         num_vnfs: int,
         total_proc: float,
         vnfs: List[tuple],
+        demand_rows: np.ndarray,
     ) -> None:
         self.request_id = request_id
         self.source_row = source_row
@@ -216,11 +218,11 @@ class _RequestView:
             num_vnfs,
         )
         #: Pregathered per-instance constants for the batched commit
-        #: pipeline: the demand float lists / license costs in chain order
-        #: (the lists alias the ``vnfs`` tuples, exactly like the reference
-        #: gathers them).  The ``(num_vnfs, 3)`` demand rows are stacked
-        #: lazily by the commit pipeline — only requests that actually reach
-        #: commit pay for the array build, not the rejected ones.
+        #: pipeline: the chain's read-only ``(num_vnfs, 3)`` demand rows (the
+        #: ``vnfs`` demand arrays are its row views), and the demand float
+        #: lists / license costs in chain order (the lists alias the ``vnfs``
+        #: tuples, exactly like the reference gathers them).
+        self.demand_rows = demand_rows
         self.demand_lists = [vnf[1] for vnf in vnfs]
         self.licenses = [vnf[4] for vnf in vnfs]
 
@@ -591,12 +593,12 @@ class SoAVecPlacementEnv:
         return info
 
     def _request_view(self, request: SFCRequest) -> _RequestView:
-        bw = request.bandwidth_mbps
+        chain = request.chain
+        rows = chain.demand_rows
         vnfs: List[tuple] = []
-        for vnf_type in request.chain.vnf_types:
+        for vnf_type, darr, demand in zip(chain.vnf_types, rows, rows.tolist()):
             proc, onehot, license_cost, _ = self._vnf_info(vnf_type)
-            darr = vnf_type.demand_array_for(bw)
-            vnfs.append((darr, darr.tolist(), proc, onehot, license_cost))
+            vnfs.append((darr, demand, proc, onehot, license_cost))
         dest = request.destination_node_id
         return _RequestView(
             request_id=request.request_id,
@@ -604,13 +606,14 @@ class SoAVecPlacementEnv:
             dest_row=None if dest is None else self._node_row[dest],
             sla=request.sla.max_latency_ms,
             min_avail=request.sla.min_availability,
-            bw=bw,
+            bw=chain.bandwidth_mbps,
             holding=request.holding_time,
             arrival=request.arrival_time,
             departure=request.departure_time,
             num_vnfs=request.num_vnfs,
-            total_proc=request.chain.total_processing_delay_ms(),
+            total_proc=chain.total_processing_delay_ms(),
             vnfs=vnfs,
+            demand_rows=rows,
         )
 
     # ------------------------------------------------------------------ #
@@ -1273,12 +1276,9 @@ class SoAVecPlacementEnv:
             inst_counts = np.array(
                 [completing[pos][2].num_vnfs for pos in routed], dtype=np.int64
             )
-            demand_rows: List[np.ndarray] = []
-            for pos in routed:
-                demand_rows.extend(
-                    vnf[0] for vnf in completing[pos][2].vnfs
-                )
-            inst_demands = np.stack(demand_rows)
+            inst_demands = np.concatenate(
+                [completing[pos][2].demand_rows for pos in routed]
+            )
             flat_rows: List[int] = []
             for pos in routed:
                 flat_rows.extend(completing[pos][1].partial_rows)

@@ -117,7 +117,7 @@ class StateEncoder:
                 f"vnf_index {vnf_index} outside the chain of length {request.num_vnfs}"
             )
         next_vnf = request.chain.vnf_at(vnf_index)
-        demand = next_vnf.demand_array_for(request.bandwidth_mbps)
+        demand = request.chain.demand_rows[vnf_index]
         anchor = self.anchor_node(request, partial_assignment)
         sla = request.sla.max_latency_ms
 

@@ -529,7 +529,7 @@ class VecPlacementEnv:
                 continue
             active.append(True)
             next_vnf = request.chain.vnf_at(env._vnf_index)
-            demands.append(next_vnf.demand_array_for(request.bandwidth_mbps))
+            demands.append(request.chain.demand_rows[env._vnf_index])
             extras.append(next_vnf.processing_delay_ms + env._partial_latency)
             budgets.append(request.sla.max_latency_ms)
             holding.append(request.holding_time)

@@ -254,16 +254,12 @@ class Placement:
         record = self._compiled
         if record is None or record.ledger is not ledger:
             node_row = ledger.node_row
-            bandwidth = self.request.bandwidth_mbps
             record = self._compiled = CompiledChain(
                 ledger,
                 [node_row[node_id] for node_id in self.node_assignment],
-                [
-                    vnf_type.demand_array_for(bandwidth)
-                    for vnf_type in self.request.chain.vnf_types
-                ],
+                list(self.request.chain.demand_rows),
                 [ledger.path_entry(seg.path.nodes)[2] for seg in self._segments],
-                bandwidth,
+                self.request.bandwidth_mbps,
             )
             self._sla_ok = None
         return record

@@ -6,6 +6,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.nfv.catalog import ChainTemplate, VNFCatalog
 from repro.nfv.sla import ServiceLevelAgreement
 from repro.nfv.vnf import VNFType
@@ -38,6 +40,32 @@ class ServiceFunctionChain:
     def vnf_names(self) -> Tuple[str, ...]:
         """Names of the chained VNF types, in order."""
         return tuple(vnf.name for vnf in self.vnf_types)
+
+    @property
+    def demand_rows(self) -> np.ndarray:
+        """Per-VNF resource demand at the chain's bandwidth, ``(length, 3)``.
+
+        Row ``i`` is ``vnf_at(i).demand_for(bandwidth_mbps)`` in canonical
+        dimension order: the same ``base + per_mbps * bw`` floats.  Built on
+        first read and memoized on the (immutable) chain, so the encoder, the
+        mask, the reward, the baselines, the placement and the SoA view of one
+        request share one array.  It is read-only.
+        """
+        rows = self.__dict__.get("_demand_rows")
+        if rows is None:
+            bw = self.bandwidth_mbps
+            values: List[float] = []
+            for vnf in self.vnf_types:
+                base, per = vnf.base_demand, vnf.demand_per_mbps
+                values += (
+                    base.cpu + per.cpu * bw,
+                    base.memory + per.memory * bw,
+                    base.storage + per.storage * bw,
+                )
+            rows = np.array(values, dtype=float).reshape(-1, 3)
+            rows.setflags(write=False)
+            self.__dict__["_demand_rows"] = rows
+        return rows
 
     def total_processing_delay_ms(self) -> float:
         """Sum of per-VNF processing delays (placement independent)."""

@@ -13,8 +13,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-import numpy as np
-
 from repro.substrate.resources import ResourceVector
 from repro.utils.validation import check_non_negative, check_positive
 
@@ -58,32 +56,6 @@ class VNFType:
         check_non_negative(bandwidth_mbps, "bandwidth_mbps")
         return self.base_demand + self.demand_per_mbps * bandwidth_mbps
 
-    def demand_array_for(self, bandwidth_mbps: float) -> np.ndarray:
-        """:meth:`demand_for` as a canonical-order array, memoized per bandwidth.
-
-        The encoder, action mask and feasibility checks all query the demand
-        of the same (type, bandwidth) pair several times per decision; the
-        memo avoids rebuilding vectors in the hot path.  Callers must treat
-        the returned array as read-only.
-        """
-        cache: Dict[float, np.ndarray] = self.__dict__.setdefault(
-            "_demand_array_cache", {}
-        )
-        cached = cache.get(bandwidth_mbps)
-        if cached is None:
-            check_non_negative(bandwidth_mbps, "bandwidth_mbps")
-            # Pure array math on the miss path: elementwise identical to
-            # demand_for(...).as_array() (same base + per_mbps * bw per
-            # dimension) without building two ResourceVector objects.
-            cached = (
-                self.base_demand.as_array()
-                + self.demand_per_mbps.as_array() * bandwidth_mbps
-            )
-            if len(cache) > 4096:  # bound per-type memory for adversarial traces
-                cache.clear()
-            cache[bandwidth_mbps] = cached
-        return cached
-
     def __str__(self) -> str:
         return self.name
 
@@ -122,11 +94,6 @@ class VNFInstance:
             cached = self.vnf_type.demand_for(self.bandwidth_mbps)
             self.__dict__["_demand"] = cached
         return cached
-
-    @property
-    def demand_array(self) -> np.ndarray:
-        """:attr:`demand` as a canonical-order array (read-only by convention)."""
-        return self.vnf_type.demand_array_for(self.bandwidth_mbps)
 
     @property
     def allocation_handle(self) -> str:

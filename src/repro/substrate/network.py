@@ -123,6 +123,7 @@ class SubstrateNetwork:
         self._path_cache: Dict[Tuple[int, int], PathInfo] = {}
         self._dense: Optional[DenseRouting] = None
         self._ledger: Optional[SubstrateLedger] = None
+        self._edge_ids: Optional[Tuple[int, ...]] = None
 
     def _invalidate_topology_caches(self) -> None:
         """Drop every derived structure before a topology mutation.
@@ -136,6 +137,7 @@ class SubstrateNetwork:
         self._path_cache.clear()
         self._dense = None
         self._ledger = None
+        self._edge_ids = None
 
     @property
     def ledger(self) -> SubstrateLedger:
@@ -226,9 +228,13 @@ class SubstrateNetwork:
         return list(self._nodes.keys())
 
     @property
-    def edge_node_ids(self) -> List[int]:
-        """Ids of edge-tier nodes."""
-        return [nid for nid, node in self._nodes.items() if node.is_edge]
+    def edge_node_ids(self) -> Tuple[int, ...]:
+        """Ids of edge-tier nodes, in insertion order (memoized per topology)."""
+        if self._edge_ids is None:
+            self._edge_ids = tuple(
+                nid for nid, node in self._nodes.items() if node.is_edge
+            )
+        return self._edge_ids
 
     @property
     def cloud_node_ids(self) -> List[int]:

@@ -10,8 +10,9 @@ full request trace one simulation run consumes.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from repro.nfv.catalog import (
 )
 from repro.nfv.sfc import SFCRequest, ServiceFunctionChain
 from repro.nfv.sla import ServiceLevelAgreement
+from repro.nfv.vnf import VNFType
 from repro.sim.arrivals import ArrivalProcess, PoissonProcess
 from repro.substrate.network import SubstrateNetwork
 from repro.utils.rng import RandomState, derive_seed, new_rng
@@ -67,7 +69,16 @@ class RequestGenerator:
         self.config = config or WorkloadConfig()
         self._rng = new_rng(self.config.seed)
         weights = np.array([t.weight for t in self.templates], dtype=float)
-        self._template_probabilities = weights / weights.sum()
+        # The CDF ``Generator.choice(n, p=weights / weights.sum())`` builds on
+        # every call: bisecting it (side "right") with one ``random()`` draw
+        # is that call's draw and index.
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        self._template_cdf: List[float] = cdf.tolist()
+        self._template_types: List[Tuple[VNFType, ...]] = [
+            tuple(self.catalog.get(name) for name in template.vnf_sequence)
+            for template in self.templates
+        ]
         if not network.edge_node_ids:
             raise ValueError("the substrate network has no edge nodes for ingress")
         # Validate the hotspot configuration against this network up front:
@@ -96,25 +107,36 @@ class RequestGenerator:
                 "empty hotspot_nodes set would silently degrade to uniform "
                 "ingress; configure hotspot_nodes or set hotspot_fraction=0"
             )
-        self._hotspots: List[int] = list(self.config.hotspot_nodes)
+        self._hotspots: Tuple[int, ...] = tuple(self.config.hotspot_nodes)
 
     # ------------------------------------------------------------------ #
     # Single-request sampling
     # ------------------------------------------------------------------ #
+    def _template_index(self) -> int:
+        return bisect_right(self._template_cdf, self._rng.random())
+
     def sample_template(self) -> ChainTemplate:
         """Draw a service class according to the template weights."""
-        index = self._rng.choice(len(self.templates), p=self._template_probabilities)
-        return self.templates[int(index)]
+        return self.templates[self._template_index()]
 
     def sample_source_node(self) -> int:
-        """Draw an ingress edge node, honouring the hotspot skew."""
-        if self._hotspots and self._rng.uniform() < self.config.hotspot_fraction:
-            return int(self._rng.choice(self._hotspots))
-        return int(self._rng.choice(self.network.edge_node_ids))
+        """Draw an ingress edge node, honouring the hotspot skew.
+
+        The skew coin is drawn only while the skew is active, so an inert
+        hotspot set leaves the stream untouched.  ``ids[integers(0, n)]`` is
+        the draw ``Generator.choice(ids)`` makes.
+        """
+        fraction = self.config.hotspot_fraction
+        if fraction > 0 and self._rng.uniform() < fraction:
+            nodes = self._hotspots
+        else:
+            nodes = self.network.edge_node_ids
+        return int(nodes[self._rng.integers(0, len(nodes))])
 
     def sample_request(self, arrival_time: float = 0.0) -> SFCRequest:
         """Sample one complete request arriving at ``arrival_time``."""
-        template = self.sample_template()
+        index = self._template_index()
+        template = self.templates[index]
         bandwidth = float(self._rng.uniform(*template.bandwidth_range))
         sla_latency = float(
             self._rng.uniform(*template.latency_sla_range_ms) * self.config.sla_scale
@@ -125,7 +147,11 @@ class RequestGenerator:
             )
         )
         holding_time = max(1.0, holding_time)
-        chain = ServiceFunctionChain.from_template(template, self.catalog, bandwidth)
+        chain = ServiceFunctionChain(
+            vnf_types=self._template_types[index],
+            bandwidth_mbps=bandwidth,
+            service_class=template.name,
+        )
         return SFCRequest(
             chain=chain,
             source_node_id=self.sample_source_node(),

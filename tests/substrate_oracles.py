@@ -218,7 +218,7 @@ def check_reference(placement: Placement, network: SubstrateNetwork) -> bool:
     ledger = network.ledger
     grouped: Dict[int, np.ndarray] = {}
     for instance in placement.instances:
-        demand = instance.demand_array
+        demand = instance.demand.as_array()
         row = ledger.node_row[instance.node_id]
         grouped[row] = grouped[row] + demand if row in grouped else demand
     if grouped:

@@ -1,5 +1,6 @@
 """The benchmark scripts' entry points: committed results stay untouched,
-and the vec-env phase breakdown is measured without perturbing the env."""
+the vec-env phase breakdown is measured without perturbing the env, and the
+request-layer costs are measured per call."""
 
 import sys
 from collections import Counter
@@ -7,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import benchmarks.bench_envstep as bench_envstep
 import benchmarks.bench_serving as bench_serving
 import benchmarks.bench_vecenv as bench_vecenv
 import benchmarks.common as common
@@ -102,3 +104,14 @@ def test_measure_kernel_timings_reports_nested_phases():
     assert (timings["lanes"], timings["batch_steps"], timings["protocol"]) == (
         4, 20, "lean"
     )
+
+
+def test_measure_request_ops_reports_every_op():
+    ops = bench_envstep.measure_request_ops(repeats=2, horizon=30.0)
+    assert set(ops["us_per_call"]) == set(bench_envstep.REQUEST_OPS) == {
+        "sample_request", "demand_rows", "request_view",
+    }
+    assert all(us > 0.0 for us in ops["us_per_call"].values())
+    trace = ops["trace"]
+    assert trace["requests"] > 0
+    assert (trace["repeats"], trace["horizon"]) == (2, 30.0)

@@ -5,8 +5,9 @@ import pytest
 from repro.substrate.geo import GeoPoint
 from repro.substrate.link import InsufficientBandwidthError
 from repro.substrate.network import NoRouteError, SubstrateNetwork, UnknownNodeError
-from repro.substrate.node import ComputeNode, NodeTier, make_cloud_node
+from repro.substrate.node import ComputeNode, NodeTier, make_cloud_node, make_edge_node
 from repro.substrate.resources import ResourceVector
+from repro.workloads.generator import RequestGenerator, WorkloadConfig
 from tests.substrate_oracles import link_used
 
 
@@ -57,6 +58,16 @@ class TestConstruction:
         assert network.cloud_node_ids == [9]
         assert network.num_nodes == 4
         assert network.is_connected()
+        # The memoized edge ids are dropped with the other topology caches:
+        # an edge node added after a read shows on the next read, and a
+        # generator built before the add draws it as an ingress.
+        generator = RequestGenerator(network, config=WorkloadConfig(seed=0))
+        assert network.edge_node_ids == (0, 1, 2)
+        network.add_node(make_edge_node(5, GeoPoint(40.05, -74.0)))
+        network.add_link(5, 0, 100.0, latency_ms=1.0)
+        assert network.edge_node_ids == (0, 1, 2, 5)
+        sources = {generator.sample_source_node() for _ in range(200)}
+        assert sources == {0, 1, 2, 5}
 
 
 class TestRouting:

@@ -42,6 +42,20 @@ class TestServiceFunctionChain:
         single = catalog.get("firewall").demand_for(10.0)
         assert chain.total_base_demand().cpu == pytest.approx(2 * single.cpu)
 
+    def test_demand_rows_are_built_once_and_read_only(self):
+        catalog = default_catalog()
+        template = default_chain_templates()[0]
+        chain = ServiceFunctionChain.from_template(template, catalog, bandwidth_mbps=37.3)
+        rows = chain.demand_rows
+        assert rows.shape == (chain.length, 3)
+        for row, vnf in zip(rows, chain.vnf_types):
+            assert row.tobytes() == vnf.demand_for(37.3).as_array().tobytes()
+        assert chain.demand_rows is rows
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            rows += 1.0
+
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError):
             ServiceFunctionChain(vnf_types=(), bandwidth_mbps=10.0)

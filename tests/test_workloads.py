@@ -1,7 +1,12 @@
 """Unit tests for workload generation and scenarios."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
+from repro.nfv.sfc import SFCRequest, ServiceFunctionChain
+from repro.nfv.sla import ServiceLevelAgreement
 from repro.workloads.generator import RequestGenerator, WorkloadConfig
 from repro.workloads.scenarios import (
     diurnal_scenario,
@@ -102,6 +107,23 @@ class TestRequestGenerator:
         # the inert set never influences ingress
         assert generator.sample_source_node() in edge_cloud_network.edge_node_ids
 
+    def test_inert_edge_hotspots_leave_the_stream_untouched(self):
+        # hotspot_fraction == 0 makes the set inert: the trace must be the
+        # no-hotspot trace of the same seed, draw for draw.
+        scenario = reference_scenario(num_edge_nodes=6, seed=3)
+        network = scenario.build_network()
+        inert = replace(
+            scenario,
+            workload_config=replace(
+                scenario.workload_config, hotspot_nodes=network.edge_node_ids[:1]
+            ),
+        )
+        plain = scenario.build_generator(network)
+        skewless = inert.build_generator(network)
+        for _ in range(200):
+            assert _drawn(skewless.sample_request()) == _drawn(plain.sample_request())
+        assert skewless._rng.bit_generator.state == plain._rng.bit_generator.state
+
     def test_hotspot_fraction_without_hotspots_rejected(
         self, edge_cloud_network, catalog, templates
     ):
@@ -146,6 +168,103 @@ class TestRequestGenerator:
         network.add_node(make_cloud_node(0, GeoPoint(0, 0)))
         with pytest.raises(ValueError):
             RequestGenerator(network, catalog, templates, WorkloadConfig(arrival_rate=1.0))
+
+
+def _drawn(request: SFCRequest) -> tuple:
+    """Every drawn field of a request (ids come from a process-wide counter)."""
+    return (
+        request.chain,
+        request.source_node_id,
+        request.sla,
+        request.arrival_time,
+        request.holding_time,
+    )
+
+
+def sample_request_reference(
+    generator: RequestGenerator, arrival_time: float, request_id: int
+) -> tuple:
+    """``sample_request`` as one ``Generator.choice`` call per table draw.
+
+    Reads ``generator``'s rng, config, templates, catalog and network, and
+    rebuilds every table per call: the template from ``choice(n, p=...)``, the
+    ingress from ``choice`` over the hotspots or the edge ids (the skew coin
+    only while the skew is active), the chain from its template through the
+    catalog, and each VNF's demand as ``base + per_mbps * bw`` arrays.
+    Returns the request and its stacked demand rows.
+    """
+    rng, config = generator._rng, generator.config
+    templates = generator.templates
+    weights = np.array([t.weight for t in templates], dtype=float)
+    template = templates[int(rng.choice(len(templates), p=weights / weights.sum()))]
+    bandwidth = float(rng.uniform(*template.bandwidth_range))
+    sla_latency = float(rng.uniform(*template.latency_sla_range_ms) * config.sla_scale)
+    holding_time = max(
+        1.0,
+        float(
+            rng.exponential(template.mean_holding_time * config.mean_holding_time_scale)
+        ),
+    )
+    chain = ServiceFunctionChain.from_template(template, generator.catalog, bandwidth)
+    hotspots = list(config.hotspot_nodes)
+    if config.hotspot_fraction > 0 and rng.uniform() < config.hotspot_fraction:
+        source = int(rng.choice(hotspots))
+    else:
+        source = int(rng.choice(list(generator.network.edge_node_ids)))
+    request = SFCRequest(
+        chain=chain,
+        source_node_id=source,
+        sla=ServiceLevelAgreement(max_latency_ms=sla_latency),
+        arrival_time=arrival_time,
+        holding_time=holding_time,
+        request_id=request_id,
+    )
+    demand = np.stack(
+        [
+            vnf.base_demand.as_array() + vnf.demand_per_mbps.as_array() * bandwidth
+            for vnf in chain.vnf_types
+        ]
+    )
+    return request, demand
+
+
+def _twin_generators(case: str, edge_cloud_network):
+    """Two generators of one workload, built alike: (production, reference)."""
+    if case == "edge_cloud_fixture":
+        config = WorkloadConfig(seed=11)
+        return (
+            RequestGenerator(edge_cloud_network, config=config),
+            RequestGenerator(edge_cloud_network, config=config),
+        )
+    if case == "hotspot":
+        scenario = hotspot_scenario(hotspot_fraction=0.6, seed=0)
+    else:
+        scenario = reference_scenario(seed=int(case[-1]))
+    network = scenario.build_network()
+    return scenario.build_generator(network), scenario.build_generator(network)
+
+
+class TestSameStream:
+    """Cached tables draw the stream that per-call ``Generator.choice`` draws."""
+
+    @pytest.mark.parametrize(
+        "case", ["reference_0", "reference_1", "reference_2", "hotspot", "edge_cloud_fixture"]
+    )
+    def test_requests_match_the_reference_draw_for_draw(self, case, edge_cloud_network):
+        production, reference = _twin_generators(case, edge_cloud_network)
+        if case == "hotspot":
+            assert production.config.hotspot_fraction == 0.6
+        for step in range(2000):
+            arrival = 0.5 * step
+            request = production.sample_request(arrival_time=arrival)
+            expected, demand = sample_request_reference(
+                reference, arrival, request.request_id
+            )
+            assert request == expected
+            assert request.chain.demand_rows.tobytes() == demand.tobytes()
+        assert (
+            production._rng.bit_generator.state == reference._rng.bit_generator.state
+        )
 
 
 class TestScenarios:
