@@ -44,10 +44,10 @@ class RandomPlacementPolicy(AssignmentPolicy):
         )
 
     def _request_rng(self, request: SFCRequest):
-        # Derive from intrinsic request attributes rather than the global
-        # request id: ids depend on how many requests any generator created
-        # before, while the attribute tuple is identical for one logical
-        # request however its workload is (re)constructed.
+        # Derive from intrinsic request attributes rather than the request
+        # id: an id is a position in one generator's stream, while the
+        # attribute tuple is identical for one logical request however its
+        # workload is (re)constructed.
         return new_rng(
             derive_seed(
                 self.seed,

@@ -11,10 +11,11 @@ cross-lane arrays
 
 over a single shared read-only *template* topology (capacities, unit costs,
 the all-pairs latency matrix and routed paths are identical across lanes by
-construction and therefore stored once), plus per-lane departure state in a
-:class:`ColumnarDepartureStore`.  The step/mask/observe pipeline is fused:
-one decision-context gather per step feeds the batched mask kernel, the
-batched step-reward precompute and the batched state encoder.
+construction and therefore stored once), plus one departure heap per lane
+holding that lane's committed chains as plain records.  The step/mask/observe
+pipeline is fused: one decision-context gather per step feeds the batched
+mask kernel, the batched step-reward precompute and the batched state
+encoder.
 
 The per-lane object path is retained as the reference backend; this class is
 **bitwise-equivalent** to it — every arithmetic expression below mirrors the
@@ -58,90 +59,34 @@ from repro.workloads.scenarios import Scenario
 from dataclasses import replace as dataclass_replace
 
 
-class ColumnarDepartureStore:
-    """Columnar event store for committed placements awaiting departure.
+class _ChainRecord:
+    """One committed chain of one lane, held in that lane's departure heap.
 
-    The reference backend keeps one ``heapq`` of ``(departure_time, counter,
-    Placement)`` tuples *per lane*, each Placement owning segment/instance
-    objects.  Here every committed placement is one **record index** into
-    parallel columns (lane id, departure time, bandwidth, hosting rows,
-    per-instance demand arrays, per-segment link slots, distinct-row set,
-    committed flag).  Per-lane heaps order ``(departure_time, counter,
-    record)`` keys into this store — the ``(time, counter)`` key pair is
-    identical to the reference heap keys, so heap-internal order (and hence
-    the raw-heap iteration order used by failure teardown) is replicated
-    exactly.  Freed records are recycled through a free list.
+    The heap entries are ``(departure_time, counter, record)``, the reference
+    backend's ``(departure_time, counter, Placement)`` keys, so heap order
+    (and the raw-heap order failure teardown walks) is the reference's.  Per
+    VNF in chain order the record keeps ``rows`` and ``demands`` (float
+    lists); per routed segment its link ``segments`` slots; the chain's
+    ``bandwidth``; the distinct ``row_set`` teardown tests; and ``live``,
+    cleared once a release has freed the chain, so a departure after a
+    failure teardown frees nothing twice.
     """
 
-    __slots__ = (
-        "lane",
-        "departure",
-        "bandwidth",
-        "rows",
-        "demands",
-        "segments",
-        "row_sets",
-        "committed",
-        "_free",
-    )
+    __slots__ = ("rows", "demands", "segments", "bandwidth", "row_set", "live")
 
-    def __init__(self) -> None:
-        self.lane: List[int] = []
-        self.departure: List[float] = []
-        self.bandwidth: List[float] = []
-        self.rows: List[Optional[Tuple[int, ...]]] = []
-        self.demands: List[Optional[List[np.ndarray]]] = []
-        self.segments: List[Optional[List[List[int]]]] = []
-        self.row_sets: List[Optional[frozenset]] = []
-        self.committed: List[bool] = []
-        self._free: List[int] = []
-
-    def alloc(
+    def __init__(
         self,
-        lane: int,
-        departure: float,
-        bandwidth: float,
-        rows: Tuple[int, ...],
+        rows: List[int],
         demands: List[List[float]],
         segments: List[List[int]],
-        row_set: frozenset,
-    ) -> int:
-        """Store one committed placement; returns its record index."""
-        if self._free:
-            rec = self._free.pop()
-            self.lane[rec] = lane
-            self.departure[rec] = departure
-            self.bandwidth[rec] = bandwidth
-            self.rows[rec] = rows
-            self.demands[rec] = demands
-            self.segments[rec] = segments
-            self.row_sets[rec] = row_set
-            self.committed[rec] = True
-        else:
-            rec = len(self.lane)
-            self.lane.append(lane)
-            self.departure.append(departure)
-            self.bandwidth.append(bandwidth)
-            self.rows.append(rows)
-            self.demands.append(demands)
-            self.segments.append(segments)
-            self.row_sets.append(row_set)
-            self.committed.append(True)
-        return rec
-
-    def free(self, rec: int) -> None:
-        """Recycle a record (after its heap entry has been popped)."""
-        self.committed[rec] = False
-        self.rows[rec] = None
-        self.demands[rec] = None
-        self.segments[rec] = None
-        self.row_sets[rec] = None
-        self._free.append(rec)
-
-    @property
-    def live_records(self) -> int:
-        """Number of records currently allocated (diagnostics)."""
-        return len(self.lane) - len(self._free)
+        bandwidth: float,
+    ) -> None:
+        self.rows = tuple(rows)
+        self.demands = demands
+        self.segments = segments
+        self.bandwidth = bandwidth
+        self.row_set = frozenset(rows)
+        self.live = True
 
 
 class _RequestView:
@@ -268,7 +213,7 @@ class _LaneState:
         self.failed_rows: set = set()
         self.fences: Dict[int, np.ndarray] = {}
         self.episode_counter = 0
-        self.heap: List[Tuple[float, int, int]] = []
+        self.heap: List[Tuple[float, int, _ChainRecord]] = []
         self.counter = 0
 
 
@@ -427,7 +372,6 @@ class SoAVecPlacementEnv:
         #: lane's row is cleared on reset so stale fences never leak into the
         #: next episode's masks (regression-tested).
         self._fence_rows = np.zeros((num_lanes, self._num_nodes), dtype=bool)
-        self._store = ColumnarDepartureStore()
 
         self._lanes: List[_LaneState] = []
         for spec in specs:
@@ -639,10 +583,7 @@ class SoAVecPlacementEnv:
         """Start a new episode on one lane (mirrors VNFPlacementEnv.reset)."""
         self._node_used[lane].fill(0.0)
         self._link_used[lane].fill(0.0)
-        store = self._store
-        while st.heap:
-            _, _, rec = st.heap.pop()
-            store.free(rec)
+        st.heap.clear()
         st.failed_rows.clear()
         st.fences.clear()
         self._fence_rows[lane] = False
@@ -714,25 +655,22 @@ class SoAVecPlacementEnv:
 
     def _release_departed(self, lane: int, st: _LaneState, now: float) -> None:
         heap = st.heap
-        store = self._store
         while heap and heap[0][0] <= now:
-            _, _, rec = heapq.heappop(heap)
-            if store.committed[rec]:
-                self._release_record(lane, rec)
-            store.free(rec)
+            record = heapq.heappop(heap)[2]
+            if record.live:
+                self._release_record(lane, record)
 
-    def _release_record(self, lane: int, rec: int) -> None:
-        """Free a committed record's reservations (segments first, then nodes)."""
-        store = self._store
+    def _release_record(self, lane: int, record: _ChainRecord) -> None:
+        """Free a live record's reservations (segments first, then nodes)."""
         free_chain(
             self._node_used[lane],
             self._link_used[lane],
-            store.rows[rec],
-            store.demands[rec],
-            store.segments[rec],
-            store.bandwidth[rec],
+            record.rows,
+            record.demands,
+            record.segments,
+            record.bandwidth,
         )
-        store.committed[rec] = False
+        record.live = False
 
     def _fail_node(self, lane: int, st: _LaneState, row: int) -> None:
         """Fence one row and tear down every active placement hosting on it."""
@@ -740,10 +678,9 @@ class SoAVecPlacementEnv:
             return
         st.failed_rows.add(row)
         self._fence_rows[lane, row] = True
-        store = self._store
-        for _, _, rec in st.heap:
-            if store.committed[rec] and row in store.row_sets[rec]:
-                self._release_record(lane, rec)
+        for _, _, record in st.heap:
+            if record.live and row in record.row_set:
+                self._release_record(lane, record)
                 st.stats.disrupted += 1
         used_row = self._node_used[lane, row]
         remaining = np.maximum(self._capacity[row] - used_row, 0.0)
@@ -1174,7 +1111,7 @@ class SoAVecPlacementEnv:
 
         The routing walk, feasibility check and per-segment link commits run
         as grouped array operations over the completing-lane set; only the
-        per-lane bookkeeping (store allocation, heap push, stats, terminal
+        per-lane bookkeeping (chain record, heap push, stats, terminal
         reward, request advance) stays scalar, applied in lane order so the
         observable sequence matches the reference backend exactly.
 
@@ -1417,7 +1354,6 @@ class SoAVecPlacementEnv:
                     self._link_used[commit_lanes] = link_scratch[sel]
 
         # ---- per-lane bookkeeping, in lane order ----------------------- #
-        store = self._store
         out_codes = self._out_codes
         infeasible_penalty = self._infeasible_penalty
         cost_normalizer = self._cost_normalizer
@@ -1432,18 +1368,11 @@ class SoAVecPlacementEnv:
                     else COMMIT_FAILED
                 )
             if verdict == ACCEPT:
-                rows = st.partial_rows
                 st.counter += 1
-                rec = store.alloc(
-                    lane,
-                    view.departure,
-                    view.bw,
-                    tuple(rows),
-                    view.demand_lists,
-                    slots_per_pos[pos],
-                    frozenset(rows),
+                record = _ChainRecord(
+                    st.partial_rows, view.demand_lists, slots_per_pos[pos], view.bw
                 )
-                heapq.heappush(st.heap, (view.departure, st.counter, rec))
+                heapq.heappush(st.heap, (view.departure, st.counter, record))
                 stats = st.stats
                 stats.accepted += 1
                 e2e = e2e_list[pos]

@@ -8,11 +8,7 @@ from repro.nfv.catalog import (
     default_chain_templates,
     validate_templates,
 )
-from repro.nfv.placement import (
-    Placement,
-    PlacementError,
-    PlacementSegment,
-)
+from repro.nfv.placement import Placement, PlacementError
 from repro.nfv.sfc import (
     SFCRequest,
     ServiceFunctionChain,
@@ -24,7 +20,7 @@ from repro.nfv.sla import (
     ServiceLevelAgreement,
     placement_availability,
 )
-from repro.nfv.vnf import VNFInstance, VNFType, make_vnf_type
+from repro.nfv.vnf import VNFType, make_vnf_type
 
 __all__ = [
     "ChainTemplate",
@@ -35,7 +31,6 @@ __all__ = [
     "validate_templates",
     "Placement",
     "PlacementError",
-    "PlacementSegment",
     "SFCRequest",
     "ServiceFunctionChain",
     "chain_summary",
@@ -43,7 +38,6 @@ __all__ = [
     "DEFAULT_NODE_AVAILABILITY",
     "ServiceLevelAgreement",
     "placement_availability",
-    "VNFInstance",
     "VNFType",
     "make_vnf_type",
 ]

@@ -8,11 +8,14 @@ to a substrate node and routes traffic source → VNF₁ → ... → VNFₙ
 * compute its end-to-end latency, operational cost and availability, and
 * atomically commit to / release from a :class:`SubstrateNetwork`.
 
-Placement construction is cheap and side-effect free; only
-:meth:`Placement.commit` mutates the substrate.  On first use against a
-ledger a placement compiles itself into a
+Placement construction routes the service path and stops there: it is
+side-effect free, and only :meth:`Placement.commit` mutates the substrate.  On
+first use against a ledger a placement compiles itself into a
 :class:`~repro.substrate.ledger.CompiledChain` (rows, demands, link slots),
-and the check, commit and release run the ledger's chain kernel on it.
+and the check, commit and release run the ledger's chain kernel on it.  A
+committed placement is named by its request: the node reservation of VNF
+``i`` is held under ``req:{request_id}:vnf:{i}`` and the link reservations of
+routed segment ``i`` under ``req:{request_id}:seg:{i}``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.nfv.sfc import SFCRequest
 from repro.nfv.sla import placement_availability
-from repro.nfv.vnf import VNFInstance
 from repro.substrate.ledger import CompiledChain, SubstrateLedger, chain_fits
 from repro.substrate.link import InsufficientBandwidthError
 from repro.substrate.network import PathInfo, SubstrateNetwork
@@ -31,18 +33,6 @@ from repro.substrate.node import InsufficientCapacityError
 
 class PlacementError(RuntimeError):
     """Raised when committing an infeasible placement."""
-
-
-@dataclass
-class PlacementSegment:
-    """One routed hop of the service path (between consecutive anchors)."""
-
-    path: PathInfo
-
-    @property
-    def latency_ms(self) -> float:
-        """Latency of this segment."""
-        return self.path.latency_ms
 
 
 @dataclass
@@ -59,8 +49,7 @@ class Placement:
 
     request: SFCRequest
     node_assignment: Tuple[int, ...]
-    _segments: List[PlacementSegment] = field(default_factory=list, repr=False)
-    _instances: List[VNFInstance] = field(default_factory=list, repr=False)
+    _paths: List[PathInfo] = field(default_factory=list, repr=False)
     _committed: bool = field(default=False, repr=False)
     # Memos set on first use: plain class attributes, not dataclass fields.
     _compiled = None  # Optional[CompiledChain], for one ledger
@@ -93,7 +82,6 @@ class Placement:
         """
         placement = cls(request=request, node_assignment=tuple(node_assignment))
         placement._route(network)
-        placement._materialize_instances()
         return placement
 
     def _anchor_sequence(self) -> List[int]:
@@ -105,35 +93,18 @@ class Placement:
 
     def _route(self, network: SubstrateNetwork) -> None:
         anchors = self._anchor_sequence()
-        segments: List[PlacementSegment] = []
-        for start, end in zip(anchors[:-1], anchors[1:]):
-            path = network.shortest_path(start, end)
-            segments.append(PlacementSegment(path=path))
-        self._segments = segments
-
-    def _materialize_instances(self) -> None:
-        self._instances = [
-            VNFInstance(
-                vnf_type=self.request.chain.vnf_at(index),
-                node_id=node_id,
-                bandwidth_mbps=self.request.bandwidth_mbps,
-                request_id=self.request.request_id,
-            )
-            for index, node_id in enumerate(self.node_assignment)
+        self._paths = [
+            network.shortest_path(start, end)
+            for start, end in zip(anchors[:-1], anchors[1:])
         ]
 
     # ------------------------------------------------------------------ #
     # Derived quantities
     # ------------------------------------------------------------------ #
     @property
-    def instances(self) -> List[VNFInstance]:
-        """The VNF instances this placement creates."""
-        return list(self._instances)
-
-    @property
-    def segments(self) -> List[PlacementSegment]:
-        """The routed path segments between consecutive anchors."""
-        return list(self._segments)
+    def paths(self) -> List[PathInfo]:
+        """The routed paths between consecutive anchors, one per segment."""
+        return list(self._paths)
 
     @property
     def is_committed(self) -> bool:
@@ -142,7 +113,7 @@ class Placement:
 
     def propagation_latency_ms(self) -> float:
         """Total routed propagation latency across all segments."""
-        return sum(segment.latency_ms for segment in self._segments)
+        return sum(path.latency_ms for path in self._paths)
 
     def processing_latency_ms(self) -> float:
         """Total VNF processing latency (placement independent)."""
@@ -232,10 +203,7 @@ class Placement:
         duration = self.request.holding_time
         bandwidth = self.request.bandwidth_mbps
         ledger = network.ledger
-        per_mbps = sum(
-            ledger.path_cost_per_mbps(segment.path.nodes)
-            for segment in self._segments
-        )
+        per_mbps = sum(ledger.path_cost_per_mbps(path.nodes) for path in self._paths)
         return bandwidth * per_mbps * duration
 
     def total_cost(self, network: SubstrateNetwork) -> float:
@@ -258,19 +226,24 @@ class Placement:
                 ledger,
                 [node_row[node_id] for node_id in self.node_assignment],
                 list(self.request.chain.demand_rows),
-                [ledger.path_entry(seg.path.nodes)[2] for seg in self._segments],
+                [ledger.path_entry(path.nodes)[2] for path in self._paths],
                 self.request.bandwidth_mbps,
             )
             self._sla_ok = None
         return record
 
     def _allocation_handles(self) -> Tuple[List[str], List[str]]:
-        """(handle per instance, handle per segment), built on first commit."""
+        """(handle per VNF, handle per segment), built on first commit.
+
+        Both name the request and the position in it, so they are the same
+        in every run; a second placement of a committed request that meets
+        one of them on a node or link fails its commit before any write.
+        """
         if self._handles is None:
             request_id = self.request.request_id
             self._handles = (
-                [instance.allocation_handle for instance in self._instances],
-                [f"req:{request_id}:seg:{i}" for i in range(len(self._segments))],
+                [f"req:{request_id}:vnf:{i}" for i in range(len(self.node_assignment))],
+                [f"req:{request_id}:seg:{i}" for i in range(len(self._paths))],
             )
         return self._handles
 

@@ -100,7 +100,11 @@ _request_counter = itertools.count()
 
 
 def reset_request_counter() -> None:
-    """Reset the global request id counter (used by tests for determinism)."""
+    """Reset the module counter that numbers requests built without an id.
+
+    A :class:`~repro.workloads.generator.RequestGenerator` numbers its own
+    requests; this counter serves hand-built ones.
+    """
     global _request_counter
     _request_counter = itertools.count()
 
@@ -124,6 +128,10 @@ class SFCRequest:
     destination_node_id:
         Optional egress node; ``None`` means traffic terminates at the last
         VNF (the common edge-offloading pattern).
+    request_id:
+        Names the request and every reservation of its placement.  A
+        :class:`~repro.workloads.generator.RequestGenerator` passes its own
+        count from 0; without one, the module counter numbers the request.
     """
 
     chain: ServiceFunctionChain

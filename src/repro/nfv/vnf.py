@@ -1,17 +1,16 @@
-"""Virtual network function (VNF) types and instances.
+"""Virtual network function (VNF) types.
 
 A :class:`VNFType` describes a class of network function (firewall, NAT,
 IDS, ...) in terms of the resources an instance consumes, the per-packet
 processing delay it adds, and how its resource demand scales with the traffic
-it serves.  A :class:`VNFInstance` is one deployment of a type on a specific
-substrate node, serving a specific request.
+it serves.  One deployment of a type is a position of a placed chain: the
+:class:`~repro.nfv.placement.Placement` of a request names it by the request
+id and the VNF's index in the chain.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Optional
 
 from repro.substrate.resources import ResourceVector
 from repro.utils.validation import check_non_negative, check_positive
@@ -58,63 +57,6 @@ class VNFType:
 
     def __str__(self) -> str:
         return self.name
-
-
-_instance_counter = itertools.count()
-
-
-def _next_instance_id() -> int:
-    return next(_instance_counter)
-
-
-@dataclass
-class VNFInstance:
-    """One deployment of a VNF type on a substrate node.
-
-    Instances are created by placement policies and committed to the
-    substrate by :class:`~repro.nfv.placement.Placement`.  The
-    ``allocation_handle`` ties the instance to the node-side bookkeeping so
-    releases are exact.
-    """
-
-    vnf_type: VNFType
-    node_id: int
-    bandwidth_mbps: float
-    request_id: Optional[int] = None
-    instance_id: int = field(default_factory=_next_instance_id)
-
-    def __post_init__(self) -> None:
-        check_non_negative(self.bandwidth_mbps, "bandwidth_mbps")
-
-    @property
-    def demand(self) -> ResourceVector:
-        """Resource demand of this instance at its provisioned bandwidth."""
-        cached = self.__dict__.get("_demand")
-        if cached is None:
-            cached = self.vnf_type.demand_for(self.bandwidth_mbps)
-            self.__dict__["_demand"] = cached
-        return cached
-
-    @property
-    def allocation_handle(self) -> str:
-        """Unique handle used for node allocations backing this instance."""
-        return f"vnf:{self.instance_id}"
-
-    @property
-    def processing_delay_ms(self) -> float:
-        """Packet processing delay contributed by this instance."""
-        return self.vnf_type.processing_delay_ms
-
-    def snapshot(self) -> Dict[str, object]:
-        """A JSON-friendly summary of the instance."""
-        return {
-            "instance_id": self.instance_id,
-            "type": self.vnf_type.name,
-            "node_id": self.node_id,
-            "bandwidth_mbps": self.bandwidth_mbps,
-            "request_id": self.request_id,
-            "demand": self.demand.as_dict(),
-        }
 
 
 def make_vnf_type(

@@ -74,16 +74,6 @@ def monitoring_event(time: float, label: Optional[str] = None) -> Event:
     return Event.create(time, EventType.MONITORING, payload=label)
 
 
-def link_failure_event(time: float, endpoints) -> Event:
-    """A substrate link going down (payload: canonical endpoint pair)."""
-    return Event.create(time, EventType.LINK_FAILURE, payload=tuple(endpoints))
-
-
-def link_recovery_event(time: float, endpoints) -> Event:
-    """A failed substrate link coming back (payload: canonical endpoint pair)."""
-    return Event.create(time, EventType.LINK_RECOVERY, payload=tuple(endpoints))
-
-
 def end_event(time: float) -> Event:
     """The end-of-simulation sentinel."""
     return Event.create(time, EventType.END_OF_SIMULATION)

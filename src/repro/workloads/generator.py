@@ -9,6 +9,7 @@ full request trace one simulation run consumes.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -53,7 +54,11 @@ class WorkloadConfig:
 
 
 class RequestGenerator:
-    """Samples :class:`SFCRequest` objects for a given substrate network."""
+    """Samples :class:`SFCRequest` objects for a given substrate network.
+
+    Each generator numbers its requests from 0, so a request's id is a
+    function of the seed, not of what else ran in the process.
+    """
 
     def __init__(
         self,
@@ -68,6 +73,7 @@ class RequestGenerator:
         validate_templates(self.templates, self.catalog)
         self.config = config or WorkloadConfig()
         self._rng = new_rng(self.config.seed)
+        self._request_ids = itertools.count()
         weights = np.array([t.weight for t in self.templates], dtype=float)
         # The CDF ``Generator.choice(n, p=weights / weights.sum())`` builds on
         # every call: bisecting it (side "right") with one ``random()`` draw
@@ -115,10 +121,6 @@ class RequestGenerator:
     def _template_index(self) -> int:
         return bisect_right(self._template_cdf, self._rng.random())
 
-    def sample_template(self) -> ChainTemplate:
-        """Draw a service class according to the template weights."""
-        return self.templates[self._template_index()]
-
     def sample_source_node(self) -> int:
         """Draw an ingress edge node, honouring the hotspot skew.
 
@@ -158,6 +160,7 @@ class RequestGenerator:
             sla=ServiceLevelAgreement(max_latency_ms=sla_latency),
             arrival_time=arrival_time,
             holding_time=holding_time,
+            request_id=next(self._request_ids),
         )
 
     # ------------------------------------------------------------------ #

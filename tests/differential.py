@@ -24,9 +24,9 @@ Every drive records the lean-accessor arrays (outcome codes, request-done
 flags, request ids, finished-episode stats) regardless of protocol, so
 backend comparisons cover them even when info dicts are also compared.
 
-Comparisons include ``request_id``: :func:`drive` calls
-:func:`~repro.nfv.sfc.reset_request_counter` before construction, so both
-backends number requests from zero.
+Comparisons include ``request_id``: each lane's request generator numbers
+its requests from zero, so both backends name requests alike with no reset of
+the module counter between drives.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import numpy as np
 
 from repro.core.env import EnvConfig
 from repro.core.vecenv import OUTCOME_CODE
-from repro.nfv.sfc import reset_request_counter
 from repro.sim.failures import FailureConfig
 from repro.substrate.topology import TopologyConfig, metro_edge_cloud_topology
 from repro.workloads.scenarios import Scenario, reference_scenario
@@ -164,13 +163,12 @@ def drive(
 ) -> Dict[str, object]:
     """Run one backend through ``steps`` masked-random actions.
 
-    ``factory`` builds the environment; the global request counter is reset
-    first so every backend numbers requests identically.  The recorded
-    trajectory holds, per step: masks, actions, (optionally) the decision
-    context, post-step states/rewards/dones/infos, the lean-accessor arrays,
-    per-lane running :class:`EpisodeStats` dictionaries and fenced-node id
-    lists.  ``reset_lane_at`` maps step index -> lane to call ``reset_lane``
-    on *before* that step's mask query (exercising mid-episode lane resets).
+    ``factory`` builds the environment.  The recorded trajectory holds, per
+    step: masks, actions, (optionally) the decision context, post-step
+    states/rewards/dones/infos, the lean-accessor arrays, per-lane running
+    :class:`EpisodeStats` dictionaries and fenced-node id lists.
+    ``reset_lane_at`` maps step index -> lane to call ``reset_lane`` on
+    *before* that step's mask query (exercising mid-episode lane resets).
 
     ``observe`` / ``info`` select the lean-step protocol: masks (and hence
     the seeded action draw) are protocol-independent, so a lean drive walks
@@ -178,7 +176,6 @@ def drive(
     ``info=False`` no ``"infos"`` entries are recorded (the step contract
     returns ``None``); the lean-accessor arrays carry the outcomes instead.
     """
-    reset_request_counter()
     env = factory()
     try:
         rng = np.random.default_rng(action_seed)

@@ -20,7 +20,7 @@ whole episodes on random topologies.
 :func:`check_reference`, :func:`commit_reference` and
 :func:`release_reference` are ``Placement.is_feasible``, ``commit`` and
 ``release`` as they ran before placements compiled: every call regroups the
-demands, looks up the link slots and goes through the per-instance and
+demands, looks up the link slots and goes through the per-VNF and
 per-hop network primitives.  ``tests/test_ledger.py`` drives them and the
 compiled path on twin networks and asserts bitwise-equal ledgers.
 """
@@ -35,7 +35,6 @@ from repro.core.action import ActionSpace
 from repro.core.state import NODE_FEATURES, StateEncoder
 from repro.nfv.placement import Placement, PlacementError
 from repro.nfv.sfc import SFCRequest
-from repro.nfv.vnf import VNFInstance
 from repro.substrate.link import InsufficientBandwidthError
 from repro.substrate.network import NoRouteError, SubstrateNetwork
 from repro.substrate.node import InsufficientCapacityError
@@ -185,24 +184,30 @@ def valid_mask_reference(
     return mask
 
 
-def _aggregated_node_demand(placement: Placement) -> Dict[int, List[VNFInstance]]:
-    grouped: Dict[int, List[VNFInstance]] = {}
-    for instance in placement.instances:
-        grouped.setdefault(instance.node_id, []).append(instance)
-    return grouped
+def _vnf_demands(placement: Placement) -> List[Tuple[int, ResourceVector]]:
+    """(node id, demand) per VNF in chain order, from its type and bandwidth."""
+    bandwidth = placement.request.bandwidth_mbps
+    return [
+        (node_id, vnf_type.demand_for(bandwidth))
+        for node_id, vnf_type in zip(
+            placement.node_assignment, placement.request.chain.vnf_types
+        )
+    ]
 
 
 def is_feasible_reference(placement: Placement, network: SubstrateNetwork) -> bool:
     """The original object-by-object check of ``Placement.is_feasible``."""
-    for node_id, instances in _aggregated_node_demand(placement).items():
-        demand = aggregate(inst.demand for inst in instances)
-        if not node_can_host(network, node_id, demand):
+    grouped: Dict[int, List[ResourceVector]] = {}
+    for node_id, demand in _vnf_demands(placement):
+        grouped.setdefault(node_id, []).append(demand)
+    for node_id, demands in grouped.items():
+        if not node_can_host(network, node_id, aggregate(demands)):
             return False
     bandwidth = placement.request.bandwidth_mbps
     # A link shared by several segments must carry each traversal.
     link_load: Dict[Tuple[int, int], float] = {}
-    for segment in placement.segments:
-        for endpoints in segment.path.links():
+    for path in placement.paths:
+        for endpoints in path.links():
             link_load[endpoints] = link_load.get(endpoints, 0.0) + bandwidth
     for endpoints, load in link_load.items():
         if not link_can_carry(network, *endpoints, load):
@@ -217,9 +222,9 @@ def check_reference(placement: Placement, network: SubstrateNetwork) -> bool:
     """``Placement.is_feasible`` re-deriving rows, demands and slots per call."""
     ledger = network.ledger
     grouped: Dict[int, np.ndarray] = {}
-    for instance in placement.instances:
-        demand = instance.demand.as_array()
-        row = ledger.node_row[instance.node_id]
+    for node_id, vector in _vnf_demands(placement):
+        demand = vector.as_array()
+        row = ledger.node_row[node_id]
         grouped[row] = grouped[row] + demand if row in grouped else demand
     if grouped:
         rows = np.fromiter(grouped.keys(), dtype=np.int64, count=len(grouped))
@@ -229,8 +234,8 @@ def check_reference(placement: Placement, network: SubstrateNetwork) -> bool:
             return False
     bandwidth = placement.request.bandwidth_mbps
     traversals: Dict[int, int] = {}
-    for segment in placement.segments:
-        for slot in ledger.path_edge_indices(segment.path.nodes).tolist():
+    for path in placement.paths:
+        for slot in ledger.path_edge_indices(path.nodes).tolist():
             traversals[slot] = traversals.get(slot, 0) + 1
     for slot, count in traversals.items():
         if count * bandwidth > ledger.link_capacity[slot] - ledger.link_used[slot] + 1e-9:
@@ -240,12 +245,16 @@ def check_reference(placement: Placement, network: SubstrateNetwork) -> bool:
     )
 
 
+def _vnf_handle(placement: Placement, index: int) -> str:
+    return f"req:{placement.request.request_id}:vnf:{index}"
+
+
 def _segment_handle(placement: Placement, index: int) -> str:
     return f"req:{placement.request.request_id}:seg:{index}"
 
 
 def commit_reference(placement: Placement, network: SubstrateNetwork) -> None:
-    """``Placement.commit`` through one primitive call per instance and segment.
+    """``Placement.commit`` through one primitive call per VNF and segment.
 
     A capacity, bandwidth or route error rolls back what was reserved, paths
     then nodes in commit order, and raises :class:`PlacementError`; any other
@@ -259,15 +268,14 @@ def commit_reference(placement: Placement, network: SubstrateNetwork) -> None:
     committed_nodes: List[Tuple[int, str]] = []
     committed_paths: List[Tuple[Tuple[int, ...], str]] = []
     try:
-        for instance in placement.instances:
-            network.allocate_node(
-                instance.node_id, instance.allocation_handle, instance.demand
-            )
-            committed_nodes.append((instance.node_id, instance.allocation_handle))
-        for index, segment in enumerate(placement.segments):
+        for index, (node_id, demand) in enumerate(_vnf_demands(placement)):
+            handle = _vnf_handle(placement, index)
+            network.allocate_node(node_id, handle, demand)
+            committed_nodes.append((node_id, handle))
+        for index, path in enumerate(placement.paths):
             handle = _segment_handle(placement, index)
-            network.allocate_path(segment.path.nodes, handle, request.bandwidth_mbps)
-            committed_paths.append((segment.path.nodes, handle))
+            network.allocate_path(path.nodes, handle, request.bandwidth_mbps)
+            committed_paths.append((path.nodes, handle))
     except (InsufficientCapacityError, InsufficientBandwidthError, NoRouteError) as exc:
         for nodes, handle in committed_paths:
             network.release_path(nodes, handle)
@@ -280,13 +288,13 @@ def commit_reference(placement: Placement, network: SubstrateNetwork) -> None:
 
 
 def release_reference(placement: Placement, network: SubstrateNetwork) -> None:
-    """``Placement.release`` through one primitive call per segment and instance."""
+    """``Placement.release`` through one primitive call per segment and VNF."""
     if not placement.is_committed:
         raise PlacementError(
             f"placement for request {placement.request.request_id} is not committed"
         )
-    for index, segment in enumerate(placement.segments):
-        network.release_path(segment.path.nodes, _segment_handle(placement, index))
-    for instance in placement.instances:
-        network.release_node(instance.node_id, instance.allocation_handle)
+    for index, path in enumerate(placement.paths):
+        network.release_path(path.nodes, _segment_handle(placement, index))
+    for index, node_id in enumerate(placement.node_assignment):
+        network.release_node(node_id, _vnf_handle(placement, index))
     placement._committed = False

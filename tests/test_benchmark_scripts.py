@@ -31,18 +31,6 @@ def test_serving_smoke_asserts_and_prints_but_writes_nothing(
     assert committed.read_bytes() == before
 
 
-def _comparable(step_result):
-    """A step's output without request ids: they come from a process-wide
-    counter, so two envs stepped in turn draw different ones."""
-    states, rewards, dones, infos = step_result
-    if infos is not None:
-        infos = [
-            {key: value for key, value in info.items() if key != "request_id"}
-            for info in infos
-        ]
-    return states, rewards, dones, infos
-
-
 @pytest.mark.parametrize("protocol", ["full", "lean"])
 def test_traced_kernel_phases_leave_trajectory_bitwise_equal(protocol):
     """A Tracer around the four phase methods changes no state or output."""
@@ -64,10 +52,12 @@ def test_traced_kernel_phases_leave_trajectory_bitwise_equal(protocol):
             np.testing.assert_array_equal(
                 actions, common.masked_random_actions(masks, rng_traced)
             )
-            expected = _comparable(plain.step(actions, **step_kwargs))
-            # States, rewards, dones and infos (None under the lean protocol).
-            np.testing.assert_equal(
-                _comparable(traced.step(actions, **step_kwargs)), expected
+            expected = plain.step(actions, **step_kwargs)
+            # States, rewards, dones and infos, request ids included (None
+            # under the lean protocol).
+            np.testing.assert_equal(traced.step(actions, **step_kwargs), expected)
+            np.testing.assert_array_equal(
+                traced.last_request_ids(), plain.last_request_ids()
             )
             np.testing.assert_array_equal(
                 traced.last_outcome_codes(), plain.last_outcome_codes()

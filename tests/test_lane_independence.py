@@ -7,10 +7,9 @@ into groups, build one environment per group from the same specs, drive
 every lane with its own seeded action stream and assert each lane's record
 (reset state, masks, decision-context rows, states, rewards, dones, infos,
 outcome codes, episode statistics, fenced nodes) is bitwise identical to the
-same lane inside the whole environment, on both lane cores.  Two info
-fields are relabeled: ``lane`` is the index inside the hosting environment,
-and request ids come from one process-wide counter all lanes draw from, so
-they are compared up to relabeling in order of first appearance.
+same lane inside the whole environment, on both lane cores, request ids
+included: each lane's generator numbers its own requests.  One info field is
+relabeled: ``lane`` is the index inside the hosting environment.
 
 The consumers of the property follow: training and agent evaluation give
 the same numbers on either core, the factory builds the lanes its specs
@@ -30,7 +29,6 @@ from repro.core.soa import SoAVecPlacementEnv
 from repro.core.training import TrainingConfig, VecTrainer
 from repro.core.vecenv import VecPlacementEnv, lane_specs_from_scenarios, make_vec_env
 from repro.experiments import runner
-from repro.nfv.sfc import reset_request_counter
 from repro.sim.failures import FailureConfig
 from repro.workloads.scenarios import reference_scenario, scenario_grid
 
@@ -127,24 +125,13 @@ def drive_lanes(env, steps, lane_offset=0, reset_lane_at=None, observe=True, inf
     return records
 
 
-def relabel_request_ids(records):
-    """Replace each lane's request ids by their order of first appearance."""
-    for lane_records in records:
-        ranks = {}
-        for entry in lane_records:
-            if "request_id" in entry:
-                request_id = int(entry["request_id"])
-                entry["request_id"] = ranks.setdefault(request_id, len(ranks))
-    return records
-
-
 def run_groups(core, specs, groups, steps, auto_reset=True, **drive_kwargs):
     """Per-lane records of ``specs`` split into one environment per group."""
     records = []
     for start, stop in groups:
         with CORES[core].from_specs(specs[start:stop], auto_reset=auto_reset) as env:
             records.extend(drive_lanes(env, steps, lane_offset=start, **drive_kwargs))
-    return relabel_request_ids(records)
+    return records
 
 
 def assert_lanes_equal(whole, grouped):
@@ -231,7 +218,6 @@ class TestBatchedConsumers:
         )
 
         def train(core):
-            reset_request_counter()
             with CORES[core].from_specs(specs) as venv:
                 agent = DQNAgent(venv.state_dim, venv.num_actions, DQN_CONFIG, seed=0)
                 config = TrainingConfig(
@@ -273,11 +259,10 @@ class TestBatchedConsumers:
     def test_policy_rebinds_cleanly_between_lane_sets(self, policy_index):
         # After acting on one lane set a policy must act on the next exactly
         # like a fresh instance: no plan, request id or decision context
-        # survives the rebind.  The request counter restarts before each set
-        # is built, so after one step on the earlier set every lane's cached
+        # survives the rebind.  Each lane's generator numbers its requests
+        # from 0, so after one step on the earlier set every lane's cached
         # plan sits under the id its counterpart's first request reuses.
         def act(policy, specs, steps):
-            reset_request_counter()
             venv = VecPlacementEnv.from_specs(specs)
             policy.bind_lanes(venv)
             venv.reset(observe=False)
@@ -304,7 +289,7 @@ class TestFactory:
             assert isinstance(venv, CORES[core])
             assert venv.auto_reset is False
             assert venv.lane_names == [scenario.name for scenario in grid]
-            built = relabel_request_ids(drive_lanes(venv, steps=60))
+            built = drive_lanes(venv, steps=60)
         specs = lane_specs_from_scenarios(grid, **options)
         assert_lanes_equal(
             run_groups(core, specs, [(0, 2)], steps=60, auto_reset=False), built

@@ -1,9 +1,12 @@
 """Unit tests for chain-to-substrate placements."""
 
+import numpy as np
 import pytest
 
 from repro.nfv.placement import Placement, PlacementError
 from repro.substrate.resources import ResourceVector
+from repro.substrate.topology import TopologyConfig, metro_edge_cloud_topology
+from repro.workloads.generator import RequestGenerator, WorkloadConfig
 from tests.conftest import build_request
 from tests.substrate_oracles import link_used
 
@@ -156,6 +159,57 @@ class TestCommitRelease:
         assert ledger.link_used.tobytes() == link_before.tobytes()
         first.release(small_network)
         assert small_network.total_used().is_zero()
+
+    def test_reused_vnf_handle_fails_without_leaking(self, small_network, catalog):
+        # Both placements host VNF 0 at the ingress, so neither routes a
+        # first segment, and their second segments take different links: only
+        # the node handle of VNF 0 clashes.
+        request = build_request(catalog, source=1)
+        first = Placement.build(request, [1, 2], small_network)
+        first.commit(small_network)
+        ledger = small_network.ledger
+        node_before = ledger.node_used.tobytes()
+        link_before = ledger.link_used.tobytes()
+        records_before = [dict(records) for records in ledger.node_records]
+        second = Placement.build(request, [1, 0], small_network)
+        assert second.is_feasible(small_network)
+        with pytest.raises(PlacementError):
+            second.commit(small_network)
+        assert not second.is_committed
+        assert ledger.node_used.tobytes() == node_before
+        assert ledger.link_used.tobytes() == link_before
+        assert [dict(records) for records in ledger.node_records] == records_before
+
+
+class TestHandles:
+    @staticmethod
+    def _commit_trace():
+        """A fresh network holding what one trace's feasible placements commit."""
+        network = metro_edge_cloud_topology(TopologyConfig(num_edge_nodes=6, seed=2))
+        generator = RequestGenerator(network, config=WorkloadConfig(seed=4))
+        rng = np.random.default_rng(4)
+        node_ids = list(network.node_ids)
+        committed = 0
+        for request in generator.generate_batch(40):
+            assignment = [int(rng.choice(node_ids)) for _ in range(request.num_vnfs)]
+            placement = Placement.build(request, assignment, network)
+            if placement.is_feasible(network):
+                placement.commit(network)
+                committed += 1
+        assert committed > 5
+        return network.ledger
+
+    def test_handles_are_a_function_of_the_request(self):
+        # A second network fed the same trace in the same process holds the
+        # same handles: none depends on what the process built before.
+        first, second = self._commit_trace(), self._commit_trace()
+        node_keys = [sorted(records) for records in first.node_records]
+        link_keys = [sorted(records) for records in first.link_records]
+        assert any(link_keys)
+        assert [sorted(records) for records in second.node_records] == node_keys
+        assert [sorted(records) for records in second.link_records] == link_keys
+        handles = {handle for keys in node_keys for handle in keys}
+        assert all(handle.startswith("req:") for handle in handles)
 
 
 class TestCost:

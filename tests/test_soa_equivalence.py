@@ -398,7 +398,7 @@ class TestLedgerConservation:
     After ``reset`` and after every step — full and lean protocol, with and
     without fault injection, through both the batched commit and the scalar
     replay — each lane's ``_node_used`` must equal the demands of its live
-    committed store records at their rows plus its failure fences, and its
+    committed heap records at their rows plus its failure fences, and its
     ``_link_used`` the bandwidth of those records over every slot traversal.
     """
 
@@ -409,17 +409,17 @@ class TestLedgerConservation:
 
     @classmethod
     def _assert_conserved(cls, env):
-        store = env._store
         node_expected = np.zeros_like(env._node_used)
         link_expected = np.zeros_like(env._link_used)
-        for rec, lane in enumerate(store.lane):
-            if not store.committed[rec]:
-                continue
-            for row, demand in zip(store.rows[rec], store.demands[rec]):
-                node_expected[lane, row] += demand
-            for slots in store.segments[rec]:
-                for slot in slots:
-                    link_expected[lane, slot] += store.bandwidth[rec]
+        for lane, lane_state in enumerate(env._lanes):
+            for _, _, record in lane_state.heap:
+                if not record.live:
+                    continue
+                for row, demand in zip(record.rows, record.demands):
+                    node_expected[lane, row] += demand
+                for slots in record.segments:
+                    for slot in slots:
+                        link_expected[lane, slot] += record.bandwidth
         for lane, lane_state in enumerate(env._lanes):
             for row, fence in lane_state.fences.items():
                 node_expected[lane, row] += fence

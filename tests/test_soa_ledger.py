@@ -7,19 +7,21 @@ usage in two numpy arrays, ``_node_used`` ``(K, N, 3)`` and ``_link_used``
 :func:`~repro.substrate.ledger.reserve_chain`,
 :func:`~repro.substrate.ledger.free_chain`) on one lane's rows of those
 arrays: the commit a chain replays when the batched screen cannot prove it,
-with its rollback, and the release of a departing or disrupted record.  The
-env adds node fencing on failure, its removal on recovery, and the per-lane
-reset.  These tests drive each primitive on a fresh lane with a chain the
-scalar replay really committed in the tight-link campaign, and check the
-exact ledger effect, that the other lanes stay untouched, and that the
-decision reads see what was written.
+with its rollback, and the release of a departing or disrupted record, which
+each lane holds in its departure heap.  The env adds node fencing on failure,
+its removal on recovery, and the per-lane reset.  These tests drive each
+primitive on a fresh lane with a chain the scalar replay really committed in
+the tight-link campaign, and check the exact ledger effect, that the other
+lanes stay untouched, and that the decision reads see what was written.
 """
+
+import heapq
 
 import numpy as np
 import pytest
 
 from differential import masked_random_actions, tight_link_factory
-from repro.core.soa import SoAVecPlacementEnv
+from repro.core.soa import SoAVecPlacementEnv, _ChainRecord
 from repro.substrate.ledger import CompiledChain, chain_fits, free_chain, reserve_chain
 from repro.substrate.link import InsufficientBandwidthError
 from repro.substrate.node import InsufficientCapacityError
@@ -100,21 +102,14 @@ def _expected_usage(env, view, rows, segments):
     return node, link
 
 
-def _store_record(env, view, rows, segments):
-    """Register a committed chain on ``LANE`` the way the replay does."""
+def _store_record(env, view, rows, segments, departure=None):
+    """Push a committed chain onto ``LANE``'s heap the way the commit does."""
     st = env._lanes[LANE]
     st.counter += 1
-    rec = env._store.alloc(
-        LANE,
-        view.departure,
-        view.bw,
-        tuple(rows),
-        view.demand_lists,
-        segments,
-        frozenset(rows),
-    )
-    st.heap.append((view.departure, st.counter, rec))
-    return rec
+    record = _ChainRecord(rows, view.demand_lists, segments, view.bw)
+    due = view.departure if departure is None else departure
+    heapq.heappush(st.heap, (due, st.counter, record))
+    return record
 
 
 def _other_lanes(array):
@@ -226,11 +221,11 @@ class TestFailAndRecover:
         env, view, rows, segments = replayed
         st = env._lanes[LANE]
         _commit(env, LANE, view, rows, segments)
-        rec = _store_record(env, view, rows, segments)
+        record = _store_record(env, view, rows, segments)
         disrupted = st.stats.disrupted
         row = rows[-1]
         env._fail_node(LANE, st, row)
-        assert not env._store.committed[rec]
+        assert not record.live
         assert st.stats.disrupted == disrupted + 1
         np.testing.assert_allclose(env._link_used[LANE], 0.0, rtol=0.0, atol=ATOL)
         np.testing.assert_allclose(
@@ -240,6 +235,20 @@ class TestFailAndRecover:
         np.testing.assert_allclose(
             env._node_used[LANE, others], 0.0, rtol=0.0, atol=ATOL
         )
+
+    def test_departure_skips_a_record_the_failure_released(self, replayed):
+        env, view, rows, segments = replayed
+        st = env._lanes[LANE]
+        _commit(env, LANE, view, rows, segments)
+        record = _store_record(env, view, rows, segments)
+        env._fail_node(LANE, st, rows[-1])
+        node_after_fail = env._node_used.tobytes()
+        link_after_fail = env._link_used.tobytes()
+        env._release_departed(LANE, st, view.departure)
+        assert not st.heap
+        assert not record.live
+        assert env._node_used.tobytes() == node_after_fail
+        assert env._link_used.tobytes() == link_after_fail
 
     def test_recover_removes_the_fence(self, replayed):
         env, _, rows, _ = replayed
@@ -274,9 +283,12 @@ class TestResetLane:
         env._fail_node(LANE, env._lanes[LANE], rows[0])
         others_node = _other_lanes(env._node_used)
         others_link = _other_lanes(env._link_used)
+        # Due after any arrival, so only the reset can drop it.
+        _store_record(env, view, rows, segments, departure=np.inf)
         env.reset_lane(LANE)
         assert not env._node_used[LANE].any()
         assert not env._link_used[LANE].any()
         assert not env._lanes[LANE].fences
+        assert not env._lanes[LANE].heap
         np.testing.assert_array_equal(_other_lanes(env._node_used), others_node)
         np.testing.assert_array_equal(_other_lanes(env._link_used), others_link)

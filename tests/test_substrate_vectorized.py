@@ -280,8 +280,8 @@ class TestEncoderAndMaskEquivalence:
                         network.link(u, v).transport_cost(
                             request.bandwidth_mbps, request.holding_time
                         )
-                        for segment in placement.segments
-                        for u, v in segment.path.links()
+                        for path in placement.paths
+                        for u, v in path.links()
                     )
                 )
 

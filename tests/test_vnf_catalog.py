@@ -10,7 +10,7 @@ from repro.nfv.catalog import (
     default_chain_templates,
     validate_templates,
 )
-from repro.nfv.vnf import VNFInstance, VNFType, make_vnf_type
+from repro.nfv.vnf import VNFType, make_vnf_type
 from repro.substrate.resources import ResourceVector
 
 
@@ -37,22 +37,6 @@ class TestVNFType:
 
     def test_str_is_name(self):
         assert str(make_vnf_type("ids", cpu=1, memory=1)) == "ids"
-
-
-class TestVNFInstance:
-    def test_instance_ids_unique(self):
-        vnf = make_vnf_type("fw", cpu=1.0, memory=1.0)
-        a = VNFInstance(vnf_type=vnf, node_id=0, bandwidth_mbps=10.0)
-        b = VNFInstance(vnf_type=vnf, node_id=0, bandwidth_mbps=10.0)
-        assert a.instance_id != b.instance_id
-        assert a.allocation_handle != b.allocation_handle
-
-    def test_instance_demand_and_delay(self):
-        vnf = make_vnf_type("fw", cpu=1.0, memory=1.0, cpu_per_mbps=0.1, processing_delay_ms=0.7)
-        instance = VNFInstance(vnf_type=vnf, node_id=3, bandwidth_mbps=10.0)
-        assert instance.demand.cpu == pytest.approx(2.0)
-        assert instance.processing_delay_ms == 0.7
-        assert instance.snapshot()["node_id"] == 3
 
 
 class TestCatalog:
