@@ -58,7 +58,8 @@ REPROLINT_SUMMARY_KEYS = {"files", "findings", "suppressed", "clean", "by_rule"}
 REPROLINT_MIN_SCHEMA_VERSION = 3
 
 #: Required nested keys of the vecenv payload's lean-step extensions: the
-#: per-protocol cost-model fits plus the lean stepping series themselves.
+#: per-protocol cost-model fits plus the lean stepping series themselves,
+#: the asserted SoA-vs-reference K=64 series among them.
 VECENV_DECOMPOSITION_KEYS = {
     "model",
     "per_lane_us_bar",
@@ -72,6 +73,7 @@ VECENV_ENV_STEPS_KEYS = {
     "soa",
     "soa_steady_state",
     "soa_steady_state_lean",
+    "soa_vs_reference_k64",
     "soa_scaling",
     "soa_scaling_full",
 }

@@ -23,10 +23,17 @@ reference operation order (see ``tests/differential.py`` for the harness that
 enforces this).  The only intentional difference is memory layout: lanes
 share constants and routed-path caches instead of duplicating them K times.
 
+A lane that places the last VNF of its chain commits that chain the way
+:class:`~repro.nfv.placement.Placement` does, through the substrate ledger's
+chain kernel on the lane's rows: route, :class:`CompiledChain` +
+:func:`chain_fits`, the latency and availability test, :func:`reserve_chain`,
+then pricing.
+
 The class carries no timers.  Per-phase times are measured from outside by
 wrapping ``valid_action_masks`` (mask), ``_observe_batch`` (observe),
-``_finalize_batch`` (commit) and ``step`` on an instance with the end-to-end
-harness's ``Tracer`` (see ``benchmarks/bench_vecenv.py``).
+``_commit_chain`` (commit, one span per completed chain) and ``step`` on an
+instance with the end-to-end harness's ``Tracer`` (see
+``benchmarks/bench_vecenv.py``).
 """
 
 from __future__ import annotations
@@ -49,7 +56,12 @@ from repro.core.vecenv import (
 from repro.nfv.sfc import SFCRequest
 from repro.nfv.sla import DEFAULT_NODE_AVAILABILITY
 from repro.sim.failures import FailureConfig, FailureEvent, FailureInjector
-from repro.substrate.ledger import free_chain, reserve_chain
+from repro.substrate.ledger import (
+    CompiledChain,
+    chain_fits,
+    free_chain,
+    reserve_chain,
+)
 from repro.substrate.link import InsufficientBandwidthError
 from repro.substrate.network import NoRouteError, SubstrateNetwork
 from repro.substrate.node import InsufficientCapacityError
@@ -106,7 +118,7 @@ class _RequestView:
         "total_proc",
         "vnfs",
         "ctx_row",
-        "demand_rows",
+        "demand_arrays",
         "demand_lists",
         "licenses",
     )
@@ -125,7 +137,6 @@ class _RequestView:
         num_vnfs: int,
         total_proc: float,
         vnfs: List[tuple],
-        demand_rows: np.ndarray,
     ) -> None:
         self.request_id = request_id
         self.source_row = source_row
@@ -162,12 +173,10 @@ class _RequestView:
             0,
             num_vnfs,
         )
-        #: Pregathered per-instance constants for the batched commit
-        #: pipeline: the chain's read-only ``(num_vnfs, 3)`` demand rows (the
-        #: ``vnfs`` demand arrays are its row views), and the demand float
-        #: lists / license costs in chain order (the lists alias the ``vnfs``
-        #: tuples, exactly like the reference gathers them).
-        self.demand_rows = demand_rows
+        #: Per-instance constants of the chain commit, in chain order: the
+        #: demand arrays and float lists (aliasing the ``vnfs`` tuples) and
+        #: the license costs.
+        self.demand_arrays = [vnf[0] for vnf in vnfs]
         self.demand_lists = [vnf[1] for vnf in vnfs]
         self.licenses = [vnf[4] for vnf in vnfs]
 
@@ -215,6 +224,15 @@ class _LaneState:
         self.episode_counter = 0
         self.heap: List[Tuple[float, int, _ChainRecord]] = []
         self.counter = 0
+
+
+#: Route-memo entry of a row pair that no path connects.
+_NO_ROUTE: tuple = ()
+
+_NO_ROUTE_CODE, _INFEASIBLE_CODE, _ACCEPTED_CODE, _COMMIT_FAILED_CODE = (
+    OUTCOME_CODE[name]
+    for name in ("no_route", "infeasible", "accepted", "commit_failed")
+)
 
 
 def _resolved_configs(
@@ -383,18 +401,11 @@ class SoAVecPlacementEnv:
         #: the type object itself so hits can be identity-validated (see
         #: :meth:`_vnf_info` for why ``id()`` keys are unsafe).
         self._type_info: Dict[str, tuple] = {}
-        #: Dense per-row-pair routing arrays (reachable, latency, per-Mbps
-        #: cost, oriented slot list), filled lazily through
-        #: :meth:`_ensure_pair` from the template network's and ledger's
-        #: path caches, so every lane reuses one routed-path set and the
-        #: batched commit pipeline gathers whole routing walks with array
-        #: indexing instead of per-segment dict lookups.
-        num_cells = self._num_nodes * self._num_nodes
-        self._seg_known = np.zeros(num_cells, dtype=bool)
-        self._seg_ok = np.zeros(num_cells, dtype=bool)
-        self._seg_lat = np.zeros(num_cells)
-        self._seg_cost = np.zeros(num_cells)
-        self._seg_slots: List[Optional[List[int]]] = [None] * num_cells
+        #: Routed row pairs shared by every lane, indexed ``a * N + b``:
+        #: ``None`` until :meth:`_route` fills it, then ``(latency, cost per
+        #: Mbps, link slots)``, or ``_NO_ROUTE``.
+        self._routes: List[Optional[tuple]] = [None] * (self._num_nodes ** 2)
+        self._cost_rows: List[List[float]] = self._cost_per_unit.tolist()
 
         self.episodes_completed = 0
         self._decision_version = 0
@@ -557,7 +568,6 @@ class SoAVecPlacementEnv:
             num_vnfs=request.num_vnfs,
             total_proc=chain.total_processing_delay_ms(),
             vnfs=vnfs,
-            demand_rows=rows,
         )
 
     # ------------------------------------------------------------------ #
@@ -575,9 +585,8 @@ class SoAVecPlacementEnv:
     def reset_lane(self, lane: int) -> np.ndarray:
         """Reset a single lane; returns its fresh state vector."""
         self._decision_version += 1
-        st = self._lanes[lane]
-        self._reset_lane_state(lane, st)
-        return self._observe_lane(lane, st)
+        self._reset_lane_state(lane, self._lanes[lane])
+        return self._observe_batch()[lane]
 
     def _reset_lane_state(self, lane: int, st: _LaneState) -> None:
         """Start a new episode on one lane (mirrors VNFPlacementEnv.reset)."""
@@ -857,40 +866,6 @@ class SoAVecPlacementEnv:
             states[inactive] = 0.0
         return states
 
-    def _observe_lane(self, lane: int, st: _LaneState) -> np.ndarray:
-        """Single-lane state encoding (mirrors StateEncoder.encode)."""
-        if st.current is None:
-            return np.zeros(self.state_dim, dtype=float)
-        view = st.current
-        vnf = view.vnfs[st.vnf_index]
-        demand = vnf[0]
-        sla = view.sla
-        anchor = st.partial_rows[-1] if st.partial_rows else view.source_row
-        num_nodes = self._num_nodes
-        features = np.zeros(self.state_dim, dtype=float)
-        used = self._node_used[lane]
-        utilization = used / self._capacity_safe
-        latency = self._latency[anchor]
-        can_host = (demand <= (self._capacity_plus_tol - used)).all(axis=1)
-        node_block = features[: NODE_FEATURES * num_nodes].reshape(
-            num_nodes, NODE_FEATURES
-        )
-        np.minimum(utilization[:, 0], 1.0, out=node_block[:, 0])
-        np.minimum(utilization[:, 1], 1.0, out=node_block[:, 1])
-        np.minimum(latency / sla, 1.0, out=node_block[:, 2])
-        node_block[:, 3] = can_host
-        offset = NODE_FEATURES * num_nodes
-        features[offset + vnf[3]] = 1.0
-        offset += self._catalog_size
-        features[offset + 0] = min(
-            1.0, (view.num_vnfs - st.vnf_index) / self._max_chain_length
-        )
-        features[offset + 1] = min(1.0, view.bw / self._bandwidth_normalizer)
-        features[offset + 2] = min(1.0, st.partial_latency / sla)
-        features[offset + 3] = min(1.0, view.holding / self._holding_normalizer)
-        features[offset + 4] = st.vnf_index / max(1, view.num_vnfs)
-        return features
-
     # ------------------------------------------------------------------ #
     # Stepping
     # ------------------------------------------------------------------ #
@@ -902,11 +877,13 @@ class SoAVecPlacementEnv:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[List[Dict[str, object]]]]:
         """Apply one action per lane (same contract as VecPlacementEnv.step).
 
-        The dense-reward arithmetic for placement actions is evaluated as one
-        batched expression (elementwise, in the reference association order,
-        so every float is bitwise equal to the per-lane scalar computation);
-        lanes completing a chain this step are committed together through the
-        batched :meth:`_finalize_batch` pipeline.
+        Every action and every lane's episode is checked before the first
+        lane moves, so a refused step changes nothing.  The dense-reward
+        arithmetic for placement actions is evaluated as one batched
+        expression (elementwise, in the reference association order, so every
+        float is bitwise equal to the per-lane scalar computation); a lane
+        that places the last VNF of its chain commits it through
+        :meth:`_commit_chain` when the loop reaches it.
 
         ``info=False`` selects the lean-step protocol: the infos element of
         the return tuple is ``None`` and callers read the per-lane outcome
@@ -919,6 +896,15 @@ class SoAVecPlacementEnv:
         num_lanes = self.num_lanes
         if acts.shape[0] != num_lanes:
             raise ValueError(f"got {acts.shape[0]} actions for {num_lanes} lanes")
+        action_list = acts.tolist()
+        num_actions = self.num_actions
+        for st, action in zip(self._lanes, action_list):
+            if st.episode_done or st.current is None:
+                raise RuntimeError(
+                    "step() called on a finished episode; call reset()"
+                )
+            if not 0 <= action < num_actions:
+                raise ValueError(f"action {action} outside the action space")
         # Pre-step batched reward inputs: latency to the chosen node, hosting
         # dot product and bottleneck utilization, gathered from the pre-step
         # decision context (each lane only ever reads its own rows, which no
@@ -958,8 +944,6 @@ class SoAVecPlacementEnv:
 
         rewards = place_rewards  # lanes that do not place are overwritten
         dones = np.zeros(num_lanes, dtype=bool)
-        action_list = acts.tolist()
-        num_actions = self.num_actions
         inf = np.inf
         reject_penalty = self._reject_penalty
         infeasible_penalty = self._infeasible_penalty
@@ -967,16 +951,9 @@ class SoAVecPlacementEnv:
         req_done = self._req_done
         req_ids = self._req_ids
         ctx_rows = self._ctx_rows
-        completing: List[Tuple[int, _LaneState, _RequestView]] = []
         for lane, st in enumerate(self._lanes):
             view = st.current
-            if st.episode_done or view is None:
-                raise RuntimeError(
-                    "step() called on a finished episode; call reset()"
-                )
             action = action_list[lane]
-            if not 0 <= action < num_actions:
-                raise ValueError(f"action {action} outside the action space")
             req_ids[lane] = view.request_id
             if action == num_nodes:
                 rewards[lane] = -reject_penalty
@@ -1020,18 +997,17 @@ class SoAVecPlacementEnv:
                     out_codes[lane] = 2  # placed
                     req_done[lane] = False
                 else:
-                    # Chain complete: commit through the batched pipeline
-                    # below (which sets rewards/outcome and advances the
-                    # lane to its next request).
+                    # Chain complete: commit it on this lane's rows, which no
+                    # other lane reads or writes.
+                    code, terminal = self._commit_chain(lane, st, view)
+                    rewards[lane] = place_list[lane] + terminal
+                    out_codes[lane] = code
                     req_done[lane] = True
-                    completing.append((lane, st, view))
-        if completing:
-            self._finalize_batch(completing, rewards, place_list)
+                    self._begin_next_request(lane, st)
 
         # Reward/stat accumulation and episode boundaries run as one pass
-        # after the batch commit, so completing lanes already carry their
-        # final rewards; per-lane stats objects make the cross-lane order
-        # unobservable.
+        # after the step loop; per-lane stats objects make the cross-lane
+        # order unobservable.
         finished = self._finished_stats
         finished.clear()
         rewards_list = rewards.tolist()
@@ -1079,353 +1055,113 @@ class SoAVecPlacementEnv:
         return states, rewards, dones, infos
 
     # ------------------------------------------------------------------ #
-    # Commit pipeline (routing, feasibility, atomic commit)
+    # Chain commit (routing, check, reserve, pricing)
     # ------------------------------------------------------------------ #
-    def _ensure_pair(self, pair_index: int) -> None:
-        """Fill the dense routing-gather arrays for one flat ``(a, b)`` pair.
+    def _route(self, pair: int) -> tuple:
+        """Fill and return the route memo entry of one flat ``(a, b)`` pair.
 
         From the template network's and ledger's path caches, so latency and
         cost floats are bitwise what per-lane networks would compute.
         """
-        a_row, b_row = divmod(pair_index, self._num_nodes)
-        self._seg_known[pair_index] = True
+        a_row, b_row = divmod(pair, self._num_nodes)
         try:
             path = self._network.shortest_path(
                 self._row_ids[a_row], self._row_ids[b_row]
             )
         except NoRouteError:
-            return
-        _, cost, slots = self._ledger.path_entry(path.nodes)
-        self._seg_ok[pair_index] = True
-        self._seg_lat[pair_index] = path.latency_ms
-        self._seg_cost[pair_index] = cost
-        self._seg_slots[pair_index] = slots
+            route = _NO_ROUTE
+        else:
+            _, cost, slots = self._ledger.path_entry(path.nodes)
+            route = (path.latency_ms, cost, slots)
+        self._routes[pair] = route
+        return route
 
-    def _finalize_batch(
-        self,
-        completing: List[Tuple[int, "_LaneState", _RequestView]],
-        rewards: np.ndarray,
-        place_list: List[float],
-    ) -> None:
-        """Commit pipeline over every lane completing a chain this step.
+    def _commit_chain(
+        self, lane: int, st: _LaneState, view: _RequestView
+    ) -> Tuple[int, float]:
+        """Route, check, reserve and price one lane's completed chain.
 
-        The routing walk, feasibility check and per-segment link commits run
-        as grouped array operations over the completing-lane set; only the
-        per-lane bookkeeping (chain record, heap push, stats, terminal
-        reward, request advance) stays scalar, applied in lane order so the
-        observable sequence matches the reference backend exactly.
-
-        Bitwise-exactness argument, mirrored in the array ops below:
-
-        * ``np.bincount(idx, weights=w)`` accumulates sequentially in input
-          order, so grouped demand/traversal sums reproduce the reference
-          left-associated scalar sums bit-for-bit.
-        * Node commits add non-negative demands, and correctly-rounded
-          addition of a non-negative term is monotone — the sequential
-          per-instance node fit checks pass iff the *final* sequential
-          value (computed with ``np.add.at``, which also applies repeated
-          indices in input order) stays within ``capacity + tol`` on every
-          touched row/dim.  The batch verdict is therefore exact.
-        * Link fit checks read the running value *before* each
-          traversal's add, so the batch screen tests the strictly harder
-          post-commit value: a screen pass proves every reference check
-          passes, while a screen fail (or a node-commit fail, whose partial
-          commit + rollback drifts floats through ``max(0, x - d)``) replays
-          that lane's commit alone through :meth:`_finalize_request`, i.e.
-          the ledger's chain kernel (:func:`~repro.substrate.ledger.reserve_chain`),
-          which *is* the reference arithmetic.
-        * Ordered float sums whose accumulation order the reference fixes
-          per lane (propagation, per-mbps cost, hosting+license interleave)
-          stay scalar loops over gathered values — ``np.add.reduceat`` is
-          pairwise and would break associativity.
+        The reference env's order and floats: a missing route gives
+        ``no_route``; a failed :func:`chain_fits`, a latency over the SLA or
+        an availability under it gives ``infeasible``; a
+        :func:`reserve_chain` miss (which rolls back) gives
+        ``commit_failed``.  Returns the outcome code and the terminal reward
+        added to the step reward; an accepted chain joins the lane's
+        departure heap.
         """
+        rows = st.partial_rows
+        routes = self._routes
         num_nodes = self._num_nodes
-        # ---- batched routing walk over the dense pair-gather arrays ---- #
-        seg_pairs: List[int] = []
-        seg_counts: List[int] = []
-        for lane, st, view in completing:
-            prev = view.source_row
-            for row in st.partial_rows:
-                seg_pairs.append(prev * num_nodes + row)
-                prev = row
-            dest = view.dest_row
-            if dest is not None:
-                seg_pairs.append(prev * num_nodes + dest)
-                seg_counts.append(view.num_vnfs + 1)
-            else:
-                seg_counts.append(view.num_vnfs)
-        pair_arr = np.array(seg_pairs, dtype=np.int64)
-        known = self._seg_known
-        if not known[pair_arr].all():
-            ensure = self._ensure_pair
-            for pair_index in seg_pairs:
-                if not known[pair_index]:
-                    ensure(pair_index)
-        ok_list = self._seg_ok[pair_arr].tolist()
-        lat_gather = self._seg_lat[pair_arr].tolist()
-        cost_gather = self._seg_cost[pair_arr].tolist()
-        seg_slots = self._seg_slots
-
-        # ---- per-lane route assembly (ordered sums stay scalar) -------- #
-        n_completing = len(completing)
-        # Verdicts are outcome codes, except FALLBACK: a lane whose commit
-        # the batch screen could not prove replays it alone.
-        NO_ROUTE, INFEASIBLE, ACCEPT, COMMIT_FAILED = (
-            OUTCOME_CODE[name]
-            for name in ("no_route", "infeasible", "accepted", "commit_failed")
+        propagation = 0.0
+        per_mbps = 0.0
+        segments: List[List[int]] = []
+        prev = view.source_row
+        dest = view.dest_row
+        for row in rows if dest is None else [*rows, dest]:
+            pair = prev * num_nodes + row
+            route = routes[pair]
+            if route is None:
+                route = self._route(pair)
+            if route is _NO_ROUTE:
+                return self._refuse(st, _NO_ROUTE_CODE)
+            latency, cost, slots = route
+            propagation += latency
+            per_mbps += cost
+            segments.append(slots)
+            prev = row
+        chain = CompiledChain(
+            self._ledger, rows, view.demand_arrays, segments, view.bw
         )
-        FALLBACK = -1
-        verdicts = [NO_ROUTE] * n_completing
-        routed: List[int] = []
-        prop_list = [0.0] * n_completing
-        permbps_list = [0.0] * n_completing
-        e2e_list = [0.0] * n_completing
-        cost_list = [0.0] * n_completing
-        slots_per_pos: List[Optional[List[List[int]]]] = [None] * n_completing
-        offset = 0
-        for pos in range(n_completing):
-            end = offset + seg_counts[pos]
-            propagation = 0.0
-            per_mbps = 0.0
-            complete = True
-            for seg in range(offset, end):
-                if not ok_list[seg]:
-                    complete = False
-                    break
-                propagation += lat_gather[seg]
-                per_mbps += cost_gather[seg]
-            if complete:
-                verdicts[pos] = INFEASIBLE
-                routed.append(pos)
-                prop_list[pos] = propagation
-                permbps_list[pos] = per_mbps
-                slots_per_pos[pos] = [
-                    seg_slots[p] for p in seg_pairs[offset:end]
-                ]
-            offset = end
-
-        num_candidates = len(routed)
-        if num_candidates:
-            # ---- grouped node demand aggregation + feasibility --------- #
-            lanes_arr = np.array(
-                [completing[pos][0] for pos in routed], dtype=np.int64
-            )
-            inst_counts = np.array(
-                [completing[pos][2].num_vnfs for pos in routed], dtype=np.int64
-            )
-            inst_demands = np.concatenate(
-                [completing[pos][2].demand_rows for pos in routed]
-            )
-            flat_rows: List[int] = []
-            for pos in routed:
-                flat_rows.extend(completing[pos][1].partial_rows)
-            inst_rows = np.array(flat_rows, dtype=np.int64)
-            inst_pos = np.repeat(
-                np.arange(num_candidates, dtype=np.int64), inst_counts
-            )
-            cell = inst_pos * num_nodes + inst_rows
-            counts = np.bincount(cell, minlength=num_candidates * num_nodes)
-            touched = counts.reshape(num_candidates, num_nodes) > 0
-            agg = np.bincount(
-                (cell[:, None] * 3 + np.arange(3, dtype=np.int64)).ravel(),
-                weights=inst_demands.ravel(),
-                minlength=num_candidates * num_nodes * 3,
-            ).reshape(num_candidates, num_nodes, 3)
-            # (C, N, 3) gather; an explicit copy, since it doubles as the
-            # commit scratch below.
-            used_sel = np.take(self._node_used, lanes_arr, axis=0)
-            free_tol = (self._capacity[None, :, :] - used_sel) + 1e-9
-            node_bad = (agg > free_tol).any(axis=2) & touched
-            node_ok_list = (~node_bad.any(axis=1)).tolist()
-
-            # ---- grouped link traversal counts + feasibility ----------- #
-            num_links = self._num_links
-            bw_arr = np.array([completing[pos][2].bw for pos in routed])
-            slot_flat: List[int] = []
-            slot_pos_counts: List[int] = []
-            for pos in routed:
-                total = 0
-                for slots in slots_per_pos[pos]:
-                    slot_flat.extend(slots)
-                    total += len(slots)
-                slot_pos_counts.append(total)
-            if slot_flat:
-                slot_arr = np.array(slot_flat, dtype=np.int64)
-                slot_pos = np.repeat(
-                    np.arange(num_candidates, dtype=np.int64), slot_pos_counts
-                )
-                link_counts = np.bincount(
-                    slot_pos * num_links + slot_arr,
-                    minlength=num_candidates * num_links,
-                ).reshape(num_candidates, num_links)
-            else:
-                slot_arr = slot_pos = None
-                link_counts = np.zeros(
-                    (num_candidates, num_links), dtype=np.int64
-                )
-            # (C, E) gather, explicit copy as above.
-            link_used_sel = np.take(self._link_used, lanes_arr, axis=0)
-            link_free_tol = (
-                self._link_capacity[None, :] - link_used_sel
-            ) + 1e-9
-            link_bad = (link_counts * bw_arr[:, None] > link_free_tol) & (
-                link_counts > 0
-            )
-            link_ok_list = (~link_bad.any(axis=1)).tolist()
-
-            # ---- hosting cost terms (elementwise, reference assoc) ----- #
-            inst_cost = self._cost_per_unit[inst_rows]
-            hold_rep = np.repeat(
-                np.array([completing[pos][2].holding for pos in routed]),
-                inst_counts,
-            )
-            host_list = (
-                (
-                    inst_demands[:, 0] * inst_cost[:, 0]
-                    + inst_demands[:, 1] * inst_cost[:, 1]
-                    + inst_demands[:, 2] * inst_cost[:, 2]
-                )
-                * hold_rep
-            ).tolist()
-
-            # ---- scalar SLA / availability / cost per candidate -------- #
-            row_avail = self._row_avail
-            inst_base = 0
-            feasible_ci: List[int] = []
-            for ci, pos in enumerate(routed):
-                lane, st, view = completing[pos]
-                base = inst_base
-                inst_base += view.num_vnfs
-                if not (node_ok_list[ci] and link_ok_list[ci]):
-                    continue
-                e2e = prop_list[pos] + view.total_proc
-                if not e2e <= view.sla + 1e-9:
-                    continue
-                availability = 1.0
-                # dict.fromkeys dedups in first-occurrence order — the same
-                # multiplication order the reference's seen-set loop fixes.
-                for row in dict.fromkeys(st.partial_rows):
-                    availability *= row_avail[row]
-                if not availability + 1e-12 >= view.min_avail:
-                    continue
-                cost = 0.0
-                licenses = view.licenses
-                for i in range(view.num_vnfs):
-                    cost += host_list[base + i]
-                    cost += licenses[i]
-                e2e_list[pos] = e2e
-                cost_list[pos] = cost + view.bw * permbps_list[pos] * view.holding
-                feasible_ci.append(ci)
-
-            # ---- batched commit: exact node criterion + link screen ---- #
-            if feasible_ci:
-                node_scratch = used_sel  # feasibility reads are done: reuse
-                np.add.at(node_scratch, (inst_pos, inst_rows), inst_demands)
-                node_over = (
-                    node_scratch > self._capacity_plus_tol[None, :, :]
-                ).any(axis=2) & touched
-                commit_node_ok = (~node_over.any(axis=1)).tolist()
-                link_scratch = link_used_sel
-                if slot_arr is not None:
-                    np.add.at(
-                        link_scratch,
-                        (slot_pos, slot_arr),
-                        np.repeat(bw_arr, slot_pos_counts),
-                    )
-                link_head = (
-                    np.maximum(
-                        0.0, self._link_capacity[None, :] - link_scratch
-                    )
-                    + 1e-9
-                )
-                screen_bad = (bw_arr[:, None] > link_head) & (link_counts > 0)
-                screen_ok = (~screen_bad.any(axis=1)).tolist()
-                commit_ci: List[int] = []
-                for ci in feasible_ci:
-                    if commit_node_ok[ci] and screen_ok[ci]:
-                        verdicts[routed[ci]] = ACCEPT
-                        commit_ci.append(ci)
-                    else:
-                        verdicts[routed[ci]] = FALLBACK
-                if commit_ci:
-                    sel = np.array(commit_ci, dtype=np.int64)
-                    commit_lanes = lanes_arr[sel]
-                    self._node_used[commit_lanes] = node_scratch[sel]
-                    self._link_used[commit_lanes] = link_scratch[sel]
-
-        # ---- per-lane bookkeeping, in lane order ----------------------- #
-        out_codes = self._out_codes
-        infeasible_penalty = self._infeasible_penalty
-        cost_normalizer = self._cost_normalizer
-        for pos, (lane, st, view) in enumerate(completing):
-            verdict = verdicts[pos]
-            if verdict == FALLBACK:
-                verdict = (
-                    ACCEPT
-                    if self._finalize_request(
-                        lane, view, st.partial_rows, slots_per_pos[pos]
-                    )
-                    else COMMIT_FAILED
-                )
-            if verdict == ACCEPT:
-                st.counter += 1
-                record = _ChainRecord(
-                    st.partial_rows, view.demand_lists, slots_per_pos[pos], view.bw
-                )
-                heapq.heappush(st.heap, (view.departure, st.counter, record))
-                stats = st.stats
-                stats.accepted += 1
-                e2e = e2e_list[pos]
-                total_cost = cost_list[pos]
-                stats.total_latency_ms += e2e
-                stats.total_cost += total_cost
-                # Terminal acceptance reward, exact reference association.
-                sla_fraction = e2e / view.sla
-                cost_fraction = total_cost / cost_normalizer
-                revenue = (
-                    self._revenue_scale
-                    * (1.0 * view.bw * view.holding / 100.0)
-                    / 100.0
-                )
-                terminal = (
-                    self._accept_reward
-                    + revenue
-                    - self._latency_weight * sla_fraction
-                    - self._cost_weight * cost_fraction
-                )
-                rewards[lane] = place_list[lane] + terminal
-                out_codes[lane] = ACCEPT
-            else:
-                rewards[lane] = place_list[lane] + -infeasible_penalty
-                st.stats.infeasible += 1
-                out_codes[lane] = verdict
-            self._begin_next_request(lane, st)
-
-    def _finalize_request(
-        self,
-        lane: int,
-        view: _RequestView,
-        rows: List[int],
-        segments: List[List[int]],
-    ) -> bool:
-        """Commit one lane's checked and priced chain through the ledger kernel.
-
-        The batch screen could not prove this commit passes; the kernel's
-        exact rules and rollback decide.  Returns whether it committed.
-        """
+        node_used = self._node_used[lane]
+        link_used = self._link_used[lane]
+        e2e = propagation + view.total_proc
+        if not (chain_fits(node_used, link_used, chain) and e2e <= view.sla + 1e-9):
+            return self._refuse(st, _INFEASIBLE_CODE)
+        availability = 1.0
+        row_avail = self._row_avail
+        # Distinct rows in first-occurrence order, the reference's order.
+        for row, _ in chain.row_demands:
+            availability *= row_avail[row]
+        if not availability + 1e-12 >= view.min_avail:
+            return self._refuse(st, _INFEASIBLE_CODE)
         try:
             reserve_chain(
-                self._ledger,
-                self._node_used[lane],
-                self._link_used[lane],
-                rows,
-                view.demand_lists,
-                segments,
-                view.bw,
+                self._ledger, node_used, link_used,
+                rows, view.demand_lists, segments, view.bw,
             )
         except (InsufficientCapacityError, InsufficientBandwidthError):
-            return False
-        return True
+            return self._refuse(st, _COMMIT_FAILED_CODE)
+        st.counter += 1
+        record = _ChainRecord(rows, view.demand_lists, segments, view.bw)
+        heapq.heappush(st.heap, (view.departure, st.counter, record))
+        holding = view.holding
+        cost_rows = self._cost_rows
+        cost = 0.0
+        for row, (d0, d1, d2), license_cost in zip(
+            rows, view.demand_lists, view.licenses
+        ):
+            c0, c1, c2 = cost_rows[row]
+            cost += (d0 * c0 + d1 * c1 + d2 * c2) * holding
+            cost += license_cost
+        total_cost = cost + view.bw * per_mbps * holding
+        stats = st.stats
+        stats.accepted += 1
+        stats.total_latency_ms += e2e
+        stats.total_cost += total_cost
+        # Terminal acceptance reward, exact reference association.
+        revenue = self._revenue_scale * (1.0 * view.bw * holding / 100.0) / 100.0
+        terminal = (
+            self._accept_reward
+            + revenue
+            - self._latency_weight * (e2e / view.sla)
+            - self._cost_weight * (total_cost / self._cost_normalizer)
+        )
+        return _ACCEPTED_CODE, terminal
+
+    def _refuse(self, st: _LaneState, code: int) -> Tuple[int, float]:
+        """Count a refused chain as infeasible; its code and terminal reward."""
+        st.stats.infeasible += 1
+        return code, -self._infeasible_penalty
 
     # ------------------------------------------------------------------ #
     # Introspection (shared vec-env surface)

@@ -700,6 +700,13 @@ class VecPlacementEnv:
             raise ValueError(
                 f"got {actions.shape[0]} actions for {self.num_lanes} lanes"
             )
+        # Refuse the whole step before any lane moves.
+        num_actions = self.num_actions
+        for env, action in zip(self.envs, actions.tolist()):
+            if env._episode_done or env._current_request is None:
+                raise RuntimeError("step() called on a finished episode; call reset()")
+            if not 0 <= action < num_actions:
+                raise ValueError(f"action {action} outside the action space")
         self._decision_version += 1
         states = np.empty((self.num_lanes, self.state_dim), dtype=float)
         rewards = np.empty(self.num_lanes, dtype=float)

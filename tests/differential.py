@@ -117,11 +117,10 @@ def _tight_link_topology():
 def tight_link_factory(
     env_cls, failure_config: Optional[FailureConfig] = None
 ) -> Callable[[], object]:
-    """K=4 lanes over links thin enough to fail the batched link screen.
+    """K=4 lanes over links thin enough to fail the chain kernel's link check.
 
-    The randomized campaigns never reach the scalar replay path of the SoA
-    commit pipeline; here chains regularly oversubscribe a link, so some
-    commits fall back to ``_finalize_request``.
+    Chains here regularly oversubscribe a link, so some fail
+    :func:`~repro.substrate.ledger.chain_fits` on a link rather than a node.
     """
     scenario = replace(
         reference_scenario(

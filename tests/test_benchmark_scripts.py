@@ -41,7 +41,8 @@ def test_traced_kernel_phases_leave_trajectory_bitwise_equal(protocol):
     plain = SoAVecPlacementEnv.from_specs(specs)
     traced = SoAVecPlacementEnv.from_specs(specs)
     rng_plain, rng_traced = np.random.default_rng(7), np.random.default_rng(7)
-    steps, episode_ends, accepting_steps = 40, 0, 0
+    steps, episode_ends, accepting_steps, completing = 40, 0, 0, 0
+    reject = plain.num_actions - 1
     with Tracer() as tracer:
         bench_vecenv.trace_kernel_phases(tracer, traced)
         np.testing.assert_array_equal(plain.reset(), traced.reset())
@@ -51,6 +52,11 @@ def test_traced_kernel_phases_leave_trajectory_bitwise_equal(protocol):
             actions = common.masked_random_actions(masks, rng_plain)
             np.testing.assert_array_equal(
                 actions, common.masked_random_actions(masks, rng_traced)
+            )
+            # Lane-steps that place the last VNF of a chain.
+            completing += sum(
+                lane.vnf_index == lane.current.num_vnfs - 1 and action != reject
+                for lane, action in zip(plain._lanes, actions.tolist())
             )
             expected = plain.step(actions, **step_kwargs)
             # States, rewards, dones and infos, request ids included (None
@@ -74,13 +80,45 @@ def test_traced_kernel_phases_leave_trajectory_bitwise_equal(protocol):
     assert set(calls) == set(bench_vecenv.KERNEL_PHASES.values())
     assert calls["mask"] == calls["step"] == steps
     assert calls["observe"] == steps + 1  # reset() observes too
-    # At most one batched commit per step, and one on every step that
-    # accepted a chain.
-    assert 0 < accepting_steps <= calls["commit"] <= steps
+    # One commit span per lane-step that placed a chain's last VNF.
+    assert 0 < accepting_steps <= calls["commit"] == completing
     # Leaving the tracer restores the class methods on the instance.
     assert not set(bench_vecenv.KERNEL_PHASES) & set(vars(traced))
     for stats_plain, stats_traced in zip(plain.lane_stats(), traced.lane_stats()):
         assert stats_traced.as_dict() == stats_plain.as_dict()
+
+
+def test_measure_pairwise_times_two_sides_in_interleaved_windows(monkeypatch):
+    stepped = []
+    for name, cls in list(bench_vecenv._BACKENDS.items()):
+
+        class Logged(cls):
+            def step(self, actions, _name=name, **kwargs):
+                stepped.append(_name)
+                return super().step(actions, **kwargs)
+
+        monkeypatch.setitem(bench_vecenv._BACKENDS, name, Logged)
+    row = bench_vecenv.measure_pairwise(
+        (("reference", 2), ("soa", 3)), (4, 5), pairs=3, protocol="lean"
+    )
+    warmup = bench_vecenv.STEADY_WARMUP_BATCH_STEPS
+    window_pair = ["reference"] * 4 + ["soa"] * 5
+    assert stepped == ["reference"] * warmup + ["soa"] * warmup + window_pair * 3
+    assert row["sides"] == [["reference", 2], ["soa", 3]]
+    assert (row["pairs"], row["protocol"]) == (3, "lean")
+    assert row["window_batch_steps"] == [4, 5]
+    first, second = row["pair_env_steps_per_s"]
+    assert len(first) == len(second) == 3
+    assert all(rate > 0.0 for rate in first + second)
+    assert row["pair_ratios"] == [b / a for a, b in zip(first, second)]
+    assert row["median_ratio"] == sorted(row["pair_ratios"])[1]
+    assert row["best_ratio"] == max(row["pair_ratios"])
+    assert row["median_env_steps_per_s"] == [sorted(first)[1], sorted(second)[1]]
+    # The cost-model fit reads a row's sides: t(K) = K / rate per pair.
+    fit = bench_vecenv.decompose_scaling_row(row)
+    t2, t3 = 2 / first[0] * 1e6, 3 / second[0] * 1e6
+    assert fit["p_us_pairs"][0] == pytest.approx(t3 - t2)
+    assert fit["f_us_pairs"][0] == pytest.approx(t2 - 2 * (t3 - t2))
 
 
 def test_measure_kernel_timings_reports_nested_phases():

@@ -294,3 +294,39 @@ class TestFactory:
         assert_lanes_equal(
             run_groups(core, specs, [(0, 2)], steps=60, auto_reset=False), built
         )
+
+
+def lane_ledgers(env):
+    """Every lane's node and link usage, stacked over lanes."""
+    if isinstance(env, SoAVecPlacementEnv):
+        return env._node_used.copy(), env._link_used.copy()
+    ledgers = [lane.network.ledger for lane in env.envs]
+    return (np.stack([ledger.node_used for ledger in ledgers]),
+            np.stack([ledger.link_used for ledger in ledgers]))
+
+
+class TestRefusedStep:
+    @pytest.mark.parametrize("core", sorted(CORES))
+    def test_out_of_range_last_action_moves_no_lane(self, core):
+        refused, twin = (CORES[core].from_specs(sweep_specs()) for _ in range(2))
+        rng = np.random.default_rng(SEED)
+        refused.reset()
+        twin.reset()
+        for _ in range(12):  # commit some chains first, so the ledgers hold usage
+            masks = twin.valid_action_masks().copy()
+            actions = [int(rng.choice(np.flatnonzero(mask))) for mask in masks]
+            refused.step(actions)
+            twin.step(actions)
+        assert lane_ledgers(twin)[0].any()
+        reject = refused.num_actions - 1
+        with pytest.raises(ValueError, match="action 13 outside the action space"):
+            refused.step([reject, reject, reject, 13])
+        assert [s.as_dict() for s in refused.lane_stats()] == [
+            s.as_dict() for s in twin.lane_stats()
+        ]
+        for after, untouched in zip(lane_ledgers(refused), lane_ledgers(twin)):
+            np.testing.assert_array_equal(after, untouched)
+        masks = twin.valid_action_masks().copy()
+        np.testing.assert_array_equal(refused.valid_action_masks(), masks)
+        actions = [int(rng.choice(np.flatnonzero(mask))) for mask in masks]
+        np.testing.assert_equal(refused.step(actions), twin.step(actions))

@@ -69,6 +69,13 @@ def test_vecenv_without_kernel_timings_fails(tmp_path):
     assert "decomposition missing keys ['kernel_timings_k64']" in problem
 
 
+def test_vecenv_without_the_asserted_reference_series_fails(tmp_path):
+    payload = _committed("vecenv.json")
+    del payload["env_steps"]["soa_vs_reference_k64"]
+    [problem] = _problems(tmp_path, "vecenv.json", payload)
+    assert "env_steps missing keys ['soa_vs_reference_k64']" in problem
+
+
 def test_figure_without_series_fails(tmp_path):
     payload = {"figure": "fig9", "x_label": "x", "y_label": "y", "x": [1]}
     [problem] = _problems(tmp_path, "fig9_new.json", payload)

@@ -4,8 +4,8 @@ Uses the shared harness in ``tests/differential.py`` to drive both backends
 through randomized seeded campaigns (scenario shape, workload intensity,
 fault injection) and assert **bitwise** equality on every observable:
 states, masks, rewards, dones, infos, running episode statistics and
-fenced-node sets.  Also covers the scalar replay path of the batched
-commit pipeline (a tight-link campaign), the K boundaries (K=1, 2, 4 and
+fenced-node sets.  Also covers chains the commit's kernel check refuses
+on a link (a tight-link campaign), the K boundaries (K=1, 2, 4 and
 256), mid-episode ``reset_lane``, the stale-fence-row regression and
 ledger conservation after every step.
 """
@@ -28,6 +28,7 @@ from repro.core.env import EnvConfig
 from repro.core.soa import SoAVecPlacementEnv
 from repro.core.vecenv import VecPlacementEnv, lane_specs_from_scenarios, make_vec_env
 from repro.sim.failures import FailureConfig
+from repro.substrate.ledger import CAPACITY_TOL, chain_fits
 from repro.workloads.scenarios import reference_scenario
 
 #: The ISSUE acceptance bar: at least 50 randomized seeded campaigns, with
@@ -56,17 +57,22 @@ def soa_factory(campaign: Campaign):
 
 
 @pytest.fixture
-def replays(monkeypatch):
-    """Lanes sent through the SoA scalar replay path, in call order."""
-    calls = []
-    finalize = SoAVecPlacementEnv._finalize_request
+def link_refusals(monkeypatch):
+    """Chains the SoA commit's kernel check refused on a link, in call order."""
+    refused = []
 
-    def spy(self, lane, *args):
-        calls.append(lane)
-        return finalize(self, lane, *args)
+    def spy(node_used, link_used, chain):
+        fits = chain_fits(node_used, link_used, chain)
+        capacity = chain.ledger.link_capacity
+        if not fits and any(
+            load > capacity[slot] - link_used[slot] + CAPACITY_TOL
+            for slot, load in chain.slot_loads
+        ):
+            refused.append(chain)
+        return fits
 
-    monkeypatch.setattr(SoAVecPlacementEnv, "_finalize_request", spy)
-    return calls
+    monkeypatch.setattr("repro.core.soa.chain_fits", spy)
+    return refused
 
 
 class TestRandomizedCampaigns:
@@ -175,25 +181,25 @@ class TestLeanStepProtocol:
         assert_trajectories_equal(reference, soa)
 
 
-class TestScalarReplayPath:
-    """The SoA scalar replay (``_finalize_request``) matches the reference."""
+class TestTightLinkCommits:
+    """Chains the kernel's link check refuses match the reference."""
 
     STEPS = 300
-    #: Node faults fence rows that replayed chains must then route around.
+    #: Node faults fence rows that committed chains must then route around.
     FAULTS = FailureConfig(mean_time_to_failure=40.0, mean_time_to_repair=15.0, seed=3)
 
     @pytest.mark.parametrize("lean", [False, True], ids=["full", "lean"])
-    def test_replay_matches_reference(self, lean, replays):
+    def test_tight_links_match_reference(self, lean, link_refusals):
         protocol = {"observe": not lean, "info": not lean}
         reference = drive(
             tight_link_factory(VecPlacementEnv), self.STEPS, **protocol
         )
         soa = drive(tight_link_factory(SoAVecPlacementEnv), self.STEPS, **protocol)
-        assert replays, "no chain reached the scalar replay path"
+        assert link_refusals, "no chain failed the kernel's link check"
         assert_trajectories_equal(reference, soa)
 
     @pytest.mark.parametrize("lean", [False, True], ids=["full", "lean"])
-    def test_replay_with_faults_matches_reference(self, lean, replays):
+    def test_tight_links_with_faults_match_reference(self, lean, link_refusals):
         protocol = {"observe": not lean, "info": not lean}
         reference = drive(
             tight_link_factory(VecPlacementEnv, self.FAULTS), self.STEPS, **protocol
@@ -201,7 +207,7 @@ class TestScalarReplayPath:
         soa = drive(
             tight_link_factory(SoAVecPlacementEnv, self.FAULTS), self.STEPS, **protocol
         )
-        assert replays, "no chain reached the scalar replay path"
+        assert link_refusals, "no chain failed the kernel's link check"
         assert any(
             any(failed) for entry in soa["steps"] for failed in entry["failed_nodes"]
         ), "no node was ever fenced"
@@ -396,10 +402,10 @@ class TestLedgerConservation:
     """The SoA usage ledgers always equal what the live records reserve.
 
     After ``reset`` and after every step — full and lean protocol, with and
-    without fault injection, through both the batched commit and the scalar
-    replay — each lane's ``_node_used`` must equal the demands of its live
-    committed heap records at their rows plus its failure fences, and its
-    ``_link_used`` the bandwidth of those records over every slot traversal.
+    without fault injection, through commits and link refusals — each
+    lane's ``_node_used`` must equal the demands of its live committed heap
+    records at their rows plus its failure fences, and its ``_link_used``
+    the bandwidth of those records over every slot traversal.
     """
 
     #: Faulted (even) and clean (odd) campaigns across 1-4 lanes.
@@ -452,8 +458,8 @@ class TestLedgerConservation:
         env = soa_factory(campaign)()
         self._run(env, campaign.steps, campaign_seed + 77, lean)
 
-    def test_ledgers_conserved_through_replay_and_faults(self, replays):
-        env = tight_link_factory(SoAVecPlacementEnv, TestScalarReplayPath.FAULTS)()
-        fenced_steps = self._run(env, TestScalarReplayPath.STEPS, 123, lean=False)
-        assert replays, "no chain reached the scalar replay path"
+    def test_ledgers_conserved_through_link_refusals_and_faults(self, link_refusals):
+        env = tight_link_factory(SoAVecPlacementEnv, TestTightLinkCommits.FAULTS)()
+        fenced_steps = self._run(env, TestTightLinkCommits.STEPS, 123, lean=False)
+        assert link_refusals, "no chain failed the kernel's link check"
         assert fenced_steps, "no node was ever fenced"

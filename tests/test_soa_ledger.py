@@ -6,13 +6,13 @@ usage in two numpy arrays, ``_node_used`` ``(K, N, 3)`` and ``_link_used``
 (:func:`~repro.substrate.ledger.chain_fits`,
 :func:`~repro.substrate.ledger.reserve_chain`,
 :func:`~repro.substrate.ledger.free_chain`) on one lane's rows of those
-arrays: the commit a chain replays when the batched screen cannot prove it,
-with its rollback, and the release of a departing or disrupted record, which
-each lane holds in its departure heap.  The env adds node fencing on failure,
-its removal on recovery, and the per-lane reset.  These tests drive each
-primitive on a fresh lane with a chain the scalar replay really committed in
-the tight-link campaign, and check the exact ledger effect, that the other
-lanes stay untouched, and that the decision reads see what was written.
+arrays: the check and commit of a completed chain, with the commit's
+rollback, and the release of a departing or disrupted record, which each lane
+holds in its departure heap.  The env adds node fencing on failure, its
+removal on recovery, and the per-lane reset.  These tests drive each
+primitive on a fresh lane with a chain the env really committed in the
+tight-link campaign, and check the exact ledger effect, that the other lanes
+stay untouched, and that the decision reads see what was written.
 """
 
 import heapq
@@ -22,6 +22,7 @@ import pytest
 
 from differential import masked_random_actions, tight_link_factory
 from repro.core.soa import SoAVecPlacementEnv, _ChainRecord
+from repro.core.vecenv import OUTCOME_CODE
 from repro.substrate.ledger import CompiledChain, chain_fits, free_chain, reserve_chain
 from repro.substrate.link import InsufficientBandwidthError
 from repro.substrate.node import InsufficientCapacityError
@@ -33,23 +34,26 @@ LANE = 1
 
 @pytest.fixture
 def replayed(monkeypatch):
-    """A freshly reset tight-link env and one chain its replay committed.
+    """A freshly reset tight-link env and one chain it committed.
 
-    Drives the campaign until ``_finalize_request`` commits a chain that
-    crosses at least one link, then resets every lane, so the ledgers start
-    at zero.  Returns ``(env, view, rows, segments)``, ``segments`` being
-    one list of link slots per routed segment.
+    Drives the campaign until ``_commit_chain`` commits a chain that crosses
+    at least one link, then resets every lane, so the ledgers start at zero.
+    Returns ``(env, view, rows, segments)``, ``segments`` being one list of
+    link slots per routed segment.
     """
     captured = []
-    finalize = SoAVecPlacementEnv._finalize_request
+    commit = SoAVecPlacementEnv._commit_chain
 
-    def spy(self, lane, view, rows, segments):
-        ok = finalize(self, lane, view, rows, segments)
-        if ok and not captured and any(segments):
-            captured.append((view, list(rows), list(segments)))
-        return ok
+    def spy(self, lane, st, view):
+        outcome = commit(self, lane, st, view)
+        if outcome[0] == OUTCOME_CODE["accepted"] and not captured:
+            # The newest record, the one this commit pushed.
+            record = max(st.heap, key=lambda entry: entry[1])[2]
+            if any(record.segments):
+                captured.append((view, list(record.rows), list(record.segments)))
+        return outcome
 
-    monkeypatch.setattr(SoAVecPlacementEnv, "_finalize_request", spy)
+    monkeypatch.setattr(SoAVecPlacementEnv, "_commit_chain", spy)
     env = tight_link_factory(SoAVecPlacementEnv)()
     rng = np.random.default_rng(123)
     env.reset(observe=False)
@@ -59,7 +63,7 @@ def replayed(monkeypatch):
         if captured:
             break
     monkeypatch.undo()
-    assert captured, "the scalar replay committed no chain"
+    assert captured, "the env committed no chain over a link"
     view, rows, segments = captured[0]
     env.reset(observe=False)
     assert not env._node_used.any() and not env._link_used.any()
