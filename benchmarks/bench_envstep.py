@@ -1,6 +1,6 @@
 """Microbenchmark of the environment core and its routing layer.
 
-Four measurements over the dense routing tables (all-pairs latency matrix
+Five measurements over the dense routing tables (all-pairs latency matrix
 with next-hop reconstruction), the array-backed substrate ledger, the
 batched state/mask encoding and the request layer that feeds them:
 
@@ -13,6 +13,10 @@ batched state/mask encoding and the request layer that feeds them:
 * ``placement_ops`` — µs per call of ``Placement.build``, ``is_feasible``,
   ``commit`` and ``release`` over one reference-scenario trace, replayed
   the way the simulator and the serving loop drive placements;
+* ``plan_ops`` — µs per ``plan_assignment`` call of each
+  ``standard_baselines`` policy over the same trace, replayed the same way
+  with each policy committing its own feasible plans (random's plan time
+  includes routing its draws, since it retries a draw that does not fit);
 * ``request_ops`` — µs per call of ``RequestGenerator.sample_request``, of
   a fresh chain's first ``demand_rows`` read and of the SoA core's
   ``_request_view`` over the arrival times of the same trace.
@@ -36,7 +40,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.baselines import GreedyLeastLoadedPolicy
+from repro.baselines import GreedyLeastLoadedPolicy, standard_baselines
 from repro.core.env import EnvConfig, VNFPlacementEnv
 from repro.core.soa import SoAVecPlacementEnv
 from repro.nfv.placement import Placement
@@ -59,6 +63,7 @@ PLACEMENT_ARRIVAL_RATE = 1.2
 PLACEMENT_HORIZON = 600.0
 PLACEMENT_REPEATS = 5
 PLACEMENT_OPS = ("build", "is_feasible", "commit", "release")
+PLAN_REPEATS = 5
 REQUEST_REPEATS = 5
 REQUEST_OPS = ("sample_request", "demand_rows", "request_view")
 
@@ -154,10 +159,11 @@ def _replay_placements(scenario, requests, policy) -> Dict[str, List[float]]:
 
     Per arrival: release the departed placements, plan with ``policy``,
     build, check, check again (the re-validation at commit time) and commit.
+    The plan is timed too, as ``"plan"``.
     """
     network = scenario.build_network()
     network.prepare()
-    totals = {op: [0, 0.0] for op in PLACEMENT_OPS}
+    totals = {op: [0, 0.0] for op in ("plan",) + PLACEMENT_OPS}
     live: List[tuple] = []
     clock = time.perf_counter
 
@@ -172,7 +178,7 @@ def _replay_placements(scenario, requests, policy) -> Dict[str, List[float]]:
     for request in requests:
         while live and live[0][0] <= request.arrival_time:
             timed("release", heapq.heappop(live)[2].release, network)
-        assignment = policy.plan_assignment(request, network)
+        assignment = timed("plan", policy.plan_assignment, request, network)
         if assignment is None:
             continue
         placement = timed("build", Placement.build, request, assignment, network)
@@ -196,9 +202,10 @@ def measure_placement_ops(repeats: int = PLACEMENT_REPEATS) -> Dict[str, object]
     best = {op: float("inf") for op in PLACEMENT_OPS}
     calls: Dict[str, int] = {}
     for _ in range(repeats):
-        for op, (count, seconds) in _replay_placements(scenario, requests, policy).items():
-            calls[op] = count
-            best[op] = min(best[op], seconds / max(count, 1) * 1e6)
+        totals = _replay_placements(scenario, requests, policy)
+        for op in PLACEMENT_OPS:
+            calls[op], seconds = totals[op]
+            best[op] = min(best[op], seconds / max(calls[op], 1) * 1e6)
     return {
         "trace": {
             "scenario": scenario.name,
@@ -206,6 +213,35 @@ def measure_placement_ops(repeats: int = PLACEMENT_REPEATS) -> Dict[str, object]
             "horizon": PLACEMENT_HORIZON,
             "requests": len(requests),
             "policy": policy.name,
+            "repeats": repeats,
+        },
+        "calls": calls,
+        "us_per_call": best,
+    }
+
+
+def measure_plan_ops(
+    repeats: int = PLAN_REPEATS, horizon: float = PLACEMENT_HORIZON
+) -> Dict[str, object]:
+    """µs per ``plan_assignment`` call of each standard baseline (best mean of ``repeats``)."""
+    scenario = reference_scenario(
+        arrival_rate=PLACEMENT_ARRIVAL_RATE, horizon=horizon, seed=SEED
+    )
+    requests = scenario.generate_requests()
+    best: Dict[str, float] = {}
+    calls: Dict[str, int] = {}
+    for policy in standard_baselines(seed=SEED):
+        best[policy.name] = float("inf")
+        for _ in range(repeats):
+            count, seconds = _replay_placements(scenario, requests, policy)["plan"]
+            calls[policy.name] = count
+            best[policy.name] = min(best[policy.name], seconds / max(count, 1) * 1e6)
+    return {
+        "trace": {
+            "scenario": scenario.name,
+            "arrival_rate": PLACEMENT_ARRIVAL_RATE,
+            "horizon": horizon,
+            "requests": len(requests),
             "repeats": repeats,
         },
         "calls": calls,
@@ -286,6 +322,7 @@ def run_envstep_benchmark(episodes: int = EPISODES) -> Dict[str, object]:
         "env_step": measure_env_step(episodes),
         "latency_lookups": measure_latency_lookups(),
         "placement_ops": measure_placement_ops(),
+        "plan_ops": measure_plan_ops(),
         "request_ops": measure_request_ops(),
     }
     from benchmarks.common import RESULTS_DIR
@@ -321,6 +358,10 @@ def main() -> None:
     print(f"placement ops ({placement['trace']['requests']} reference requests)")
     for op, us in placement["us_per_call"].items():
         print(f"  {op:12s} {us:8.2f} us/call  ({placement['calls'][op]} calls)")
+    plan_ops = results["plan_ops"]
+    print(f"plan ops ({plan_ops['trace']['requests']} reference requests)")
+    for name, us in plan_ops["us_per_call"].items():
+        print(f"  {name:20s} {us:8.2f} us/plan  ({plan_ops['calls'][name]} calls)")
     request_ops = results["request_ops"]
     print(f"request ops ({request_ops['trace']['requests']} reference arrivals)")
     for op, us in request_ops["us_per_call"].items():

@@ -23,7 +23,8 @@ RESULTS_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
 ENGINEERING_SCHEMAS = {
     "hotpath.json": {"dqn_update", "replay_sampling"},
     "envstep.json": {
-        "config", "env_step", "latency_lookups", "placement_ops", "request_ops",
+        "config", "env_step", "latency_lookups", "placement_ops", "plan_ops",
+        "request_ops",
     },
     "vecenv.json": {
         "config",

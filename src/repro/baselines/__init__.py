@@ -1,10 +1,6 @@
 """Non-learning placement baselines used in every comparison figure."""
 
-from repro.baselines.common import (
-    AssignmentPolicy,
-    build_if_feasible,
-    latency_of_partial,
-)
+from repro.baselines.common import AssignmentPolicy, build_if_feasible
 from repro.baselines.fit import (
     BestFitPolicy,
     CloudOnlyPolicy,
@@ -37,7 +33,6 @@ def standard_baselines(seed=None):
 __all__ = [
     "AssignmentPolicy",
     "build_if_feasible",
-    "latency_of_partial",
     "BestFitPolicy",
     "CloudOnlyPolicy",
     "EdgeOnlyPolicy",

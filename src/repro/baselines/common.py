@@ -3,8 +3,10 @@
 Every baseline plans from the substrate's array ledger: a VNF's candidate
 nodes are the rows ``ledger.can_host_all`` admits (the predicate the action
 masks use), scored by array expressions over the ledger columns and
-``network.latency_matrix``, which is in ledger row order.  Node ids appear
-only when a chosen row is reported.
+``network.latency_matrix``, which is in ledger row order.  Nothing commits
+while a request is planned, so one ``can_host_all`` call over the chain's
+``(L, 3)`` ``demand_rows`` gives every VNF's candidates as an ``(L, N)``
+mask.  Node ids appear only when a chosen row is reported.
 
 * :class:`AssignmentPolicy` — base class for heuristics that decide a node
   assignment per request (``plan_assignment`` is primary, ``place`` derived),
@@ -13,9 +15,10 @@ only when a chosen row is reported.
   defines a single score function, :meth:`NodeScoringPolicy.node_scores`,
   over attributes named like :class:`~repro.core.vecenv.LaneDecisionContext`
   (``latency``, ``used``, ``capacity``, ``capacity_safe``, ``cost_per_unit``,
-  ``demands``, ``holding``).  It broadcasts over an optional leading lane
-  axis, so one request (:class:`DecisionRows`) and K vectorized lanes (the
-  context) are scored by the same expression,
+  ``demands``, ``holding``).  It broadcasts over an optional leading axis,
+  so a whole chain (:class:`DecisionRows` with ``(L, 3)`` demands, or the
+  ``(N, N)`` latency matrix as every anchor's row) and K vectorized lanes
+  (the context) are scored by the same expression,
 * :func:`masked_argmin` — the node-level choice rule both paths share: the
   first minimum in ledger row order, or the first valid row when every valid
   score is infinite,
@@ -26,6 +29,7 @@ only when a chosen row is reported.
 from __future__ import annotations
 
 from abc import abstractmethod
+from itertools import compress
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,43 +63,9 @@ def candidate_rows(
 
     ``None`` when some VNF fits on no node.
     """
-    ledger = network.ledger
-    rows = []
-    for demand in request.chain.demand_rows:
-        valid = np.flatnonzero(ledger.can_host_all(demand))
-        if valid.size == 0:
-            return None
-        rows.append(valid)
-    return rows
-
-
-def latency_of_partial(
-    request: SFCRequest,
-    assignment: Sequence[int],
-    network: SubstrateNetwork,
-) -> float:
-    """End-to-end latency of a (possibly partial) assignment.
-
-    Charges propagation plus processing along the placed prefix, and — once
-    the assignment covers the whole chain — the egress segment to the
-    request's destination node, matching
-    :meth:`~repro.nfv.placement.Placement.end_to_end_latency_ms` exactly on
-    complete assignments.  (Omitting the egress term underestimates full
-    chains with an explicit destination, which lets pruning heuristics
-    over-admit requests that the placement-level SLA check then rejects.)
-    """
-    total = 0.0
-    anchor = request.source_node_id
-    for index, node_id in enumerate(assignment):
-        total += network.latency_between(anchor, node_id)
-        total += request.chain.vnf_at(index).processing_delay_ms
-        anchor = node_id
-    if (
-        len(assignment) == request.num_vnfs
-        and request.destination_node_id is not None
-    ):
-        total += network.latency_between(anchor, request.destination_node_id)
-    return total
+    valid = network.ledger.can_host_all(request.chain.demand_rows)
+    rows = [np.flatnonzero(vnf_valid) for vnf_valid in valid]
+    return rows if all(vnf_rows.size for vnf_rows in rows) else None
 
 
 def masked_argmin(valid: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -139,12 +109,14 @@ class AssignmentPolicy(PlacementPolicy):
 
 
 class DecisionRows:
-    """One pending VNF decision over a substrate's ledger rows.
+    """Pending VNF decisions of one request over a substrate's ledger rows.
 
     The attributes carry :class:`~repro.core.vecenv.LaneDecisionContext`'s
-    names and shapes without its leading lane axis (``holding`` is 0-d), so
-    a score function written once serves both.  ``latency`` is the anchor's
-    row of ``network.latency_matrix``.
+    names, and its shapes without the leading lane axis (``holding`` is
+    0-d), so a score function written once serves both.  ``demands`` is one
+    VNF's ``(3,)`` demand or the chain's ``(L, 3)`` ``demand_rows``.
+    ``latency`` is the anchor's row of ``network.latency_matrix``, or the
+    whole ``(N, N)`` matrix to score every anchor at once.
     """
 
     __slots__ = (
@@ -161,7 +133,7 @@ class DecisionRows:
         self,
         ledger: SubstrateLedger,
         latency: Optional[np.ndarray],
-        demand: np.ndarray,
+        demands: np.ndarray,
         holding_time: float,
     ) -> None:
         self.latency = latency
@@ -169,7 +141,7 @@ class DecisionRows:
         self.capacity = ledger.node_capacity
         self.capacity_safe = ledger.node_capacity_safe
         self.cost_per_unit = ledger.node_cost_per_unit
-        self.demands = demand
+        self.demands = demands
         self.holding = np.float64(holding_time)
 
 
@@ -177,14 +149,23 @@ class NodeScoringPolicy(AssignmentPolicy):
     """Host each VNF on the valid node with the lowest :meth:`node_scores`.
 
     Valid nodes are those that can host the VNF, restricted to the ledger's
-    :attr:`tier_mask` when one is set.  VNFs are decided in chain order
-    against the current substrate; the latency row is the previous VNF's
-    node (the request's source for the first one).
+    :attr:`tier_mask` when one is set.  Every VNF is decided against the
+    current substrate, so one ``(L, N)`` validity pass serves the chain, and
+    a request is rejected when some VNF has no valid node.  A score that
+    ignores the anchor is evaluated once over the ``(L, 3)`` demands and one
+    :func:`masked_argmin` picks every row.  A score that reads it
+    (:attr:`reads_anchor`) is evaluated once over the whole latency matrix,
+    then the chain is walked in order: each VNF's anchor is the previous
+    VNF's node (the request's source for the first one).
     """
 
     #: Name of the ledger tier mask (``"edge_tier_mask"`` or
     #: ``"cloud_tier_mask"``) the candidates are restricted to, if any.
     tier_mask: Optional[str] = None
+    #: Whether :meth:`node_scores` reads ``latency``, the anchor's row.  The
+    #: planner then scores every anchor at once and walks the chain; other
+    #: scores are evaluated once for all of the chain's VNFs.
+    reads_anchor: bool = False
 
     def node_scores(self, rows) -> np.ndarray:
         """Per-node score of the pending decision; lower is better.
@@ -199,19 +180,33 @@ class NodeScoringPolicy(AssignmentPolicy):
         self, request: SFCRequest, network: SubstrateNetwork
     ) -> Optional[Tuple[int, ...]]:
         ledger = network.ledger
-        latency = network.latency_matrix
-        tier = None if self.tier_mask is None else getattr(ledger, self.tier_mask)
+        demands = request.chain.demand_rows
+        # Nothing commits while a request is planned, so one (L, N) pass
+        # answers every VNF's validity at once.
+        valid = ledger.can_host_all(demands)
+        if self.tier_mask is not None:
+            valid = valid & getattr(ledger, self.tier_mask)
+        per_vnf = valid.tolist()
+        if not all(map(any, per_vnf)):
+            return None
+        node_ids = ledger.node_ids
+        if not self.reads_anchor:
+            rows = DecisionRows(ledger, None, demands, request.holding_time)
+            choice = masked_argmin(valid, self.node_scores(rows))
+            return tuple([node_ids[row] for row in choice.tolist()])
+        # Each VNF's anchor is the node chosen for the one before it: score
+        # every (anchor, node) pair at once, then walk the chain.
+        rows = DecisionRows(ledger, network.latency_matrix, demands, request.holding_time)
+        table = self.node_scores(rows)
         anchor = ledger.node_row[request.source_node_id]
+        everywhere = range(len(node_ids))
         assignment = []
-        for demand in request.chain.demand_rows:
-            valid = ledger.can_host_all(demand)
-            if tier is not None:
-                valid = valid & tier
-            if not valid.any():
-                return None
-            rows = DecisionRows(ledger, latency[anchor], demand, request.holding_time)
-            anchor = int(masked_argmin(valid, self.node_scores(rows)))
-            assignment.append(ledger.node_ids[anchor])
+        for vnf_valid in per_vnf:
+            # The first minimum over valid rows in row order, and the first
+            # valid row when all are infinite: masked_argmin's rule.
+            scores = table[anchor].tolist()
+            anchor = min(compress(everywhere, vnf_valid), key=scores.__getitem__)
+            assignment.append(node_ids[anchor])
         return tuple(assignment)
 
     def select_actions(self, states=None, masks=None, greedy: bool = True) -> np.ndarray:

@@ -55,6 +55,7 @@ class EdgeOnlyPolicy(NodeScoringPolicy):
 
     name = "edge_only"
     tier_mask = "edge_tier_mask"
+    reads_anchor = True
 
     def node_scores(self, rows) -> np.ndarray:
         return rows.latency

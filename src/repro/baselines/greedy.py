@@ -42,6 +42,7 @@ class GreedyNearestPolicy(NodeScoringPolicy):
     """Latency-greedy: pick the closest feasible node for every VNF."""
 
     name = "greedy_nearest"
+    reads_anchor = True
 
     def node_scores(self, rows) -> np.ndarray:
         return rows.latency

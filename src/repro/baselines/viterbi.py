@@ -27,7 +27,9 @@ class ViterbiPlacementPolicy(AssignmentPolicy):
 
     The per-transition weight is ``latency(u → v) + processing_delay`` plus
     ``cost_weight`` times the hosting cost of the VNF on ``v`` (normalized)
-    plus ``load_weight`` times the utilization of ``v``.
+    plus ``load_weight`` times the utilization of ``v``.  When the request
+    names a destination, the last VNF's node also pays the egress latency to
+    it, as :meth:`~repro.nfv.placement.Placement.end_to_end_latency_ms` does.
     """
 
     name = "viterbi"
@@ -88,6 +90,10 @@ class ViterbiPlacementPolicy(AssignmentPolicy):
             backpointers.append(np.argmin(totals, axis=0))
             best = np.min(totals, axis=0)
             previous = current
+
+        destination = request.destination_node_id
+        if destination is not None:
+            best = best + latency[previous, ledger.node_row[destination]]
 
         # Backtrack the minimizing assignment (the source layer has one row).
         index = int(np.argmin(best))

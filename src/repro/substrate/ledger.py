@@ -126,7 +126,7 @@ class SubstrateLedger:
         self._free_tol: np.ndarray = np.zeros_like(self.node_capacity)
         # Single-entry memo for can_host_all: the encoder and the action mask
         # query the same demand in the same decision step.
-        self._can_host_key: Tuple[int, bytes] = (-1, b"")
+        self._can_host_key: Tuple[int, Tuple[int, ...], bytes] = (-1, (), b"")
         self._can_host_result: np.ndarray = np.zeros(len(nodes), dtype=bool)
 
     # ------------------------------------------------------------------ #
@@ -304,18 +304,20 @@ class SubstrateLedger:
     def can_host_all(self, demand: np.ndarray) -> np.ndarray:
         """Vectorized feasibility: which nodes can host ``demand``.
 
-        ``demand`` is a ``(3,)`` array in canonical dimension order; the
-        result is a boolean vector over ledger rows, true where
-        :meth:`allocate_node` would accept it.  Treat it as read-only:
-        consecutive queries for the same demand (the encoder and the action
-        mask of one decision) share one memoized computation.
+        ``demand`` is a ``(3,)`` array in canonical dimension order, or an
+        ``(L, 3)`` stack of them (a chain's ``demand_rows``); the result is a
+        boolean ``(num_nodes,)`` vector, or ``(L, num_nodes)`` matrix, over
+        ledger rows, true where :meth:`allocate_node` would accept the
+        demand.  Treat it as read-only: consecutive queries for the same
+        demand (the encoder and the action mask of one decision) share one
+        memoized computation.
         """
-        key = (self._node_version, demand.tobytes())
+        key = (self._node_version, demand.shape, demand.tobytes())
         if key != self._can_host_key:
             if self._free_tol_version != self._node_version:
                 np.subtract(self._capacity_plus_tol, self.node_used, out=self._free_tol)
                 self._free_tol_version = self._node_version
-            self._can_host_result = (demand <= self._free_tol).all(axis=1)
+            self._can_host_result = (demand[..., None, :] <= self._free_tol).all(axis=-1)
             self._can_host_key = key
         return self._can_host_result
 

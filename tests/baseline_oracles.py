@@ -9,6 +9,13 @@ per candidate, and ``min()`` over the ordered candidate list breaks ties
 ``tests/test_baselines.py`` asserts that their plans equal these on live
 simulated substrates, and ``benchmarks/bench_policyeval.py`` times the
 batched kernels against them.
+
+:func:`per_vnf_plan` decides a ``NodeScoringPolicy``'s chain one VNF at a
+time, with one ``can_host_all``, score and ``masked_argmin`` per VNF: the
+reference for the production planner's single ``(L, N)`` pass.  It reads
+the ledger predicate itself, so it agrees with that pass at the ulp where
+``node_can_host`` (``used + d <= cap + tol``) and the masks
+(``d <= (cap + tol) - used``) part.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from repro.baselines import (
     ViterbiPlacementPolicy,
     build_if_feasible,
 )
+from repro.baselines.common import DecisionRows, NodeScoringPolicy, masked_argmin
 from repro.baselines.optimal import SearchSpaceTooLargeError
 from repro.nfv.sfc import SFCRequest
 from repro.substrate.network import SubstrateNetwork
@@ -47,6 +55,27 @@ def hosting_candidates(
     demand = request.chain.vnf_at(vnf_index).demand_for(request.bandwidth_mbps)
     pool = list(node_ids) if node_ids is not None else network.node_ids
     return [node_id for node_id in pool if node_can_host(network, node_id, demand)]
+
+
+def per_vnf_plan(
+    policy: NodeScoringPolicy, request: SFCRequest, network: SubstrateNetwork
+) -> Optional[Tuple[int, ...]]:
+    """``policy``'s plan, deciding the chain's VNFs one ledger pass at a time."""
+    ledger = network.ledger
+    latency = network.latency_matrix
+    tier = None if policy.tier_mask is None else getattr(ledger, policy.tier_mask)
+    anchor = ledger.node_row[request.source_node_id]
+    assignment = []
+    for demand in request.chain.demand_rows:
+        valid = ledger.can_host_all(demand)
+        if tier is not None:
+            valid = valid & tier
+        if not valid.any():
+            return None
+        rows = DecisionRows(ledger, latency[anchor], demand, request.holding_time)
+        anchor = int(masked_argmin(valid, policy.node_scores(rows)))
+        assignment.append(ledger.node_ids[anchor])
+    return tuple(assignment)
 
 
 class GreedyNearestOracle(GreedyNearestPolicy):
@@ -305,6 +334,15 @@ class ViterbiOracle(ViterbiPlacementPolicy):
             totals = best[:, None] + transition
             backpointers.append(np.argmin(totals, axis=0))
             best = np.min(totals, axis=0)
+
+        destination = request.destination_node_id
+        if destination is not None:
+            best = best + np.array(
+                [
+                    network.latency_between(node_id, destination)
+                    for node_id in candidate_sets[-1]
+                ]
+            )
 
         # Backtrack the minimizing assignment.
         last_index = int(np.argmin(best))

@@ -1,6 +1,9 @@
 """Unit tests for the heuristic placement baselines."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import (
     BestFitPolicy,
@@ -17,11 +20,19 @@ from repro.baselines import (
 )
 from repro.baselines.common import build_if_feasible
 from repro.baselines.optimal import SearchSpaceTooLargeError
+from repro.nfv.catalog import default_catalog
+from repro.sim.failures import FailureConfig
+from repro.sim.lifecycle import node_fence_handle, refresh_node_fence
 from repro.sim.simulation import NFVSimulation, PlacementPolicy, SimulationConfig
+from repro.substrate.geo import GeoPoint
+from repro.substrate.network import SubstrateNetwork
+from repro.substrate.node import ComputeNode, NodeTier, make_cloud_node
 from repro.substrate.resources import ResourceVector
 from repro.workloads.scenarios import reference_scenario
-from tests.baseline_oracles import ORACLES
+from tests.baseline_oracles import ORACLES, per_vnf_plan
 from tests.conftest import build_request
+
+CATALOG = default_catalog()
 
 ALL_POLICIES = [
     RandomPlacementPolicy(seed=0),
@@ -87,6 +98,7 @@ class _OracleParityProbe(PlacementPolicy):
         self.oracle = oracle
         self.name = production.name
         self.plans = []
+        self.fenced_plans = 0
 
     def place(self, request, network):
         plan = self.production.plan_assignment(request, network)
@@ -96,6 +108,11 @@ class _OracleParityProbe(PlacementPolicy):
             f"oracle {expected}"
         )
         self.plans.append(plan)
+        ledger = network.ledger
+        self.fenced_plans += any(
+            node_fence_handle(node_id) in records
+            for node_id, records in zip(ledger.node_ids, ledger.node_records)
+        )
         return None if plan is None else build_if_feasible(request, plan, network)
 
 
@@ -119,6 +136,24 @@ PARITY_CASES = [
 ]
 
 
+def _parity_campaign(cls, kwargs, horizon, failure_config=None):
+    """Simulate the parity rates with a probe; the probes, one per rate."""
+    probes = []
+    for rate in (0.5, 2.0, 4.0):
+        scenario = reference_scenario(
+            arrival_rate=rate, num_edge_nodes=8, horizon=horizon, seed=0
+        )
+        probe = _OracleParityProbe(cls(**kwargs), ORACLES[cls](**kwargs))
+        NFVSimulation(
+            scenario.build_network(),
+            probe,
+            SimulationConfig(horizon=horizon),
+            failure_config=failure_config,
+        ).run(scenario.generate_requests())
+        probes.append(probe)
+    return probes
+
+
 class TestLedgerPlansMatchObjectOracles:
     """The ledger planners choose what the per-object loops chose."""
 
@@ -126,17 +161,116 @@ class TestLedgerPlansMatchObjectOracles:
         "cls, kwargs, horizon", PARITY_CASES, ids=[case[0].name for case in PARITY_CASES]
     )
     def test_every_arrival_plans_like_the_oracle(self, cls, kwargs, horizon):
-        plans = []
-        for rate in (0.5, 2.0, 4.0):
-            scenario = reference_scenario(
-                arrival_rate=rate, num_edge_nodes=8, horizon=horizon, seed=0
+        probes = _parity_campaign(cls, kwargs, horizon)
+        assert any(plan is not None for probe in probes for plan in probe.plans)
+
+    @pytest.mark.parametrize(
+        "cls, kwargs, horizon", PARITY_CASES, ids=[case[0].name for case in PARITY_CASES]
+    )
+    def test_every_arrival_plans_like_the_oracle_on_fenced_substrates(
+        self, cls, kwargs, horizon
+    ):
+        # Failed nodes hold a fence record sized to their free capacity.
+        failures = FailureConfig(mean_time_to_failure=40.0, mean_time_to_repair=20.0, seed=3)
+        probes = _parity_campaign(cls, kwargs, horizon, failures)
+        assert any(plan is not None for probe in probes for plan in probe.plans)
+        assert sum(probe.fenced_plans for probe in probes) > 0
+
+
+#: Every NodeScoringPolicy heuristic: both tier masks, both score shapes.
+NODE_SCORING_POLICIES = [
+    GreedyNearestPolicy(),
+    GreedyLeastLoadedPolicy(),
+    GreedyCheapestPolicy(),
+    FirstFitPolicy(),
+    BestFitPolicy(),
+    CloudOnlyPolicy(),
+    EdgeOnlyPolicy(),
+]
+NUM_TIE_EDGES = 5
+#: Node states: empty, a shared load fraction (equal utilizations tie),
+#: fenced, or loaded to the free capacity of one chain VNF's demand plus a
+#: nudge across the mask's tolerance.
+node_states = st.one_of(
+    st.just(("empty",)),
+    st.tuples(st.just("load"), st.sampled_from([0.25, 0.5, 0.9])),
+    st.just(("fence",)),
+    st.tuples(
+        st.just("boundary"),
+        st.integers(0, 4),
+        st.sampled_from([-1e-12, 0.0, 1e-9, 1e-9 + 1e-12, 2e-9]),
+    ),
+)
+
+
+#: Edge node kinds, alternating along the line: (capacity, cost per unit).
+#: Their rankings under slack and cost depend on the demand's shape.
+EDGE_KINDS = [
+    (ResourceVector(8.0, 16.0, 100.0), ResourceVector(0.05, 0.025, 0.005)),
+    (ResourceVector(16.0, 8.0, 60.0), ResourceVector(0.02, 0.06, 0.01)),
+]
+
+
+def _tie_network():
+    """Edge nodes 2 ms apart on a line, of two alternating kinds, and a cloud
+    30 ms past the end.
+
+    Equal kinds and equal hop latencies make every score tie somewhere.
+    """
+    network = SubstrateNetwork()
+    for node_id in range(NUM_TIE_EDGES):
+        capacity, cost = EDGE_KINDS[node_id % len(EDGE_KINDS)]
+        network.add_node(
+            ComputeNode(
+                node_id,
+                GeoPoint(40.0, -74.0 + 0.1 * node_id),
+                capacity,
+                NodeTier.EDGE,
+                cost_per_unit=cost,
             )
-            probe = _OracleParityProbe(cls(**kwargs), ORACLES[cls](**kwargs))
-            NFVSimulation(
-                scenario.build_network(), probe, SimulationConfig(horizon=horizon)
-            ).run(scenario.generate_requests())
-            plans += probe.plans
-        assert any(plan is not None for plan in plans)
+        )
+        if node_id:
+            network.add_link(node_id - 1, node_id, bandwidth_capacity=1000.0, latency_ms=2.0)
+    network.add_node(make_cloud_node(NUM_TIE_EDGES, GeoPoint(39.0, -104.0)))
+    network.add_link(NUM_TIE_EDGES - 1, NUM_TIE_EDGES, bandwidth_capacity=1e4, latency_ms=30.0)
+    return network
+
+
+class TestChainPassMatchesPerVNFPlanner:
+    """One (L, N) validity pass plans what one pass per VNF planned."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        vnf_names=st.lists(st.sampled_from(CATALOG.names), min_size=1, max_size=5),
+        bandwidth=st.sampled_from([10.0, 50.0, 300.0]),
+        holding=st.sampled_from([1.0, 30.0]),
+        source=st.integers(0, NUM_TIE_EDGES),
+        states=st.lists(node_states, min_size=NUM_TIE_EDGES + 1, max_size=NUM_TIE_EDGES + 1),
+    )
+    def test_every_heuristic_plans_like_the_per_vnf_loop(
+        self, vnf_names, bandwidth, holding, source, states
+    ):
+        network = _tie_network()
+        request = build_request(
+            CATALOG, vnf_names=vnf_names, bandwidth=bandwidth, source=source,
+            sla_ms=500.0, holding=holding,
+        )
+        demands = request.chain.demand_rows
+        ledger = network.ledger
+        for row, state in enumerate(states):
+            capacity = ledger.node_capacity[row]
+            if state[0] == "load":
+                ledger.allocate_node(row, "load", capacity * state[1])
+            elif state[0] == "fence":
+                refresh_node_fence(network, ledger.node_ids[row])
+            elif state[0] == "boundary":
+                _, vnf, nudge = state
+                used = np.maximum(capacity - demands[vnf % len(demands)] + nudge, 0.0)
+                ledger.allocate_node(row, "boundary", np.minimum(used, capacity))
+        for policy in NODE_SCORING_POLICIES:
+            assert policy.plan_assignment(request, network) == per_vnf_plan(
+                policy, request, network
+            ), policy.name
 
 
 class TestGreedyNearest:
@@ -205,6 +339,20 @@ class TestViterbi:
         assert latency_only.node_assignment != cost_heavy.node_assignment
         assert cost_heavy.node_assignment == (2,)
 
+    def test_charges_the_egress_to_the_destination(self, small_network, catalog):
+        # Node 1 is full, so from source 1 the chain goes left to node 0 or
+        # right to node 2 at the same ingress latency; only the egress to
+        # node 3 tells them apart.
+        small_network.allocate_node(1, "hog", small_network.node(1).capacity)
+        request = build_request(catalog, source=1, sla_ms=200.0)
+        request.destination_node_id = 3
+        viterbi = ViterbiPlacementPolicy().place(request, small_network)
+        optimal = BruteForceOptimalPolicy(latency_weight=1.0).place(request, small_network)
+        assert optimal.end_to_end_latency_ms() == pytest.approx(4.9)
+        assert viterbi.end_to_end_latency_ms() == pytest.approx(
+            optimal.end_to_end_latency_ms()
+        )
+
     def test_invalid_weights_rejected(self):
         with pytest.raises(ValueError):
             ViterbiPlacementPolicy(cost_weight=-1.0)
@@ -226,71 +374,6 @@ class TestBruteForce:
         request = build_request(catalog, source=1, sla_ms=200.0)
         placement = BruteForceOptimalPolicy().place(request, small_network)
         assert placement.node_assignment == (1, 1)
-
-
-class TestLatencyOfPartial:
-    """latency_of_partial must agree with Placement end-to-end accounting."""
-
-    def test_full_assignment_matches_placement_without_destination(
-        self, small_network, catalog
-    ):
-        from repro.baselines import latency_of_partial
-        from repro.nfv.placement import Placement
-
-        request = build_request(catalog, source=0, sla_ms=200.0)
-        assignment = [1, 2]
-        placement = Placement.build(request, assignment, small_network)
-        assert latency_of_partial(request, assignment, small_network) == (
-            pytest.approx(placement.end_to_end_latency_ms())
-        )
-
-    def test_full_assignment_includes_egress_to_destination(
-        self, small_network, catalog
-    ):
-        from repro.baselines import latency_of_partial
-        from repro.nfv.placement import Placement
-
-        request = build_request(catalog, source=0, sla_ms=200.0)
-        request.destination_node_id = 3
-        assignment = [1, 1]
-        placement = Placement.build(request, assignment, small_network)
-        full = latency_of_partial(request, assignment, small_network)
-        assert full == pytest.approx(placement.end_to_end_latency_ms())
-        # The egress leg is real latency: dropping it underestimates.
-        egress = small_network.latency_between(1, 3)
-        assert egress > 0.0
-        prefix = latency_of_partial(request, assignment[:1], small_network)
-        assert full > prefix
-
-    def test_partial_prefix_charges_no_egress(self, small_network, catalog):
-        from repro.baselines import latency_of_partial
-
-        request = build_request(catalog, source=0, sla_ms=200.0)
-        request.destination_node_id = 3
-        # One VNF of two placed: propagation to node 1 + its processing only.
-        expected = (
-            small_network.latency_between(0, 1)
-            + request.chain.vnf_at(0).processing_delay_ms
-        )
-        assert latency_of_partial(request, [1], small_network) == pytest.approx(
-            expected
-        )
-
-    def test_partial_is_admissible_lower_bound(self, small_network, catalog):
-        """Every prefix estimate stays below the full-chain latency."""
-        from repro.baselines import latency_of_partial
-        from repro.nfv.placement import Placement
-
-        request = build_request(catalog, source=0, sla_ms=200.0)
-        request.destination_node_id = 2
-        assignment = [1, 3]
-        placement = Placement.build(request, assignment, small_network)
-        total = placement.end_to_end_latency_ms()
-        for length in range(len(assignment) + 1):
-            prefix = latency_of_partial(
-                request, assignment[:length], small_network
-            )
-            assert prefix <= total + 1e-9
 
 
 class TestStandardBaselines:

@@ -1,6 +1,6 @@
 """The benchmark scripts' entry points: committed results stay untouched,
 the vec-env phase breakdown is measured without perturbing the env, and the
-request-layer costs are measured per call."""
+request-layer and planner costs are measured per call."""
 
 import sys
 from collections import Counter
@@ -13,6 +13,7 @@ import benchmarks.bench_serving as bench_serving
 import benchmarks.bench_vecenv as bench_vecenv
 import benchmarks.common as common
 from benchmarks.e2e.measure import Tracer
+from repro.baselines import standard_baselines
 from repro.core.env import EnvConfig
 from repro.core.soa import SoAVecPlacementEnv
 from repro.core.vecenv import OUTCOME_CODE
@@ -132,6 +133,16 @@ def test_measure_kernel_timings_reports_nested_phases():
     assert (timings["lanes"], timings["batch_steps"], timings["protocol"]) == (
         4, 20, "lean"
     )
+
+
+def test_measure_plan_ops_times_every_standard_baseline():
+    ops = bench_envstep.measure_plan_ops(repeats=1, horizon=30.0)
+    names = {policy.name for policy in standard_baselines(seed=0)}
+    assert set(ops["us_per_call"]) == set(ops["calls"]) == names
+    assert all(us > 0.0 for us in ops["us_per_call"].values())
+    requests = ops["trace"]["requests"]
+    assert requests > 0 and set(ops["calls"].values()) == {requests}
+    assert (ops["trace"]["repeats"], ops["trace"]["horizon"]) == (1, 30.0)
 
 
 def test_measure_request_ops_reports_every_op():

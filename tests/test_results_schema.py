@@ -76,6 +76,13 @@ def test_vecenv_without_the_asserted_reference_series_fails(tmp_path):
     assert "env_steps missing keys ['soa_vs_reference_k64']" in problem
 
 
+def test_envstep_without_plan_ops_fails(tmp_path):
+    payload = _committed("envstep.json")
+    del payload["plan_ops"]
+    [problem] = _problems(tmp_path, "envstep.json", payload)
+    assert "missing required keys ['plan_ops']" in problem
+
+
 def test_figure_without_series_fails(tmp_path):
     payload = {"figure": "fig9", "x_label": "x", "y_label": "y", "x": [1]}
     [problem] = _problems(tmp_path, "fig9_new.json", payload)
