@@ -14,7 +14,7 @@ Result caching
 --------------
 Completed figure/table payloads are cached under ``benchmarks/results/cache``
 keyed by a hash of the experiment configuration
-(:class:`repro.experiments.parallel.ResultCache`).  Re-running a benchmark
+(:class:`repro.experiments.cache.ResultCache`).  Re-running a benchmark
 with unchanged settings loads the cached series instead of retraining, which
 makes iterating on assertions or plotting free.  Set ``REPRO_NO_CACHE=1`` to
 always recompute (e.g. when measuring real experiment wall-clock).
@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Callable, Dict
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import ResultCache
+from repro.experiments.cache import ResultCache
 from repro.experiments.reporting import print_figure, print_table
 from repro.utils.serialization import save_json
 

@@ -17,10 +17,10 @@ Quickstart
 
 Comparing policies on one trace
 -------------------------------
->>> from repro import NFVSimulation, SimulationConfig, standard_baselines
->>> from repro.experiments import parallel_policy_comparison
+>>> from repro import SimulationConfig, standard_baselines
+>>> from repro.sim import run_policy_comparison
 >>> requests = scenario.generate_requests()
->>> results = parallel_policy_comparison(     # one worker process per policy
+>>> results = run_policy_comparison(          # a fresh substrate per policy
 ...     scenario.build_network, standard_baselines(seed=0), requests,
 ...     SimulationConfig(horizon=300.0))
 

@@ -106,10 +106,3 @@ class ActionSpace:
         mask[: self.reject_action] = valid
         mask[self.reject_action] = True
         return mask
-
-    def greedy_fallback_action(self, mask: np.ndarray) -> int:
-        """The first valid node action, or reject when none exists."""
-        valid_nodes = np.flatnonzero(mask[: self.reject_action])
-        if valid_nodes.size == 0:
-            return self.reject_action
-        return int(valid_nodes[0])

@@ -109,8 +109,3 @@ class BudgetedPolicy(PlacementPolicy):
         self.calls = 0
         self.timeouts = 0
         self.total_charged_s = 0.0
-
-    @property
-    def timeout_ratio(self) -> float:
-        """Fraction of calls that blew the budget."""
-        return self.timeouts / self.calls if self.calls else 0.0

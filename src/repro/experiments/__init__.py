@@ -2,10 +2,9 @@
 
 ``figure_*`` / ``table_*`` functions recompute one artifact of the
 reconstructed evaluation from an :class:`ExperimentConfig` preset
-(``smoke`` / ``fast`` / ``paper``).  Policy evaluations fan out over worker
-processes via :mod:`repro.experiments.parallel`, and completed payloads can
-be memoized on disk with :class:`ResultCache` (keyed by a hash of the
-configuration), so re-running an unchanged experiment is free.
+(``smoke`` / ``fast`` / ``paper``).  Completed payloads can be memoized on
+disk with :class:`ResultCache` (keyed by a hash of the configuration), so
+re-running an unchanged experiment is free.
 
 >>> from repro.experiments import ExperimentConfig, figure_utilization
 >>> data = figure_utilization(ExperimentConfig.smoke())
@@ -25,13 +24,7 @@ from repro.experiments.figures import (
     figure_training_convergence,
     figure_utilization,
 )
-from repro.experiments.parallel import (
-    ResultCache,
-    config_hash,
-    derive_worker_seeds,
-    parallel_policy_comparison,
-    run_parallel,
-)
+from repro.experiments.cache import ResultCache, config_hash
 from repro.experiments.reporting import (
     format_series,
     format_table,
@@ -67,9 +60,6 @@ __all__ = [
     "figure_utilization",
     "ResultCache",
     "config_hash",
-    "derive_worker_seeds",
-    "parallel_policy_comparison",
-    "run_parallel",
     "format_series",
     "format_table",
     "print_figure",

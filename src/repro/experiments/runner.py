@@ -1,10 +1,8 @@
 """Shared runners used by the figure/table reproduction functions.
 
-Policy evaluations fan out over worker processes via
-:mod:`repro.experiments.parallel` — each policy simulates on its own fresh
-substrate copy, so the runs are independent and their results identical to a
-serial sweep.  Set ``REPRO_MAX_WORKERS=1`` (or pass ``max_workers=1``) to
-force the serial path.
+Policies are compared on one shared trace with
+:func:`repro.sim.simulation.run_policy_comparison`: each policy simulates on
+its own fresh substrate copy, so no run can see another's allocations.
 """
 
 from __future__ import annotations
@@ -23,19 +21,14 @@ from repro.core.state import EncoderConfig
 from repro.core.training import EvaluationResult
 from repro.core.vecenv import make_vec_env
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import parallel_policy_comparison
-from repro.serving.service import FallbackChain, OnlinePlacementService, ServingConfig
-from repro.sim.arrivals import ArrivalProcess
-from repro.sim.failures import (
-    DomainFailureConfig,
-    DomainFailureInjector,
-    FailureConfig,
-    fault_domains_from_network,
-)
+from repro.sim.failures import FailureConfig
 from repro.sim.simulation import (
+    NFVSimulation,
     PlacementPolicy,
     SimulationConfig,
     SimulationResult,
+    # Old name kept: benchmarks/e2e/workloads.py patches and times it here.
+    run_policy_comparison as parallel_policy_comparison,
 )
 from repro.utils.rng import RandomState, derive_seed
 from repro.workloads.scenarios import Scenario, reference_scenario
@@ -77,12 +70,10 @@ def evaluate_policies(
     scenario: Scenario,
     policies: Sequence[PlacementPolicy],
     horizon: Optional[float] = None,
-    max_workers: Optional[int] = None,
 ) -> List[SimulationResult]:
     """Run every policy over the scenario's trace on fresh substrate copies.
 
-    Policies are simulated in parallel worker processes (one per policy, up to
-    ``max_workers``); results keep the order of ``policies``.
+    Results keep the order of ``policies``.
     """
     requests = scenario.generate_requests(horizon=horizon)
     simulation_config = SimulationConfig(
@@ -93,7 +84,6 @@ def evaluate_policies(
         policies=list(policies),
         requests=requests,
         config=simulation_config,
-        max_workers=max_workers,
     )
 
 
@@ -109,14 +99,16 @@ def evaluate_drl_and_baselines(
     The DRL policy needs its encoder bound to the *same network object* the
     simulation mutates, so it is constructed per evaluation via a small
     adapter around :meth:`VNFManager.build_policy`.
+
+    ``max_workers`` is ignored: the baselines are compared one after another
+    in this process.  It is accepted because the end-to-end benchmark
+    harness (``benchmarks/e2e/workloads.py``) still passes it.
     """
     requests = scenario.generate_requests()
     simulation_config = SimulationConfig(horizon=scenario.workload_config.horizon)
     results: Dict[str, SimulationResult] = {}
 
     # DRL policy: build network first, bind the policy to it, then simulate.
-    from repro.sim.simulation import NFVSimulation
-
     drl_network = scenario.build_network()
     drl_policy = manager.build_policy(drl_network)
     drl_result = NFVSimulation(drl_network, drl_policy, simulation_config).run(requests)
@@ -129,7 +121,6 @@ def evaluate_drl_and_baselines(
             policies=baselines,
             requests=requests,
             config=simulation_config,
-            max_workers=max_workers,
         )
         for policy, result in zip(baselines, baseline_results):
             results[policy.name] = result
@@ -334,123 +325,6 @@ def vec_sweep_env_eval(
             baseline_payload[policy.name] = entry
         payload["baselines"] = baseline_payload
     return payload
-
-
-def availability_sweep(
-    manager: VNFManager,
-    scenario: Scenario,
-    config: ExperimentConfig,
-    mean_times_to_failure: Sequence[float] = (50.0, 100.0, 200.0, 400.0),
-    mean_time_to_repair: float = 25.0,
-    lanes_per_point: int = 2,
-    episodes_per_scenario: int = 1,
-    baselines: Optional[Sequence[PlacementPolicy]] = None,
-) -> Dict[str, object]:
-    """Fault-tolerance sweep over failure intensity, all through vec lanes.
-
-    For each mean-time-to-failure point the trained agent (and optionally
-    every baseline) is evaluated on ``lanes_per_point`` fault-injected lanes
-    of the scenario in one batched pass.  Returns index-aligned series of
-    acceptance, latency and disruptions per MTTF point, plus the model's
-    steady-state availability at each point.
-    """
-    if lanes_per_point <= 0:
-        raise ValueError(f"lanes_per_point must be positive, got {lanes_per_point}")
-    points: List[FailureConfig] = [
-        FailureConfig(
-            mean_time_to_failure=mttf, mean_time_to_repair=mean_time_to_repair
-        )
-        for mttf in mean_times_to_failure
-    ]
-    series: Dict[str, Dict[str, List[float]]] = {}
-
-    def accumulate(name: str, results: List[EvaluationResult]) -> None:
-        entry = series.setdefault(
-            name,
-            {"acceptance_ratio": [], "mean_latency_ms": [], "mean_disrupted": []},
-        )
-        entry["acceptance_ratio"].append(
-            float(np.mean([r.mean_acceptance for r in results]))
-        )
-        entry["mean_latency_ms"].append(
-            float(np.mean([r.mean_latency_ms for r in results]))
-        )
-        entry["mean_disrupted"].append(
-            float(np.mean([r.mean_disrupted for r in results]))
-        )
-
-    drl_name = f"drl_{manager.agent.name}"
-    for failure_config in points:
-        seed = derive_seed(
-            config.seed, "availability", failure_config.mean_time_to_failure
-        )
-        accumulate(
-            drl_name,
-            evaluate_agent_across_scenarios(
-                manager.agent,
-                [scenario] * lanes_per_point,
-                episodes_per_scenario=episodes_per_scenario,
-                seed=seed,
-                env_config=manager.config.env,
-                reward_config=manager.config.reward,
-                encoder_config=manager.config.encoder,
-                failure_config=failure_config,
-            ),
-        )
-        for policy in baselines or ():
-            accumulate(
-                policy.name,
-                evaluate_baseline_across_scenarios(
-                    policy,
-                    [scenario] * lanes_per_point,
-                    episodes_per_scenario=episodes_per_scenario,
-                    seed=seed,
-                    env_config=manager.config.env,
-                    reward_config=manager.config.reward,
-                    failure_config=failure_config,
-                ),
-            )
-    return {
-        "scenario": scenario.name,
-        "mean_times_to_failure": list(mean_times_to_failure),
-        "mean_time_to_repair": mean_time_to_repair,
-        "steady_state_availability": [
-            point.steady_state_availability for point in points
-        ],
-        "lanes_per_point": lanes_per_point,
-        "series": series,
-    }
-
-
-def run_serving_soak(
-    scenario: Scenario,
-    chain: FallbackChain,
-    serving_config: ServingConfig,
-    domain_config: Optional[DomainFailureConfig] = None,
-    arrival_process: Optional[ArrivalProcess] = None,
-):
-    """Replay a scenario's trace through the online serving loop.
-
-    Builds a fresh substrate, wires the fallback ``chain`` and (with a
-    ``domain_config``) correlated fault-domain chaos into an
-    :class:`~repro.serving.service.OnlinePlacementService`, and streams the
-    scenario's request trace through it lazily — the trace is never
-    materialized, so the soak is memory-flat at any horizon.  Returns the
-    :class:`~repro.serving.report.ServingReport`.
-    """
-    network = scenario.build_network()
-    chaos = None
-    if domain_config is not None:
-        chaos = DomainFailureInjector(
-            fault_domains_from_network(network), domain_config
-        )
-    service = OnlinePlacementService(network, chain, serving_config, chaos=chaos)
-    generator = scenario.build_generator()
-    stream = generator.iter_trace(
-        arrival_process=arrival_process or scenario.build_arrival_process(),
-        horizon=serving_config.horizon,
-    )
-    return service.run(stream)
 
 
 def results_to_rows(results: Dict[str, SimulationResult]) -> List[Dict[str, object]]:

@@ -161,18 +161,6 @@ class Placement:
             }
         )
 
-    def distinct_nodes(self) -> List[int]:
-        """Distinct substrate nodes hosting at least one VNF of the chain."""
-        seen: List[int] = []
-        for node_id in self.node_assignment:
-            if node_id not in seen:
-                seen.append(node_id)
-        return seen
-
-    def uses_cloud(self, network: SubstrateNetwork) -> bool:
-        """True when any VNF of the chain is hosted on a cloud node."""
-        return any(network.node(nid).is_cloud for nid in self.node_assignment)
-
     def edge_fraction(self, network: SubstrateNetwork) -> float:
         """Fraction of the chain's VNFs hosted on edge nodes."""
         if not self.node_assignment:

@@ -71,12 +71,6 @@ class ServiceFunctionChain:
         """Sum of per-VNF processing delays (placement independent)."""
         return sum(vnf.processing_delay_ms for vnf in self.vnf_types)
 
-    def total_base_demand(self):
-        """Aggregate resource demand of the chain at its bandwidth."""
-        from repro.substrate.resources import aggregate
-
-        return aggregate(vnf.demand_for(self.bandwidth_mbps) for vnf in self.vnf_types)
-
     def vnf_at(self, index: int) -> VNFType:
         """The VNF type at position ``index`` (0-based)."""
         return self.vnf_types[index]

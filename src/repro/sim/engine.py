@@ -9,7 +9,7 @@ handlers.  Domain logic (placement, departures, metric sampling) lives in
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.sim.events import Event, EventType
 
@@ -55,24 +55,6 @@ class EventEngine:
                 f"cannot schedule event at t={event.time} before now={self._now}"
             )
         heapq.heappush(self._queue, event)
-
-    def schedule_all(self, events: Iterable[Event]) -> None:
-        """Enqueue an iterable of events atomically.
-
-        All events are validated against the current clock *before* any is
-        enqueued, so a batch containing a stale event raises
-        :class:`SimulationClockError` without partially mutating the queue.
-        """
-        events = list(events)
-        for index, event in enumerate(events):
-            if event.time < self._now - 1e-12:
-                raise SimulationClockError(
-                    f"cannot schedule event {index} of {len(events)} "
-                    f"({event.event_type.name} at t={event.time}) before "
-                    f"now={self._now}; no event of the batch was enqueued"
-                )
-        for event in events:
-            heapq.heappush(self._queue, event)
 
     # ------------------------------------------------------------------ #
     # Handlers

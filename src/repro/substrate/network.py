@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.substrate.geo import GeoPoint, propagation_latency_ms
+from repro.substrate.geo import propagation_latency_ms
 from repro.substrate.ledger import SubstrateLedger
 from repro.substrate.link import (
     InsufficientBandwidthError,
@@ -473,29 +473,6 @@ class SubstrateNetwork:
             "cost_rate": self.compute_cost_rate(),
             "nodes": nodes,
         }
-
-    # ------------------------------------------------------------------ #
-    # Geo helpers
-    # ------------------------------------------------------------------ #
-    def nearest_node(
-        self, point: GeoPoint, tier: Optional[NodeTier] = None
-    ) -> int:
-        """Node id geographically closest to ``point``."""
-        candidates = [
-            node
-            for node in self._nodes.values()
-            if tier is None or node.tier is tier
-        ]
-        if not candidates:
-            raise UnknownNodeError("network has no nodes of the requested tier")
-        best = min(candidates, key=lambda node: point.distance_km(node.location))
-        return best.node_id
-
-    def nodes_sorted_by_latency_from(self, source: int) -> List[int]:
-        """All node ids sorted by routed latency from ``source``."""
-        dense = self.dense_routing
-        order = np.argsort(self.latency_row(source), kind="stable")
-        return [dense.node_ids[i] for i in order]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

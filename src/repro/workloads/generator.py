@@ -13,7 +13,7 @@ import itertools
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -215,11 +215,3 @@ class RequestGenerator:
         gaps = self._rng.exponential(1.0 / self.config.arrival_rate, size=count)
         times = np.cumsum(gaps)
         return [self.sample_request(arrival_time=float(t)) for t in times]
-
-    def class_mix(self, requests: Sequence[SFCRequest]) -> Dict[str, float]:
-        """Fraction of requests per service class (diagnostics)."""
-        counts: Dict[str, int] = {}
-        for request in requests:
-            counts[request.service_class] = counts.get(request.service_class, 0) + 1
-        total = max(1, len(requests))
-        return {name: counts.get(name, 0) / total for name in sorted(counts)}

@@ -73,18 +73,6 @@ class Scenario:
             arrival_process=self.build_arrival_process(), horizon=horizon
         )
 
-    def iter_requests(self, horizon: Optional[float] = None):
-        """Stream the scenario's request trace lazily.
-
-        Same process and seed as :meth:`generate_requests` (identical trace),
-        but yields one request at a time — the input the online serving loop
-        consumes for multi-day soaks.
-        """
-        generator = self.build_generator()
-        return generator.iter_trace(
-            arrival_process=self.build_arrival_process(), horizon=horizon
-        )
-
     def with_arrival_rate(self, arrival_rate: float) -> "Scenario":
         """A copy of the scenario at a different offered load."""
         return replace(

@@ -319,7 +319,10 @@ class TestFitPolicies:
         request = build_request(catalog, source=0, sla_ms=200.0)
         placement = EdgeOnlyPolicy().place(request, tiny_edge_cloud_network)
         assert placement is not None
-        assert not placement.uses_cloud(tiny_edge_cloud_network)
+        assert all(
+            tiny_edge_cloud_network.node(node_id).is_edge
+            for node_id in placement.node_assignment
+        )
 
 
 class TestViterbi:

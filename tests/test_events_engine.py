@@ -97,22 +97,6 @@ class TestEngine:
         with pytest.raises(SimulationClockError):
             engine.schedule(monitoring_event(1.0))
 
-    def test_schedule_all_enqueues_every_event(self):
-        engine = EventEngine()
-        engine.schedule_all(monitoring_event(t) for t in (3.0, 1.0, 2.0))
-        assert engine.pending_events == 3
-        engine.run()
-        assert engine.processed_events == 3
-
-    def test_schedule_all_rejects_past_events_atomically(self):
-        engine = EventEngine()
-        engine.schedule(monitoring_event(5.0))
-        engine.run()  # clock is now at t=5
-        with pytest.raises(SimulationClockError, match="event 1 of 2"):
-            engine.schedule_all([monitoring_event(6.0), monitoring_event(1.0)])
-        # The valid leading event must not have been enqueued either.
-        assert engine.pending_events == 0
-
     def test_stop_requests_halt(self):
         engine = EventEngine()
         engine.on(EventType.MONITORING, lambda e: engine.stop())

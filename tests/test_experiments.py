@@ -111,29 +111,6 @@ class TestFiguresAndTables:
             assert len(entry["acceptance_ratio"]) == len(data["x"])
             assert all(0.0 <= v <= 1.0 for v in entry["acceptance_ratio"])
 
-    def test_availability_sweep_structure(self, trained_manager, smoke_config):
-        from repro.experiments.runner import availability_sweep
-
-        scenario, manager = trained_manager
-        data = availability_sweep(
-            manager,
-            scenario,
-            smoke_config,
-            mean_times_to_failure=(10.0, 100.0),
-            lanes_per_point=1,
-            baselines=[GreedyNearestPolicy()],
-        )
-        assert data["mean_times_to_failure"] == [10.0, 100.0]
-        assert len(data["steady_state_availability"]) == 2
-        assert set(data["series"]) == {"drl_dqn", "greedy_nearest"}
-        for entry in data["series"].values():
-            assert len(entry["acceptance_ratio"]) == 2
-            assert len(entry["mean_disrupted"]) == 2
-            assert all(v >= 0.0 for v in entry["mean_disrupted"])
-        # Frequent failures (MTTF 10) disrupt at least as much as rare ones.
-        drl = data["series"]["drl_dqn"]["mean_disrupted"]
-        assert drl[0] >= drl[1] - 1e-9
-
     def test_agent_ablation_structure(self, smoke_config):
         data = figure_agent_ablation(smoke_config, variants=["dqn", "double"])
         assert data["x"] == ["dqn", "double_dqn"]

@@ -116,14 +116,6 @@ class TestRouting:
         with pytest.raises(UnknownNodeError):
             network.shortest_path(0, 99)
 
-    def test_nodes_sorted_by_latency(self):
-        network = build_triangle()
-        assert network.nodes_sorted_by_latency_from(0) == [0, 1, 2]
-
-    def test_nearest_node_by_geography(self):
-        network = build_triangle()
-        nearest = network.nearest_node(GeoPoint(40.021, -74.0))
-        assert nearest == 2
 
 
 class TestPathBandwidth:

@@ -7,27 +7,22 @@ Covers the invariants behind the batched training refactor:
 * fused activation derivatives match the definitional ones,
 * replay buffers return correctly shaped, seed-reproducible contiguous
   batches, and
-* the parallel experiment helpers give results identical to serial runs.
+* the experiment result cache keys on configuration values and writes
+  atomically.
 """
 
 import json
-import os
 
 import numpy as np
 import pytest
 
 from repro.agents.dqn import DQNAgent, DQNConfig
 from repro.agents.replay import PrioritizedReplayBuffer, ReplayBuffer, Transition
-from repro.experiments.parallel import (
-    ResultCache,
-    config_hash,
-    default_max_workers,
-    derive_worker_seeds,
-    run_parallel,
-)
+from repro.experiments.cache import ResultCache, config_hash
 from repro.nn.activations import _ACTIVATIONS, get_activation
 from repro.nn.network import MLP
 from repro.nn.optimizers import Adam
+from repro.workloads.scenarios import reference_scenario
 
 STATE_DIM = 6
 NUM_ACTIONS = 4
@@ -273,29 +268,7 @@ class TestReplayBatches:
         assert w_a.max() == pytest.approx(1.0)
 
 
-class TestParallelHelpers:
-    def test_run_parallel_matches_serial(self):
-        tasks = [(i, 3) for i in range(6)]
-        assert run_parallel(pow, tasks, max_workers=2) == [
-            pow(*args) for args in tasks
-        ]
-
-    def test_default_max_workers_reads_and_validates_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MAX_WORKERS", raising=False)
-        assert default_max_workers() == max(1, os.cpu_count() or 1)
-        monkeypatch.setenv("REPRO_MAX_WORKERS", "3")
-        assert default_max_workers() == 3
-        monkeypatch.setenv("REPRO_MAX_WORKERS", " 0 ")
-        assert default_max_workers() == 1
-        monkeypatch.setenv("REPRO_MAX_WORKERS", "two")
-        with pytest.raises(ValueError, match="REPRO_MAX_WORKERS.*'two'"):
-            default_max_workers()
-
-    def test_derive_worker_seeds_deterministic_and_distinct(self):
-        seeds = derive_worker_seeds(0, ["a", "b", "c"])
-        assert seeds == derive_worker_seeds(0, ["a", "b", "c"])
-        assert len(set(seeds)) == 3
-
+class TestResultCache:
     def test_config_hash_stable_and_value_sensitive(self):
         assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
         assert config_hash({"a": 1}) != config_hash({"a": 2})
@@ -304,8 +277,16 @@ class TestParallelHelpers:
         class Opaque:
             pass
 
-        with pytest.raises(ValueError, match="value-based representation"):
-            config_hash(Opaque())
+        # Each repr embeds a memory address, so its digest would change with
+        # the process.
+        for value in (
+            Opaque(),
+            random_transition,
+            lambda: None,
+            reference_scenario(num_edge_nodes=4).topology_factory,
+        ):
+            with pytest.raises(ValueError, match="value-based representation"):
+                config_hash({"value": value})
 
     def test_result_cache_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -341,7 +322,7 @@ class TestParallelHelpers:
         def boom(src, dst):
             raise OSError("simulated rename failure")
 
-        monkeypatch.setattr("repro.experiments.parallel.os.replace", boom)
+        monkeypatch.setattr("repro.experiments.cache.os.replace", boom)
         with pytest.raises(OSError, match="simulated rename failure"):
             cache.store("fig", {"series": [1.0]}, {"n": 4})
         assert list(tmp_path.iterdir()) == []

@@ -7,7 +7,7 @@ wall-clock speed.
 
 import pytest
 
-from repro.baselines.greedy import GreedyLeastLoadedPolicy, GreedyNearestPolicy
+from repro.baselines.greedy import GreedyNearestPolicy
 from repro.core.timeout import BudgetedPolicy
 from repro.serving.admission import AdmissionConfig, AdmissionController
 from repro.serving.report import BoundedTrajectory, ServingReport, StreamingHistogram
@@ -17,8 +17,7 @@ from repro.serving.service import (
     OnlinePlacementService,
     ServingConfig,
 )
-from repro.sim.failures import ChaosEvent, DomainFailureConfig
-from repro.experiments.runner import run_serving_soak
+from repro.sim.failures import ChaosEvent
 from repro.substrate.topology import TopologyConfig, linear_chain_topology
 from repro.workloads.scenarios import reference_scenario
 from tests.conftest import build_request
@@ -75,7 +74,7 @@ class TestBudgetedPolicy:
         assert outcome.placement is None, "late answer must be discarded"
         assert outcome.elapsed_s == pytest.approx(0.2)
         assert outcome.charged_s == pytest.approx(0.05), "charge capped at budget"
-        assert tier.timeouts == 1 and tier.timeout_ratio == 1.0
+        assert tier.timeouts == 1 and tier.calls == 1
 
     def test_measured_clock_path(self, catalog):
         network = linear_chain_topology(num_edge_nodes=3, seed=0)
@@ -446,39 +445,21 @@ class TestOnlinePlacementService:
 
 
 # --------------------------------------------------------------------------- #
-# Runner integration
+# Lazy trace
 # --------------------------------------------------------------------------- #
-class TestServingSoakRunner:
-    def test_run_serving_soak_with_chaos(self):
-        scenario = reference_scenario(
-            arrival_rate=0.5, num_edge_nodes=8, horizon=120.0, seed=7
-        )
-        chain = FallbackChain(
-            [
-                budgeted(GreedyLeastLoadedPolicy(), latency_s=0.002),
-                budgeted(GreedyNearestPolicy(), latency_s=0.001),
-            ]
-        )
-        config = ServingConfig(horizon=120.0, monitoring_interval=20.0)
-        report = run_serving_soak(
-            scenario,
-            chain,
-            config,
-            domain_config=DomainFailureConfig(
-                mean_time_to_failure=60.0, mean_time_to_repair=15.0, seed=3
-            ),
-        )
-        assert report.arrivals > 0
-        assert report.accepted > 0
-        assert report.disrupted == report.replaced + report.lost + report.expired
-        assert report.horizon == 120.0
-
-    def test_iter_requests_matches_generate_requests(self):
+class TestLazyTrace:
+    def test_iter_trace_matches_generate_requests(self):
         scenario = reference_scenario(
             arrival_rate=0.5, num_edge_nodes=8, horizon=60.0, seed=7
         )
         eager = scenario.generate_requests()
-        lazy = list(scenario.iter_requests())
+        # The lazy stream the serving loop reads.
+        lazy = list(
+            scenario.build_generator().iter_trace(
+                arrival_process=scenario.build_arrival_process(),
+                horizon=scenario.workload_config.horizon,
+            )
+        )
         assert len(eager) == len(lazy)
         for a, b in zip(eager, lazy):
             assert a.arrival_time == b.arrival_time

@@ -33,15 +33,6 @@ class TestServiceFunctionChain:
         )
         assert chain.total_processing_delay_ms() == pytest.approx(expected)
 
-    def test_total_base_demand_aggregates(self):
-        catalog = default_catalog()
-        chain = ServiceFunctionChain(
-            vnf_types=(catalog.get("firewall"), catalog.get("firewall")),
-            bandwidth_mbps=10.0,
-        )
-        single = catalog.get("firewall").demand_for(10.0)
-        assert chain.total_base_demand().cpu == pytest.approx(2 * single.cpu)
-
     def test_demand_rows_are_built_once_and_read_only(self):
         catalog = default_catalog()
         template = default_chain_templates()[0]

@@ -120,10 +120,3 @@ class TestActionSpace:
         request = build_request(catalog, source=0, sla_ms=3.0, vnf_names=("nat",))
         mask = actions.valid_mask(request, 0, [], 0.0, latency_check=False)
         assert mask[actions.action_for_node(3)]
-
-    def test_greedy_fallback(self, actions):
-        mask = np.zeros(actions.num_actions, dtype=bool)
-        mask[actions.reject_action] = True
-        assert actions.greedy_fallback_action(mask) == actions.reject_action
-        mask[2] = True
-        assert actions.greedy_fallback_action(mask) == 2

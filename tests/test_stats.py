@@ -122,7 +122,10 @@ class TestComparePolicies:
 class TestLazyScipy:
     # scipy is most of `import repro`; only the statistics above use it.
     # networkx is the Dijkstra oracle of the routing tests and nothing more.
-    @pytest.mark.parametrize("module", ["scipy", "networkx"])
+    # Policies are compared in-process, so no process pool is imported.
+    @pytest.mark.parametrize(
+        "module", ["scipy", "networkx", "multiprocessing", "concurrent.futures"]
+    )
     def test_import_repro_leaves_module_unloaded(self, module):
         src = Path(__file__).resolve().parents[1] / "src"
         env = {**os.environ, "PYTHONPATH": str(src)}
