@@ -20,8 +20,10 @@ from repro.experiments.runner import (
     results_to_rows,
     train_manager,
 )
+from repro.experiments import runner
 from repro.experiments.tables import table_simulation_settings, table_summary_comparison
-from repro.baselines import GreedyNearestPolicy, RandomPlacementPolicy
+from repro.baselines import GreedyNearestPolicy, RandomPlacementPolicy, standard_baselines
+from repro.sim.simulation import run_policy_comparison
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +78,36 @@ class TestRunners:
         assert "drl_dqn" in results
         assert "greedy_nearest" in results
         assert all(r.summary.total_requests > 0 for r in results.values())
+
+    def test_evaluators_compare_through_module_binding(
+        self, trained_manager, smoke_config, monkeypatch
+    ):
+        # The end-to-end benchmark harness times the comparison by patching
+        # this module attribute, so both evaluators must look it up there.
+        assert runner.parallel_policy_comparison is run_policy_comparison
+        calls = []
+
+        def spy(**kwargs):
+            calls.append(len(kwargs["policies"]))
+            return run_policy_comparison(**kwargs)
+
+        monkeypatch.setattr(runner, "parallel_policy_comparison", spy)
+        scenario, manager = trained_manager
+        evaluate_policies(scenario, [GreedyNearestPolicy()])
+        evaluate_drl_and_baselines(scenario, manager, smoke_config)
+        assert calls == [1, len(standard_baselines())]
+
+    def test_evaluate_drl_and_baselines_ignores_max_workers(
+        self, trained_manager, smoke_config
+    ):
+        scenario, manager = trained_manager
+        default = evaluate_drl_and_baselines(scenario, manager, smoke_config)
+        pooled = evaluate_drl_and_baselines(
+            scenario, manager, smoke_config, max_workers=4
+        )
+        assert list(pooled) == list(default)
+        for name, result in default.items():
+            assert pooled[name].summary == result.summary
 
     def test_results_to_rows(self, trained_manager, smoke_config):
         scenario, manager = trained_manager

@@ -7,11 +7,15 @@ Covers the invariants behind the batched training refactor:
 * fused activation derivatives match the definitional ones,
 * replay buffers return correctly shaped, seed-reproducible contiguous
   batches, and
-* the experiment result cache keys on configuration values and writes
-  atomically.
+* the experiment result cache keys on configuration values, writes
+  atomically and honours its environment settings.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ import pytest
 from repro.agents.dqn import DQNAgent, DQNConfig
 from repro.agents.replay import PrioritizedReplayBuffer, ReplayBuffer, Transition
 from repro.experiments.cache import ResultCache, config_hash
+from repro.experiments.config import ExperimentConfig
 from repro.nn.activations import _ACTIVATIONS, get_activation
 from repro.nn.network import MLP
 from repro.nn.optimizers import Adam
@@ -288,6 +293,29 @@ class TestResultCache:
             with pytest.raises(ValueError, match="value-based representation"):
                 config_hash({"value": value})
 
+    @pytest.mark.parametrize("preset", ["smoke", "fast", "paper"])
+    def test_config_hash_accepts_experiment_presets(self, preset):
+        # The keys the benchmarks store render without an address.
+        build = getattr(ExperimentConfig, preset)
+        assert config_hash(build()) == config_hash(build())
+
+    def test_config_hash_is_process_independent(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = (
+            "from repro.experiments.cache import config_hash; "
+            "from repro.experiments.config import ExperimentConfig; "
+            "print(config_hash(ExperimentConfig.smoke()))"
+        )
+        output = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        ).stdout
+        assert output.strip() == config_hash(ExperimentConfig.smoke())
+
     def test_result_cache_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
         calls = []
@@ -325,4 +353,42 @@ class TestResultCache:
         monkeypatch.setattr("repro.experiments.cache.os.replace", boom)
         with pytest.raises(OSError, match="simulated rename failure"):
             cache.store("fig", {"series": [1.0]}, {"n": 4})
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["1", "true", "yes"])
+    def test_result_cache_disabled_by_env(self, tmp_path, monkeypatch, flag):
+        cache = ResultCache(tmp_path)
+        cache.store("fig", {"series": [1.0]}, {"n": 4})
+        monkeypatch.setenv("REPRO_NO_CACHE", flag)
+        assert not cache.enabled
+        assert cache.load("fig", {"n": 4}) is None
+        assert cache.store("fig", {"series": [2.0]}, {"n": 4}) is None
+        data, hit = cache.get_or_compute("fig", {"n": 4}, lambda: {"series": [3.0]})
+        assert not hit and data == {"series": [3.0]}
+        # Nothing was written while disabled: the first entry is intact.
+        monkeypatch.delenv("REPRO_NO_CACHE")
+        assert cache.load("fig", {"n": 4}) == {"series": [1.0]}
+
+    def test_result_cache_directory_defaults_to_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        cache = ResultCache()
+        assert cache.directory == tmp_path / "cache"
+        path = cache.store("fig", {"series": [1.0]}, {"n": 4})
+        assert path is not None and path.parent == tmp_path / "cache"
+
+    def test_result_cache_corrupt_entry_is_a_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        path = cache.store("fig", {"series": [1.0]}, {"n": 4})
+        path.write_text('{"series": [1.', encoding="utf-8")
+        data, hit = cache.get_or_compute("fig", {"n": 4}, lambda: {"series": [2.0]})
+        assert not hit and data == {"series": [2.0]}
+        assert cache.load("fig", {"n": 4}) == {"series": [2.0]}
+
+    def test_result_cache_clear_removes_entries(self, tmp_path):
+        assert ResultCache(tmp_path / "absent").clear() == 0
+        cache = ResultCache(tmp_path)
+        cache.store("fig", {"series": [1.0]}, {"n": 4})
+        cache.store("fig", {"series": [1.0]}, {"n": 5})
+        assert cache.clear() == 2
+        assert cache.load("fig", {"n": 4}) is None
         assert list(tmp_path.iterdir()) == []
