@@ -7,9 +7,10 @@ batched state/mask encoding and the request layer that feeds them:
 * ``env_step`` — steps/s of the single-environment decision loop
   (``valid_action_mask()`` + ``step()``, which encodes the next state) over
   masked-random episodes on the default metro/cloud topology;
-* ``latency_lookups`` — ``latency_between`` throughput and Floyd–Warshall
-  build time as a function of topology size; lookups should stay
-  near-constant in N while the build grows as O(N³);
+* ``latency_lookups`` — ``latency_between`` throughput and the build time
+  of a fresh ``SubstrateTopology`` (static columns plus Floyd–Warshall) as
+  a function of topology size; lookups should stay near-constant in N while
+  the build grows as O(N³);
 * ``placement_ops`` — µs per call of ``Placement.build``, ``is_feasible``,
   ``commit`` and ``release`` over one reference-scenario trace, replayed
   the way the simulator and the serving loop drive placements;
@@ -45,7 +46,7 @@ from repro.core.env import EnvConfig, VNFPlacementEnv
 from repro.core.soa import SoAVecPlacementEnv
 from repro.nfv.placement import Placement
 from repro.nfv.sfc import ServiceFunctionChain
-from repro.substrate.network import DenseRouting
+from repro.substrate.network import SubstrateTopology
 from repro.substrate.topology import (
     TopologyConfig,
     metro_edge_cloud_topology,
@@ -127,6 +128,7 @@ def measure_latency_lookups(
     rows: List[Dict[str, float]] = []
     for size in sizes:
         network = scaled_topology(size, seed=SEED)
+        network.topology  # the network's own build, outside both timers
         ids = network.node_ids
         rng = np.random.default_rng(SEED)
         pairs = [
@@ -136,7 +138,7 @@ def measure_latency_lookups(
             )
         ]
         start = time.perf_counter()
-        DenseRouting(network)  # fresh build: generators pre-warm their own
+        SubstrateTopology(network.nodes(), network.links())  # one fresh routing build
         build_s = time.perf_counter() - start
 
         start = time.perf_counter()
@@ -155,14 +157,16 @@ def measure_latency_lookups(
 
 
 def _replay_placements(scenario, requests, policy) -> Dict[str, List[float]]:
-    """One pass of the trace on a fresh network: (calls, seconds) per op.
+    """One pass of the trace on a new network: (calls, seconds) per op.
+
+    The scenario's networks share one topology, so every pass after the
+    first routes from a warm route table.
 
     Per arrival: release the departed placements, plan with ``policy``,
     build, check, check again (the re-validation at commit time) and commit.
     The plan is timed too, as ``"plan"``.
     """
     network = scenario.build_network()
-    network.prepare()
     totals = {op: [0, 0.0] for op in ("plan",) + PLACEMENT_OPS}
     live: List[tuple] = []
     clock = time.perf_counter

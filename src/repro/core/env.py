@@ -433,8 +433,12 @@ class VNFPlacementEnv:
                 "commit_failed",
             )
         self._track_placement(request.departure_time, placement)
+        latency = placement.end_to_end_latency_ms()
+        cost = placement.total_cost(self.network)
         self.stats.accepted += 1
-        self.stats.total_latency_ms += placement.end_to_end_latency_ms()
-        self.stats.total_cost += placement.total_cost(self.network)
-        terminal = self.rewards.acceptance_reward(request, placement, self.network)
+        self.stats.total_latency_ms += latency
+        self.stats.total_cost += cost
+        terminal = self.rewards.acceptance_reward(
+            latency, request.sla.max_latency_ms, cost, request.revenue()
+        )
         return reward + terminal, True, "accepted"

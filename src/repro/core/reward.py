@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.nfv.placement import Placement
 from repro.nfv.sfc import SFCRequest
 from repro.substrate.network import SubstrateNetwork
 from repro.utils.validation import check_non_negative
@@ -96,20 +95,21 @@ class RewardCalculator:
     # Terminal rewards
     # ------------------------------------------------------------------ #
     def acceptance_reward(
-        self, request: SFCRequest, placement: Placement, network: SubstrateNetwork
+        self, latency_ms: float, sla_ms: float, total_cost: float, revenue: float
     ) -> float:
-        """Terminal reward for successfully committing a full chain."""
+        """Terminal reward for successfully committing a full chain.
+
+        ``latency_ms`` is the chain's end-to-end latency, ``sla_ms`` its SLA
+        budget, ``total_cost`` its hosting plus transport cost and
+        ``revenue`` the request's :meth:`~repro.nfv.sfc.SFCRequest.revenue`.
+        """
         config = self.config
-        sla_fraction = placement.end_to_end_latency_ms() / request.sla.max_latency_ms
-        cost_fraction = placement.total_cost(network) / config.cost_normalizer
-        revenue = config.revenue_scale * request.revenue() / 100.0
-        reward = (
+        return (
             config.accept_reward
-            + revenue
-            - config.latency_weight * sla_fraction
-            - config.cost_weight * cost_fraction
+            + config.revenue_scale * revenue / 100.0
+            - config.latency_weight * (latency_ms / sla_ms)
+            - config.cost_weight * (total_cost / config.cost_normalizer)
         )
-        return reward
 
     def rejection_penalty(self, request: SFCRequest) -> float:
         """Terminal reward (negative) for explicitly rejecting a request."""

@@ -9,25 +9,27 @@ cross-lane arrays
 * ``node_used``  — ``(K, N, 3)`` node ledger (cpu/memory/storage),
 * ``link_used``  — ``(K, E)`` link ledger,
 
-over a single shared read-only *template* topology (capacities, unit costs,
-the all-pairs latency matrix and routed paths are identical across lanes by
-construction and therefore stored once), plus one departure heap per lane
-holding that lane's committed chains as plain records.  The step/mask/observe
-pipeline is fused: one decision-context gather per step feeds the batched
-mask kernel, the batched step-reward precompute and the batched state
-encoder.
+over one shared read-only :class:`~repro.substrate.network.SubstrateTopology`
+(capacities, unit costs, the all-pairs latency matrix and the route table
+are identical across lanes by construction and therefore stored once), plus
+one departure heap per lane holding that lane's committed chains as plain
+records.  The step/mask/observe pipeline is fused: one decision-context
+gather per step feeds the batched mask kernel, the batched step-reward
+precompute and the batched state encoder.
 
 The per-lane object path is retained as the reference backend; this class is
 **bitwise-equivalent** to it — every arithmetic expression below mirrors the
 reference operation order (see ``tests/differential.py`` for the harness that
 enforces this).  The only intentional difference is memory layout: lanes
-share constants and routed-path caches instead of duplicating them K times.
+share one topology, its constants and its route table, instead of
+duplicating them K times.
 
 A lane that places the last VNF of its chain commits that chain the way
 :class:`~repro.nfv.placement.Placement` does, through the substrate ledger's
-chain kernel on the lane's rows: route, :class:`CompiledChain` +
-:func:`chain_fits`, the latency and availability test, :func:`reserve_chain`,
-then pricing.
+chain kernel on the lane's rows: one route-table entry per segment,
+:class:`CompiledChain` + :func:`chain_fits`, the latency and availability
+test, :func:`reserve_chain`, then :func:`chain_cost` and the reward
+calculator's acceptance reward, the reference env's own pricing.
 
 The class carries no timers.  Per-phase times are measured from outside by
 wrapping ``valid_action_masks`` (mask), ``_observe_batch`` (observe),
@@ -44,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.env import EnvConfig, EpisodeStats
-from repro.core.reward import RewardConfig
+from repro.core.reward import RewardCalculator, RewardConfig
 from repro.core.state import NODE_FEATURES, REQUEST_SCALARS, EncoderConfig
 from repro.core.vecenv import (
     OUTCOME_CODE,
@@ -58,12 +60,13 @@ from repro.nfv.sla import DEFAULT_NODE_AVAILABILITY
 from repro.sim.failures import FailureConfig, FailureEvent, FailureInjector
 from repro.substrate.ledger import (
     CompiledChain,
+    chain_cost,
     chain_fits,
     free_chain,
     reserve_chain,
 )
 from repro.substrate.link import InsufficientBandwidthError
-from repro.substrate.network import NoRouteError, SubstrateNetwork
+from repro.substrate.network import UNREACHABLE, SubstrateNetwork
 from repro.substrate.node import InsufficientCapacityError
 from repro.utils.rng import RandomState, derive_seed
 from repro.workloads.scenarios import Scenario
@@ -90,7 +93,7 @@ class _ChainRecord:
         self,
         rows: List[int],
         demands: List[List[float]],
-        segments: List[List[int]],
+        segments: List[Sequence[int]],
         bandwidth: float,
     ) -> None:
         self.rows = tuple(rows)
@@ -121,6 +124,7 @@ class _RequestView:
         "demand_arrays",
         "demand_lists",
         "licenses",
+        "revenue",
     )
 
     def __init__(
@@ -137,6 +141,7 @@ class _RequestView:
         num_vnfs: int,
         total_proc: float,
         vnfs: List[tuple],
+        revenue: float,
     ) -> None:
         self.request_id = request_id
         self.source_row = source_row
@@ -149,6 +154,7 @@ class _RequestView:
         self.departure = departure
         self.num_vnfs = num_vnfs
         self.total_proc = total_proc
+        self.revenue = revenue
         #: One tuple per VNF of the chain:
         #: (demand array, demand float list, processing delay, one-hot index,
         #:  license cost).
@@ -226,10 +232,7 @@ class _LaneState:
         self.counter = 0
 
 
-#: Route-memo entry of a row pair that no path connects.
-_NO_ROUTE: tuple = ()
-
-_NO_ROUTE_CODE, _INFEASIBLE_CODE, _ACCEPTED_CODE, _COMMIT_FAILED_CODE = (
+_UNROUTED_CODE, _INFEASIBLE_CODE, _ACCEPTED_CODE, _COMMIT_FAILED_CODE = (
     OUTCOME_CODE[name]
     for name in ("no_route", "infeasible", "accepted", "commit_failed")
 )
@@ -283,7 +286,6 @@ class SoAVecPlacementEnv:
         specs = list(specs)
         if not specs:
             raise ValueError("SoAVecPlacementEnv needs at least one lane")
-        self._specs = specs
         self.auto_reset = auto_reset
         if lane_names is not None and len(lane_names) != len(specs):
             raise ValueError(f"{len(lane_names)} lane names for {len(specs)} lanes")
@@ -339,21 +341,18 @@ class SoAVecPlacementEnv:
                     "the SoA core requires one shared topology across lanes"
                 )
 
-        # ---- shared template topology + constants ---------------------- #
+        # ---- shared topology + constants -------------------------------- #
         self._network = network
-        ledger = network.ledger
-        self._ledger = ledger
-        self._num_nodes = ledger.num_nodes
-        self._num_links = ledger.num_links
-        self._latency = network.latency_matrix
-        self._capacity = ledger.node_capacity
-        self._capacity_safe = ledger.node_capacity_safe
-        self._capacity_plus_tol = ledger._capacity_plus_tol
-        self._cost_per_unit = ledger.node_cost_per_unit
-        self._link_capacity = ledger.link_capacity
-        self._node_row: Dict[int, int] = dict(ledger.node_row)
-        self._row_ids: List[int] = list(ledger.node_ids)
-        cloud = ledger.cloud_tier_mask
+        topology = network.topology
+        self._topology = topology
+        self._num_nodes = topology.num_nodes
+        self._latency = topology.latency
+        self._capacity = topology.node_capacity
+        self._capacity_safe = topology.node_capacity_safe
+        self._cost_per_unit = topology.node_cost_per_unit
+        self._node_row = topology.node_row
+        self._row_ids = topology.node_ids
+        cloud = topology.cloud_tier_mask
         self._row_avail = [
             DEFAULT_NODE_AVAILABILITY["cloud"] if bool(cloud[row]) else DEFAULT_NODE_AVAILABILITY["edge"]
             for row in range(self._num_nodes)
@@ -363,20 +362,15 @@ class SoAVecPlacementEnv:
         self.config = ref_env_cfg
         self._latency_mask_check = ref_env_cfg.latency_mask_check
         self._requests_per_episode = ref_env_cfg.requests_per_episode
-        self._reward_config = ref_reward_cfg
-        self._encoder_config = ref_encoder_cfg
+        self._rewards = RewardCalculator(ref_reward_cfg)
         self._catalog = ref_catalog
         self._catalog_size = len(ref_catalog)
         self._reject_penalty = ref_reward_cfg.reject_penalty
         self._infeasible_penalty = ref_reward_cfg.infeasible_penalty
-        self._accept_reward = ref_reward_cfg.accept_reward
-        self._latency_weight = ref_reward_cfg.latency_weight
-        self._cost_weight = ref_reward_cfg.cost_weight
         self._step_latency_weight = ref_reward_cfg.step_latency_weight
         self._step_cost_weight = ref_reward_cfg.step_cost_weight
         # Reference: load_balance_weight * 0.1 * utilization (left-assoc).
         self._balance_weight01 = ref_reward_cfg.load_balance_weight * 0.1
-        self._revenue_scale = ref_reward_cfg.revenue_scale
         self._cost_normalizer = ref_reward_cfg.cost_normalizer
         self._max_chain_length = ref_encoder_cfg.max_chain_length
         self._bandwidth_normalizer = ref_encoder_cfg.bandwidth_normalizer_mbps
@@ -385,7 +379,7 @@ class SoAVecPlacementEnv:
         # ---- SoA state arrays ------------------------------------------ #
         num_lanes = len(specs)
         self._node_used = np.zeros((num_lanes, self._num_nodes, 3))
-        self._link_used = np.zeros((num_lanes, self._num_links))
+        self._link_used = np.zeros((num_lanes, topology.num_links))
         #: (K, N) fence mask folded into the batched action-mask kernel; a
         #: lane's row is cleared on reset so stale fences never leak into the
         #: next episode's masks (regression-tested).
@@ -401,11 +395,6 @@ class SoAVecPlacementEnv:
         #: the type object itself so hits can be identity-validated (see
         #: :meth:`_vnf_info` for why ``id()`` keys are unsafe).
         self._type_info: Dict[str, tuple] = {}
-        #: Routed row pairs shared by every lane, indexed ``a * N + b``:
-        #: ``None`` until :meth:`_route` fills it, then ``(latency, cost per
-        #: Mbps, link slots)``, or ``_NO_ROUTE``.
-        self._routes: List[Optional[tuple]] = [None] * (self._num_nodes ** 2)
-        self._cost_rows: List[List[float]] = self._cost_per_unit.tolist()
 
         self.episodes_completed = 0
         self._decision_version = 0
@@ -568,6 +557,7 @@ class SoAVecPlacementEnv:
             num_vnfs=request.num_vnfs,
             total_proc=chain.total_processing_delay_ms(),
             vnfs=vnfs,
+            revenue=request.revenue(),
         )
 
     # ------------------------------------------------------------------ #
@@ -713,15 +703,10 @@ class SoAVecPlacementEnv:
     # Decision context and masks
     # ------------------------------------------------------------------ #
     def _broadcast_constant(self, attr: str) -> np.ndarray:
-        """(K, N, 3) read-only broadcast of one shared template matrix."""
+        """(K, N, 3) read-only broadcast of one shared topology matrix."""
         cached = self._broadcast_cache.get(attr)
         if cached is None:
-            source = {
-                "node_capacity": self._capacity,
-                "node_capacity_safe": self._capacity_safe,
-                "node_cost_per_unit": self._cost_per_unit,
-                "_capacity_plus_tol": self._capacity_plus_tol,
-            }[attr]
+            source = getattr(self._topology, attr)
             cached = np.broadcast_to(source, (self.num_lanes,) + source.shape)
             self._broadcast_cache[attr] = cached
         return cached
@@ -731,7 +716,7 @@ class SoAVecPlacementEnv:
 
         Same structure and contents as the reference
         :meth:`VecPlacementEnv.lane_decision_context`; constants are
-        broadcast views of the shared template matrices rather than K-fold
+        broadcast views of the shared topology matrices rather than K-fold
         stacks.
         """
         if self._context is not None and self._context_version == self._decision_version:
@@ -760,7 +745,7 @@ class SoAVecPlacementEnv:
             budgets=np.array(budgets),
             holding=np.array(holding),
             used=self._node_used.copy(),
-            capacity_plus_tol=self._broadcast_constant("_capacity_plus_tol"),
+            capacity_plus_tol=self._broadcast_constant("capacity_plus_tol"),
             latency=self._latency[anchor_index],
             constant_stack=lambda attr: self._broadcast_constant(attr),
         )
@@ -1057,25 +1042,6 @@ class SoAVecPlacementEnv:
     # ------------------------------------------------------------------ #
     # Chain commit (routing, check, reserve, pricing)
     # ------------------------------------------------------------------ #
-    def _route(self, pair: int) -> tuple:
-        """Fill and return the route memo entry of one flat ``(a, b)`` pair.
-
-        From the template network's and ledger's path caches, so latency and
-        cost floats are bitwise what per-lane networks would compute.
-        """
-        a_row, b_row = divmod(pair, self._num_nodes)
-        try:
-            path = self._network.shortest_path(
-                self._row_ids[a_row], self._row_ids[b_row]
-            )
-        except NoRouteError:
-            route = _NO_ROUTE
-        else:
-            _, cost, slots = self._ledger.path_entry(path.nodes)
-            route = (path.latency_ms, cost, slots)
-        self._routes[pair] = route
-        return route
-
     def _commit_chain(
         self, lane: int, st: _LaneState, view: _RequestView
     ) -> Tuple[int, float]:
@@ -1090,28 +1056,26 @@ class SoAVecPlacementEnv:
         departure heap.
         """
         rows = st.partial_rows
-        routes = self._routes
+        topology = self._topology
+        routes = topology.routes
         num_nodes = self._num_nodes
         propagation = 0.0
         per_mbps = 0.0
-        segments: List[List[int]] = []
+        segments: List[Sequence[int]] = []
         prev = view.source_row
         dest = view.dest_row
         for row in rows if dest is None else [*rows, dest]:
             pair = prev * num_nodes + row
-            route = routes[pair]
-            if route is None:
-                route = self._route(pair)
-            if route is _NO_ROUTE:
-                return self._refuse(st, _NO_ROUTE_CODE)
-            latency, cost, slots = route
-            propagation += latency
-            per_mbps += cost
-            segments.append(slots)
+            path = routes[pair]
+            if path is None:
+                path = topology.route(pair)
+            if path is UNREACHABLE:
+                return self._refuse(st, _UNROUTED_CODE)
+            propagation += path.latency_ms
+            per_mbps += path.cost_per_mbps
+            segments.append(path.slots)
             prev = row
-        chain = CompiledChain(
-            self._ledger, rows, view.demand_arrays, segments, view.bw
-        )
+        chain = CompiledChain(topology, rows, view.demand_arrays, segments, view.bw)
         node_used = self._node_used[lane]
         link_used = self._link_used[lane]
         e2e = propagation + view.total_proc
@@ -1126,7 +1090,7 @@ class SoAVecPlacementEnv:
             return self._refuse(st, _INFEASIBLE_CODE)
         try:
             reserve_chain(
-                self._ledger, node_used, link_used,
+                topology, node_used, link_used,
                 rows, view.demand_lists, segments, view.bw,
             )
         except (InsufficientCapacityError, InsufficientBandwidthError):
@@ -1134,27 +1098,17 @@ class SoAVecPlacementEnv:
         st.counter += 1
         record = _ChainRecord(rows, view.demand_lists, segments, view.bw)
         heapq.heappush(st.heap, (view.departure, st.counter, record))
-        holding = view.holding
-        cost_rows = self._cost_rows
-        cost = 0.0
-        for row, (d0, d1, d2), license_cost in zip(
-            rows, view.demand_lists, view.licenses
-        ):
-            c0, c1, c2 = cost_rows[row]
-            cost += (d0 * c0 + d1 * c1 + d2 * c2) * holding
-            cost += license_cost
-        total_cost = cost + view.bw * per_mbps * holding
+        hosting, transport = chain_cost(
+            topology, rows, view.demand_lists, view.licenses,
+            view.holding, view.bw, per_mbps,
+        )
+        total_cost = hosting + transport
         stats = st.stats
         stats.accepted += 1
         stats.total_latency_ms += e2e
         stats.total_cost += total_cost
-        # Terminal acceptance reward, exact reference association.
-        revenue = self._revenue_scale * (1.0 * view.bw * holding / 100.0) / 100.0
-        terminal = (
-            self._accept_reward
-            + revenue
-            - self._latency_weight * (e2e / view.sla)
-            - self._cost_weight * (total_cost / self._cost_normalizer)
+        terminal = self._rewards.acceptance_reward(
+            e2e, view.sla, total_cost, view.revenue
         )
         return _ACCEPTED_CODE, terminal
 

@@ -513,7 +513,7 @@ class VecPlacementEnv:
         used_rows = []
         ledgers = []
         zero_demand = self._zero_demand
-        dense_index = envs[0].network.dense_routing.index
+        node_row = envs[0].network.topology.node_row
         for env in envs:
             ledger = env.network.ledger
             ledgers.append(ledger)
@@ -535,7 +535,7 @@ class VecPlacementEnv:
             holding.append(request.holding_time)
             partial = env._partial_assignment
             anchor_rows.append(
-                dense_index[partial[-1] if partial else request.source_node_id]
+                node_row[partial[-1] if partial else request.source_node_id]
             )
         anchor_index = np.array(anchor_rows, dtype=np.int64)
         num_lanes = len(envs)
@@ -550,7 +550,7 @@ class VecPlacementEnv:
             budgets=np.array(budgets),
             holding=np.array(holding),
             used=np.concatenate(used_rows).reshape(num_lanes, num_nodes, 3),
-            capacity_plus_tol=self._stacked_constant("_capacity_plus_tol", ledgers),
+            capacity_plus_tol=self._stacked_constant("capacity_plus_tol", ledgers),
             latency=envs[0].network.latency_matrix[anchor_index],
             constant_stack=self._stacked_constant,
         )

@@ -9,8 +9,9 @@ to a substrate node and routes traffic source → VNF₁ → ... → VNFₙ
 * atomically commit to / release from a :class:`SubstrateNetwork`.
 
 Placement construction routes the service path and stops there: it is
-side-effect free, and only :meth:`Placement.commit` mutates the substrate.  On
-first use against a ledger a placement compiles itself into a
+side-effect free, and only :meth:`Placement.commit` mutates the substrate.
+Each routed segment is one entry of the topology's route table.  On first
+use against a topology a placement compiles itself into a
 :class:`~repro.substrate.ledger.CompiledChain` (rows, demands, link slots),
 and the check, commit and release run the ledger's chain kernel on it.  A
 committed placement is named by its request: the node reservation of VNF
@@ -25,9 +26,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.nfv.sfc import SFCRequest
 from repro.nfv.sla import placement_availability
-from repro.substrate.ledger import CompiledChain, SubstrateLedger, chain_fits
+from repro.substrate.ledger import CompiledChain, chain_cost, chain_fits
 from repro.substrate.link import InsufficientBandwidthError
-from repro.substrate.network import PathInfo, SubstrateNetwork
+from repro.substrate.network import PathInfo, SubstrateNetwork, SubstrateTopology
 from repro.substrate.node import InsufficientCapacityError
 
 
@@ -52,8 +53,9 @@ class Placement:
     _paths: List[PathInfo] = field(default_factory=list, repr=False)
     _committed: bool = field(default=False, repr=False)
     # Memos set on first use: plain class attributes, not dataclass fields.
-    _compiled = None  # Optional[CompiledChain], for one ledger
-    _sla_ok = None  # Optional[bool], for that ledger's node tiers
+    _routed_on = None  # Optional[SubstrateTopology], whose table _paths are from
+    _compiled = None  # Optional[CompiledChain], for one topology
+    _sla_ok = None  # Optional[bool], for that topology's node tiers
     _latency_ms = None  # Optional[float]
     _handles = None  # Optional[Tuple[List[str], List[str]]]
 
@@ -92,11 +94,12 @@ class Placement:
         return anchors
 
     def _route(self, network: SubstrateNetwork) -> None:
+        topology = network.topology
         anchors = self._anchor_sequence()
         self._paths = [
-            network.shortest_path(start, end)
-            for start, end in zip(anchors[:-1], anchors[1:])
+            topology.path(start, end) for start, end in zip(anchors[:-1], anchors[1:])
         ]
+        self._routed_on = topology
 
     # ------------------------------------------------------------------ #
     # Derived quantities
@@ -129,14 +132,14 @@ class Placement:
     def satisfies_sla(self, network: Optional[SubstrateNetwork] = None) -> bool:
         """True when the end-to-end latency and availability meet the SLA.
 
-        With a network, the verdict is kept while its ledger is: latency and
-        availability read routes and node tiers, never usage.
+        With a network, the verdict is kept while its topology is: latency
+        and availability read routes and node tiers, never usage.
         """
         if network is None:
             return self.request.sla.is_satisfied(
                 self.end_to_end_latency_ms(), self.availability(None)
             )
-        self.compiled(network.ledger)
+        self.compiled(network.topology)
         if self._sla_ok is None:
             self._sla_ok = self.request.sla.is_satisfied(
                 self.end_to_end_latency_ms(), self.availability(network)
@@ -152,11 +155,11 @@ class Placement:
         """
         if network is None:
             return placement_availability(dict.fromkeys(self.node_assignment, "edge"))
-        ledger = network.ledger
-        cloud = ledger.cloud_tier_mask
+        topology = network.topology
+        cloud = topology.cloud_tier_mask
         return placement_availability(
             {
-                node_id: "cloud" if cloud[ledger.node_row[node_id]] else "edge"
+                node_id: "cloud" if cloud[topology.node_row[node_id]] else "edge"
                 for node_id in self.node_assignment
             }
         )
@@ -165,56 +168,63 @@ class Placement:
         """Fraction of the chain's VNFs hosted on edge nodes."""
         if not self.node_assignment:
             return 0.0
-        edge = network.ledger.edge_tier_mask
-        rows = self.compiled(network.ledger).rows
+        topology = network.topology
+        edge = topology.edge_tier_mask
+        rows = self.compiled(topology).rows
         return sum(1 for row in rows if edge[row]) / len(rows)
 
     # ------------------------------------------------------------------ #
     # Cost model
     # ------------------------------------------------------------------ #
+    def _costs(self, network: SubstrateNetwork) -> Tuple[float, float]:
+        """(hosting, transport) cost of the placement over the holding time."""
+        record, request = self.compiled(network.topology), self.request
+        licences = [vnf_type.license_cost for vnf_type in request.chain.vnf_types]
+        per_mbps = sum(path.cost_per_mbps for path in self._paths)
+        return chain_cost(
+            record.topology, record.rows, record.demands, licences,
+            request.holding_time, request.bandwidth_mbps, per_mbps,
+        )
+
     def hosting_cost(self, network: SubstrateNetwork) -> float:
         """Node-resource cost of the placement over the holding time."""
-        ledger = network.ledger
-        record = self.compiled(ledger)
-        duration = self.request.holding_time
-        cost = 0.0
-        for row, (d0, d1, d2), vnf_type in zip(
-            record.rows, record.demands, self.request.chain.vnf_types
-        ):
-            c0, c1, c2 = ledger.node_cost_per_unit[row].tolist()
-            cost += (d0 * c0 + d1 * c1 + d2 * c2) * duration
-            cost += vnf_type.license_cost
-        return cost
+        return self._costs(network)[0]
 
     def transport_cost(self, network: SubstrateNetwork) -> float:
         """Link-bandwidth cost of the placement over the holding time."""
-        duration = self.request.holding_time
-        bandwidth = self.request.bandwidth_mbps
-        ledger = network.ledger
-        per_mbps = sum(ledger.path_cost_per_mbps(path.nodes) for path in self._paths)
-        return bandwidth * per_mbps * duration
+        return self._costs(network)[1]
 
     def total_cost(self, network: SubstrateNetwork) -> float:
         """Hosting plus transport cost of the placement."""
-        return self.hosting_cost(network) + self.transport_cost(network)
+        hosting, transport = self._costs(network)
+        return hosting + transport
 
     # ------------------------------------------------------------------ #
     # Feasibility / commit / release
     # ------------------------------------------------------------------ #
-    def compiled(self, ledger: SubstrateLedger) -> CompiledChain:
-        """This placement flattened against ``ledger`` (built on first use).
+    def compiled(self, topology: SubstrateTopology) -> CompiledChain:
+        """This placement flattened against ``topology`` (built on first use).
 
-        A placement used against another ledger (a twin network, or the one a
-        topology change rebuilds) recompiles.
+        Segments take the link slots of their route-table entries.  Against
+        another topology (a twin network's, or the one a topology change
+        rebuilds) the placement recompiles, mapping its routed node paths
+        through that topology's ``edge_index``.
         """
         record = self._compiled
-        if record is None or record.ledger is not ledger:
-            node_row = ledger.node_row
+        if record is None or record.topology is not topology:
+            if topology is self._routed_on:
+                segments = [path.slots for path in self._paths]
+            else:
+                index = topology.edge_index
+                segments = [
+                    [index[link] for link in path.links()] for path in self._paths
+                ]
+            node_row = topology.node_row
             record = self._compiled = CompiledChain(
-                ledger,
+                topology,
                 [node_row[node_id] for node_id in self.node_assignment],
                 list(self.request.chain.demand_rows),
-                [ledger.path_entry(path.nodes)[2] for path in self._paths],
+                segments,
                 self.request.bandwidth_mbps,
             )
             self._sla_ok = None
@@ -244,7 +254,9 @@ class Placement:
         traversal.  Both checks read the compiled record.
         """
         ledger = network.ledger
-        if not chain_fits(ledger.node_used, ledger.link_used, self.compiled(ledger)):
+        if not chain_fits(
+            ledger.node_used, ledger.link_used, self.compiled(ledger.topology)
+        ):
             return False
         return self.satisfies_sla(network)
 
@@ -261,7 +273,9 @@ class Placement:
             )
         ledger = network.ledger
         try:
-            ledger.allocate_chain(self.compiled(ledger), *self._allocation_handles())
+            ledger.allocate_chain(
+                self.compiled(ledger.topology), *self._allocation_handles()
+            )
         except (
             InsufficientCapacityError, InsufficientBandwidthError, ValueError
         ) as err:
@@ -277,7 +291,9 @@ class Placement:
                 f"placement for request {self.request.request_id} is not committed"
             )
         ledger = network.ledger
-        ledger.release_chain(self.compiled(ledger), *self._allocation_handles())
+        ledger.release_chain(
+            self.compiled(ledger.topology), *self._allocation_handles()
+        )
         self._committed = False
 
     # ------------------------------------------------------------------ #

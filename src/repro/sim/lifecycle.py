@@ -98,9 +98,9 @@ def placement_traverses_link(
     placement: Placement, endpoints: Tuple[int, int], network: SubstrateNetwork
 ) -> bool:
     """True when any routed segment of ``placement`` crosses ``endpoints``."""
-    ledger = network.ledger
-    slot = ledger.edge_index.get(canonical_endpoints(*endpoints))
-    return slot in placement.compiled(ledger).traversals
+    topology = network.topology
+    slot = topology.edge_index.get(canonical_endpoints(*endpoints))
+    return slot in placement.compiled(topology).traversals
 
 
 # --------------------------------------------------------------------------- #

@@ -14,10 +14,10 @@ from repro.substrate.link import (
     canonical_endpoints,
 )
 from repro.substrate.network import (
-    DenseRouting,
     NoRouteError,
     PathInfo,
     SubstrateNetwork,
+    SubstrateTopology,
     UnknownNodeError,
 )
 from repro.substrate.node import (
@@ -45,13 +45,13 @@ __all__ = [
     "propagation_latency_ms",
     "random_points_near",
     "SubstrateLedger",
-    "DenseRouting",
     "InsufficientBandwidthError",
     "Link",
     "canonical_endpoints",
     "NoRouteError",
     "PathInfo",
     "SubstrateNetwork",
+    "SubstrateTopology",
     "UnknownNodeError",
     "ComputeNode",
     "InsufficientCapacityError",

@@ -1,17 +1,18 @@
 """The array-backed usage ledger of one substrate network.
 
 :class:`SubstrateLedger` is the only usage state of a
-:class:`~repro.substrate.network.SubstrateNetwork`.  Nodes and links are
-static descriptions; what is allocated on them lives here, in contiguous
-numpy arrays plus one record dict per node row and per link slot:
+:class:`~repro.substrate.network.SubstrateNetwork`.  Nodes, links and their
+static columns live in the read-only
+:class:`~repro.substrate.network.SubstrateTopology` the ledger is built over
+(and keeps references to); what is allocated on them lives here, in
+contiguous numpy arrays plus one record dict per node row and per link slot:
 
-* ``node_capacity`` / ``node_used`` — ``(num_nodes, 3)`` matrices in the
-  canonical ``(cpu, memory, storage)`` dimension order, with
-  ``node_alloc_count`` and ``node_records`` (handle → demand) per row,
-* ``link_capacity`` / ``link_used`` / ``link_latency`` / ``link_cost`` —
-  ``(num_links,)`` vectors addressed through ``edge_index``, a map from
-  canonical link endpoints to array slot, with ``link_records``
-  (handle → bandwidth) per slot.
+* ``node_used`` — a ``(num_nodes, 3)`` matrix in the canonical
+  ``(cpu, memory, storage)`` dimension order, with ``node_alloc_count`` and
+  ``node_records`` (handle → demand) per row,
+* ``link_used`` — a ``(num_links,)`` vector addressed through the
+  topology's ``edge_index`` (canonical link endpoints → slot), with
+  ``link_records`` (handle → bandwidth) per slot.
 
 :meth:`~SubstrateLedger.allocate_node`, :meth:`~SubstrateLedger.release_node`,
 :meth:`~SubstrateLedger.reserve_link`, :meth:`~SubstrateLedger.release_link`,
@@ -24,6 +25,7 @@ node-by-node or link-by-link.
 One kernel — :func:`chain_fits`, :func:`reserve_chain`, :func:`free_chain` —
 checks, commits and releases a placed chain (a :class:`CompiledChain`) on
 ``(node_used, link_used)`` views: a ledger's arrays or one SoA lane's rows.
+:func:`chain_cost` prices a placed chain for both environment cores.
 
 The ledger is built lazily by :attr:`SubstrateNetwork.ledger` and rebuilt,
 empty, after a topology mutation (``add_node`` / ``add_link``), which the
@@ -36,98 +38,58 @@ from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.substrate.link import (
-    InsufficientBandwidthError,
-    UnknownReservationError,
-    canonical_endpoints,
-)
+from repro.substrate.link import InsufficientBandwidthError, UnknownReservationError
 from repro.substrate.node import InsufficientCapacityError, UnknownAllocationError
 from repro.utils.validation import check_non_negative
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.substrate.network import SubstrateNetwork
+    from repro.substrate.network import SubstrateNetwork, SubstrateTopology
 
 #: Feasibility tolerance of every node and link fit check.
 CAPACITY_TOL = 1e-9
 
 
 class SubstrateLedger:
-    """Capacities, usage and live allocations of one substrate's nodes and links."""
+    """Usage and live allocations of one network's nodes and links."""
 
-    def __init__(self, network: "SubstrateNetwork") -> None:
-        nodes = list(network.nodes())
-        links = list(network.links())
+    def __init__(self, topology: "SubstrateTopology") -> None:
+        self.topology = topology
+        # Static columns, shared read-only with every ledger over the topology.
+        self.node_ids = topology.node_ids
+        self.node_row = topology.node_row
+        self.node_capacity = topology.node_capacity
+        self.node_capacity_safe = topology.node_capacity_safe
+        self.capacity_plus_tol = topology.capacity_plus_tol
+        self.node_cost_per_unit = topology.node_cost_per_unit
+        self.edge_tier_mask = topology.edge_tier_mask
+        self.cloud_tier_mask = topology.cloud_tier_mask
+        self.edge_index = topology.edge_index
+        self.link_capacity = topology.link_capacity
 
-        # --- node-side arrays ------------------------------------------- #
-        self.node_ids: List[int] = [node.node_id for node in nodes]
-        self.node_row: Dict[int, int] = {
-            node_id: row for row, node_id in enumerate(self.node_ids)
-        }
-        self.node_capacity = (
-            np.stack([node.capacity.as_array() for node in nodes])
-            if nodes
-            else np.zeros((0, 3))
-        )
-        # Zero-capacity dimensions report 0.0 utilization (x / inf == 0).
-        self.node_capacity_safe = np.where(
-            self.node_capacity > 0, self.node_capacity, np.inf
-        )
-        self.node_used = np.zeros_like(self.node_capacity)
-        self.node_cost_per_unit = (
-            np.stack([node.cost_per_unit.as_array() for node in nodes])
-            if nodes
-            else np.zeros((0, 3))
-        )
-        self.node_activation_cost = np.array(
-            [node.activation_cost for node in nodes], dtype=float
-        )
-        self.node_alloc_count = np.zeros(len(nodes), dtype=np.int64)
+        self.num_nodes = num_nodes = topology.num_nodes
+        self.num_links = num_links = topology.num_links
+        self.node_used = np.zeros((num_nodes, 3))
+        self.node_alloc_count = np.zeros(num_nodes, dtype=np.int64)
         #: Live allocations per node row: handle -> demand, a ``(3,)`` array.
-        self.node_records: List[Dict[str, np.ndarray]] = [{} for _ in nodes]
-        self.edge_tier_mask = np.array([node.is_edge for node in nodes], dtype=bool)
-        self.cloud_tier_mask = ~self.edge_tier_mask
-
-        # --- link-side arrays ------------------------------------------- #
-        self.link_endpoints = (
-            np.array([link.endpoints for link in links], dtype=np.int64)
-            if links
-            else np.zeros((0, 2), dtype=np.int64)
-        )
-        self.edge_index: Dict[Tuple[int, int], int] = {
-            link.endpoints: slot for slot, link in enumerate(links)
-        }
-        self.link_capacity = np.array(
-            [link.bandwidth_capacity for link in links], dtype=float
-        )
-        self.link_used = np.zeros(len(links), dtype=float)
-        self.link_latency = np.array([link.latency_ms for link in links], dtype=float)
-        self.link_cost = np.array([link.cost_per_mbps for link in links], dtype=float)
+        self.node_records: List[Dict[str, np.ndarray]] = [{} for _ in range(num_nodes)]
+        self.link_used = np.zeros(num_links, dtype=float)
         #: Live reservations per link slot: handle -> bandwidth (Mbps).
-        self.link_records: List[Dict[str, float]] = [{} for _ in links]
-
-        #: Memo of path node-sequence -> :meth:`path_entry` (paths repeat a
-        #: lot because routed paths are themselves cached per node pair).
-        self._path_edge_cache: Dict[Tuple[int, ...], tuple] = {}
+        self.link_records: List[Dict[str, float]] = [{} for _ in range(num_links)]
 
         # Version counter bumped on every node mutation; derived matrices
         # (utilization, per-node max utilization) are memoized against it so
         # several reads between mutations share one computation.
         self._node_version = 0
         self._util_version = -1
-        self._util_matrix: np.ndarray = np.zeros_like(self.node_capacity)
+        self._util_matrix: np.ndarray = np.zeros((num_nodes, 3))
         self._max_util_version = -1
-        self._max_util: np.ndarray = np.zeros(len(nodes))
-        self._capacity_plus_tol = self.node_capacity + CAPACITY_TOL
-        # Python-float copies of the static columns for the scalar chain kernel.
-        self._capacity_rows: List[List[float]] = self.node_capacity.tolist()
-        self._capacity_tol_rows: List[List[float]] = self._capacity_plus_tol.tolist()
-        self._link_capacity_list: List[float] = self.link_capacity.tolist()
+        self._max_util: np.ndarray = np.zeros(num_nodes)
         self._free_tol_version = -1
-        self._free_tol: np.ndarray = np.zeros_like(self.node_capacity)
+        self._free_tol: np.ndarray = np.zeros((num_nodes, 3))
         # Single-entry memo for can_host_all: the encoder and the action mask
         # query the same demand in the same decision step.
         self._can_host_key: Tuple[int, Tuple[int, ...], bytes] = (-1, (), b"")
-        self._can_host_result: np.ndarray = np.zeros(len(nodes), dtype=bool)
+        self._can_host_result: np.ndarray = np.zeros(num_nodes, dtype=bool)
 
     # ------------------------------------------------------------------ #
     # Allocation primitives (every usage write goes through these)
@@ -149,7 +111,7 @@ class SubstrateLedger:
                 f"allocation handle {handle!r} already exists on node {self.node_ids[row]}"
             )
         used = self.node_used[row]
-        if not (used + demand <= self._capacity_plus_tol[row]).all():
+        if not (used + demand <= self.capacity_plus_tol[row]).all():
             free = np.maximum(self.node_capacity[row] - used, 0.0)
             raise InsufficientCapacityError(
                 f"node {self.node_ids[row]} cannot host demand {demand.tolist()}; "
@@ -190,12 +152,12 @@ class SubstrateLedger:
         if handle in records:
             raise ValueError(
                 f"reservation handle {handle!r} already exists on link "
-                f"{self._link_key(slot)}"
+                f"{self.topology.links[slot].endpoints}"
             )
         free = max(0.0, self.link_capacity[slot] - self.link_used[slot])
         if not bandwidth <= free + CAPACITY_TOL:
             raise InsufficientBandwidthError(
-                f"link {self._link_key(slot)} cannot carry {bandwidth} Mbps "
+                f"link {self.topology.links[slot].endpoints} cannot carry {bandwidth} Mbps "
                 f"(available {free:.3f} Mbps)"
             )
         records[handle] = bandwidth
@@ -206,7 +168,7 @@ class SubstrateLedger:
         records = self.link_records[slot]
         if handle not in records:
             raise UnknownReservationError(
-                f"link {self._link_key(slot)} holds no reservation {handle!r}"
+                f"link {self.topology.links[slot].endpoints} holds no reservation {handle!r}"
             )
         bandwidth = records.pop(handle)
         self.link_used[slot] = max(0.0, self.link_used[slot] - bandwidth)
@@ -227,11 +189,11 @@ class SubstrateLedger:
         for slots, handle in zip(chain.segments, segment_handles):
             for slot in slots:
                 if handle in link_records[slot]:
-                    link = self._link_key(slot)
+                    link = self.topology.links[slot].endpoints
                     raise ValueError(f"link {link} already holds {handle!r}")
         try:
             reserve_chain(
-                self, self.node_used, self.link_used,
+                self.topology, self.node_used, self.link_used,
                 chain.rows, chain.demands, chain.segments, chain.bandwidth,
             )
         finally:
@@ -284,23 +246,9 @@ class SubstrateLedger:
         self.link_used.fill(0.0)
         self._node_version += 1
 
-    def _link_key(self, slot: int) -> Tuple[int, int]:
-        u, v = self.link_endpoints[slot].tolist()
-        return (u, v)
-
     # ------------------------------------------------------------------ #
     # Vectorized node queries
     # ------------------------------------------------------------------ #
-    @property
-    def num_nodes(self) -> int:
-        """Number of compute nodes."""
-        return len(self.node_ids)
-
-    @property
-    def num_links(self) -> int:
-        """Number of links."""
-        return len(self.link_capacity)
-
     def can_host_all(self, demand: np.ndarray) -> np.ndarray:
         """Vectorized feasibility: which nodes can host ``demand``.
 
@@ -315,7 +263,7 @@ class SubstrateLedger:
         key = (self._node_version, demand.shape, demand.tobytes())
         if key != self._can_host_key:
             if self._free_tol_version != self._node_version:
-                np.subtract(self._capacity_plus_tol, self.node_used, out=self._free_tol)
+                np.subtract(self.capacity_plus_tol, self.node_used, out=self._free_tol)
                 self._free_tol_version = self._node_version
             self._can_host_result = (demand[..., None, :] <= self._free_tol).all(axis=-1)
             self._can_host_key = key
@@ -357,50 +305,10 @@ class SubstrateLedger:
         """Instantaneous cost rate of all node and link allocations."""
         node_cost = float(np.sum(self.node_used * self.node_cost_per_unit))
         node_cost += float(
-            np.sum(self.node_activation_cost[self.node_alloc_count > 0])
+            np.sum(self.topology.node_activation_cost[self.node_alloc_count > 0])
         )
-        link_cost = float(self.link_used @ self.link_cost)
+        link_cost = float(self.link_used @ self.topology.link_cost)
         return node_cost + link_cost
-
-    # ------------------------------------------------------------------ #
-    # Vectorized link / path queries
-    # ------------------------------------------------------------------ #
-    def path_entry(self, nodes: Sequence[int]) -> Tuple[np.ndarray, float, List[int]]:
-        """(link slots, cost-per-Mbps sum, the slots as a list) of a path (memoized).
-
-        One lookup serving consumers that need several parts — e.g. the SoA
-        environment core's shared routed-path cache or a compiled placement —
-        without paying the memo probe twice.  Treat the parts as read-only.
-        """
-        key = tuple(nodes)
-        cached = self._path_edge_cache.get(key)
-        if cached is None:
-            slots = np.array(
-                [
-                    self.edge_index[canonical_endpoints(key[i], key[i + 1])]
-                    for i in range(len(key) - 1)
-                ],
-                dtype=np.int64,
-            )
-            cost = float(self.link_cost[slots].sum()) if slots.size else 0.0
-            cached = (slots, cost, slots.tolist())
-            self._path_edge_cache[key] = cached
-        return cached
-
-    def path_edge_indices(self, nodes: Sequence[int]) -> np.ndarray:
-        """Ledger slots of the links along an explicit node sequence (memoized)."""
-        return self.path_entry(nodes)[0]
-
-    def path_cost_per_mbps(self, nodes: Sequence[int]) -> float:
-        """Sum of per-Mbps link costs along an explicit node sequence (memoized)."""
-        return self.path_entry(nodes)[1]
-
-    def path_available_bandwidth(self, nodes: Sequence[int]) -> float:
-        """Bottleneck free bandwidth along an explicit node sequence."""
-        slots = self.path_edge_indices(nodes)
-        if slots.size == 0:
-            return float("inf")
-        return float(np.min(self.link_capacity[slots] - self.link_used[slots]))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -409,7 +317,7 @@ class SubstrateLedger:
 
 
 class CompiledChain:
-    """One placed chain flattened against one ledger's rows and slots.
+    """One placed chain flattened against one topology's rows and slots.
 
     Per instance in chain order: ``rows``, ``arrays`` (the ``(3,)`` demand
     records) and ``demands`` (as float lists); per segment, its link slots.
@@ -419,15 +327,15 @@ class CompiledChain:
     """
 
     __slots__ = (
-        "ledger", "rows", "arrays", "demands", "segments", "bandwidth",
+        "topology", "rows", "arrays", "demands", "segments", "bandwidth",
         "row_demands", "traversals", "slot_loads",
     )
 
     def __init__(
-        self, ledger: SubstrateLedger, rows: List[int], arrays: List[np.ndarray],
-        segments: List[List[int]], bandwidth: float,
+        self, topology: "SubstrateTopology", rows: List[int],
+        arrays: List[np.ndarray], segments: List[Sequence[int]], bandwidth: float,
     ) -> None:
-        self.ledger = ledger
+        self.topology = topology
         self.rows = rows
         self.arrays = arrays
         self.demands = demands = [array.tolist() for array in arrays]
@@ -453,16 +361,17 @@ class CompiledChain:
 
 
 # --------------------------------------------------------------------------- #
-# The chain kernel.  Capacities come from a ledger (SoA lanes share their
-# template's); each write is the float expression of the primitive it
-# replaces, in the same order, so usage stays bitwise what those would leave.
+# The chain kernel.  Capacities come from the topology, which every ledger
+# and SoA lane over it shares; each write is the float expression of the
+# primitive it replaces, in the same order, so usage stays bitwise what those
+# would leave.
 # --------------------------------------------------------------------------- #
 def chain_fits(
     node_used: np.ndarray, link_used: np.ndarray, chain: CompiledChain
 ) -> bool:
     """True when all ``d <= (cap - used) + tol`` and no ``load > cap - used + tol``."""
-    ledger = chain.ledger
-    capacity = ledger._capacity_rows
+    topology = chain.topology
+    capacity = topology.capacity_rows
     for row, (d0, d1, d2) in chain.row_demands:
         c0, c1, c2 = capacity[row]
         u0, u1, u2 = node_used[row].tolist()
@@ -472,7 +381,7 @@ def chain_fits(
             and d2 <= (c2 - u2) + CAPACITY_TOL
         ):
             return False
-    link_capacity = ledger._link_capacity_list
+    link_capacity = topology.link_capacity_list
     for slot, load in chain.slot_loads:
         if load > link_capacity[slot] - link_used.item(slot) + CAPACITY_TOL:
             return False
@@ -480,7 +389,7 @@ def chain_fits(
 
 
 def reserve_chain(
-    ledger: SubstrateLedger, node_used: np.ndarray, link_used: np.ndarray,
+    topology: "SubstrateTopology", node_used: np.ndarray, link_used: np.ndarray,
     rows: Sequence[int], demands: Sequence[Sequence[float]],
     segments: Sequence[Sequence[int]], bandwidth: float,
 ) -> None:
@@ -490,21 +399,21 @@ def reserve_chain(
     earlier hops, the earlier segments and the instances, each front to back
     (usage may drift by rounding), and the primitive's error is raised.
     """
-    capacity_tol = ledger._capacity_tol_rows
+    capacity_tol = topology.capacity_tol_rows
     for placed, (row, (d0, d1, d2)) in enumerate(zip(rows, demands)):
         u0, u1, u2 = node_used[row].tolist()
         n0, n1, n2 = u0 + d0, u1 + d1, u2 + d2
         c0, c1, c2 = capacity_tol[row]
         if not (n0 <= c0 and n1 <= c1 and n2 <= c2):
-            c0, c1, c2 = ledger._capacity_rows[row]
+            c0, c1, c2 = topology.capacity_rows[row]
             free = [max(0.0, c0 - u0), max(0.0, c1 - u1), max(0.0, c2 - u2)]
             free_chain(node_used, link_used, rows[:placed], demands, (), bandwidth)
             raise InsufficientCapacityError(
-                f"node {ledger.node_ids[row]} cannot host demand "
+                f"node {topology.node_ids[row]} cannot host demand "
                 f"{[d0, d1, d2]}; free {free}"
             )
         node_used[row] = (n0, n1, n2)
-    link_capacity = ledger._link_capacity_list
+    link_capacity = topology.link_capacity_list
     for index, slots in enumerate(segments):
         for hop, slot in enumerate(slots):
             current = link_used.item(slot)
@@ -515,8 +424,9 @@ def reserve_chain(
                     node_used, link_used, rows, demands,
                     [slots[:hop], *segments[:index]], bandwidth,
                 )
+                link = topology.links[slot].endpoints
                 raise InsufficientBandwidthError(
-                    f"link {ledger._link_key(slot)} cannot carry {bandwidth} Mbps "
+                    f"link {link} cannot carry {bandwidth} Mbps "
                     f"(available {free:.3f} Mbps)"
                 )
             link_used[slot] = current + bandwidth
@@ -541,6 +451,27 @@ def free_chain(
         node_used[row] = (
             u0 if u0 > 0.0 else 0.0, u1 if u1 > 0.0 else 0.0, u2 if u2 > 0.0 else 0.0
         )
+
+
+def chain_cost(
+    topology: "SubstrateTopology", rows: Sequence[int],
+    demands: Sequence[Sequence[float]], licences: Sequence[float],
+    holding: float, bandwidth: float, per_mbps: float,
+) -> Tuple[float, float]:
+    """(hosting, transport) cost of a placed chain over its holding time.
+
+    Per instance, ``(d0*c0 + d1*c1 + d2*c2) * holding`` then its licence are
+    added to the hosting cost; the transport cost is
+    ``bandwidth * per_mbps * holding``, ``per_mbps`` being the routed
+    segments' summed cost per Mbps.
+    """
+    cost_rows = topology.cost_rows
+    hosting = 0.0
+    for row, (d0, d1, d2), licence in zip(rows, demands, licences):
+        c0, c1, c2 = cost_rows[row]
+        hosting += (d0 * c0 + d1 * c1 + d2 * c2) * holding
+        hosting += licence
+    return hosting, bandwidth * per_mbps * holding
 
 
 class LedgerRowCache:

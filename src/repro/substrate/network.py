@@ -1,15 +1,15 @@
-"""The geo-distributed substrate network.
+"""The geo-distributed substrate network: an immutable topology plus a ledger.
 
-:class:`SubstrateNetwork` combines static
-:class:`~repro.substrate.node.ComputeNode` and
-:class:`~repro.substrate.link.Link` descriptions, keyed by node id and by
-canonical link endpoints, with one
-:class:`~repro.substrate.ledger.SubstrateLedger` that holds all usage.  It
+A :class:`SubstrateNetwork` is built node by node and link by link.  On first
+use it freezes them into a read-only :class:`SubstrateTopology` (rows, slots,
+static columns, latency tables and a route table), which many networks may
+share (:meth:`SubstrateNetwork.over`); its own
+:class:`~repro.substrate.ledger.SubstrateLedger` holds all usage.  The network
 provides the operations that placement policies and the discrete-event
 simulator need:
 
-* latency-weighted shortest-path routing between any two nodes, answered
-  from one all-pairs latency matrix and next-hop table,
+* latency-weighted shortest-path routing between any two nodes, read from
+  the topology's route table,
 * feasibility-checked allocation/rollback of node resources and path
   bandwidth, addressed by node id and path and applied to ledger rows and
   link slots,
@@ -19,13 +19,14 @@ simulator need:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.substrate.geo import propagation_latency_ms
-from repro.substrate.ledger import SubstrateLedger
+from repro.substrate.ledger import CAPACITY_TOL, SubstrateLedger
 from repro.substrate.link import (
     InsufficientBandwidthError,
     Link,
@@ -43,29 +44,107 @@ class NoRouteError(RuntimeError):
     """Raised when two nodes are not connected in the substrate graph."""
 
 
-class DenseRouting:
-    """All-pairs latency matrix and next-hop table over a fixed topology.
+@dataclass(frozen=True)
+class PathInfo:
+    """A routed path: its nodes, latency, link slots and cost per Mbps.
 
-    Built once per topology with a vectorized Floyd–Warshall sweep:
-    ``latency[i, j]`` is the latency-shortest distance between the i-th and
-    j-th node (``inf`` when disconnected) and ``next_hop[i, j]`` is the row
-    index of the next node on that path (``-1`` when disconnected), so path
-    reconstruction is a simple array walk with no graph traversal.
+    ``slots`` are the topology's link slots of the hops in traversal order,
+    and ``cost_per_mbps`` is the sum of those links' per-Mbps costs.
     """
 
-    def __init__(self, network: "SubstrateNetwork") -> None:
-        ids = list(network.node_ids)
-        self.node_ids = ids
-        self.index: Dict[int, int] = {node_id: i for i, node_id in enumerate(ids)}
-        n = len(ids)
+    nodes: Tuple[int, ...]
+    latency_ms: float
+    slots: Tuple[int, ...] = ()
+    cost_per_mbps: float = 0.0
+
+    def links(self) -> List[Tuple[int, int]]:
+        """Canonical endpoint pairs of the links along the path."""
+        return [
+            canonical_endpoints(self.nodes[i], self.nodes[i + 1])
+            for i in range(len(self.nodes) - 1)
+        ]
+
+
+#: The route-table entry of a row pair that no path connects.
+UNREACHABLE = PathInfo(nodes=(), latency_ms=math.inf)
+
+
+class SubstrateTopology:
+    """The static half of a substrate: nodes, links, their columns and routes.
+
+    Node ``i`` of ``nodes`` is ledger row ``i`` and link ``j`` of ``links`` is
+    link slot ``j``.  Only the route table fills after construction, and
+    every numpy array is read-only, so any number of networks, ledgers and
+    SoA lanes share one topology.
+
+    ``latency[i, j]`` is the latency-shortest distance between rows ``i`` and
+    ``j`` (``inf`` when disconnected) and ``next_hop[i, j]`` the row after
+    ``i`` on that path (``-1`` when disconnected), from one vectorized
+    Floyd–Warshall sweep.  ``routes`` is the route table: entry
+    ``a * num_nodes + b`` is ``None`` until :meth:`route` fills it with the
+    :class:`PathInfo` from row ``a`` to row ``b``, or with
+    :data:`UNREACHABLE`.
+    """
+
+    def __init__(self, nodes: Iterable[ComputeNode], links: Iterable[Link]) -> None:
+        self.nodes = nodes = tuple(nodes)
+        self.links = links = tuple(links)
+        self.num_nodes = n = len(nodes)
+        self.num_links = len(links)
+
+        # --- node columns, one row per node --------------------------------- #
+        self.node_ids: Tuple[int, ...] = tuple(node.node_id for node in nodes)
+        self.node_row: Dict[int, int] = {
+            node_id: row for row, node_id in enumerate(self.node_ids)
+        }
+        self.edge_node_ids: Tuple[int, ...] = tuple(
+            node.node_id for node in nodes if node.is_edge
+        )
+        self.node_capacity = (
+            np.stack([node.capacity.as_array() for node in nodes])
+            if nodes
+            else np.zeros((0, 3))
+        )
+        # Zero-capacity dimensions report 0.0 utilization (x / inf == 0).
+        self.node_capacity_safe = np.where(
+            self.node_capacity > 0, self.node_capacity, np.inf
+        )
+        self.capacity_plus_tol = self.node_capacity + CAPACITY_TOL
+        self.node_cost_per_unit = (
+            np.stack([node.cost_per_unit.as_array() for node in nodes])
+            if nodes
+            else np.zeros((0, 3))
+        )
+        self.node_activation_cost = np.array(
+            [node.activation_cost for node in nodes], dtype=float
+        )
+        self.edge_tier_mask = np.array([node.is_edge for node in nodes], dtype=bool)
+        self.cloud_tier_mask = ~self.edge_tier_mask
+
+        # --- link columns, one slot per link -------------------------------- #
+        self.edge_index: Dict[Tuple[int, int], int] = {
+            link.endpoints: slot for slot, link in enumerate(links)
+        }
+        self.link_capacity = np.array(
+            [link.bandwidth_capacity for link in links], dtype=float
+        )
+        self.link_cost = np.array([link.cost_per_mbps for link in links], dtype=float)
+
+        # Python-float copies of the static columns for the scalar chain kernel.
+        self.capacity_rows: List[List[float]] = self.node_capacity.tolist()
+        self.capacity_tol_rows: List[List[float]] = self.capacity_plus_tol.tolist()
+        self.link_capacity_list: List[float] = self.link_capacity.tolist()
+        self.cost_rows: List[List[float]] = self.node_cost_per_unit.tolist()
+
+        # --- all-pairs routing ---------------------------------------------- #
         latency = np.full((n, n), np.inf)
         next_hop = np.full((n, n), -1, dtype=np.int64)
         diag = np.arange(n)
         latency[diag, diag] = 0.0
         next_hop[diag, diag] = diag
-        for link in network.links():
+        for link in links:
             u, v = link.endpoints
-            i, j = self.index[u], self.index[v]
+            i, j = self.node_row[u], self.node_row[v]
             if link.latency_ms < latency[i, j]:
                 latency[i, j] = latency[j, i] = link.latency_ms
                 next_hop[i, j] = j
@@ -79,38 +158,61 @@ class DenseRouting:
                 next_hop = np.where(better, next_hop[:, k, None], next_hop)
         self.latency = latency
         self.next_hop = next_hop
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        self.routes: List[Optional[PathInfo]] = [None] * (n * n)
 
-    def walk(self, source: int, target: int) -> Tuple[int, ...]:
-        """Reconstruct the node-id sequence of the shortest path."""
-        i, j = self.index[source], self.index[target]
-        if self.next_hop[i, j] < 0:
+    def route(self, pair: int) -> PathInfo:
+        """Fill and return the route-table entry of one ordered row pair.
+
+        Between node ids ``s`` and ``t`` the path walks the next-hop table
+        from ``min(s, t)`` to ``max(s, t)`` and is reversed when ``s > t``, so
+        both directions take the same links even where equal-latency paths
+        tie; its latency is the matrix entry of that canonical pair.
+        """
+        a, b = divmod(pair, self.num_nodes)
+        ids = self.node_ids
+        source, target = ids[a], ids[b]
+        low, high = (a, b) if source < target else (b, a)
+        if a == b:
+            path = PathInfo(nodes=(source,), latency_ms=0.0)
+        elif self.next_hop[low, high] < 0:
+            path = UNREACHABLE
+        else:
+            hops = self.next_hop[:, high]
+            rows = [low]
+            while rows[-1] != high:
+                rows.append(int(hops[rows[-1]]))
+            if source > target:
+                rows.reverse()
+            nodes = tuple(ids[row] for row in rows)
+            slots = [
+                self.edge_index[canonical_endpoints(nodes[i], nodes[i + 1])]
+                for i in range(len(nodes) - 1)
+            ]
+            path = PathInfo(
+                nodes=nodes,
+                latency_ms=float(self.latency[low, high]),
+                slots=tuple(slots),
+                cost_per_mbps=float(self.link_cost[slots].sum()),
+            )
+        self.routes[pair] = path
+        return path
+
+    def path(self, source: int, target: int) -> PathInfo:
+        """The routed path between two node ids (one table read when warm)."""
+        row = self.node_row
+        try:
+            pair = row[source] * self.num_nodes + row[target]
+        except KeyError as exc:
+            raise UnknownNodeError(f"unknown node id {exc.args[0]}") from None
+        path = self.routes[pair]
+        if path is None:
+            path = self.route(pair)
+        if path is UNREACHABLE:
             raise NoRouteError(f"no route between {source} and {target}")
-        hops = self.next_hop[:, j]
-        sequence = [source]
-        while i != j:
-            i = int(hops[i])
-            sequence.append(self.node_ids[i])
-        return tuple(sequence)
-
-
-@dataclass(frozen=True)
-class PathInfo:
-    """A routed path with its aggregate latency."""
-
-    nodes: Tuple[int, ...]
-    latency_ms: float
-
-    @property
-    def hop_count(self) -> int:
-        """Number of links traversed."""
-        return max(0, len(self.nodes) - 1)
-
-    def links(self) -> List[Tuple[int, int]]:
-        """Canonical endpoint pairs of the links along the path."""
-        return [
-            canonical_endpoints(self.nodes[i], self.nodes[i + 1])
-            for i in range(len(self.nodes) - 1)
-        ]
+        return path
 
 
 class SubstrateNetwork:
@@ -119,62 +221,59 @@ class SubstrateNetwork:
     def __init__(self) -> None:
         self._nodes: Dict[int, ComputeNode] = {}
         self._links: Dict[Tuple[int, int], Link] = {}
-        #: Routed paths memoized under their canonical (min, max) id pair.
-        self._path_cache: Dict[Tuple[int, int], PathInfo] = {}
-        self._dense: Optional[DenseRouting] = None
+        self._topology: Optional[SubstrateTopology] = None
         self._ledger: Optional[SubstrateLedger] = None
-        self._edge_ids: Optional[Tuple[int, ...]] = None
 
-    def _invalidate_topology_caches(self) -> None:
-        """Drop every derived structure before a topology mutation.
+    @classmethod
+    def over(cls, topology: SubstrateTopology) -> "SubstrateNetwork":
+        """A new network over a built topology, with its own empty ledger."""
+        network = cls()
+        network._nodes = {node.node_id: node for node in topology.nodes}
+        network._links = {link.endpoints: link for link in topology.links}
+        network._topology = topology
+        return network
 
-        The rebuilt ledger starts empty, so the topology may change only
-        while nothing is allocated.
+    def _drop_topology(self) -> None:
+        """Forget this network's topology and ledger before its graph changes.
+
+        The rebuilt ledger starts empty, so the graph may change only while
+        nothing is allocated.  A topology other networks share is left as it
+        is; this network builds a new one on next use.
         """
         ledger = self._ledger
         if ledger is not None and (any(ledger.node_records) or any(ledger.link_records)):
             raise RuntimeError("cannot change the topology while allocations are live")
-        self._path_cache.clear()
-        self._dense = None
+        self._topology = None
         self._ledger = None
-        self._edge_ids = None
+
+    @property
+    def topology(self) -> SubstrateTopology:
+        """The immutable topology of the current graph (built lazily)."""
+        if self._topology is None:
+            self._topology = SubstrateTopology(
+                self._nodes.values(), self._links.values()
+            )
+        return self._topology
 
     @property
     def ledger(self) -> SubstrateLedger:
         """The array-backed usage ledger (built lazily, empty after a rebuild)."""
         if self._ledger is None:
-            self._ledger = SubstrateLedger(self)
+            self._ledger = SubstrateLedger(self.topology)
         return self._ledger
-
-    @property
-    def dense_routing(self) -> DenseRouting:
-        """The all-pairs latency matrix / next-hop table (built lazily)."""
-        if self._dense is None:
-            self._dense = DenseRouting(self)
-        return self._dense
 
     @property
     def latency_matrix(self) -> np.ndarray:
         """All-pairs shortest-path latency matrix in ledger row order."""
-        return self.dense_routing.latency
+        return self.topology.latency
 
     def latency_row(self, node_id: int) -> np.ndarray:
         """Shortest-path latencies from ``node_id`` to every node (row view)."""
-        dense = self.dense_routing
+        topology = self.topology
         try:
-            return dense.latency[dense.index[node_id]]
+            return topology.latency[topology.node_row[node_id]]
         except KeyError as exc:
             raise UnknownNodeError(f"unknown node id {node_id}") from exc
-
-    def prepare(self) -> "SubstrateNetwork":
-        """Eagerly build the dense routing tables and the resource ledger.
-
-        Topology generators call this once after construction so that the
-        first ``env.step()`` does not pay the build cost.
-        """
-        self.dense_routing
-        self.ledger
-        return self
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -183,7 +282,7 @@ class SubstrateNetwork:
         """Register a compute node.  Node ids must be unique."""
         if node.node_id in self._nodes:
             raise ValueError(f"node id {node.node_id} already present")
-        self._invalidate_topology_caches()
+        self._drop_topology()
         self._nodes[node.node_id] = node
 
     def add_link(
@@ -215,7 +314,7 @@ class SubstrateNetwork:
             latency_ms=latency_ms,
             cost_per_mbps=cost_per_mbps,
         )
-        self._invalidate_topology_caches()
+        self._drop_topology()
         self._links[key] = link
         return link
 
@@ -229,12 +328,8 @@ class SubstrateNetwork:
 
     @property
     def edge_node_ids(self) -> Tuple[int, ...]:
-        """Ids of edge-tier nodes, in insertion order (memoized per topology)."""
-        if self._edge_ids is None:
-            self._edge_ids = tuple(
-                nid for nid, node in self._nodes.items() if node.is_edge
-            )
-        return self._edge_ids
+        """Ids of edge-tier nodes, in insertion order (kept by the topology)."""
+        return self.topology.edge_node_ids
 
     @property
     def cloud_node_ids(self) -> List[int]:
@@ -289,69 +384,41 @@ class SubstrateNetwork:
     # Routing
     # ------------------------------------------------------------------ #
     def shortest_path(self, source: int, target: int) -> PathInfo:
-        """Latency-shortest path between two nodes.
+        """Latency-shortest path between two nodes, from the route table.
 
-        The path is reconstructed by walking the precomputed next-hop
-        table.  Routed paths are memoized under the canonical ``(min, max)``
-        id pair — the reverse orientation is a cheap tuple reversal, never a
-        second cache entry.  Caches are invalidated whenever topology
-        changes; bandwidth reservations do not change the latency metric so
-        routing stays stable within an episode, matching the behaviour of
-        latency-based routing in SDN controllers.
+        Bandwidth reservations do not change the latency metric, so routing
+        stays fixed for the life of a topology, matching latency-based
+        routing in SDN controllers.
         """
-        for node_id in (source, target):
-            if node_id not in self._nodes:
-                raise UnknownNodeError(f"unknown node id {node_id}")
-        if source == target:
-            return PathInfo(nodes=(source,), latency_ms=0.0)
-        key = canonical_endpoints(source, target)
-        cached = self._path_cache.get(key)
-        if cached is None:
-            dense = self.dense_routing
-            nodes = dense.walk(*key)
-            latency = float(dense.latency[dense.index[key[0]], dense.index[key[1]]])
-            cached = PathInfo(nodes=nodes, latency_ms=latency)
-            self._path_cache[key] = cached
-        if source == key[0]:
-            return cached
-        return PathInfo(nodes=cached.nodes[::-1], latency_ms=cached.latency_ms)
+        return self.topology.path(source, target)
 
     def latency_between(self, source: int, target: int) -> float:
         """Latency of the shortest path between two nodes.
 
         This is a single O(1) matrix lookup.
         """
-        dense = self.dense_routing
+        topology = self.topology
+        row = topology.node_row
         try:
-            value = dense.latency[dense.index[source], dense.index[target]]
+            value = topology.latency[row[source], row[target]]
         except KeyError as exc:
             raise UnknownNodeError(f"unknown node id {exc.args[0]}") from exc
         if value == np.inf:
             raise NoRouteError(f"no route between {source} and {target}")
         return float(value)
 
-    def path_available_bandwidth(self, nodes: Sequence[int]) -> float:
-        """Bottleneck free bandwidth along an explicit node sequence."""
-        if len(nodes) <= 1:
-            return float("inf")
-        return self.ledger.path_available_bandwidth(nodes)
-
-    def path_can_carry(self, nodes: Sequence[int], bandwidth: float) -> bool:
-        """True when every link along the path can carry ``bandwidth``."""
-        return self.path_available_bandwidth(nodes) + 1e-9 >= bandwidth
-
     # ------------------------------------------------------------------ #
     # Allocation (nodes + paths) with rollback on partial failure
     # ------------------------------------------------------------------ #
     def _node_row(self, node_id: int) -> int:
         try:
-            return self.ledger.node_row[node_id]
+            return self.topology.node_row[node_id]
         except KeyError:
             raise UnknownNodeError(f"unknown node id {node_id}") from None
 
     def _link_slot(self, u: int, v: int) -> int:
         try:
-            return self.ledger.edge_index[canonical_endpoints(u, v)]
+            return self.topology.edge_index[canonical_endpoints(u, v)]
         except KeyError:
             raise UnknownNodeError(f"no link between {u} and {v}") from None
 

@@ -179,7 +179,7 @@ def metro_edge_cloud_topology(config: Optional[TopologyConfig] = None) -> Substr
                 latency_ms=wan_latency,
             )
 
-    return network.prepare()
+    return network
 
 
 def random_geometric_topology(
@@ -245,7 +245,7 @@ def random_geometric_topology(
         for gateway in gateways[:gateway_count]:
             if not network.has_link(cloud_id, gateway):
                 network.add_link(cloud_id, gateway, 10 * link_bandwidth_mbps)
-    return network.prepare()
+    return network
 
 
 def waxman_topology(
@@ -301,7 +301,7 @@ def waxman_topology(
         for gateway in range(0, num_edge_nodes, max(1, num_edge_nodes // 3)):
             if not network.has_link(cloud_id, gateway):
                 network.add_link(cloud_id, gateway, 10 * link_bandwidth_mbps)
-    return network.prepare()
+    return network
 
 
 def linear_chain_topology(
@@ -338,7 +338,7 @@ def linear_chain_topology(
         network.add_link(
             u, u + 1, link_bandwidth_mbps, latency_ms=link_latency_ms
         )
-    return network.prepare()
+    return network
 
 
 def star_topology(
@@ -376,7 +376,7 @@ def star_topology(
             )
         )
         network.add_link(0, leaf, link_bandwidth_mbps, latency_ms=link_latency_ms)
-    return network.prepare()
+    return network
 
 
 def scaled_topology(num_edge_nodes: int, seed: RandomState = None) -> SubstrateNetwork:

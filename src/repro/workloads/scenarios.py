@@ -4,6 +4,11 @@ A :class:`Scenario` bundles everything one experiment run needs — a topology
 factory, a VNF catalog, chain templates and a workload configuration — under
 a single seed, so "the reference scenario at λ = 0.8" is one line of code in
 benchmarks and examples.
+
+The factories of :func:`reference_scenario` and :func:`scalability_scenario`
+generate their topology once and return a new network with an empty ledger
+over it on every call; the other scenarios and every ``replace`` copy keep
+the factory, and so share that topology and its route table.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from repro.nfv.catalog import (
 )
 from repro.nfv.sfc import SFCRequest
 from repro.sim.arrivals import ArrivalProcess, DiurnalProcess, MMPPProcess, PoissonProcess
-from repro.substrate.network import SubstrateNetwork
+from repro.substrate.network import SubstrateNetwork, SubstrateTopology
 from repro.substrate.topology import (
     TopologyConfig,
     metro_edge_cloud_topology,
@@ -42,7 +47,7 @@ class Scenario:
     seed: RandomState = 0
 
     def build_network(self) -> SubstrateNetwork:
-        """A fresh substrate network for this scenario."""
+        """A new substrate network, with an empty ledger, for this scenario."""
         return self.topology_factory()
 
     def build_generator(self, network: Optional[SubstrateNetwork] = None) -> RequestGenerator:
@@ -99,6 +104,21 @@ class Scenario:
         )
 
 
+def _shared_topology(
+    build: Callable[[], SubstrateNetwork]
+) -> Callable[[], SubstrateNetwork]:
+    """A factory of networks with empty ledgers over one topology, built once."""
+    topology: Optional[SubstrateTopology] = None
+
+    def factory() -> SubstrateNetwork:
+        nonlocal topology
+        if topology is None:
+            topology = build().topology
+        return SubstrateNetwork.over(topology)
+
+    return factory
+
+
 def reference_scenario(
     arrival_rate: float = 0.8,
     num_edge_nodes: int = 16,
@@ -114,6 +134,7 @@ def reference_scenario(
     topology_seed = derive_seed(seed, "topology")
     workload_seed = derive_seed(seed, "workload")
 
+    @_shared_topology
     def factory() -> SubstrateNetwork:
         return metro_edge_cloud_topology(
             TopologyConfig(num_edge_nodes=num_edge_nodes, seed=topology_seed)
@@ -146,6 +167,7 @@ def scalability_scenario(
     topology_seed = derive_seed(seed, "topology", num_edge_nodes)
     workload_seed = derive_seed(seed, "workload", num_edge_nodes)
 
+    @_shared_topology
     def factory() -> SubstrateNetwork:
         return scaled_topology(num_edge_nodes, seed=topology_seed)
 

@@ -23,6 +23,12 @@ whole episodes on random topologies.
 demands, looks up the link slots and goes through the per-VNF and
 per-hop network primitives.  ``tests/test_ledger.py`` drives them and the
 compiled path on twin networks and asserts bitwise-equal ledgers.
+
+:func:`route_reference` derives a route the way the per-network path memos
+did before the topology's route table replaced them: the canonical next-hop
+walk and its reversal, the link slots of :func:`path_slots` and their
+summed cost.  ``tests/test_substrate_vectorized.py`` holds every table entry
+to it with ``==``.
 """
 
 from __future__ import annotations
@@ -35,10 +41,59 @@ from repro.core.action import ActionSpace
 from repro.core.state import NODE_FEATURES, StateEncoder
 from repro.nfv.placement import Placement, PlacementError
 from repro.nfv.sfc import SFCRequest
-from repro.substrate.link import InsufficientBandwidthError
-from repro.substrate.network import NoRouteError, SubstrateNetwork
+from repro.substrate.link import InsufficientBandwidthError, canonical_endpoints
+from repro.substrate.network import NoRouteError, SubstrateNetwork, UnknownNodeError
 from repro.substrate.node import InsufficientCapacityError
 from repro.substrate.resources import RESOURCE_DIMENSIONS, ResourceVector, aggregate
+
+
+# --------------------------------------------------------------------------- #
+# Routes as the per-network path memos derived them
+# --------------------------------------------------------------------------- #
+def path_slots(network: SubstrateNetwork, nodes: Sequence[int]) -> np.ndarray:
+    """Ledger slots of the links along a node sequence, in traversal order."""
+    edge_index = network.ledger.edge_index
+    return np.array(
+        [
+            edge_index[canonical_endpoints(nodes[i], nodes[i + 1])]
+            for i in range(len(nodes) - 1)
+        ],
+        dtype=np.int64,
+    )
+
+
+def route_reference(
+    network: SubstrateNetwork, source: int, target: int
+) -> Tuple[Tuple[int, ...], float, List[int], float]:
+    """(nodes, latency, link slots, cost per Mbps) of the route ``source -> target``.
+
+    The walk follows the next-hop table from ``min(source, target)`` to
+    ``max(source, target)`` and is reversed when ``source > target``; the
+    latency is the matrix entry of that canonical pair, and the cost is
+    ``float(link_cost[slots].sum())`` over the slots in traversal order.
+    """
+    topology = network.topology
+    row = topology.node_row
+    for node_id in (source, target):
+        if node_id not in row:
+            raise UnknownNodeError(f"unknown node id {node_id}")
+    if source == target:
+        return (source,), 0.0, [], 0.0
+    low, high = min(source, target), max(source, target)
+    i, j = row[low], row[high]
+    if topology.next_hop[i, j] < 0:
+        raise NoRouteError(f"no route between {source} and {target}")
+    hops = topology.next_hop[:, j]
+    nodes = [low]
+    while i != j:
+        i = int(hops[i])
+        nodes.append(topology.node_ids[i])
+    if source > target:
+        nodes.reverse()
+    latency = float(topology.latency[row[low], row[high]])
+    slots = path_slots(network, nodes)
+    cost = float(topology.link_cost[slots].sum()) if slots.size else 0.0
+    return tuple(nodes), latency, slots.tolist(), cost
 
 
 # --------------------------------------------------------------------------- #
@@ -235,7 +290,7 @@ def check_reference(placement: Placement, network: SubstrateNetwork) -> bool:
     bandwidth = placement.request.bandwidth_mbps
     traversals: Dict[int, int] = {}
     for path in placement.paths:
-        for slot in ledger.path_edge_indices(path.nodes).tolist():
+        for slot in path_slots(network, path.nodes).tolist():
             traversals[slot] = traversals.get(slot, 0) + 1
     for slot, count in traversals.items():
         if count * bandwidth > ledger.link_capacity[slot] - ledger.link_used[slot] + 1e-9:

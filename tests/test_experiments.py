@@ -24,6 +24,7 @@ from repro.experiments import runner
 from repro.experiments.tables import table_simulation_settings, table_summary_comparison
 from repro.baselines import GreedyNearestPolicy, RandomPlacementPolicy, standard_baselines
 from repro.sim.simulation import run_policy_comparison
+from repro.substrate.network import SubstrateTopology
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +109,23 @@ class TestRunners:
         assert list(pooled) == list(default)
         for name, result in default.items():
             assert pooled[name].summary == result.summary
+
+    def test_evaluate_drl_and_baselines_builds_the_topology_once(
+        self, trained_manager, smoke_config, monkeypatch
+    ):
+        builds = []
+        build = SubstrateTopology.__init__
+
+        def spy(self, *args, **kwargs):
+            builds.append(self)
+            build(self, *args, **kwargs)
+
+        monkeypatch.setattr(SubstrateTopology, "__init__", spy)
+        _, manager = trained_manager
+        scenario = build_reference_scenario(smoke_config)
+        results = evaluate_drl_and_baselines(scenario, manager, smoke_config)
+        assert len(results) == 1 + len(standard_baselines())
+        assert len(builds) == 1
 
     def test_results_to_rows(self, trained_manager, smoke_config):
         scenario, manager = trained_manager

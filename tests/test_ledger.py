@@ -34,6 +34,7 @@ from repro.sim.lifecycle import (
     release_node_fence,
 )
 from repro.substrate.geo import GeoPoint
+from repro.substrate.ledger import chain_cost
 from repro.substrate.link import InsufficientBandwidthError, UnknownReservationError
 from repro.substrate.network import SubstrateNetwork
 from repro.substrate.node import (
@@ -432,3 +433,37 @@ class TestFences:
         before = ledger_state(ledger)
         refresh_link_fence(chain, (0, 1))  # a full link gets no fence
         assert ledger_state(ledger) == before
+
+
+class TestChainCost:
+    def test_instances_in_order_then_transport(self, chain):
+        # Per instance: (d0*c0 + d1*c1 + d2*c2) * holding, then its licence;
+        # the transport term is bandwidth * per_mbps * holding.
+        costs = chain.ledger.node_cost_per_unit
+        rows, licences = [2, 0, 2], [0.3, 0.1, 0.7]
+        demands = [[1.5, 3.0, 10.0], [0.5, 1.0, 2.0], [2.0, 2.0, 2.0]]
+        hosting, transport = chain_cost(
+            chain.topology, rows, demands, licences, 12.5, 40.0, 0.003
+        )
+        expected = 0.0
+        for row, (d0, d1, d2), licence in zip(rows, demands, licences):
+            c0, c1, c2 = costs[row].tolist()
+            expected += (d0 * c0 + d1 * c1 + d2 * c2) * 12.5
+            expected += licence
+        assert hosting == expected
+        assert transport == 40.0 * 0.003 * 12.5
+
+    def test_placement_prices_through_it(self, chain):
+        request = build_request(default_catalog(), source=0, sla_ms=100.0)
+        placement = Placement.build(request, [1, 3], chain)
+        record = placement.compiled(chain.topology)
+        per_mbps = sum(path.cost_per_mbps for path in placement.paths)
+        hosting, transport = chain_cost(
+            chain.topology, record.rows, record.demands,
+            [vnf.license_cost for vnf in request.chain.vnf_types],
+            request.holding_time, request.bandwidth_mbps, per_mbps,
+        )
+        assert placement.hosting_cost(chain) == hosting
+        assert placement.transport_cost(chain) == transport
+        assert placement.total_cost(chain) == hosting + transport
+        assert per_mbps > 0.0

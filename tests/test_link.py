@@ -93,8 +93,10 @@ class TestReservations:
 
     def test_can_carry_boundary(self, network):
         network.allocate_path([1, 2], "a", 60.0)
-        assert network.path_can_carry([1, 2], 40.0)
-        assert not network.path_can_carry([1, 2], 40.1)
+        with pytest.raises(InsufficientBandwidthError):
+            network.allocate_path([1, 2], "over", 40.1)
+        network.allocate_path([1, 2], "rest", 40.0)
+        assert link_available(network, 1, 2) == 0.0
 
     def test_zero_bandwidth_reservation_allowed(self, network):
         network.allocate_path([1, 2], "zero", 0.0)

@@ -76,7 +76,7 @@ class TestRouting:
         path = network.shortest_path(0, 2)
         assert path.nodes == (0, 1, 2)
         assert path.latency_ms == pytest.approx(2.0)
-        assert path.hop_count == 2
+        assert len(path.slots) == 2
 
     def test_path_to_self(self):
         network = build_triangle()
@@ -122,13 +122,22 @@ class TestPathBandwidth:
     def test_available_bandwidth_is_bottleneck(self):
         network = build_triangle()
         network.allocate_path([0, 1], "x", 60.0)
-        assert network.path_available_bandwidth([0, 1, 2]) == pytest.approx(40.0)
-        assert network.path_can_carry([0, 1, 2], 40.0)
-        assert not network.path_can_carry([0, 1, 2], 41.0)
+        path = network.shortest_path(0, 2)
+        assert path.nodes == (0, 1, 2)
+        ledger, slots = network.ledger, list(path.slots)
+        free = ledger.link_capacity[slots] - ledger.link_used[slots]
+        assert float(free.min()) == pytest.approx(40.0)
+        with pytest.raises(InsufficientBandwidthError):
+            network.allocate_path(path.nodes, "y", 41.0)
+        assert link_used(network, 1, 2) == 0.0
+        network.allocate_path(path.nodes, "y", 40.0)
+        assert link_used(network, 0, 1) == pytest.approx(100.0)
 
     def test_single_node_path_has_infinite_bandwidth(self):
         network = build_triangle()
-        assert network.path_available_bandwidth([1]) == float("inf")
+        assert network.shortest_path(1, 1).slots == ()
+        network.allocate_path([1], "x", 1e12)
+        assert not network.ledger.link_used.any()
 
     def test_allocate_path_and_release(self):
         network = build_triangle()

@@ -19,6 +19,17 @@ def calculator():
     return RewardCalculator(RewardConfig())
 
 
+def accepted(calculator, placement, network):
+    """The terminal reward of ``placement``, priced as both environments price it."""
+    request = placement.request
+    return calculator.acceptance_reward(
+        placement.end_to_end_latency_ms(),
+        request.sla.max_latency_ms,
+        placement.total_cost(network),
+        request.revenue(),
+    )
+
+
 class TestStepReward:
     def test_step_reward_is_negative_shaping(self, calculator, small_network, catalog):
         request = build_request(catalog, source=0)
@@ -71,14 +82,24 @@ class TestTerminalRewards:
     def test_acceptance_reward_positive_for_good_placement(self, calculator, small_network, catalog):
         request = build_request(catalog, source=0, sla_ms=100.0)
         placement = Placement.build(request, [1, 1], small_network)
-        assert calculator.acceptance_reward(request, placement, small_network) > 0
+        assert accepted(calculator, placement, small_network) > 0
+
+    def test_acceptance_reward_association_order(self, calculator):
+        config = calculator.config
+        expected = (
+            config.accept_reward
+            + config.revenue_scale * 30.0 / 100.0
+            - config.latency_weight * (20.0 / 70.0)
+            - config.cost_weight * (50.0 / config.cost_normalizer)
+        )
+        assert calculator.acceptance_reward(20.0, 70.0, 50.0, 30.0) == expected
 
     def test_lower_latency_placement_preferred(self, calculator, small_network, catalog):
         request = build_request(catalog, source=0, sla_ms=100.0)
         near = Placement.build(request, [0, 0], small_network)
         far = Placement.build(request, [3, 3], small_network)
-        assert calculator.acceptance_reward(request, near, small_network) > (
-            calculator.acceptance_reward(request, far, small_network)
+        assert accepted(calculator, near, small_network) > (
+            accepted(calculator, far, small_network)
         )
 
     def test_rejection_and_infeasibility_penalties(self, calculator, catalog):
@@ -119,6 +140,6 @@ class TestRewardVariants:
         near = Placement.build(request, [0, 0], small_network)
         far = Placement.build(request, [3, 3], small_network)
         latency_calc = RewardCalculator(latency_focused_config())
-        assert latency_calc.acceptance_reward(request, near, small_network) > (
-            latency_calc.acceptance_reward(request, far, small_network)
+        assert accepted(latency_calc, near, small_network) > (
+            accepted(latency_calc, far, small_network)
         )

@@ -63,7 +63,7 @@ def link_refusals(monkeypatch):
 
     def spy(node_used, link_used, chain):
         fits = chain_fits(node_used, link_used, chain)
-        capacity = chain.ledger.link_capacity
+        capacity = chain.topology.link_capacity
         if not fits and any(
             load > capacity[slot] - link_used[slot] + CAPACITY_TOL
             for slot, load in chain.slot_loads

@@ -73,7 +73,7 @@ def replayed(monkeypatch):
 def _commit(env, lane, view, rows, segments):
     """The kernel's commit of one chain on one lane's rows."""
     reserve_chain(
-        env._ledger, env._node_used[lane], env._link_used[lane],
+        env._topology, env._node_used[lane], env._link_used[lane],
         rows, view.demand_lists, segments, view.bw,
     )
 
@@ -81,7 +81,7 @@ def _commit(env, lane, view, rows, segments):
 def _fits(env, lane, view, rows, segments):
     """The kernel's read-only check of one chain on one lane's rows."""
     chain = CompiledChain(
-        env._ledger, rows, [vnf[0] for vnf in view.vnfs], segments, view.bw
+        env._topology, rows, [vnf[0] for vnf in view.vnfs], segments, view.bw
     )
     return chain_fits(env._node_used[lane], env._link_used[lane], chain)
 
@@ -146,7 +146,7 @@ class TestCommitAndRollback:
         env, view, rows, segments = replayed
         last_slots = [slots for slots in segments if slots][-1]
         full_slot = last_slots[-1]
-        env._link_used[LANE, full_slot] = env._link_capacity[full_slot]
+        env._link_used[LANE, full_slot] = env._topology.link_capacity[full_slot]
         link_before = env._link_used[LANE].copy()
         with pytest.raises(InsufficientBandwidthError):
             _commit(env, LANE, view, rows, segments)
@@ -163,7 +163,7 @@ class TestCommitAndRollback:
         # one overflows.
         env, view, rows, _ = replayed
         free_slot, full_slot = 0, 1
-        env._link_used[LANE, full_slot] = env._link_capacity[full_slot]
+        env._link_used[LANE, full_slot] = env._topology.link_capacity[full_slot]
         link_before = env._link_used[LANE].copy()
         with pytest.raises(InsufficientBandwidthError):
             _commit(env, LANE, view, rows, [[free_slot, full_slot]])
@@ -186,7 +186,7 @@ class TestFeasibilityReadsTheLedger:
     def test_full_link_makes_the_chain_infeasible(self, replayed):
         env, view, rows, segments = replayed
         slot = [slots for slots in segments if slots][0][0]
-        env._link_used[LANE, slot] = env._link_capacity[slot]
+        env._link_used[LANE, slot] = env._topology.link_capacity[slot]
         assert not _fits(env, LANE, view, rows, segments)
 
 

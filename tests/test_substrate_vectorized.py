@@ -4,7 +4,8 @@ The dense routing tables, the array-backed ledger and the batched
 state/mask encoders must agree exactly (up to float tolerance) with
 networkx Dijkstra and with the per-object oracles in
 ``tests/substrate_oracles.py``.  Every test is property-style over several
-seeds and random topologies.
+seeds and random topologies.  The topology's route table must equal the
+per-network path memos it replaced (:func:`route_reference`) bit for bit.
 """
 
 from __future__ import annotations
@@ -18,12 +19,15 @@ from repro.core.env import EnvConfig, VNFPlacementEnv
 from repro.core.state import StateEncoder
 from repro.nfv.catalog import default_catalog
 from repro.nfv.placement import Placement
-from repro.substrate.network import NoRouteError, SubstrateNetwork
+from repro.substrate.geo import GeoPoint
+from repro.substrate.network import NoRouteError, PathInfo, SubstrateNetwork
+from repro.substrate.node import ComputeNode
 from repro.substrate.resources import ResourceVector
 from repro.substrate.topology import (
     TopologyConfig,
     metro_edge_cloud_topology,
     random_geometric_topology,
+    scaled_topology,
     waxman_topology,
 )
 from repro.workloads.generator import RequestGenerator, WorkloadConfig
@@ -34,6 +38,7 @@ from tests.substrate_oracles import (
     node_can_host,
     node_max_utilization,
     node_used,
+    route_reference,
     valid_mask_reference,
 )
 
@@ -84,11 +89,11 @@ class TestDenseRoutingEquivalence:
         for network in random_topologies(seed):
             graph = nx_graph_of(network)
             reference = dict(nx.all_pairs_dijkstra_path_length(graph, weight="latency"))
-            dense = network.dense_routing
+            topology = network.topology
             for u in network.node_ids:
                 for v in network.node_ids:
                     expected = reference[u][v]
-                    got = dense.latency[dense.index[u], dense.index[v]]
+                    got = topology.latency[topology.node_row[u], topology.node_row[v]]
                     assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -126,9 +131,6 @@ class TestDenseRoutingEquivalence:
                     )
 
     def test_no_route_raises_in_dense_mode(self):
-        from repro.substrate.geo import GeoPoint
-        from repro.substrate.node import ComputeNode
-
         network = SubstrateNetwork()
         for node_id in range(3):
             network.add_node(
@@ -140,14 +142,77 @@ class TestDenseRoutingEquivalence:
         with pytest.raises(NoRouteError):
             network.shortest_path(0, 2)
 
-    def test_path_cache_uses_single_canonical_entry(self):
-        network = random_geometric_topology(num_edge_nodes=8, seed=5)
-        forward = network.shortest_path(1, 6)
-        backward = network.shortest_path(6, 1)
-        assert backward.nodes == tuple(reversed(forward.nodes))
-        assert backward.latency_ms == forward.latency_ms
-        assert (1, 6) in network._path_cache
-        assert (6, 1) not in network._path_cache
+
+def tied_network() -> SubstrateNetwork:
+    """Ids out of row order, equal-latency alternatives and one isolated node.
+
+    Node 5 reaches node 0 over 2 or over 9 at the same latency; the costs
+    along 5-2-0-7 sum to different floats in the two directions; node 4 has
+    no link.
+    """
+    network = SubstrateNetwork()
+    for node_id in (5, 2, 9, 0, 7, 4):
+        network.add_node(
+            ComputeNode(node_id, GeoPoint(40.0, -74.0), ResourceVector(8, 16, 100))
+        )
+    for u, v, cost in ((5, 2, 0.1), (2, 0, 0.2), (5, 9, 0.3), (9, 0, 0.1), (0, 7, 0.3)):
+        network.add_link(u, v, 100.0, latency_ms=1.0, cost_per_mbps=cost)
+    return network
+
+
+class TestRouteTable:
+    @staticmethod
+    def assert_every_route_matches_the_oracle(network: SubstrateNetwork) -> None:
+        for source in network.node_ids:
+            for target in network.node_ids:
+                try:
+                    expected = route_reference(network, source, target)
+                except NoRouteError:
+                    with pytest.raises(NoRouteError):
+                        network.shortest_path(source, target)
+                    continue
+                path = network.shortest_path(source, target)
+                got = (path.nodes, path.latency_ms, list(path.slots), path.cost_per_mbps)
+                assert got == expected, (source, target)
+
+    @pytest.mark.parametrize("num_edge_nodes", [6, 24])
+    def test_scaled_topology(self, num_edge_nodes):
+        self.assert_every_route_matches_the_oracle(scaled_topology(num_edge_nodes, seed=3))
+
+    def test_ids_out_of_row_order_with_tied_paths(self):
+        network = tied_network()
+        assert network.node_ids != sorted(network.node_ids)
+        assert network.latency_between(5, 0) == 2.0
+        self.assert_every_route_matches_the_oracle(network)
+        # Each direction sums its own slot order: the costs differ by an ulp.
+        forward, backward = network.shortest_path(5, 7), network.shortest_path(7, 5)
+        assert backward.nodes == forward.nodes[::-1]
+        assert forward.cost_per_mbps != backward.cost_per_mbps
+
+    def test_disconnected_pair_raises_on_both_sides(self):
+        network = tied_network()
+        for other in (5, 0):
+            for source, target in ((4, other), (other, 4)):
+                with pytest.raises(NoRouteError):
+                    route_reference(network, source, target)
+                with pytest.raises(NoRouteError):
+                    network.shortest_path(source, target)
+
+    def test_self_route_is_one_node(self):
+        network = tied_network()
+        for node_id in network.node_ids:
+            assert network.shortest_path(node_id, node_id) == PathInfo((node_id,), 0.0)
+            assert route_reference(network, node_id, node_id) == ((node_id,), 0.0, [], 0.0)
+
+    def test_each_entry_is_filled_once(self):
+        network = tied_network()
+        topology = network.topology
+        assert all(entry is None for entry in topology.routes)
+        path = network.shortest_path(9, 7)
+        assert network.shortest_path(9, 7) is path
+        row = topology.node_row
+        assert topology.routes[row[9] * topology.num_nodes + row[7]] is path
+        assert sum(entry is not None for entry in topology.routes) == 1
 
 
 class TestLedgerEquivalence:

@@ -6,14 +6,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.core.soa import _network_signature
+from repro.nfv.placement import Placement
 from repro.nfv.sfc import SFCRequest, ServiceFunctionChain
 from repro.nfv.sla import ServiceLevelAgreement
+from repro.substrate.resources import ResourceVector
 from repro.workloads.generator import RequestGenerator, WorkloadConfig
 from repro.workloads.scenarios import (
+    Scenario,
     diurnal_scenario,
     hotspot_scenario,
     reference_scenario,
     scalability_scenario,
+    scenario_grid,
 )
 
 
@@ -276,8 +281,9 @@ class TestScenarios:
         assert len(requests) > 0
 
     def test_reference_scenario_topology_reproducible(self):
-        scenario = reference_scenario(seed=4, num_edge_nodes=6)
-        a, b = scenario.build_network(), scenario.build_network()
+        a = reference_scenario(seed=4, num_edge_nodes=6).build_network()
+        b = reference_scenario(seed=4, num_edge_nodes=6).build_network()
+        assert a.topology is not b.topology
         assert [n.capacity.as_tuple() for n in a.nodes()] == [
             n.capacity.as_tuple() for n in b.nodes()
         ]
@@ -318,3 +324,95 @@ class TestScenarios:
         scenario = replace(reference_scenario(num_edge_nodes=6), arrival_kind="weibull")
         with pytest.raises(ValueError):
             scenario.build_arrival_process()
+
+
+def _unlinked_pair(network):
+    """Two node ids with no direct link between them."""
+    ids = network.node_ids
+    return next(
+        (u, v) for u in ids for v in ids if u < v and not network.has_link(u, v)
+    )
+
+
+class TestSharedTopology:
+    """Production factories build one topology and hand out networks over it."""
+
+    @staticmethod
+    def scenario() -> Scenario:
+        return reference_scenario(arrival_rate=0.5, num_edge_nodes=6, horizon=50.0, seed=2)
+
+    def test_copies_share_one_topology_with_their_own_ledgers(self):
+        scenario = self.scenario()
+        networks = [
+            scenario.build_network(),
+            scenario.build_network(),
+            scenario.with_arrival_rate(1.5).build_network(),
+            scenario.with_workload_seed(9).build_network(),
+            *(
+                cell.build_network()
+                for cell in scenario_grid(scenario, arrival_rates=[0.3, 0.9])
+            ),
+        ]
+        topology = networks[0].topology
+        assert all(network.topology is topology for network in networks)
+        assert len({id(network) for network in networks}) == len(networks)
+        assert len({id(network.ledger) for network in networks}) == len(networks)
+        network = networks[0]
+        # One chain hosted away from its ingress, so it reserves links too.
+        placements = (
+            Placement.build(request, [node_id] * request.num_vnfs, network)
+            for request in scenario.build_generator(network).generate_batch(20)
+            for node_id in network.edge_node_ids
+            if node_id != request.source_node_id
+        )
+        next(p for p in placements if p.is_feasible(network)).commit(network)
+        assert network.ledger.node_used.any() and network.ledger.link_used.any()
+        for other in networks[1:]:
+            assert not other.ledger.node_used.any()
+            assert not other.ledger.link_used.any()
+
+    def test_shared_build_equals_a_separate_scenario(self):
+        scenario = self.scenario()
+        scenario.build_network()
+        shared = scenario.with_arrival_rate(2.0).build_network()
+        separate = self.scenario().build_network()
+        assert shared.topology is not separate.topology
+        assert _network_signature(shared) == _network_signature(separate)
+        assert np.array_equal(shared.latency_matrix, separate.latency_matrix)
+
+    def test_add_link_changes_only_that_network(self):
+        scenario = self.scenario()
+        network, other = scenario.build_network(), scenario.build_network()
+        shared = network.topology
+        u, v = _unlinked_pair(network)
+        before = other.shortest_path(u, v)
+        network.add_link(u, v, 100.0, latency_ms=0.01)
+        assert network.topology is not shared and network.shortest_path(u, v).nodes == (u, v)
+        assert network.num_links == other.num_links + 1
+        assert not other.has_link(u, v) and other.topology is shared
+        assert other.shortest_path(u, v) is before
+        assert shared.num_links == other.num_links and (u, v) not in shared.edge_index
+        assert scenario.build_network().topology is shared
+
+    def test_topology_change_with_a_live_allocation_changes_nothing(self):
+        network = self.scenario().build_network()
+        u, v = _unlinked_pair(network)
+        network.allocate_node(u, "live", ResourceVector(1.0, 1.0, 1.0))
+        topology, ledger = network.topology, network.ledger
+        with pytest.raises(RuntimeError):
+            network.add_link(u, v, 100.0)
+        assert network.topology is topology and network.ledger is ledger
+        assert not network.has_link(u, v)
+        assert ledger.node_used.any()
+
+    def test_shared_static_arrays_are_read_only(self):
+        network = self.scenario().build_network()
+        topology, ledger = network.topology, network.ledger
+        for array in (
+            topology.node_capacity, topology.node_cost_per_unit, topology.cloud_tier_mask,
+            topology.link_capacity, topology.link_cost, topology.latency,
+            topology.next_hop, ledger.node_capacity, ledger.capacity_plus_tol,
+        ):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+        ledger.node_used[0] = 1.0  # usage stays writable
