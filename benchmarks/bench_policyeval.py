@@ -6,11 +6,13 @@ policy through K vectorized environment lanes.  This benchmark guards the two
 halves of that claim over a K=16 scenario-diverse load sweep:
 
 * ``decision_throughput`` — the headline: for each kernelized heuristic, the
-  time spent producing placement decisions per batched step (one
-  ``(K, A)`` mask kernel + one vectorized ``select_actions``) versus the
-  per-request reference: each lane's request planned by the policy's
-  per-node oracle (``tests/baseline_oracles.py``: one scalar fit check and
-  one score call per node, ``min()`` over the candidate list).
+  time spent producing placement decisions per batched step on the
+  production lane core (the SoA core's ``(K, A)`` mask kernel + one
+  vectorized ``select_actions`` over its decision context) versus the
+  per-request reference on reference lanes: each lane's request planned by
+  the policy's per-node oracle (``tests/baseline_oracles.py``: one scalar
+  fit check and one score call per node, ``min()`` over the candidate
+  list).
   Production ``plan_assignment`` calls the kernels' own score functions, so
   timing it would compare ledger scoring with itself rather than batching
   with per-object planning.  Both drives run identically-seeded lane
@@ -52,6 +54,7 @@ from repro.baselines import (
 )
 from repro.core.env import EnvConfig
 from repro.core.policy import DRLPlacementPolicy
+from repro.core.soa import SoAVecPlacementEnv
 from repro.core.vecenv import VecPlacementEnv
 from repro.experiments.runner import (
     evaluate_agent_across_scenarios,
@@ -104,14 +107,16 @@ def measure_decision_throughput(
 ) -> Dict[str, float]:
     """Decision-path time of the batched kernel vs the per-request reference.
 
-    Two identically-seeded lane batches advance in lockstep; only the
-    decision work is timed (mask kernel + batched ``select_actions`` on one
-    side, per-lane planning by the policy's per-object oracle on the
-    other).  Decisions are asserted identical at every step — the timing is
-    only meaningful because the trajectories are.
+    Two identically-seeded lane batches advance in lockstep, the batched
+    side on the SoA core heuristics are evaluated on and the reference side
+    on reference lanes; only the decision work is timed (mask kernel +
+    batched ``select_actions`` on one side, per-lane planning by the
+    policy's per-object oracle on the other).  Decisions are asserted
+    identical at every step — the timing is only meaningful because the
+    trajectories are.
     """
     grid = _grid(num_lanes)
-    venv_batched = VecPlacementEnv.from_scenarios(
+    venv_batched = SoAVecPlacementEnv.from_scenarios(
         grid, seed=SEED, env_config=_env_config()
     )
     venv_reference = VecPlacementEnv.from_scenarios(

@@ -13,7 +13,7 @@ mask.  Node ids appear only when a chosen row is reported.
 * :class:`NodeScoringPolicy` — base class for the greedy, fit and tier
   heuristics, which host each VNF on the best-scoring valid node.  Each one
   defines a single score function, :meth:`NodeScoringPolicy.node_scores`,
-  over attributes named like :class:`~repro.core.vecenv.LaneDecisionContext`
+  over attributes named like :class:`~repro.core.soa.LaneDecisionContext`
   (``latency``, ``used``, ``capacity``, ``capacity_safe``, ``cost_per_unit``,
   ``demands``, ``holding``).  It broadcasts over an optional leading axis,
   so a whole chain (:class:`DecisionRows` with ``(L, 3)`` demands, or the
@@ -21,9 +21,7 @@ mask.  Node ids appear only when a chosen row is reported.
   (the context) are scored by the same expression,
 * :func:`masked_argmin` — the node-level choice rule both paths share: the
   first minimum in ledger row order, or the first valid row when every valid
-  score is infinite,
-* :func:`masked_score_actions` — that rule applied per lane to ``(K, A)``
-  validity masks, with the reject action for lanes that have no valid node.
+  score is infinite.
 """
 
 from __future__ import annotations
@@ -111,7 +109,7 @@ class AssignmentPolicy(PlacementPolicy):
 class DecisionRows:
     """Pending VNF decisions of one request over a substrate's ledger rows.
 
-    The attributes carry :class:`~repro.core.vecenv.LaneDecisionContext`'s
+    The attributes carry :class:`~repro.core.soa.LaneDecisionContext`'s
     names, and its shapes without the leading lane axis (``holding`` is
     0-d), so a score function written once serves both.  ``demands`` is one
     VNF's ``(3,)`` demand or the chain's ``(L, 3)`` ``demand_rows``.
@@ -210,77 +208,27 @@ class NodeScoringPolicy(AssignmentPolicy):
         return tuple(assignment)
 
     def select_actions(self, states=None, masks=None, greedy: bool = True) -> np.ndarray:
-        """:meth:`node_scores` over every lane, then a per-lane masked argmin.
+        """:meth:`node_scores` over the bound SoA env's decision context.
 
-        Scores come from the bound vec env's shared decision context, or,
-        for plain lane lists, from each active lane's own ledger rows.
+        Each lane takes its lowest-score valid node, by :func:`masked_argmin`,
+        or reject when it has none; the tier mask is a topology constant.
+        Lanes without a shared context (reference lanes, plain env lists)
+        take the default plan-replay
+        :meth:`~repro.sim.simulation.PlacementPolicy.select_actions`.  The
+        two agree decision for decision under the baseline lane
+        configuration (capacity-only masks, ``latency_mask_check=False``),
+        which the test suite asserts bitwise; a latency pre-mask restricts
+        only the kernel.
         """
-        lanes = self.bound_lanes
-        masks = lane_masks(lanes, masks)
-        if self.tier_mask is not None:
-            masks = self._tier_valid(lanes, masks)
-        context = self.bound_context
-        if context is not None:
-            return masked_score_actions(
-                masks, self.node_scores(context), context.active
-            )
-        requests, active = lane_requests(lanes)
-        scores = np.full((len(lanes), masks.shape[1] - 1), np.inf)
-        for lane, env in enumerate(lanes):
-            request = requests[lane]
-            if request is None:
-                continue
-            demand = request.chain.demand_rows[env.vnf_index]
-            network = env.network
-            scores[lane] = self.node_scores(
-                DecisionRows(
-                    network.ledger,
-                    network.latency_row(env.anchor_node_id),
-                    demand,
-                    request.holding_time,
-                )
-            )
-        return masked_score_actions(masks, scores, active)
-
-    def _tier_valid(self, lanes, masks: np.ndarray) -> np.ndarray:
+        venv = getattr(self, "_lane_venv", None)
+        if venv is None:
+            return super().select_actions(states, masks, greedy)
+        context = venv.lane_decision_context()
+        if masks is None:
+            masks = venv.valid_action_masks()
         reject = masks.shape[1] - 1
-        # Tier membership is topology-constant: stack it once per lane set.
-        cached = getattr(self, "_tier_stack", None)
-        if cached is None or cached[0] is not lanes:
-            stack = np.stack(
-                [getattr(env.network.ledger, self.tier_mask) for env in lanes]
-            )
-            cached = (lanes, stack)
-            self._tier_stack = cached
-        restricted = masks.copy()
-        restricted[:, :reject] &= cached[1]
-        return restricted
-
-
-def lane_masks(lanes: Sequence, masks: Optional[np.ndarray]) -> np.ndarray:
-    """The ``(K, A)`` validity masks for ``lanes``, computing them if absent."""
-    if masks is not None:
-        return np.atleast_2d(np.asarray(masks, dtype=bool))
-    return np.stack([env.valid_action_mask() for env in lanes])
-
-
-def masked_score_actions(
-    masks: np.ndarray, scores: np.ndarray, active: np.ndarray
-) -> np.ndarray:
-    """Lowest-score valid node action per lane (reject when none is valid).
-
-    ``scores`` is ``(K, num_nodes)`` in action order; ``active`` flags lanes
-    with a request in flight.  The choice per lane is :func:`masked_argmin`.
-    """
-    # repro-lint: readonly=masks,scores,active
-    reject = masks.shape[1] - 1
-    node_valid = masks[:, :reject] & active[:, None]
-    choice = masked_argmin(node_valid, scores)
-    return np.where(node_valid.any(axis=1), choice, reject).astype(int)
-
-
-def lane_requests(lanes: Sequence) -> Tuple[List, np.ndarray]:
-    """Per-lane current requests and the boolean active-lane vector."""
-    requests = [env.current_request for env in lanes]
-    active = np.array([request is not None for request in requests], dtype=bool)
-    return requests, active
+        valid = masks[:, :reject] & context.active[:, None]
+        if self.tier_mask is not None:
+            valid &= getattr(venv.topology, self.tier_mask)
+        choice = masked_argmin(valid, self.node_scores(context))
+        return np.where(valid.any(axis=1), choice, reject).astype(int)

@@ -31,7 +31,7 @@ from repro.core.training import (
     TrainingHistory,
     VecTrainer,
 )
-from repro.core.vecenv import VecPlacementEnv, lane_specs_from_scenarios, make_vec_env
+from repro.core.vecenv import lane_specs_from_scenarios, make_vec_env
 from repro.sim.simulation import NFVSimulation, SimulationConfig, SimulationResult
 from repro.utils.rng import RandomState, derive_seed
 from repro.workloads.scenarios import Scenario
@@ -100,27 +100,25 @@ class VNFManager:
                 self.env, self.agent, self.config.training
             )
         else:
+            # Replicas of one scenario always share the SoA core's topology
+            # and configuration, so a refusal here is a bug and raises.
             venv = make_vec_env(
                 [scenario] * self.config.training_lanes,
                 seed=derive_seed(seed, "vec_lanes"),
                 env_config=self.config.env,
                 reward_config=self.config.reward,
                 encoder_config=self.config.encoder,
-                backend="auto",
+                backend="soa",
             )
-            if isinstance(venv, VecPlacementEnv):
-                self.env = venv.envs[0]
-            else:
-                # SoA lanes expose no per-lane environments; rebuild lane 0
-                # as the representative environment (same derived seed, so
-                # it mirrors the training lane exactly).
-                self.env = lane_specs_from_scenarios(
-                    [scenario],
-                    seed=derive_seed(seed, "vec_lanes"),
-                    env_config=self.config.env,
-                    reward_config=self.config.reward,
-                    encoder_config=self.config.encoder,
-                )[0].build()
+            # Lane 0 rebuilt as the representative environment (same derived
+            # seed, so it mirrors the training lane exactly).
+            self.env = lane_specs_from_scenarios(
+                [scenario],
+                seed=derive_seed(seed, "vec_lanes"),
+                env_config=self.config.env,
+                reward_config=self.config.reward,
+                encoder_config=self.config.encoder,
+            )[0].build()
             self._training_network = self.env.network
             self._generator = self.env.generator
             self.agent = agent or DQNAgent(

@@ -17,12 +17,18 @@ records.  The step/mask/observe pipeline is fused: one decision-context
 gather per step feeds the batched mask kernel, the batched step-reward
 precompute and the batched state encoder.
 
-The per-lane object path is retained as the reference backend; this class is
-**bitwise-equivalent** to it — every arithmetic expression below mirrors the
-reference operation order (see ``tests/differential.py`` for the harness that
-enforces this).  The only intentional difference is memory layout: lanes
-share one topology, its constants and its route table, instead of
-duplicating them K times.
+The per-lane object core (:class:`~repro.core.vecenv.VecPlacementEnv`)
+still serves K=1 training and lane sets this core rejects, and is the
+differential oracle: this class is **bitwise-equivalent** to it — every
+arithmetic expression below mirrors the reference operation order (see
+``tests/differential.py`` for the harness that enforces this).  The only
+intentional difference is memory layout: lanes share one topology, its
+constants and its route table, instead of duplicating them K times.
+
+Heuristic policies bind to this core too.  Node-scoring kernels read the
+shared :class:`LaneDecisionContext`; plan-replay policies read each lane
+through :attr:`SoAVecPlacementEnv.envs`, whose :class:`SoALane` views expose
+the request being decided and a copy of the lane's substrate usage.
 
 A lane that places the last VNF of its chain commits that chain the way
 :class:`~repro.nfv.placement.Placement` does, through the substrate ledger's
@@ -51,7 +57,6 @@ from repro.core.state import NODE_FEATURES, REQUEST_SCALARS, EncoderConfig
 from repro.core.vecenv import (
     OUTCOME_CODE,
     OUTCOMES,
-    LaneDecisionContext,
     LaneSpec,
     lane_specs_from_scenarios,
 )
@@ -66,12 +71,70 @@ from repro.substrate.ledger import (
     reserve_chain,
 )
 from repro.substrate.link import InsufficientBandwidthError
-from repro.substrate.network import UNREACHABLE, SubstrateNetwork
+from repro.substrate.network import UNREACHABLE, SubstrateNetwork, SubstrateTopology
 from repro.substrate.node import InsufficientCapacityError
 from repro.utils.rng import RandomState, derive_seed
 from repro.workloads.scenarios import Scenario
 
 from dataclasses import replace as dataclass_replace
+
+
+class LaneDecisionContext:
+    """Batched arrays describing every lane's pending placement decision.
+
+    Built once per decision step by
+    :meth:`SoAVecPlacementEnv.lane_decision_context` and shared by the mask
+    kernel, the step-reward precompute, the state encoder and bound
+    node-scoring policies, so the per-lane gather happens once per step
+    however many consumers read it.  ``capacity``, ``capacity_safe`` and
+    ``cost_per_unit`` are ``(K, N, 3)`` read-only broadcasts of the shared
+    topology's matrices.  All arrays are read-only by convention; rows of
+    inactive lanes (no request in flight) hold neutral filler values and
+    must be masked with :attr:`active`.
+    """
+
+    __slots__ = (
+        "active",
+        "anchor_rows",
+        "demands",
+        "extras",
+        "budgets",
+        "holding",
+        "used",
+        "free_tol",
+        "latency",
+        "capacity",
+        "capacity_safe",
+        "cost_per_unit",
+    )
+
+    def __init__(
+        self,
+        active: np.ndarray,
+        anchor_rows: np.ndarray,
+        demands: np.ndarray,
+        extras: np.ndarray,
+        budgets: np.ndarray,
+        holding: np.ndarray,
+        used: np.ndarray,
+        free_tol: np.ndarray,
+        latency: np.ndarray,
+        capacity: np.ndarray,
+        capacity_safe: np.ndarray,
+        cost_per_unit: np.ndarray,
+    ) -> None:
+        self.active = active
+        self.anchor_rows = anchor_rows
+        self.demands = demands
+        self.extras = extras
+        self.budgets = budgets
+        self.holding = holding
+        self.used = used
+        self.free_tol = free_tol
+        self.latency = latency
+        self.capacity = capacity
+        self.capacity_safe = capacity_safe
+        self.cost_per_unit = cost_per_unit
 
 
 class _ChainRecord:
@@ -230,6 +293,53 @@ class _LaneState:
         self.episode_counter = 0
         self.heap: List[Tuple[float, int, _ChainRecord]] = []
         self.counter = 0
+
+
+class SoALane:
+    """One SoA lane, read the way plan-replay policies read a lane env.
+
+    Exposes what the default
+    :meth:`~repro.sim.simulation.PlacementPolicy.select_actions` reads from a
+    :class:`~repro.core.env.VNFPlacementEnv`: the request being decided, the
+    chain position, the action count (an action is a ledger row in both
+    cores, reject is the last) and the lane's substrate.
+    """
+
+    __slots__ = ("_env", "_lane")
+
+    def __init__(self, env: "SoAVecPlacementEnv", lane: int) -> None:
+        self._env = env
+        self._lane = lane
+
+    @property
+    def num_actions(self) -> int:
+        """Number of discrete actions (one per node plus reject)."""
+        return self._env.num_actions
+
+    @property
+    def current_request(self) -> Optional[SFCRequest]:
+        """The request this lane is deciding (None once its episode ended)."""
+        st = self._env._lanes[self._lane]
+        return None if st.current is None else st.requests[st.request_index - 1]
+
+    @property
+    def vnf_index(self) -> int:
+        """Chain position of the VNF being placed next (0-based)."""
+        return self._env._lanes[self._lane].vnf_index
+
+    @property
+    def network(self) -> SubstrateNetwork:
+        """A new network over the shared topology holding this lane's usage.
+
+        Nothing commits while a request is planned, so a copy made when the
+        plan is made is exact; a fresh ledger has no memo that can go stale.
+        """
+        env = self._env
+        network = SubstrateNetwork.over(env._topology)
+        ledger = network.ledger
+        ledger.node_used[:] = env._node_used[self._lane]
+        ledger.link_used[:] = env._link_used[self._lane]
+        return network
 
 
 _UNROUTED_CODE, _INFEASIBLE_CODE, _ACCEPTED_CODE, _COMMIT_FAILED_CODE = (
@@ -416,7 +526,13 @@ class SoAVecPlacementEnv:
         #: batched context never re-walks lane object graphs.
         self._ctx_rows: List[tuple] = [self._inactive_row] * num_lanes
         self._arange_k = np.arange(num_lanes)
-        self._broadcast_cache: Dict[str, np.ndarray] = {}
+        #: (K, N, 3) read-only broadcasts of the topology's constant matrices,
+        #: the constant fields of every decision context.
+        lane_shape = (num_lanes,) + self._capacity.shape
+        self._lane_constants = tuple(
+            np.broadcast_to(matrix, lane_shape)
+            for matrix in (self._capacity, self._capacity_safe, self._cost_per_unit)
+        )
         zero_state = np.zeros(self.state_dim, dtype=float)
         zero_state.setflags(write=False)
         self._zero_state = zero_state
@@ -515,6 +631,16 @@ class SoAVecPlacementEnv:
     def backend(self) -> str:
         """Backend tag of this vectorized environment."""
         return "soa"
+
+    @property
+    def topology(self) -> SubstrateTopology:
+        """The read-only topology every lane shares."""
+        return self._topology
+
+    @property
+    def envs(self) -> List[SoALane]:
+        """One :class:`SoALane` view per lane, for plan-replay policies."""
+        return [SoALane(self, lane) for lane in range(self.num_lanes)]
 
     # ------------------------------------------------------------------ #
     # Request views and routed paths
@@ -702,22 +828,12 @@ class SoAVecPlacementEnv:
     # ------------------------------------------------------------------ #
     # Decision context and masks
     # ------------------------------------------------------------------ #
-    def _broadcast_constant(self, attr: str) -> np.ndarray:
-        """(K, N, 3) read-only broadcast of one shared topology matrix."""
-        cached = self._broadcast_cache.get(attr)
-        if cached is None:
-            source = getattr(self._topology, attr)
-            cached = np.broadcast_to(source, (self.num_lanes,) + source.shape)
-            self._broadcast_cache[attr] = cached
-        return cached
-
     def lane_decision_context(self) -> LaneDecisionContext:
         """The batched decision context of the current step (memoized).
 
-        Same structure and contents as the reference
-        :meth:`VecPlacementEnv.lane_decision_context`; constants are
-        broadcast views of the shared topology matrices rather than K-fold
-        stacks.
+        Rebuilt lazily after every :meth:`step` / :meth:`reset` /
+        :meth:`reset_lane`; its constants are broadcast views of the shared
+        topology matrices rather than K-fold stacks.
         """
         if self._context is not None and self._context_version == self._decision_version:
             return self._context
@@ -737,6 +853,8 @@ class SoAVecPlacementEnv:
             chain_lengths,
         ) = zip(*self._ctx_rows)
         anchor_index = np.array(anchor_rows, dtype=np.int64)
+        used = self._node_used.copy()
+        capacity, capacity_safe, cost_per_unit = self._lane_constants
         context = LaneDecisionContext(
             active=np.array(active, dtype=bool),
             anchor_rows=anchor_index,
@@ -744,10 +862,13 @@ class SoAVecPlacementEnv:
             extras=np.array(extras),
             budgets=np.array(budgets),
             holding=np.array(holding),
-            used=self._node_used.copy(),
-            capacity_plus_tol=self._broadcast_constant("capacity_plus_tol"),
+            used=used,
+            # Same expression as SubstrateLedger.can_host_all, over all lanes.
+            free_tol=self._topology.capacity_plus_tol - used,
             latency=self._latency[anchor_index],
-            constant_stack=lambda attr: self._broadcast_constant(attr),
+            capacity=capacity,
+            capacity_safe=capacity_safe,
+            cost_per_unit=cost_per_unit,
         )
         self._context = context
         self._context_version = self._decision_version
@@ -778,9 +899,9 @@ class SoAVecPlacementEnv:
     def valid_action_masks(self) -> np.ndarray:
         """Stacked ``(K, num_actions)`` boolean validity masks.
 
-        Identical kernel to the reference batched mask path, with the
-        per-lane failed-node loop replaced by the columnar ``(K, N)`` fence
-        mask.
+        One ``(K, N)`` comparison chain over the decision context, bitwise
+        equal to stacking the reference lanes' ``valid_action_mask()``; the
+        per-lane failed-node loop is the columnar ``(K, N)`` fence mask.
         """
         context = self.lane_decision_context()
         num_actions = self.num_actions
@@ -1164,7 +1285,20 @@ class SoAVecPlacementEnv:
             ) from None
 
     def close(self) -> None:
-        """Release lane resources (a no-op for the in-process SoA core)."""
+        """End every lane's episode and drop its requests, views and heap.
+
+        A policy bound to these lanes keeps the env alive until it is
+        rebound; closing leaves it holding only the fixed-size arrays.  The
+        env can be :meth:`reset` again afterwards.
+        """
+        for lane, st in enumerate(self._lanes):
+            st.requests = []
+            st.views = []
+            st.heap = []
+            st.current = None
+            st.episode_done = True
+            self._ctx_rows[lane] = self._inactive_row
+        self._decision_version += 1
 
     def __enter__(self) -> "SoAVecPlacementEnv":
         return self

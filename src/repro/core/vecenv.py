@@ -17,12 +17,18 @@ behind one batched interface::
   ``(K, num_actions)`` boolean array.
 
 Lanes are plain environments stepped in order, so a K-lane vectorized run
-with fixed per-lane seeds is *bitwise identical* to K serial runs — the
-speedup comes from the agent side, where one batched forward pass serves all
-K lanes (see ``Agent.select_actions``).  Lanes may be built from one scenario
-(replicated with derived per-lane workload seeds) or from *different*
-scenarios (e.g. a :func:`~repro.workloads.scenarios.scenario_grid` load
-sweep), as long as every lane agrees on ``state_dim`` and ``num_actions``.
+with fixed per-lane seeds is *bitwise identical* to K serial runs.  Lanes
+may be built from one scenario (replicated with derived per-lane workload
+seeds) or from *different* scenarios (e.g. a
+:func:`~repro.workloads.scenarios.scenario_grid` load sweep), as long as
+every lane agrees on ``state_dim`` and ``num_actions``.
+
+This per-lane core serves K=1 training (``Trainer``) and lane sets the
+fused :class:`~repro.core.soa.SoAVecPlacementEnv` rejects (mixed
+topologies or configurations), and is the differential oracle the SoA core
+is held to bitwise.  Batched decision work — the shared decision context,
+the mask kernel and the heuristic score kernels that read it — lives on the
+SoA core.
 """
 
 from __future__ import annotations
@@ -53,78 +59,6 @@ OUTCOMES = (
     "commit_failed",
 )
 OUTCOME_CODE = {name: code for code, name in enumerate(OUTCOMES)}
-
-
-class LaneDecisionContext:
-    """Batched arrays describing every lane's pending placement decision.
-
-    Built once per decision step by
-    :meth:`VecPlacementEnv.lane_decision_context` (for topology-shared
-    lanes) and shared between the batched mask kernel and the vectorized
-    baseline-policy kernels, so the per-lane Python gather happens once per
-    step however many consumers read it.  All arrays are read-only by
-    convention; rows of inactive lanes (no request in flight) hold neutral
-    filler values and must be masked with :attr:`active`.
-    """
-
-    __slots__ = (
-        "active",
-        "anchor_rows",
-        "demands",
-        "extras",
-        "budgets",
-        "holding",
-        "used",
-        "capacity_plus_tol",
-        "free_tol",
-        "latency",
-        "_constant_stack",
-    )
-
-    def __init__(
-        self,
-        active: np.ndarray,
-        anchor_rows: np.ndarray,
-        demands: np.ndarray,
-        extras: np.ndarray,
-        budgets: np.ndarray,
-        holding: np.ndarray,
-        used: np.ndarray,
-        capacity_plus_tol: np.ndarray,
-        latency: np.ndarray,
-        constant_stack,
-    ) -> None:
-        self.active = active
-        self.anchor_rows = anchor_rows
-        self.demands = demands
-        self.extras = extras
-        self.budgets = budgets
-        self.holding = holding
-        self.used = used
-        self.capacity_plus_tol = capacity_plus_tol
-        # Same expression as SubstrateLedger.can_host_all, stacked over lanes.
-        self.free_tol = capacity_plus_tol - used
-        self.latency = latency
-        #: Provider of cross-step-cached stacks of constant ledger matrices
-        #: (VecPlacementEnv._stacked_constant); capacities and unit costs do
-        #: not change between steps, so contexts share one stack per ledger
-        #: set instead of rebuilding it every decision step.
-        self._constant_stack = constant_stack
-
-    @property
-    def capacity(self) -> np.ndarray:
-        """Stacked ``(K, N, 3)`` node capacities (cached across steps)."""
-        return self._constant_stack("node_capacity")
-
-    @property
-    def capacity_safe(self) -> np.ndarray:
-        """Stacked zero-safe capacities for utilization ratios (cached)."""
-        return self._constant_stack("node_capacity_safe")
-
-    @property
-    def cost_per_unit(self) -> np.ndarray:
-        """Stacked ``(K, N, 3)`` per-unit node costs (cached across steps)."""
-        return self._constant_stack("node_cost_per_unit")
 
 
 def lane_workload_seed(seed: RandomState, lane_index: int, scenario_name: str) -> int:
@@ -329,14 +263,6 @@ class VecPlacementEnv:
         )
         #: Total episodes completed across all lanes since construction.
         self.episodes_completed = 0
-        self._mask_kernel = self._detect_mask_kernel()
-        #: Bumped whenever any lane advances; memoizes the decision context.
-        self._decision_version = 0
-        self._context: Optional[LaneDecisionContext] = None
-        self._context_version = -1
-        self._zero_demand = np.zeros(3)
-        #: attr -> ((attr, ledger ids), stacked matrix) for constant stacks.
-        self._const_stack_cache: Dict[str, Tuple[tuple, np.ndarray]] = {}
         # Lean-step outcome arrays (see the accessors below): the reference
         # backend records them from the per-lane info dicts it builds anyway,
         # so the lean protocol is a contract here, not an optimization.
@@ -454,165 +380,15 @@ class VecPlacementEnv:
 
         ``observe=False`` skips per-lane state encoding (zero batch).
         """
-        self._decision_version += 1
         return np.stack([env.reset(observe=observe) for env in self.envs])
 
     def reset_lane(self, lane: int) -> np.ndarray:
         """Reset a single lane; returns its fresh state vector."""
-        self._decision_version += 1
         return self.envs[lane].reset()
 
-    def _detect_mask_kernel(self) -> bool:
-        """Whether the batched mask kernel applies to this lane set.
-
-        The kernel requires every lane to share the *same* topology
-        (identical node order, ledger row order and latency matrix)
-        and to share one ``latency_mask_check`` setting — the common case for
-        lanes built from one scenario family.  Anything else falls back to
-        the per-lane reference path.
-        """
-        reference = self.envs[0]
-        ref_order = reference.encoder.node_order
-        ref_matrix = reference.network.latency_matrix
-        ref_latency_check = reference.config.latency_mask_check
-        for env in self.envs:
-            if env.config.latency_mask_check != ref_latency_check:
-                return False
-            if env.encoder.node_order != ref_order:
-                return False
-            if env.encoder.node_order != list(env.network.ledger.node_ids):
-                return False
-            if env is not reference and not np.array_equal(
-                env.network.latency_matrix, ref_matrix
-            ):
-                return False
-        return True
-
-    def lane_decision_context(self) -> Optional[LaneDecisionContext]:
-        """The batched decision context of the current step (memoized).
-
-        ``None`` when the lane set does not support the batched kernel
-        (mixed topologies).  The context is rebuilt lazily after every
-        :meth:`step` / :meth:`reset` / :meth:`reset_lane` and shared by the
-        mask kernel and any bound baseline-policy kernels.
-        """
-        if not self._mask_kernel:
-            return None
-        if self._context is not None and self._context_version == self._decision_version:
-            return self._context
-        envs = self.envs
-        # Per-lane values accumulate in Python lists and convert to arrays in
-        # one shot: element-wise writes into preallocated numpy arrays cost
-        # roughly a microsecond each, which dominates a K=16 gather.
-        active = []
-        demands = []
-        extras = []
-        budgets = []
-        holding = []
-        anchor_rows = []
-        used_rows = []
-        ledgers = []
-        zero_demand = self._zero_demand
-        node_row = envs[0].network.topology.node_row
-        for env in envs:
-            ledger = env.network.ledger
-            ledgers.append(ledger)
-            used_rows.append(ledger.node_used)
-            request = env._current_request
-            if request is None:
-                active.append(False)
-                demands.append(zero_demand)
-                extras.append(0.0)
-                budgets.append(1.0)
-                holding.append(0.0)
-                anchor_rows.append(0)
-                continue
-            active.append(True)
-            next_vnf = request.chain.vnf_at(env._vnf_index)
-            demands.append(request.chain.demand_rows[env._vnf_index])
-            extras.append(next_vnf.processing_delay_ms + env._partial_latency)
-            budgets.append(request.sla.max_latency_ms)
-            holding.append(request.holding_time)
-            partial = env._partial_assignment
-            anchor_rows.append(
-                node_row[partial[-1] if partial else request.source_node_id]
-            )
-        anchor_index = np.array(anchor_rows, dtype=np.int64)
-        num_lanes = len(envs)
-        num_nodes = len(used_rows[0])
-        context = LaneDecisionContext(
-            active=np.array(active, dtype=bool),
-            anchor_rows=anchor_index,
-            # concatenate+reshape instead of np.stack: same layout, roughly
-            # a third of the per-call overhead on small row lists.
-            demands=np.concatenate(demands).reshape(num_lanes, 3),
-            extras=np.array(extras),
-            budgets=np.array(budgets),
-            holding=np.array(holding),
-            used=np.concatenate(used_rows).reshape(num_lanes, num_nodes, 3),
-            capacity_plus_tol=self._stacked_constant("capacity_plus_tol", ledgers),
-            latency=envs[0].network.latency_matrix[anchor_index],
-            constant_stack=self._stacked_constant,
-        )
-        self._context = context
-        self._context_version = self._decision_version
-        return context
-
-    def _stacked_constant(self, attr: str, ledgers: Optional[List] = None) -> np.ndarray:
-        """Stacked per-lane ledger matrices constant between allocations.
-
-        Capacities and unit costs change only when a lane's ledger object is
-        rebuilt (topology mutation), so each requested attribute is stacked
-        once per ledger set and shared by every decision step's context.
-        """
-        if ledgers is None:
-            ledgers = [env.network.ledger for env in self.envs]
-        # The cache keys on the ledger *objects* (held strongly, compared by
-        # identity) rather than their id()s: a rebuilt ledger could land on
-        # a freed ledger's recycled id and inherit a stale stack (RPL103).
-        cached = self._const_stack_cache.get(attr)
-        if (
-            cached is None
-            or len(cached[0]) != len(ledgers)
-            or any(held is not live for held, live in zip(cached[0], ledgers))
-        ):
-            cached = (
-                tuple(ledgers),
-                np.stack([getattr(l, attr) for l in ledgers]),
-            )
-            self._const_stack_cache[attr] = cached
-        return cached[1]
-
     def valid_action_masks(self) -> np.ndarray:
-        """Stacked ``(K, num_actions)`` boolean validity masks.
-
-        For topology-shared lanes the whole batch is computed by one
-        array kernel over the shared :meth:`lane_decision_context` — stacked
-        ledger columns, one latency-matrix gather and a single ``(K, N)``
-        comparison chain — bitwise identical to stacking the per-lane
-        :meth:`~repro.core.env.VNFPlacementEnv.valid_action_mask` calls (the
-        reference path, used whenever lanes differ structurally).
-        """
-        context = self.lane_decision_context()
-        if context is None:
-            return np.stack([env.valid_action_mask() for env in self.envs])
-        envs = self.envs
-        num_actions = self.num_actions
-        num_nodes = num_actions - 1
-        masks = np.zeros((len(envs), num_actions), dtype=bool)
-        masks[:, num_nodes] = True  # reject is always valid
-        valid = (context.demands[:, None, :] <= context.free_tol).all(axis=2)
-        if envs[0].config.latency_mask_check:
-            valid &= (
-                context.latency + context.extras[:, None]
-                <= context.budgets[:, None]
-            )
-        valid &= context.active[:, None]
-        for lane, env in enumerate(envs):
-            for node_id in env._failed_nodes:
-                valid[lane, env._node_action[node_id]] = False
-        masks[:, :num_nodes] = valid
-        return masks
+        """Stacked ``(K, num_actions)`` boolean validity masks."""
+        return np.stack([env.valid_action_mask() for env in self.envs])
 
     def lane_stats(self) -> List[EpisodeStats]:
         """The per-lane statistics of the episodes currently in progress."""
@@ -707,7 +483,6 @@ class VecPlacementEnv:
                 raise RuntimeError("step() called on a finished episode; call reset()")
             if not 0 <= action < num_actions:
                 raise ValueError(f"action {action} outside the action space")
-        self._decision_version += 1
         states = np.empty((self.num_lanes, self.state_dim), dtype=float)
         rewards = np.empty(self.num_lanes, dtype=float)
         dones = np.empty(self.num_lanes, dtype=bool)

@@ -149,11 +149,15 @@ def evaluate_agent_across_scenarios(
     ``agent`` is anything speaking the batched acting protocol: a learning
     :class:`~repro.agents.base.Agent`, or a heuristic
     :class:`~repro.sim.simulation.PlacementPolicy` (it is bound to the lanes
-    and — since heuristics decide from the live lane substrate — state
-    encoding is skipped entirely, the lane fast path).  With a
-    ``failure_config``, per-lane failure schedules are injected and the
-    returned results carry the disruption statistics (an availability
-    sweep).
+    and — since heuristics decide from the lane substrate — state encoding
+    is skipped entirely, the lane fast path).  With a ``failure_config``,
+    per-lane failure schedules are injected and the returned results carry
+    the disruption statistics (an availability sweep).
+
+    Every lane set is built with ``backend="auto"``: the SoA core, or the
+    reference core when the lanes mix topologies or configurations.  The
+    lane set is closed when the evaluation ends, which frees its episodes
+    even while a bound policy still refers to it.
 
     All scenarios must share the agent's observation and action space (same
     topology size); per-lane workload seeds are derived from ``seed``.
@@ -162,9 +166,6 @@ def evaluate_agent_across_scenarios(
         raise ValueError(
             f"episodes_per_scenario must be positive, got {episodes_per_scenario}"
         )
-    # Heuristics plan against live per-lane substrate, which only the
-    # reference lane core exposes; learning agents act purely on encoded
-    # batches and take the SoA core whenever the lane set supports it.
     is_heuristic = isinstance(agent, PlacementPolicy)
     venv = make_vec_env(
         scenarios,
@@ -173,7 +174,7 @@ def evaluate_agent_across_scenarios(
         reward_config=reward_config,
         encoder_config=encoder_config,
         failure_config=failure_config,
-        backend="reference" if is_heuristic else "auto",
+        backend="auto",
     )
     try:
         if is_heuristic:

@@ -57,16 +57,16 @@ class PlacementPolicy(ABC):
     ----------------
     Beyond the per-request :meth:`place` entry point, every policy speaks the
     same batched acting API as a learning agent: after :meth:`bind_lanes` ties
-    the policy to the lane environments of a
-    :class:`~repro.core.vecenv.VecPlacementEnv`, :meth:`select_actions` emits
-    one action per lane for each batched decision step, which makes
-    heuristics, tabular agents and neural agents interchangeable in
-    vectorized evaluation loops.  The default implementation plans each
-    lane's current request once through :meth:`plan_assignment` and replays
-    the planned nodes one VNF at a time; it is the production path of the
-    random, Viterbi and brute-force baselines.  The node-scoring heuristics
-    override :meth:`select_actions` with array kernels over the ``(K, A)``
-    validity masks.
+    the policy to the lanes of a vectorized environment (either core),
+    :meth:`select_actions` emits one action per lane for each batched
+    decision step, which makes heuristics, tabular agents and neural agents
+    interchangeable in vectorized evaluation loops.  The default
+    implementation plans each lane's current request once through
+    :meth:`plan_assignment` and replays the planned nodes one VNF at a time;
+    it is the production path of the random, Viterbi and brute-force
+    baselines.  The node-scoring heuristics override :meth:`select_actions`
+    with array kernels over the SoA core's shared decision context and the
+    ``(K, A)`` validity masks.
     """
 
     #: Human-readable name used in result tables.
@@ -97,33 +97,23 @@ class PlacementPolicy(ABC):
     def bind_lanes(self, lanes) -> "PlacementPolicy":
         """Bind this policy to vectorized environment lanes.
 
-        ``lanes`` is a :class:`~repro.core.vecenv.VecPlacementEnv` or a plain
-        sequence of :class:`~repro.core.env.VNFPlacementEnv` objects.  Binding
-        initializes the per-lane plan cache used by the default
-        :meth:`select_actions`; returns ``self`` for chaining.
+        ``lanes`` is a vectorized environment of either core or a plain
+        sequence of :class:`~repro.core.env.VNFPlacementEnv` objects: the
+        lanes are a vec env's ``envs`` (reference envs, or the SoA core's
+        :class:`~repro.core.soa.SoALane` views).  Binding initializes the
+        per-lane plan cache used by the default :meth:`select_actions`;
+        returns ``self`` for chaining.
         """
-        if getattr(lanes, "backend", None) == "soa":
-            raise TypeError(
-                "heuristic policies plan against live per-lane environments, "
-                "which the SoA lane-block does not expose; build the "
-                "vectorized environment with backend='reference' instead"
-            )
         envs = list(getattr(lanes, "envs", lanes))
         if not envs:
             raise ValueError("bind_lanes() needs at least one lane")
         self._lane_envs = envs
-        # When bound to a whole VecPlacementEnv, vectorized kernels can share
-        # its per-step LaneDecisionContext instead of re-gathering per lane.
+        # Bound to an SoA env, score kernels share its per-step
+        # LaneDecisionContext instead of planning per lane.
         self._lane_venv = lanes if hasattr(lanes, "lane_decision_context") else None
         self._lane_plans: List[Optional[List[int]]] = [None] * len(envs)
         self._lane_request_ids: List[Optional[int]] = [None] * len(envs)
         return self
-
-    @property
-    def bound_context(self):
-        """The bound vec env's batched decision context, or ``None``."""
-        venv = getattr(self, "_lane_venv", None)
-        return None if venv is None else venv.lane_decision_context()
 
     @property
     def bound_lanes(self) -> List:
@@ -146,14 +136,15 @@ class PlacementPolicy(ABC):
 
         Mirrors ``Agent.select_actions``: ``states`` is the ``(K, S)``
         observation batch and ``masks`` the ``(K, A)`` validity masks.
-        Heuristic policies decide from the live lane substrate rather than
-        the encoded observations, so ``states`` may be ``None`` (and lane
+        Heuristic policies decide from the lane substrate rather than the
+        encoded observations, so ``states`` may be ``None`` (and lane
         evaluation may skip encoding entirely); ``greedy`` is accepted for
         signature compatibility and ignored — heuristics have no exploration
         mode.
 
         This default plans each lane's current request once via
-        :meth:`plan_assignment` (against that lane's live substrate) and
+        :meth:`plan_assignment` (against that lane's ``network``: the live
+        substrate of a reference lane, a usage copy of an SoA lane) and
         replays the planned nodes one VNF decision at a time.  Vectorized
         overrides must be decision-for-decision identical to it; the
         equivalence suite calls ``PlacementPolicy.select_actions(policy)``
@@ -168,18 +159,19 @@ class PlacementPolicy(ABC):
     def _lane_planned_action(self, lane: int, env) -> int:
         request = env.current_request
         if request is None:
-            return env.actions.reject_action
+            return env.num_actions - 1
         if self._lane_request_ids[lane] != request.request_id:
             self._lane_request_ids[lane] = request.request_id
-            assignment = self.plan_assignment(request, env.network)
+            network = env.network
+            assignment = self.plan_assignment(request, network)
+            # An action is a ledger row in both env cores.
+            node_row = network.topology.node_row
             self._lane_plans[lane] = (
-                None
-                if assignment is None
-                else [env.actions.action_for_node(node) for node in assignment]
+                None if assignment is None else [node_row[node] for node in assignment]
             )
         plan = self._lane_plans[lane]
         if plan is None:
-            return env.actions.reject_action
+            return env.num_actions - 1
         return plan[env.vnf_index]
 
     def reset(self) -> None:

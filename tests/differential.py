@@ -151,6 +151,68 @@ def _normalized_info(info: Dict[str, object]) -> Tuple[Dict[str, object], Option
     return payload, None if terminal is None else np.asarray(terminal, dtype=float)
 
 
+#: The per-lane decision fields a recorded context holds.
+CONTEXT_FIELDS = (
+    "active", "anchor_rows", "demands", "extras", "budgets", "holding",
+    "used", "latency", "free_tol",
+)
+
+
+def reference_decision_context(venv) -> Dict[str, np.ndarray]:
+    """The decision context gathered lane by lane from reference envs.
+
+    The oracle of :meth:`~repro.core.soa.SoAVecPlacementEnv.lane_decision_context`:
+    each field stacked over ``venv.envs`` from the lane's live request and
+    ledger, with the SoA core's neutral filler for lanes without a request.
+    """
+    active, anchor_rows, demands, extras, budgets, holding = [], [], [], [], [], []
+    for env in venv.envs:
+        request = env.current_request
+        active.append(request is not None)
+        if request is None:
+            anchor_rows.append(0)
+            demands.append(np.zeros(3))
+            extras.append(0.0)
+            budgets.append(1.0)
+            holding.append(0.0)
+            continue
+        vnf_index = env.vnf_index
+        anchor_rows.append(env.network.ledger.node_row[env.anchor_node_id])
+        demands.append(request.chain.demand_rows[vnf_index])
+        extras.append(
+            request.chain.vnf_at(vnf_index).processing_delay_ms
+            + env.partial_latency_ms
+        )
+        budgets.append(request.sla.max_latency_ms)
+        holding.append(request.holding_time)
+    ledgers = [env.network.ledger for env in venv.envs]
+    used = np.stack([ledger.node_used for ledger in ledgers])
+    anchors = np.array(anchor_rows, dtype=np.int64)
+    return {
+        "active": np.array(active, dtype=bool),
+        "anchor_rows": anchors,
+        "demands": np.stack(demands),
+        "extras": np.array(extras),
+        "budgets": np.array(budgets),
+        "holding": np.array(holding),
+        "used": used,
+        "latency": venv.envs[0].network.latency_matrix[anchors],
+        "free_tol": np.stack([ledger.capacity_plus_tol for ledger in ledgers]) - used,
+    }
+
+
+def decision_context(venv) -> Dict[str, np.ndarray]:
+    """Copies of ``venv``'s decision-context fields, on either core.
+
+    The SoA core's own context, or :func:`reference_decision_context` for a
+    reference lane set, which has none.
+    """
+    if not hasattr(venv, "lane_decision_context"):
+        return reference_decision_context(venv)
+    context = venv.lane_decision_context()
+    return {field: np.array(getattr(context, field), copy=True) for field in CONTEXT_FIELDS}
+
+
 def drive(
     factory: Callable[[], object],
     steps: int,
@@ -199,18 +261,7 @@ def drive(
             actions = masked_random_actions(masks, rng)
             entry: Dict[str, object] = {"masks": masks, "actions": actions.copy()}
             if record_context:
-                context = env.lane_decision_context()
-                entry["context"] = {
-                    "active": np.array(context.active, copy=True),
-                    "anchor_rows": np.array(context.anchor_rows, copy=True),
-                    "demands": np.array(context.demands, copy=True),
-                    "extras": np.array(context.extras, copy=True),
-                    "budgets": np.array(context.budgets, copy=True),
-                    "holding": np.array(context.holding, copy=True),
-                    "used": np.array(context.used, copy=True),
-                    "latency": np.array(context.latency, copy=True),
-                    "free_tol": np.array(context.free_tol, copy=True),
-                }
+                entry["context"] = decision_context(env)
             states, rewards, dones, infos = env.step(
                 actions, observe=observe, info=info
             )

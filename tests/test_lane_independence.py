@@ -5,11 +5,12 @@ workload seed, fault schedule) and the actions it receives, never on which
 other lanes share its environment.  The grouping tests split one lane set
 into groups, build one environment per group from the same specs, drive
 every lane with its own seeded action stream and assert each lane's record
-(reset state, masks, decision-context rows, states, rewards, dones, infos,
-outcome codes, episode statistics, fenced nodes) is bitwise identical to the
-same lane inside the whole environment, on both lane cores, request ids
-included: each lane's generator numbers its own requests.  One info field is
-relabeled: ``lane`` is the index inside the hosting environment.
+(reset state, masks, decision-context rows on the SoA core, states, rewards,
+dones, infos, outcome codes, episode statistics, fenced nodes) is bitwise
+identical to the same lane inside the whole environment, on both lane cores,
+request ids included: each lane's generator numbers its own requests.  One
+info field is relabeled: ``lane`` is the index inside the hosting
+environment.
 
 The consumers of the property follow: training and agent evaluation give
 the same numbers on either core, the factory builds the lanes its specs
@@ -21,7 +22,7 @@ from dataclasses import replace as dataclass_replace
 import numpy as np
 import pytest
 
-from differential import campaign_from_seed
+from differential import CONTEXT_FIELDS, campaign_from_seed
 from repro.agents.dqn import DQNAgent, DQNConfig
 from repro.baselines import standard_baselines
 from repro.core.env import EnvConfig
@@ -37,8 +38,6 @@ ENV_CONFIG = EnvConfig(requests_per_episode=8)
 FAULTS = FailureConfig(mean_time_to_failure=15.0, mean_time_to_repair=6.0)
 DQN_CONFIG = DQNConfig(hidden_layers=(16,), batch_size=8, min_replay_size=8)
 CORES = {"reference": VecPlacementEnv, "soa": SoAVecPlacementEnv}
-CONTEXT_FIELDS = ("active", "anchor_rows", "demands", "extras", "budgets",
-                  "holding", "used", "latency", "free_tol")
 
 #: Uneven groups of a four-lane set: a singleton, a pair, a singleton.
 UNEVEN_GROUPS = ((0, 1), (1, 3), (3, 4))
@@ -87,10 +86,11 @@ def drive_lanes(env, steps, lane_offset=0, reset_lane_at=None, observe=True, inf
                 reset = env.reset_lane(lane - lane_offset).copy()
                 records[lane - lane_offset].append({"reset_lane": reset})
         masks = env.valid_action_masks().copy()
-        context = env.lane_decision_context()
-        rows = {} if context is None else {
-            f"context.{f}": np.array(getattr(context, f)) for f in CONTEXT_FIELDS
-        }
+        # Only the SoA core builds a decision context.
+        rows = {
+            f"context.{f}": np.array(getattr(env.lane_decision_context(), f))
+            for f in CONTEXT_FIELDS
+        } if hasattr(env, "lane_decision_context") else {}
         actions = np.array(
             [int(rng.choice(np.flatnonzero(mask))) for mask, rng in zip(masks, rngs)]
         )
@@ -251,19 +251,20 @@ class TestBatchedConsumers:
         assert built == ["soa", "reference"]
         assert [r.as_dict() for r in default] == [r.as_dict() for r in reference]
 
+    @pytest.mark.parametrize("core", sorted(CORES))
     @pytest.mark.parametrize(
         "policy_index",
         range(len(standard_baselines())),
         ids=[policy.name for policy in standard_baselines()],
     )
-    def test_policy_rebinds_cleanly_between_lane_sets(self, policy_index):
+    def test_policy_rebinds_cleanly_between_lane_sets(self, policy_index, core):
         # After acting on one lane set a policy must act on the next exactly
         # like a fresh instance: no plan, request id or decision context
         # survives the rebind.  Each lane's generator numbers its requests
         # from 0, so after one step on the earlier set every lane's cached
         # plan sits under the id its counterpart's first request reuses.
         def act(policy, specs, steps):
-            venv = VecPlacementEnv.from_specs(specs)
+            venv = CORES[core].from_specs(specs)
             policy.bind_lanes(venv)
             venv.reset(observe=False)
             taken = []

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from differential import masked_random_actions
 from repro.baselines import (
     BestFitPolicy,
     BruteForceOptimalPolicy,
@@ -17,7 +18,14 @@ from repro.baselines import (
     standard_baselines,
 )
 from repro.core.env import EnvConfig
-from repro.core.vecenv import VecPlacementEnv, lane_workload_seed, make_lane_env
+from repro.core.soa import SoAVecPlacementEnv
+from repro.core.vecenv import (
+    VecPlacementEnv,
+    lane_specs_from_scenarios,
+    lane_workload_seed,
+    make_lane_env,
+)
+from repro.experiments import runner
 from repro.experiments.runner import (
     evaluate_baseline_across_scenarios,
 )
@@ -27,6 +35,7 @@ from repro.workloads.scenarios import reference_scenario, scenario_grid
 
 SEED = 2
 ENV_CONFIG = EnvConfig(requests_per_episode=10, latency_mask_check=False)
+FAULTS = FailureConfig(mean_time_to_failure=4.0, mean_time_to_repair=2.0, seed=0)
 
 #: Heuristics with vectorized select_actions kernels.
 KERNEL_FACTORIES = [
@@ -55,15 +64,16 @@ def sweep_grid():
 
 
 class TestBatchedMatchesReference:
-    """Vectorized select_actions must be decision-for-decision identical to
-    the per-request plan_assignment reference on identical lanes."""
+    """Vectorized select_actions on SoA lanes must be decision-for-decision
+    identical to the per-request plan_assignment reference on reference
+    lanes."""
 
     @pytest.mark.parametrize(
         "factory", KERNEL_FACTORIES, ids=lambda f: f().name
     )
     def test_kernel_equals_reference_bitwise(self, factory):
         grid = sweep_grid()
-        venv_batched = VecPlacementEnv.from_scenarios(
+        venv_batched = SoAVecPlacementEnv.from_scenarios(
             grid, seed=SEED, env_config=ENV_CONFIG
         )
         venv_reference = VecPlacementEnv.from_scenarios(
@@ -84,37 +94,6 @@ class TestBatchedMatchesReference:
             )
             venv_batched.step(batched_actions, observe=False)
             venv_reference.step(reference_actions, observe=False)
-
-    @pytest.mark.parametrize(
-        "factory",
-        KERNEL_FACTORIES,
-        ids=lambda f: f().name,
-    )
-    def test_kernel_without_shared_context_equals_reference(self, factory):
-        # Bind to a plain env list (no VecPlacementEnv context): the per-lane
-        # fallback kernels must still match the reference path.
-        grid = sweep_grid()
-        lanes_a = [
-            make_lane_env(cell, lane_workload_seed(SEED, i, cell.name), ENV_CONFIG)
-            for i, cell in enumerate(grid)
-        ]
-        lanes_b = [
-            make_lane_env(cell, lane_workload_seed(SEED, i, cell.name), ENV_CONFIG)
-            for i, cell in enumerate(grid)
-        ]
-        batched = factory().bind_lanes(lanes_a)
-        reference = factory().bind_lanes(lanes_b)
-        for env in (*lanes_a, *lanes_b):
-            env.reset(observe=False)
-        for step in range(60):
-            batched_actions = batched.select_actions()
-            reference_actions = PlacementPolicy.select_actions(reference)
-            np.testing.assert_array_equal(batched_actions, reference_actions)
-            for lanes, actions in ((lanes_a, batched_actions), (lanes_b, reference_actions)):
-                for lane, env in enumerate(lanes):
-                    _, _, done, _ = env.step(int(actions[lane]), observe=False)
-                    if done:
-                        env.reset(observe=False)
 
     @pytest.mark.parametrize(
         "factory", PLAN_FACTORIES, ids=lambda f: f().name
@@ -145,6 +124,74 @@ class TestBatchedMatchesReference:
                 _, _, done, _ = env.step(int(action[0]), observe=False)
                 if done:
                     env.reset(observe=False)
+
+
+class TestHeuristicLanesAcrossCores:
+    """Heuristic lanes give the same numbers on the SoA and reference cores."""
+
+    @pytest.mark.parametrize("failures", [None, FAULTS], ids=["clean", "faulted"])
+    @pytest.mark.parametrize(
+        "factory", KERNEL_FACTORIES + PLAN_FACTORIES, ids=lambda f: f().name
+    )
+    def test_baseline_evaluation_is_core_independent(
+        self, monkeypatch, factory, failures
+    ):
+        build = runner.make_vec_env
+        built = []
+
+        def spy(*args, backend, force=None, **kwargs):
+            venv = build(*args, backend=force or backend, **kwargs)
+            built.append(venv.backend)
+            return venv
+
+        def evaluate():
+            return [
+                result.as_dict()
+                for result in evaluate_baseline_across_scenarios(
+                    factory(), sweep_grid(), episodes_per_scenario=2, seed=1,
+                    env_config=ENV_CONFIG, failure_config=failures,
+                )
+            ]
+
+        monkeypatch.setattr(runner, "make_vec_env", spy)
+        default = evaluate()
+        monkeypatch.setattr(
+            runner, "make_vec_env", lambda *a, **k: spy(*a, force="reference", **k)
+        )
+        assert evaluate() == default
+        assert built == ["soa", "reference"]
+
+    def test_soa_lane_network_holds_the_reference_ledger(self):
+        specs = lane_specs_from_scenarios(
+            sweep_grid(), seed=SEED, env_config=ENV_CONFIG, failure_config=FAULTS
+        )
+        soa = SoAVecPlacementEnv.from_specs(specs)
+        reference = VecPlacementEnv.from_specs(specs)
+        rng = np.random.default_rng(0)
+        soa.reset(observe=False)
+        reference.reset(observe=False)
+        fenced = used = False
+        for step in range(150):
+            for lane, env in zip(soa.envs, reference.envs):
+                copy, ledger = lane.network.ledger, env.network.ledger
+                for name in ("node_used", "link_used"):
+                    np.testing.assert_array_equal(
+                        getattr(copy, name), getattr(ledger, name),
+                        err_msg=f"step {step}: {name}",
+                    )
+                request = lane.current_request
+                assert request.request_id == env.current_request.request_id
+                assert lane.vnf_index == env.vnf_index
+                demands = request.chain.demand_rows
+                np.testing.assert_array_equal(
+                    copy.can_host_all(demands), ledger.can_host_all(demands)
+                )
+                used |= bool(ledger.link_used.any())
+            fenced |= any(soa.lane_failed_nodes())
+            actions = masked_random_actions(reference.valid_action_masks(), rng)
+            soa.step(actions, observe=False)
+            reference.step(actions, observe=False)
+        assert fenced and used
 
 
 class TestPlanAssignmentParity:

@@ -1,5 +1,8 @@
 """Tests for the vectorized environment layer and the batched agent API."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from repro.agents.exploration import ConstantSchedule, EpsilonGreedy
 from repro.agents.policy_gradient import ReinforceAgent, ReinforceConfig
 from repro.agents.qlearning import TabularQLearningAgent
 from repro.core.env import EnvConfig
+from repro.core.soa import SoAVecPlacementEnv
 from repro.core.training import Trainer, TrainingConfig, VecTrainer
 from repro.core.vecenv import (
     VecPlacementEnv,
@@ -209,41 +213,30 @@ class TestScenarioGridAndSampler:
 
 
 class TestBatchedMaskKernel:
-    """The (K, A) mask kernel must equal the stacked per-lane reference."""
+    """The SoA core's (K, A) mask kernel equals the stacked per-lane masks."""
 
     @pytest.mark.parametrize("latency_check", [True, False])
     def test_kernel_bitwise_equals_per_lane(self, latency_check):
         config = EnvConfig(requests_per_episode=6, latency_mask_check=latency_check)
-        venv = VecPlacementEnv.from_scenario(
-            small_scenario(), 4, seed=SEED, env_config=config
+        soa, venv = (
+            core.from_scenario(small_scenario(), 4, seed=SEED, env_config=config)
+            for core in (SoAVecPlacementEnv, VecPlacementEnv)
         )
-        assert venv._mask_kernel
         rng = np.random.default_rng(0)
+        soa.reset()
         venv.reset()
         for _ in range(80):
-            kernel = venv.valid_action_masks()
+            kernel = soa.valid_action_masks()
             reference = np.stack([env.valid_action_mask() for env in venv.envs])
             np.testing.assert_array_equal(kernel, reference)
             actions = [masked_random_action(kernel[i], rng) for i in range(4)]
+            soa.step(actions)
             venv.step(actions)
 
-    def test_kernel_disabled_for_mixed_topologies(self):
-        lanes = [
-            make_lane_env(small_scenario(), 0, env_config=ENV_CONFIG),
-            make_lane_env(small_scenario(seed=9), 1, env_config=ENV_CONFIG),
-        ]
-        if lanes[0].state_dim == lanes[1].state_dim:
-            venv = VecPlacementEnv(lanes)
-            # Different topology seeds -> different latency matrices -> the
-            # kernel must fall back to the per-lane reference path.
-            assert not venv._mask_kernel
-            venv.reset()
-            reference = np.stack([env.valid_action_mask() for env in venv.envs])
-            np.testing.assert_array_equal(venv.valid_action_masks(), reference)
-            assert venv.lane_decision_context() is None
-
     def test_context_memoized_within_step(self):
-        venv = make_venv(num_lanes=3)
+        venv = SoAVecPlacementEnv.from_scenario(
+            small_scenario(), 3, seed=SEED, env_config=ENV_CONFIG
+        )
         venv.reset()
         first = venv.lane_decision_context()
         assert venv.lane_decision_context() is first
@@ -251,6 +244,43 @@ class TestBatchedMaskKernel:
         rng = np.random.default_rng(1)
         venv.step([masked_random_action(masks[i], rng) for i in range(3)])
         assert venv.lane_decision_context() is not first
+
+
+class TestSoALaneSetLifetime:
+    """An SoA lane set is freed by reference counting, and close() empties it."""
+
+    def drive(self, venv, steps=30):
+        rng = np.random.default_rng(2)
+        venv.reset()
+        for _ in range(steps):
+            masks = venv.valid_action_masks()
+            venv.step([masked_random_action(mask, rng) for mask in masks])
+
+    def test_env_dies_with_its_last_reference(self):
+        gc.disable()
+        try:
+            venv = SoAVecPlacementEnv.from_scenario(
+                small_scenario(), 3, seed=SEED, env_config=ENV_CONFIG
+            )
+            self.drive(venv)
+            alive = weakref.ref(venv)
+            del venv
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_closed_env_holds_no_episode(self):
+        venv = SoAVecPlacementEnv.from_scenario(
+            small_scenario(), 3, seed=SEED, env_config=ENV_CONFIG
+        )
+        self.drive(venv)
+        assert any(lane.heap for lane in venv._lanes)
+        venv.close()
+        for lane in venv._lanes:
+            assert (lane.requests, lane.views, lane.heap, lane.current) == ([], [], [], None)
+        assert all(lane.current_request is None for lane in venv.envs)
+        self.drive(venv, steps=5)
+        assert all(lane.current_request is not None for lane in venv.envs)
 
 
 class TestFaultInjectedLanes:
