@@ -4,6 +4,13 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
+# One BLAS thread unless the caller chose otherwise: the DQN's matmuls are at
+# most 128 wide, and OpenBLAS's default thread pool contends on small hosts.
+OPENBLAS_NUM_THREADS ?= 1
+OMP_NUM_THREADS ?= 1
+MKL_NUM_THREADS ?= 1
+export OPENBLAS_NUM_THREADS OMP_NUM_THREADS MKL_NUM_THREADS
+
 .PHONY: check lint test test-diff bench-hotpath bench-envstep bench-vecenv bench-policyeval bench-serving bench-smoke bench clean-cache
 
 ## check: tier-1 tests + one tiny end-to-end figure run (< 1 minute)

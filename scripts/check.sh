@@ -10,6 +10,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+# One BLAS thread unless the caller set one, as in the Makefile: the DQN's
+# matmuls are at most 128 wide, and OpenBLAS's default pool contends on
+# small hosts.
+export OPENBLAS_NUM_THREADS="${OPENBLAS_NUM_THREADS-1}"
+export OMP_NUM_THREADS="${OMP_NUM_THREADS-1}"
+export MKL_NUM_THREADS="${MKL_NUM_THREADS-1}"
 
 echo "==> tier-1 tests"
 # With pytest-cov installed (CI installs it; it is optional locally), the

@@ -99,12 +99,15 @@ class EpsilonGreedy:
         valid = _valid_indices(q_values.shape[0], mask)
         epsilon = 0.0 if greedy else self.schedule.value(step)
         check_probability(epsilon, "epsilon")
-        if not greedy and self._rng.uniform() < epsilon:
-            return int(self._rng.choice(valid))
+        # ``random()`` and ``arr[integers(0, n)]`` draw the same stream as
+        # ``uniform()`` and ``choice(arr)``, at a fraction of the call cost.
+        rng = self._rng
+        if not greedy and rng.random() < epsilon:
+            return int(valid[rng.integers(0, valid.shape[0])])
         masked_q = np.full_like(q_values, -np.inf)
         masked_q[valid] = q_values[valid]
         best = np.flatnonzero(masked_q == masked_q.max())
-        return int(self._rng.choice(best))
+        return int(best[rng.integers(0, best.shape[0])])
 
 
     def select_batch(

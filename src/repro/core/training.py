@@ -146,6 +146,11 @@ class VecTrainer:
         with the same keys as :meth:`Trainer.run_episode` plus the completing
         ``lane``.  Lanes that exceed ``max_steps_per_episode`` are truncated
         and summarized exactly like the serial trainer's step cap.
+
+        Masks are a pure function of lane state, so a learning run selects
+        with the ``next_masks`` it computed for the replay after the previous
+        step; masks are recomputed only when a lane was restarted through
+        ``reset_lane`` (and on every step of a non-learning run).
         """
         if episodes <= 0:
             return []
@@ -157,8 +162,10 @@ class VecTrainer:
         #: episode is labelled with their mean (for K=1 this is exactly the
         #: serial per-episode loss).
         recent_losses: List[float] = []
+        masks = None
         while len(summaries) < episodes:
-            masks = venv.valid_action_masks()
+            if masks is None:
+                masks = venv.valid_action_masks()
             actions = self.agent.select_actions(states, masks, greedy=greedy)
             # Lean-step protocol: the trainer only consumes episode_stats of
             # done lanes, which the lean accessors expose without the venv
@@ -173,6 +180,7 @@ class VecTrainer:
             truncations = (
                 lane_steps >= self.config.max_steps_per_episode
             ) & ~dones
+            next_masks = None
             if learn:
                 next_masks = venv.valid_action_masks()
                 self.agent.observe_batch(
@@ -208,6 +216,7 @@ class VecTrainer:
                 needs_restart = (not venv.auto_reset) if done else True
                 if needs_restart and len(summaries) + len(finished_this_step) < episodes:
                     next_states[lane] = venv.reset_lane(lane)
+                    next_masks = None
             if finished_this_step:
                 loss = float(np.mean(recent_losses)) if recent_losses else 0.0
                 recent_losses.clear()
@@ -215,6 +224,7 @@ class VecTrainer:
                     summary["loss"] = loss
                 summaries.extend(finished_this_step)
             states = next_states
+            masks = next_masks
         if learn:
             self.agent.end_episode()
         return summaries[:episodes]

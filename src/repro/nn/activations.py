@@ -59,6 +59,11 @@ class ReLU(Activation):
     def derivative(self, z: np.ndarray) -> np.ndarray:
         return (z > 0.0).astype(z.dtype)
 
+    def derivative_from_output(self, z: np.ndarray, output: np.ndarray) -> np.ndarray:
+        # The boolean mask: backprop multiplies by it as by 1.0/0.0, with
+        # the same bits and without a float copy.
+        return z > 0.0
+
 
 class LeakyReLU(Activation):
     """Leaky rectified linear unit with configurable negative slope."""

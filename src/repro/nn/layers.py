@@ -3,7 +3,9 @@
 The layer stores its parameters and, after a forward pass in training mode,
 the cached inputs/pre-activations needed to compute gradients.  Parameters
 and gradients are exposed as dictionaries so optimizers can treat networks
-generically.
+generically.  A standalone layer owns its arrays; inside an
+:class:`~repro.nn.network.MLP` they are views into the network's flat
+parameter and gradient vectors (see :meth:`DenseLayer.share_buffers`).
 """
 
 from __future__ import annotations
@@ -70,12 +72,16 @@ class DenseLayer:
     # ------------------------------------------------------------------ #
     def forward(self, inputs: np.ndarray, training: bool = True) -> np.ndarray:
         """Compute the layer output for a batch of inputs (batch, in_features)."""
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+        if not (
+            type(inputs) is np.ndarray and inputs.ndim == 2 and inputs.dtype == np.float64
+        ):
+            inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
         if inputs.shape[1] != self.in_features:
             raise ValueError(
                 f"expected input width {self.in_features}, got {inputs.shape[1]}"
             )
-        pre_activation = inputs @ self.weights + self.biases
+        pre_activation = inputs @ self.weights
+        pre_activation += self.biases
         output = self.activation.forward(pre_activation)
         if training:
             self._cached_input = inputs
@@ -90,6 +96,14 @@ class DenseLayer:
         ``bias_grad`` (callers zero them between updates via
         :meth:`zero_grad`).
         """
+        return self.accumulate_gradients(upstream_grad) @ self.weights.T
+
+    def accumulate_gradients(self, upstream_grad: np.ndarray) -> np.ndarray:
+        """Accumulate parameter gradients; return ``d loss / d pre-activation``.
+
+        The parameter half of :meth:`backward`, for a first layer whose input
+        gradient nobody reads.
+        """
         if self._cached_input is None or self._cached_pre_activation is None:
             raise RuntimeError("backward() called before a training-mode forward()")
         upstream_grad = np.atleast_2d(np.asarray(upstream_grad, dtype=float))
@@ -98,7 +112,7 @@ class DenseLayer:
         )
         self.weight_grad += self._cached_input.T @ local_grad
         self.bias_grad += local_grad.sum(axis=0)
-        return local_grad @ self.weights.T
+        return local_grad
 
     def zero_grad(self) -> None:
         """Reset accumulated parameter gradients to zero."""
@@ -117,7 +131,12 @@ class DenseLayer:
         return {"weights": self.weight_grad, "biases": self.bias_grad}
 
     def set_parameters(self, params: Dict[str, np.ndarray]) -> None:
-        """Copy parameter values from ``params`` (shapes must match)."""
+        """Copy parameter values from ``params`` into the layer's own arrays.
+
+        Shapes must match.  The arrays are written in place, never rebound,
+        so a layer whose parameters are views into a network's flat vector
+        stays aliased to it.
+        """
         if params["weights"].shape != self.weights.shape:
             raise ValueError(
                 f"weight shape mismatch: {params['weights'].shape} vs {self.weights.shape}"
@@ -126,8 +145,27 @@ class DenseLayer:
             raise ValueError(
                 f"bias shape mismatch: {params['biases'].shape} vs {self.biases.shape}"
             )
-        self.weights = params["weights"].copy()
-        self.biases = params["biases"].copy()
+        self.weights[...] = params["weights"]
+        self.biases[...] = params["biases"]
+
+    def share_buffers(self, parameters: np.ndarray, gradients: np.ndarray) -> None:
+        """Move parameters and gradients into caller-owned 1-D buffers.
+
+        Each buffer holds :meth:`parameter_count` float64 entries, the
+        row-major weights first, then the biases.  The current values are
+        copied in, and ``weights``, ``biases``, ``weight_grad`` and
+        ``bias_grad`` become views into the two buffers.
+        """
+        split = self.weights.size
+        shape = self.weights.shape
+        parameters[:split] = self.weights.ravel()
+        parameters[split:] = self.biases
+        gradients[:split] = self.weight_grad.ravel()
+        gradients[split:] = self.bias_grad
+        self.weights = parameters[:split].reshape(shape)
+        self.biases = parameters[split:]
+        self.weight_grad = gradients[:split].reshape(shape)
+        self.bias_grad = gradients[split:]
 
     def parameter_count(self) -> int:
         """Total number of scalar parameters in the layer."""

@@ -7,7 +7,8 @@ library (Q-networks, policy networks, value baselines).  It supports
 * backpropagation from an arbitrary output gradient,
 * a convenience :meth:`fit_batch` for supervised regression steps,
 * :meth:`apply_gradient_step` — the fused ``zero_grad → backward → clip →
-  optimizer step`` sequence agents run once per minibatch,
+  optimizer step`` sequence agents run once per minibatch, with one optimizer
+  chain over the network's flat parameter vector,
 * cloning and soft/hard parameter copying (for target networks), and
 * save/load to ``.npz`` files.
 
@@ -42,6 +43,13 @@ class MLP:
         Activation of the final layer (``identity`` for value heads).
     seed:
         Seed controlling weight initialization.
+
+    All parameters live in one contiguous float64 vector,
+    :attr:`flat_parameters`, and their gradients in :attr:`flat_gradients`;
+    every layer's ``weights``, ``biases``, ``weight_grad`` and ``bias_grad``
+    are views into them, so zeroing, optimizer steps and target copies are
+    single operations over the vectors.  ``copy.deepcopy`` or pickling
+    would copy the views as independent arrays and break that aliasing.
     """
 
     def __init__(
@@ -71,6 +79,19 @@ class MLP:
                     seed=rngs[index],
                 )
             )
+        total = sum(layer.parameter_count() for layer in self.layers)
+        self.flat_parameters = np.empty(total)
+        self.flat_gradients = np.zeros(total)
+        offset = 0
+        for layer in self.layers:
+            end = offset + layer.parameter_count()
+            layer.share_buffers(
+                self.flat_parameters[offset:end], self.flat_gradients[offset:end]
+            )
+            offset = end
+        self._flat_group: List[ParameterGroup] = [
+            ({"parameters": self.flat_parameters}, {"parameters": self.flat_gradients})
+        ]
 
     # ------------------------------------------------------------------ #
     # Shapes
@@ -87,7 +108,7 @@ class MLP:
 
     def parameter_count(self) -> int:
         """Total number of scalar parameters."""
-        return sum(layer.parameter_count() for layer in self.layers)
+        return self.flat_parameters.size
 
     # ------------------------------------------------------------------ #
     # Forward / backward
@@ -116,8 +137,7 @@ class MLP:
 
     def zero_grad(self) -> None:
         """Reset accumulated gradients in every layer."""
-        for layer in self.layers:
-            layer.zero_grad()
+        self.flat_gradients.fill(0.0)
 
     def apply_gradient_step(
         self,
@@ -130,17 +150,21 @@ class MLP:
         Consolidates the ``zero_grad → backward → clip → step`` sequence every
         agent update performs, so callers that compute their own output
         gradient (policy gradients, masked TD regression) need exactly one
-        call after the training-mode forward pass.
+        call after the training-mode forward pass.  The first layer's input
+        gradient is never computed, clipping keeps its per-array order, and
+        the optimizer sees one ``(flat parameters, flat gradients)`` group.
         """
         self.zero_grad()
-        self.backward(output_grad)
-        groups = self.parameter_groups()
+        grad = np.atleast_2d(np.asarray(output_grad, dtype=float))
+        for layer in reversed(self.layers[1:]):
+            grad = layer.backward(grad)
+        self.layers[0].accumulate_gradients(grad)
         if max_grad_norm is not None:
-            clip_gradients(groups, max_grad_norm)
-        optimizer.step(groups)
+            clip_gradients(self.parameter_groups(), max_grad_norm)
+        optimizer.step(self._flat_group)
 
     def parameter_groups(self) -> List[ParameterGroup]:
-        """(parameters, gradients) pairs consumed by optimizers."""
+        """Per-layer (parameters, gradients) pairs of views into the flat vectors."""
         return [(layer.parameters(), layer.gradients()) for layer in self.layers]
 
     # ------------------------------------------------------------------ #
@@ -198,7 +222,9 @@ class MLP:
         """Copy (or Polyak-average) parameters from another network.
 
         ``tau = 1`` performs a hard copy; ``tau < 1`` performs the soft update
-        ``θ ← τ θ_other + (1 − τ) θ`` used by soft target networks.
+        ``θ ← τ θ_other + (1 − τ) θ`` used by soft target networks.  Both
+        evaluate that formula over the flat vector (``tau = 1`` included), in
+        place; float addition commutes, so the bits are the formula's.
         """
         if not 0.0 < tau <= 1.0:
             raise ValueError(f"tau must be in (0, 1], got {tau}")
@@ -206,9 +232,9 @@ class MLP:
             raise ValueError(
                 f"architecture mismatch: {other.layer_sizes} vs {self.layer_sizes}"
             )
-        for mine, theirs in zip(self.layers, other.layers):
-            mine.weights = tau * theirs.weights + (1.0 - tau) * mine.weights
-            mine.biases = tau * theirs.biases + (1.0 - tau) * mine.biases
+        theirs = tau * other.flat_parameters
+        self.flat_parameters *= 1.0 - tau
+        self.flat_parameters += theirs
 
     def clone(self, seed: RandomState = None) -> "MLP":
         """A new network with the same architecture and copied parameters."""
@@ -218,7 +244,7 @@ class MLP:
             output_activation=self.output_activation,
             seed=seed if seed is not None else new_rng(0),
         )
-        other.set_parameters(self.get_parameters())
+        other.flat_parameters[...] = self.flat_parameters
         return other
 
     # ------------------------------------------------------------------ #

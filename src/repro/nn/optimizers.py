@@ -1,10 +1,13 @@
 """First-order optimizers operating on parameter/gradient dictionaries.
 
-Optimizers are decoupled from network classes: they receive the list of
-``(parameters, gradients)`` dictionaries produced by
-:meth:`repro.nn.network.MLP.parameter_groups` and update the parameter arrays
-in place.  Per-parameter optimizer state (momenta, second moments) is keyed
-by ``(group index, parameter name)``.
+Optimizers are decoupled from network classes: they receive a list of
+``(parameters, gradients)`` dictionaries — an :class:`~repro.nn.network.MLP`
+hands over one group holding its flat parameter and gradient vectors — and
+update the parameter arrays in place.  Per-parameter optimizer state
+(momenta, second moments) is keyed by ``(group index, parameter name)`` and
+created on a key's first step, together with scratch arrays that each update
+writes its temporaries into, so a step allocates nothing.  Every update runs
+the textbook formula's float operations in their usual order.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ class Optimizer(ABC):
         check_positive(learning_rate, "learning_rate")
         self.learning_rate = learning_rate
         self.steps = 0
+        self._scratch_buffers: Dict[Tuple[int, str], np.ndarray] = {}
 
     @abstractmethod
     def _update_parameter(
@@ -42,8 +46,18 @@ class Optimizer(ABC):
                 self._update_parameter((index, name), parameter, gradient)
 
     def state_size(self) -> int:
-        """Number of per-parameter state arrays held (used in tests)."""
+        """Number of per-parameter state arrays held (used in tests).
+
+        Scratch arrays are not state and are not counted.
+        """
         return 0
+
+    def _scratch(self, key: Tuple[int, str], parameter: np.ndarray) -> np.ndarray:
+        """A reusable ``(2, *shape)`` temporary buffer for ``key``'s updates."""
+        buffer = self._scratch_buffers.get(key)
+        if buffer is None:
+            buffer = self._scratch_buffers[key] = np.empty((2, *parameter.shape))
+        return buffer
 
 
 class SGD(Optimizer):
@@ -58,13 +72,17 @@ class SGD(Optimizer):
         self._velocity: Dict[Tuple[int, str], np.ndarray] = {}
 
     def _update_parameter(self, key, parameter, gradient) -> None:
+        step = self._scratch(key, parameter)[0]
+        np.multiply(gradient, self.learning_rate, out=step)
         if self.momentum > 0.0:
-            velocity = self._velocity.setdefault(key, np.zeros_like(parameter))
+            velocity = self._velocity.get(key)
+            if velocity is None:
+                velocity = self._velocity[key] = np.zeros_like(parameter)
             velocity *= self.momentum
-            velocity -= self.learning_rate * gradient
+            velocity -= step
             parameter += velocity
         else:
-            parameter -= self.learning_rate * gradient
+            parameter -= step
 
     def state_size(self) -> int:
         return len(self._velocity)
@@ -88,10 +106,20 @@ class RMSProp(Optimizer):
         self._square_avg: Dict[Tuple[int, str], np.ndarray] = {}
 
     def _update_parameter(self, key, parameter, gradient) -> None:
-        square_avg = self._square_avg.setdefault(key, np.zeros_like(parameter))
+        square_avg = self._square_avg.get(key)
+        if square_avg is None:
+            square_avg = self._square_avg[key] = np.zeros_like(parameter)
+        step, denominator = self._scratch(key, parameter)
         square_avg *= self.decay
-        square_avg += (1.0 - self.decay) * gradient**2
-        parameter -= self.learning_rate * gradient / (np.sqrt(square_avg) + self.epsilon)
+        np.square(gradient, out=step)
+        step *= 1.0 - self.decay
+        square_avg += step
+        # parameter -= (lr * gradient) / (sqrt(square_avg) + eps)
+        np.multiply(gradient, self.learning_rate, out=step)
+        np.sqrt(square_avg, out=denominator)
+        denominator += self.epsilon
+        step /= denominator
+        parameter -= step
 
     def state_size(self) -> int:
         return len(self._square_avg)
@@ -120,17 +148,29 @@ class Adam(Optimizer):
         self._second_moment: Dict[Tuple[int, str], np.ndarray] = {}
 
     def _update_parameter(self, key, parameter, gradient) -> None:
-        first = self._first_moment.setdefault(key, np.zeros_like(parameter))
-        second = self._second_moment.setdefault(key, np.zeros_like(parameter))
+        first = self._first_moment.get(key)
+        if first is None:
+            first = self._first_moment[key] = np.zeros_like(parameter)
+            self._second_moment[key] = np.zeros_like(parameter)
+        second = self._second_moment[key]
+        step, denominator = self._scratch(key, parameter)
         first *= self.beta1
-        first += (1.0 - self.beta1) * gradient
+        np.multiply(gradient, 1.0 - self.beta1, out=step)
+        first += step
         second *= self.beta2
-        second += (1.0 - self.beta2) * gradient**2
+        np.square(gradient, out=step)
+        step *= 1.0 - self.beta2
+        second += step
         # Bias correction uses the global step count, which is incremented in
         # step() before parameter updates, so it is always >= 1 here.
-        first_hat = first / (1.0 - self.beta1**self.steps)
-        second_hat = second / (1.0 - self.beta2**self.steps)
-        parameter -= self.learning_rate * first_hat / (np.sqrt(second_hat) + self.epsilon)
+        # parameter -= (lr * first_hat) / (sqrt(second_hat) + eps)
+        np.divide(first, 1.0 - self.beta1**self.steps, out=step)
+        step *= self.learning_rate
+        np.divide(second, 1.0 - self.beta2**self.steps, out=denominator)
+        np.sqrt(denominator, out=denominator)
+        denominator += self.epsilon
+        step /= denominator
+        parameter -= step
 
     def state_size(self) -> int:
         return len(self._first_moment) + len(self._second_moment)

@@ -88,6 +88,45 @@ class TestEpsilonGreedy:
             policy.select(np.zeros(3), 0, mask=np.array([True, False]))
 
 
+def reference_select(rng, schedule, q_values, step, mask, greedy):
+    """``EpsilonGreedy.select`` as it drew with ``uniform()`` and ``choice``."""
+    q_values = np.asarray(q_values, dtype=float).ravel()
+    valid = np.flatnonzero(mask)
+    epsilon = 0.0 if greedy else schedule.value(step)
+    if not greedy and rng.uniform() < epsilon:
+        return int(rng.choice(valid))
+    masked_q = np.full_like(q_values, -np.inf)
+    masked_q[valid] = q_values[valid]
+    best = np.flatnonzero(masked_q == masked_q.max())
+    return int(rng.choice(best))
+
+
+class TestEpsilonGreedyStream:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_select_draws_the_reference_stream(self, seed):
+        schedule = LinearDecaySchedule(1.0, 0.05, 300)
+        explorer = EpsilonGreedy(schedule, seed=seed)
+        reference = np.random.default_rng(seed)
+        cases = np.random.default_rng(1000 + seed)
+        num_actions = 2 + seed % 17
+        explored = greedy_ties = 0
+        for step in range(400):
+            # Few distinct values, so greedy picks often break a tie.
+            q_values = cases.integers(0, 3, size=num_actions).astype(float)
+            mask = np.zeros(num_actions, dtype=bool)
+            valid_count = 1 + int(cases.integers(0, num_actions))
+            mask[cases.permutation(num_actions)[:valid_count]] = True
+            greedy = bool(cases.random() < 0.2)
+            expected = reference_select(reference, schedule, q_values, step, mask, greedy)
+            assert explorer.select(q_values, step, mask=mask, greedy=greedy) == expected
+            assert mask[expected]
+            best = q_values[mask].max()
+            explored += q_values[expected] != best
+            greedy_ties += greedy and (q_values[mask] == best).sum() > 1
+        assert explored > 0 and greedy_ties > 0
+        assert explorer._rng.bit_generator.state == reference.bit_generator.state
+
+
 class TestBoltzmann:
     def test_prefers_higher_values(self):
         policy = BoltzmannExploration(ConstantSchedule(0.5), seed=0)
