@@ -17,7 +17,9 @@ batched state/mask encoding and the request layer that feeds them:
 * ``plan_ops`` — µs per ``plan_assignment`` call of each
   ``standard_baselines`` policy over the same trace, replayed the same way
   with each policy committing its own feasible plans (random's plan time
-  includes routing its draws, since it retries a draw that does not fit);
+  includes routing its draws, since it retries a draw that does not fit),
+  and the ``chain_fits`` calls a plan makes, counted on one more, untimed
+  pass;
 * ``request_ops`` — µs per call of ``RequestGenerator.sample_request``, of
   a fresh chain's first ``demand_rows`` read and of the SoA core's
   ``_request_view`` over the arrival times of the same trace.
@@ -44,6 +46,7 @@ import numpy as np
 from repro.baselines import GreedyLeastLoadedPolicy, standard_baselines
 from repro.core.env import EnvConfig, VNFPlacementEnv
 from repro.core.soa import SoAVecPlacementEnv
+import repro.nfv.placement as placement_module
 from repro.nfv.placement import Placement
 from repro.nfv.sfc import ServiceFunctionChain
 from repro.substrate.network import SubstrateTopology
@@ -224,22 +227,58 @@ def measure_placement_ops(repeats: int = PLACEMENT_REPEATS) -> Dict[str, object]
     }
 
 
+def _chain_fits_per_plan(scenario, requests, policy) -> float:
+    """``chain_fits`` calls per ``plan_assignment`` over one untimed pass.
+
+    Only the checks a plan makes count, not the replay's own checks of the
+    plans it commits.
+    """
+    fits = placement_module.chain_fits
+    plan = policy.plan_assignment
+    counts = {"plans": 0, "chain_fits": 0}
+    planning = [False]
+
+    def counted_fits(*args):
+        counts["chain_fits"] += planning[0]
+        return fits(*args)
+
+    def counted_plan(request, network):
+        counts["plans"] += 1
+        planning[0] = True
+        try:
+            return plan(request, network)
+        finally:
+            planning[0] = False
+
+    placement_module.chain_fits = counted_fits
+    policy.plan_assignment = counted_plan
+    try:
+        _replay_placements(scenario, requests, policy)
+    finally:
+        placement_module.chain_fits = fits
+        del policy.plan_assignment
+    return counts["chain_fits"] / max(counts["plans"], 1)
+
+
 def measure_plan_ops(
     repeats: int = PLAN_REPEATS, horizon: float = PLACEMENT_HORIZON
 ) -> Dict[str, object]:
-    """µs per ``plan_assignment`` call of each standard baseline (best mean of ``repeats``)."""
+    """µs per ``plan_assignment`` call of each standard baseline (best mean of
+    ``repeats``), and the ``chain_fits`` calls per plan."""
     scenario = reference_scenario(
         arrival_rate=PLACEMENT_ARRIVAL_RATE, horizon=horizon, seed=SEED
     )
     requests = scenario.generate_requests()
     best: Dict[str, float] = {}
     calls: Dict[str, int] = {}
+    fits_per_plan: Dict[str, float] = {}
     for policy in standard_baselines(seed=SEED):
         best[policy.name] = float("inf")
         for _ in range(repeats):
             count, seconds = _replay_placements(scenario, requests, policy)["plan"]
             calls[policy.name] = count
             best[policy.name] = min(best[policy.name], seconds / max(count, 1) * 1e6)
+        fits_per_plan[policy.name] = _chain_fits_per_plan(scenario, requests, policy)
     return {
         "trace": {
             "scenario": scenario.name,
@@ -250,6 +289,7 @@ def measure_plan_ops(
         },
         "calls": calls,
         "us_per_call": best,
+        "chain_fits_per_plan": fits_per_plan,
     }
 
 
@@ -365,7 +405,10 @@ def main() -> None:
     plan_ops = results["plan_ops"]
     print(f"plan ops ({plan_ops['trace']['requests']} reference requests)")
     for name, us in plan_ops["us_per_call"].items():
-        print(f"  {name:20s} {us:8.2f} us/plan  ({plan_ops['calls'][name]} calls)")
+        print(
+            f"  {name:20s} {us:8.2f} us/plan  ({plan_ops['calls'][name]} calls, "
+            f"{plan_ops['chain_fits_per_plan'][name]:.2f} chain_fits/plan)"
+        )
     request_ops = results["request_ops"]
     print(f"request ops ({request_ops['trace']['requests']} reference arrivals)")
     for op, us in request_ops["us_per_call"].items():

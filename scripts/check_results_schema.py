@@ -79,6 +79,10 @@ VECENV_ENV_STEPS_KEYS = {
     "soa_scaling_full",
 }
 
+#: Required keys of the envstep payload's per-plan section: the timings and
+#: the chain_fits calls each plan makes.
+ENVSTEP_PLAN_OPS_KEYS = {"trace", "calls", "us_per_call", "chain_fits_per_plan"}
+
 #: Required keys of every figure payload (``fig*.json`` / ``ablation*.json``).
 FIGURE_KEYS = {"figure", "x_label", "y_label", "x", "series"}
 
@@ -137,6 +141,10 @@ def check_file(path: Path) -> list:
                     f"{path.name}: summary.by_rule missing enabled rules "
                     f"{sorted(set(payload['rules_enabled']) - set(by_rule))}"
                 )
+    if path.name == "envstep.json":
+        plan_missing = sorted(ENVSTEP_PLAN_OPS_KEYS - set(payload["plan_ops"]))
+        if plan_missing:
+            problems.append(f"{path.name}: plan_ops missing keys {plan_missing}")
     if path.name == "vecenv.json":
         for section, nested in (
             ("decomposition", VECENV_DECOMPOSITION_KEYS),

@@ -186,13 +186,16 @@ class DQNAgent(Agent):
     ) -> np.ndarray:
         """One ``batch_q_values`` forward plus vectorized masked epsilon-greedy.
 
-        For a single row this defers to :meth:`select_action` so that K=1
+        For a single row this calls :meth:`select_action` so that K=1
         training consumes the exploration RNG exactly like the serial loop.
         """
         states = self._validate_states(states)
         masks = self._validate_masks(masks, states.shape[0])
         if states.shape[0] == 1:
-            return super().select_actions(states, masks, greedy=greedy)
+            mask = None if masks is None else masks[0]
+            return np.array(
+                [self.select_action(states[0], mask=mask, greedy=greedy)], dtype=int
+            )
         q_values = self.batch_q_values(states)
         return self.exploration.select_batch(
             q_values, self._environment_steps, masks=masks, greedy=greedy

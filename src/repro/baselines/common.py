@@ -62,7 +62,7 @@ def candidate_rows(
     ``None`` when some VNF fits on no node.
     """
     valid = network.ledger.can_host_all(request.chain.demand_rows)
-    rows = [np.flatnonzero(vnf_valid) for vnf_valid in valid]
+    rows = [vnf_valid.nonzero()[0] for vnf_valid in valid]
     return rows if all(vnf_rows.size for vnf_rows in rows) else None
 
 

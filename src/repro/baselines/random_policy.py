@@ -9,9 +9,10 @@ from repro.baselines.common import (
     build_if_feasible,
     candidate_rows,
 )
+from repro.nfv.placement import Placement
 from repro.nfv.sfc import SFCRequest
 from repro.substrate.network import SubstrateNetwork
-from repro.utils.rng import RandomState, derive_seed, new_rng
+from repro.utils.rng import RandomState, mix_seed_labels, new_rng, seed_base
 
 
 class RandomPlacementPolicy(AssignmentPolicy):
@@ -42,6 +43,9 @@ class RandomPlacementPolicy(AssignmentPolicy):
         self.seed = (
             seed if seed is not None else int(new_rng(None).integers(0, 2**31 - 1))
         )
+        # derive_seed(self.seed, ...) is the label mix over this one draw; a
+        # Generator seed is drawn from here, once per policy.
+        self._seed_base = seed_base(self.seed)
 
     def _request_rng(self, request: SFCRequest):
         # Derive from intrinsic request attributes rather than the request
@@ -49,8 +53,8 @@ class RandomPlacementPolicy(AssignmentPolicy):
         # attribute tuple is identical for one logical request however its
         # workload is (re)constructed.
         return new_rng(
-            derive_seed(
-                self.seed,
+            mix_seed_labels(
+                self._seed_base,
                 "request",
                 request.arrival_time,
                 request.source_node_id,
@@ -60,19 +64,41 @@ class RandomPlacementPolicy(AssignmentPolicy):
             )
         )
 
+    def place(
+        self, request: SFCRequest, network: SubstrateNetwork
+    ) -> Optional[Placement]:
+        """The placement :meth:`plan_assignment` found feasible, not a rebuilt one."""
+        return self._first_feasible(request, network)
+
     def plan_assignment(
         self, request: SFCRequest, network: SubstrateNetwork
     ) -> Optional[Tuple[int, ...]]:
+        placement = self._first_feasible(request, network)
+        return None if placement is None else placement.node_assignment
+
+    def _first_feasible(
+        self, request: SFCRequest, network: SubstrateNetwork
+    ) -> Optional[Placement]:
         candidate_sets = candidate_rows(request, network)
         if candidate_sets is None:
             return None
         node_ids = network.ledger.node_ids
-        rng = self._request_rng(request)
-        for _ in range(self.max_attempts):
-            # rng.choice draws only an index into ``rows``, and rows list
-            # the candidates in node order: the draws match choosing among
-            # the candidates' node ids.
-            assignment = tuple(node_ids[rng.choice(rows)] for rows in candidate_sets)
-            if build_if_feasible(request, assignment, network) is not None:
-                return assignment
+        # Every attempt's index draws in one call: over an array of bounds,
+        # ``integers`` draws element by element, the stream of one
+        # ``integers(0, len(rows))`` per VNF, which is the draw
+        # ``rng.choice(rows)`` makes.  Rows list the candidates in node
+        # order, so the draws match choosing among their node ids.  The
+        # request's generator is dropped after the plan, so the draws of
+        # attempts never made are never read.
+        length = len(candidate_sets)
+        bounds = [len(rows) for rows in candidate_sets] * self.max_attempts
+        draws = self._request_rng(request).integers(0, bounds).tolist()
+        for start in range(0, len(bounds), length):
+            assignment = tuple(
+                node_ids[rows[index]]
+                for rows, index in zip(candidate_sets, draws[start:start + length])
+            )
+            placement = build_if_feasible(request, assignment, network)
+            if placement is not None:
+                return placement
         return None

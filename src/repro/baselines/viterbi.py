@@ -48,13 +48,19 @@ class ViterbiPlacementPolicy(AssignmentPolicy):
         self.load_weight = load_weight
         self.cost_normalizer = cost_normalizer
 
-    def _row_cost(self, request: SFCRequest, rows: DecisionRows, candidates) -> np.ndarray:
-        """Cost and load terms of hosting the pending VNF on ``candidates``."""
+    def _node_costs(self, request: SFCRequest, network: SubstrateNetwork) -> np.ndarray:
+        """``(L, N)`` cost and load terms of hosting each VNF on each ledger row.
+
+        Nothing commits while a request is planned, so one evaluation over
+        the chain's ``(L, 3)`` demands serves every VNF of it.
+        """
+        rows = DecisionRows(
+            network.ledger, None, request.chain.demand_rows, request.holding_time
+        )
         max_latency = request.sla.max_latency_ms
         return (
-            self.cost_weight * hosting_cost(rows)[candidates]
-            / self.cost_normalizer * max_latency
-            + self.load_weight * bottleneck_utilization(rows)[candidates] * max_latency
+            self.cost_weight * hosting_cost(rows) / self.cost_normalizer * max_latency
+            + self.load_weight * bottleneck_utilization(rows) * max_latency
         )
 
     def plan_assignment(
@@ -65,6 +71,7 @@ class ViterbiPlacementPolicy(AssignmentPolicy):
             return None
         ledger = network.ledger
         latency = network.latency_matrix
+        node_costs = self._node_costs(request, network)
 
         # Viterbi forward pass: best[j] = minimum accumulated weight of
         # placing VNFs 0..k with VNF k on row candidate_sets[k][j].  The
@@ -72,23 +79,16 @@ class ViterbiPlacementPolicy(AssignmentPolicy):
         previous = [ledger.node_row[request.source_node_id]]
         best = np.zeros(1)
         backpointers: List[np.ndarray] = []
+        delays = [vnf.processing_delay_ms for vnf in request.chain.vnf_types]
         for vnf_index, current in enumerate(candidate_sets):
-            vnf = request.chain.vnf_at(vnf_index)
-            # Viterbi's latency term is the transition gather below.
-            rows = DecisionRows(
-                ledger,
-                None,
-                request.chain.demand_rows[vnf_index],
-                request.holding_time,
-            )
             transition = (
-                latency[np.ix_(previous, current)]
-                + vnf.processing_delay_ms
-                + self._row_cost(request, rows, current)[None, :]
+                latency[previous][:, current]
+                + delays[vnf_index]
+                + node_costs[vnf_index, current]
             )
             totals = best[:, None] + transition
-            backpointers.append(np.argmin(totals, axis=0))
-            best = np.min(totals, axis=0)
+            backpointers.append(totals.argmin(axis=0))
+            best = totals.min(axis=0)
             previous = current
 
         destination = request.destination_node_id

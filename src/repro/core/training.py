@@ -191,6 +191,9 @@ class VecTrainer:
                 if diagnostics and "loss" in diagnostics:
                     recent_losses.append(diagnostics["loss"])
             finished_this_step: List[Dict[str, float]] = []
+            # Finishing lanes restart only when a later step will run them.
+            finishing = int(np.count_nonzero(dones | truncations))
+            more_needed = len(summaries) + finishing < episodes
             lane_stats = None  # fetched once per step, only if a lane truncates
             for lane, done in enumerate(dones):
                 truncated = bool(truncations[lane])
@@ -214,7 +217,7 @@ class VecTrainer:
                 # Keep the lane streaming if more episodes are needed; a
                 # done lane on an auto-reset venv has restarted already.
                 needs_restart = (not venv.auto_reset) if done else True
-                if needs_restart and len(summaries) + len(finished_this_step) < episodes:
+                if needs_restart and more_needed:
                     next_states[lane] = venv.reset_lane(lane)
                     next_masks = None
             if finished_this_step:

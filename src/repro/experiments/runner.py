@@ -150,9 +150,12 @@ def evaluate_agent_across_scenarios(
     :class:`~repro.agents.base.Agent`, or a heuristic
     :class:`~repro.sim.simulation.PlacementPolicy` (it is bound to the lanes
     and — since heuristics decide from the lane substrate — state encoding
-    is skipped entirely, the lane fast path).  With a ``failure_config``,
-    per-lane failure schedules are injected and the returned results carry
-    the disruption statistics (an availability sweep).
+    is skipped entirely, the lane fast path).  A heuristic's lanes take
+    capacity-only masks (``latency_mask_check=False``), the predicate its
+    ``plan_assignment`` takes candidates from, so its results do not depend
+    on the core its lanes land on.  With a ``failure_config``, per-lane
+    failure schedules are injected and the returned results carry the
+    disruption statistics (an availability sweep).
 
     Every lane set is built with ``backend="auto"``: the SoA core, or the
     reference core when the lanes mix topologies or configurations.  The
@@ -167,6 +170,10 @@ def evaluate_agent_across_scenarios(
             f"episodes_per_scenario must be positive, got {episodes_per_scenario}"
         )
     is_heuristic = isinstance(agent, PlacementPolicy)
+    if is_heuristic:
+        env_config = dataclass_replace(
+            env_config or EnvConfig(), latency_mask_check=False
+        )
     venv = make_vec_env(
         scenarios,
         seed=seed,
@@ -241,9 +248,9 @@ def evaluate_baseline_across_scenarios(
 ) -> List[EvaluationResult]:
     """Evaluate one heuristic baseline over the same vec batch as an agent.
 
-    Thin wrapper over :func:`evaluate_agent_across_scenarios` that gives the
-    baseline lanes the serial admission semantics: the capacity-only action
-    masks apply ``ledger.can_host_all``, the predicate the baselines'
+    Thin wrapper over :func:`evaluate_agent_across_scenarios`, which gives
+    the baseline lanes the serial admission semantics: the capacity-only
+    action masks apply ``ledger.can_host_all``, the predicate the baselines'
     ``plan_assignment`` takes its candidates from (no latency pre-mask — the
     policy proposes and the lane rejects SLA-infeasible chains at commit
     time, exactly like :class:`~repro.sim.simulation.NFVSimulation` does
@@ -251,14 +258,12 @@ def evaluate_baseline_across_scenarios(
     ``reward_config`` used for the agent so the reward series of both are
     scored with identical weights.
     """
-    env_config = env_config or EnvConfig()
-    baseline_env_config = dataclass_replace(env_config, latency_mask_check=False)
     return evaluate_agent_across_scenarios(
         policy,
         scenarios,
         episodes_per_scenario=episodes_per_scenario,
         seed=seed,
-        env_config=baseline_env_config,
+        env_config=env_config,
         reward_config=reward_config,
         failure_config=failure_config,
     )

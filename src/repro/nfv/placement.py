@@ -56,6 +56,7 @@ class Placement:
     _routed_on = None  # Optional[SubstrateTopology], whose table _paths are from
     _compiled = None  # Optional[CompiledChain], for one topology
     _sla_ok = None  # Optional[bool], for that topology's node tiers
+    _verdict = None  # Optional[(SubstrateLedger, write_count, is_feasible)]
     _latency_ms = None  # Optional[float]
     _handles = None  # Optional[Tuple[List[str], List[str]]]
 
@@ -252,13 +253,24 @@ class Placement:
         colocated on the same node, so a node cannot be "double booked" by a
         single placement; a link crossed by several segments must carry each
         traversal.  Both checks read the compiled record.
+
+        The verdict is kept against the ledger and its ``write_count``: a
+        second check of an unchanged ledger (the re-validation at commit
+        time) returns it, and any write in between makes the check run anew.
         """
         ledger = network.ledger
-        if not chain_fits(
-            ledger.node_used, ledger.link_used, self.compiled(ledger.topology)
+        verdict = self._verdict
+        if (
+            verdict is not None
+            and verdict[0] is ledger
+            and verdict[1] == ledger.write_count
         ):
-            return False
-        return self.satisfies_sla(network)
+            return verdict[2]
+        feasible = chain_fits(
+            ledger.node_used, ledger.link_used, self.compiled(ledger.topology)
+        ) and self.satisfies_sla(network)
+        self._verdict = (ledger, ledger.write_count, feasible)
+        return feasible
 
     def commit(self, network: SubstrateNetwork) -> None:
         """Atomically reserve node resources and path bandwidth.

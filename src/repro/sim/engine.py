@@ -4,12 +4,16 @@ The engine is deliberately generic: it owns a clock and a priority queue of
 :class:`~repro.sim.events.Event` objects and dispatches them to registered
 handlers.  Domain logic (placement, departures, metric sampling) lives in
 :class:`~repro.sim.simulation.NFVSimulation`.
+
+The queue holds ``(time, sequence, event)`` tuples: the order of ``Event``'s
+own comparison, evaluated by the heap in C.  Sequences are unique, so the
+event itself is never compared.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.events import Event, EventType
 
@@ -24,7 +28,7 @@ class EventEngine:
     """Priority-queue based discrete-event engine."""
 
     def __init__(self) -> None:
-        self._queue: List[Event] = []
+        self._queue: List[Tuple[float, int, Event]] = []
         self._now = 0.0
         self._handlers: Dict[EventType, List[EventHandler]] = {}
         self._processed = 0
@@ -54,7 +58,7 @@ class EventEngine:
             raise SimulationClockError(
                 f"cannot schedule event at t={event.time} before now={self._now}"
             )
-        heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (event.time, event.sequence, event))
 
     # ------------------------------------------------------------------ #
     # Handlers
@@ -74,7 +78,7 @@ class EventEngine:
         """Dispatch the next event, returning it (or ``None`` if queue empty)."""
         if not self._queue:
             return None
-        event = heapq.heappop(self._queue)
+        event = heapq.heappop(self._queue)[2]
         self._now = event.time
         self._processed += 1
         for handler in self._handlers.get(event.event_type, []):
@@ -100,7 +104,7 @@ class EventEngine:
         processed_before = self._processed
         self._stopped = False
         while self._queue and not self._stopped:
-            if until is not None and self._queue[0].time > until:
+            if until is not None and self._queue[0][0] > until:
                 break
             if (
                 max_events is not None

@@ -18,9 +18,10 @@ contiguous numpy arrays plus one record dict per node row and per link slot:
 :meth:`~SubstrateLedger.reserve_link`, :meth:`~SubstrateLedger.release_link`,
 :meth:`~SubstrateLedger.allocate_chain`, :meth:`~SubstrateLedger.release_chain`
 and :meth:`~SubstrateLedger.reset` update those arrays in place, so views
-held by consumers stay valid.  Hot paths — state encoding, action masking,
-utilization statistics — read whole columns at once instead of looping
-node-by-node or link-by-link.
+held by consumers stay valid, and each bumps ``write_count``, which names
+the usage state memos are kept against.  Hot paths — state encoding,
+action masking, utilization statistics — read whole columns at once
+instead of looping node-by-node or link-by-link.
 
 One kernel — :func:`chain_fits`, :func:`reserve_chain`, :func:`free_chain` —
 checks, commits and releases a placed chain (a :class:`CompiledChain`) on
@@ -76,10 +77,11 @@ class SubstrateLedger:
         #: Live reservations per link slot: handle -> bandwidth (Mbps).
         self.link_records: List[Dict[str, float]] = [{} for _ in range(num_links)]
 
-        # Version counter bumped on every node mutation; derived matrices
-        # (utilization, per-node max utilization) are memoized against it so
-        # several reads between mutations share one computation.
-        self._node_version = 0
+        #: Bumped by every usage write (node, link, chain, fence, reset), so
+        #: ``(ledger, write_count)`` names one usage state.  Derived matrices
+        #: (utilization, per-node max utilization, free capacity) and
+        #: ``Placement.is_feasible`` verdicts are memoized against it.
+        self.write_count = 0
         self._util_version = -1
         self._util_matrix: np.ndarray = np.zeros((num_nodes, 3))
         self._max_util_version = -1
@@ -120,7 +122,7 @@ class SubstrateLedger:
         records[handle] = demand
         used += demand
         self.node_alloc_count[row] = len(records)
-        self._node_version += 1
+        self.write_count += 1
 
     def release_node(self, row: int, handle: str) -> np.ndarray:
         """Free the allocation held under ``handle`` on node ``row`` and return it."""
@@ -134,7 +136,7 @@ class SubstrateLedger:
         # Clamp at zero like ResourceVector.__sub__ to absorb float noise.
         np.maximum(used - demand, 0.0, out=used)
         self.node_alloc_count[row] = len(records)
-        self._node_version += 1
+        self.write_count += 1
         return demand
 
     def reserve_link(self, slot: int, handle: str, bandwidth: float) -> None:
@@ -162,6 +164,7 @@ class SubstrateLedger:
             )
         records[handle] = bandwidth
         self.link_used[slot] += bandwidth
+        self.write_count += 1
 
     def release_link(self, slot: int, handle: str) -> float:
         """Free the reservation held under ``handle`` on link ``slot`` and return it."""
@@ -172,6 +175,7 @@ class SubstrateLedger:
             )
         bandwidth = records.pop(handle)
         self.link_used[slot] = max(0.0, self.link_used[slot] - bandwidth)
+        self.write_count += 1
         return bandwidth
 
     def allocate_chain(
@@ -197,7 +201,7 @@ class SubstrateLedger:
                 chain.rows, chain.demands, chain.segments, chain.bandwidth,
             )
         finally:
-            self._node_version += 1
+            self.write_count += 1
         for row, handle, demand in zip(chain.rows, node_handles, chain.arrays):
             node_records[row][handle] = demand
             self.node_alloc_count[row] = len(node_records[row])
@@ -229,7 +233,7 @@ class SubstrateLedger:
             self.node_used, self.link_used,
             chain.rows[:freed], chain.demands, segments, chain.bandwidth,
         )
-        self._node_version += 1
+        self.write_count += 1
         if freed < len(chain.rows):
             row, handle = chain.rows[freed], node_handles[freed]
             node_id = self.node_ids[row]
@@ -244,7 +248,7 @@ class SubstrateLedger:
         self.node_used.fill(0.0)
         self.node_alloc_count.fill(0)
         self.link_used.fill(0.0)
-        self._node_version += 1
+        self.write_count += 1
 
     # ------------------------------------------------------------------ #
     # Vectorized node queries
@@ -260,11 +264,11 @@ class SubstrateLedger:
         demand (the encoder and the action mask of one decision) share one
         memoized computation.
         """
-        key = (self._node_version, demand.shape, demand.tobytes())
+        key = (self.write_count, demand.shape, demand.tobytes())
         if key != self._can_host_key:
-            if self._free_tol_version != self._node_version:
+            if self._free_tol_version != self.write_count:
                 np.subtract(self.capacity_plus_tol, self.node_used, out=self._free_tol)
-                self._free_tol_version = self._node_version
+                self._free_tol_version = self.write_count
             self._can_host_result = (demand[..., None, :] <= self._free_tol).all(axis=-1)
             self._can_host_key = key
         return self._can_host_result
@@ -274,9 +278,9 @@ class SubstrateLedger:
 
         Memoized against the node mutation counter; treat as read-only.
         """
-        if self._util_version != self._node_version:
+        if self._util_version != self.write_count:
             np.divide(self.node_used, self.node_capacity_safe, out=self._util_matrix)
-            self._util_version = self._node_version
+            self._util_version = self.write_count
         return self._util_matrix
 
     def max_utilization(self) -> np.ndarray:
@@ -286,9 +290,9 @@ class SubstrateLedger:
         """
         if self.num_nodes == 0:
             return np.zeros(0)
-        if self._max_util_version != self._node_version:
+        if self._max_util_version != self.write_count:
             np.max(self.utilization_matrix(), axis=1, out=self._max_util)
-            self._max_util_version = self._node_version
+            self._max_util_version = self.write_count
         return self._max_util
 
     def utilization_stats(self, edge_only: bool = True) -> Tuple[float, float]:

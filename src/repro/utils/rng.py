@@ -10,6 +10,7 @@ training trajectory.
 
 from __future__ import annotations
 
+import zlib
 from typing import Iterable, List, Optional, Union
 
 import numpy as np
@@ -53,12 +54,24 @@ def derive_seed(seed: RandomState, *labels: object) -> int:
     across processes and Python invocations (labels are hashed with zlib.crc32
     rather than the per-process randomized ``hash``) — which makes per-run
     seeds in parameter sweeps reproducible without requiring callers to manage
-    seed bookkeeping themselves.
+    seed bookkeeping themselves.  It is :func:`mix_seed_labels` over
+    :func:`seed_base`; a caller deriving many seeds from one int seed can
+    draw the base once.
     """
-    import zlib
+    return mix_seed_labels(seed_base(seed), *labels)
 
-    base = new_rng(seed).integers(0, 2**31 - 1)
-    mixed = int(base)
+
+def seed_base(seed: RandomState) -> int:
+    """The first draw of ``seed``'s stream, which :func:`derive_seed` mixes.
+
+    A ``Generator`` seed advances by that one draw.
+    """
+    return int(new_rng(seed).integers(0, 2**31 - 1))
+
+
+def mix_seed_labels(base: int, *labels: object) -> int:
+    """Mix ``labels`` into a :func:`seed_base` draw, as :func:`derive_seed` does."""
+    mixed = base
     for label in labels:
         label_hash = zlib.crc32(str(label).encode("utf-8"))
         mixed = (mixed * 1000003 + label_hash) % (2**31 - 1)

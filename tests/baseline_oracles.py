@@ -15,7 +15,12 @@ time, with one ``can_host_all``, score and ``masked_argmin`` per VNF: the
 reference for the production planner's single ``(L, N)`` pass.  It reads
 the ledger predicate itself, so it agrees with that pass at the ulp where
 ``node_can_host`` (``used + d <= cap + tol``) and the masks
-(``d <= (cap + tol) - used``) part.
+(``d <= (cap + tol) - used``) part.  Over the same ledger rows,
+:func:`choice_random_plan` draws the random planner's attempts with a full
+``derive_seed`` per request and one ``rng.choice(rows)`` per VNF, and
+:func:`viterbi_per_vnf_plan` evaluates Viterbi's cost terms one VNF at a
+time and gathers transitions with ``np.ix_``: the references for the
+production planners' seed base, batched draws and single cost pass.
 """
 
 from __future__ import annotations
@@ -38,10 +43,17 @@ from repro.baselines import (
     ViterbiPlacementPolicy,
     build_if_feasible,
 )
-from repro.baselines.common import DecisionRows, NodeScoringPolicy, masked_argmin
+from repro.baselines.common import (
+    DecisionRows,
+    NodeScoringPolicy,
+    candidate_rows,
+    masked_argmin,
+)
+from repro.baselines.greedy import bottleneck_utilization, hosting_cost
 from repro.baselines.optimal import SearchSpaceTooLargeError
 from repro.nfv.sfc import SFCRequest
 from repro.substrate.network import SubstrateNetwork
+from repro.utils.rng import derive_seed, new_rng
 from tests.substrate_oracles import node_available, node_can_host, node_max_utilization
 
 
@@ -76,6 +88,80 @@ def per_vnf_plan(
         anchor = int(masked_argmin(valid, policy.node_scores(rows)))
         assignment.append(ledger.node_ids[anchor])
     return tuple(assignment)
+
+
+def request_rng(policy: RandomPlacementPolicy, request: SFCRequest) -> np.random.Generator:
+    """The random planner's per-request generator, from a full ``derive_seed``."""
+    return new_rng(
+        derive_seed(
+            policy.seed,
+            "request",
+            request.arrival_time,
+            request.source_node_id,
+            request.bandwidth_mbps,
+            request.holding_time,
+            request.num_vnfs,
+        )
+    )
+
+
+def choice_random_plan(
+    policy: RandomPlacementPolicy, request: SFCRequest, network: SubstrateNetwork
+) -> Optional[Tuple[int, ...]]:
+    """``policy``'s plan, drawn one ``rng.choice(rows)`` per VNF and attempt."""
+    candidate_sets = candidate_rows(request, network)
+    if candidate_sets is None:
+        return None
+    node_ids = network.ledger.node_ids
+    rng = request_rng(policy, request)
+    for _ in range(policy.max_attempts):
+        assignment = tuple(node_ids[rng.choice(rows)] for rows in candidate_sets)
+        if build_if_feasible(request, assignment, network) is not None:
+            return assignment
+    return None
+
+
+def viterbi_per_vnf_plan(
+    policy: ViterbiPlacementPolicy, request: SFCRequest, network: SubstrateNetwork
+) -> Optional[Tuple[int, ...]]:
+    """``policy``'s plan, with its cost and load terms evaluated per VNF."""
+    candidate_sets = candidate_rows(request, network)
+    if candidate_sets is None:
+        return None
+    ledger = network.ledger
+    latency = network.latency_matrix
+    max_latency = request.sla.max_latency_ms
+    previous = [ledger.node_row[request.source_node_id]]
+    best = np.zeros(1)
+    backpointers: List[np.ndarray] = []
+    for vnf_index, current in enumerate(candidate_sets):
+        vnf = request.chain.vnf_at(vnf_index)
+        rows = DecisionRows(
+            ledger, None, request.chain.demand_rows[vnf_index], request.holding_time
+        )
+        row_cost = (
+            policy.cost_weight * hosting_cost(rows)[current]
+            / policy.cost_normalizer * max_latency
+            + policy.load_weight * bottleneck_utilization(rows)[current] * max_latency
+        )
+        transition = (
+            latency[np.ix_(previous, current)]
+            + vnf.processing_delay_ms
+            + row_cost[None, :]
+        )
+        totals = best[:, None] + transition
+        backpointers.append(np.argmin(totals, axis=0))
+        best = np.min(totals, axis=0)
+        previous = current
+    destination = request.destination_node_id
+    if destination is not None:
+        best = best + latency[previous, ledger.node_row[destination]]
+    index = int(np.argmin(best))
+    chosen = []
+    for current, pointer in zip(reversed(candidate_sets), reversed(backpointers)):
+        chosen.append(ledger.node_ids[current[index]])
+        index = int(pointer[index])
+    return tuple(reversed(chosen))
 
 
 class GreedyNearestOracle(GreedyNearestPolicy):
@@ -224,7 +310,7 @@ class RandomOracle(RandomPlacementPolicy):
     def plan_assignment(
         self, request: SFCRequest, network: SubstrateNetwork
     ) -> Optional[Tuple[int, ...]]:
-        rng = self._request_rng(request)
+        rng = request_rng(self, request)
         for _ in range(self.max_attempts):
             assignment = []
             feasible = True

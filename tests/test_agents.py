@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.agents.actor_critic import A2CConfig, ActorCriticAgent
+from repro.agents.base import Agent
 from repro.agents.dqn import DQNAgent, DQNConfig, make_dqn_variant
 from repro.agents.policy_gradient import ReinforceAgent, ReinforceConfig
 from repro.agents.qlearning import TabularQLearningAgent
@@ -153,6 +154,39 @@ class TestDQNMechanics:
         other = DQNAgent(3, 2, config=fast_dqn_config(), seed=5)
         other.load(path)
         assert np.allclose(other.q_values(np.ones(3)), q_before)
+
+    def test_single_row_selection_validates_once(self, monkeypatch):
+        # One row validates its batch once and its state once, and picks
+        # what the per-row loop of Agent.select_actions picked.
+        config = fast_dqn_config(epsilon_decay_steps=200)
+        agent = DQNAgent(5, 4, config=config, seed=3)
+        oracle = DQNAgent(5, 4, config=config, seed=3)
+        counts = {"_validate_states": 0, "_validate_state": 0}
+        for name in counts:
+            validate = getattr(DQNAgent, name)
+
+            def counting(self, *args, _validate=validate, _name=name):
+                counts[_name] += self is agent
+                return _validate(self, *args)
+
+            monkeypatch.setattr(DQNAgent, name, counting)
+        rng = np.random.default_rng(0)
+        steps = 300
+        for step in range(steps):
+            agent._environment_steps = oracle._environment_steps = step
+            states = rng.random((1, 5))
+            masks = rng.random((1, 4)) < 0.5
+            masks[0, rng.integers(0, 4)] = True
+            masks = None if step % 3 == 0 else masks
+            greedy = step % 5 == 0
+            ours = agent.select_actions(states, masks, greedy=greedy)
+            theirs = Agent.select_actions(oracle, states, masks, greedy=greedy)
+            assert ours.dtype == theirs.dtype and ours.tolist() == theirs.tolist()
+        assert counts == {"_validate_states": steps, "_validate_state": steps}
+        assert (
+            agent.exploration._rng.bit_generator.state
+            == oracle.exploration._rng.bit_generator.state
+        )
 
     def test_target_network_sync_interval(self):
         config = fast_dqn_config(target_update_interval=3)

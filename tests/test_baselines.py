@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.baselines.random_policy as random_policy
 from repro.baselines import (
     BestFitPolicy,
     BruteForceOptimalPolicy,
@@ -29,7 +30,12 @@ from repro.substrate.network import SubstrateNetwork
 from repro.substrate.node import ComputeNode, NodeTier, make_cloud_node
 from repro.substrate.resources import ResourceVector
 from repro.workloads.scenarios import reference_scenario
-from tests.baseline_oracles import ORACLES, per_vnf_plan
+from tests.baseline_oracles import (
+    ORACLES,
+    choice_random_plan,
+    per_vnf_plan,
+    viterbi_per_vnf_plan,
+)
 from tests.conftest import build_request
 
 CATALOG = default_catalog()
@@ -236,6 +242,21 @@ def _tie_network():
     return network
 
 
+def _load_nodes(network, demands, states):
+    """Apply one drawn ``node_states`` entry to each of ``network``'s rows."""
+    ledger = network.ledger
+    for row, state in enumerate(states):
+        capacity = ledger.node_capacity[row]
+        if state[0] == "load":
+            ledger.allocate_node(row, "load", capacity * state[1])
+        elif state[0] == "fence":
+            refresh_node_fence(network, ledger.node_ids[row])
+        elif state[0] == "boundary":
+            _, vnf, nudge = state
+            used = np.maximum(capacity - demands[vnf % len(demands)] + nudge, 0.0)
+            ledger.allocate_node(row, "boundary", np.minimum(used, capacity))
+
+
 class TestChainPassMatchesPerVNFPlanner:
     """One (L, N) validity pass plans what one pass per VNF planned."""
 
@@ -255,22 +276,87 @@ class TestChainPassMatchesPerVNFPlanner:
             CATALOG, vnf_names=vnf_names, bandwidth=bandwidth, source=source,
             sla_ms=500.0, holding=holding,
         )
-        demands = request.chain.demand_rows
-        ledger = network.ledger
-        for row, state in enumerate(states):
-            capacity = ledger.node_capacity[row]
-            if state[0] == "load":
-                ledger.allocate_node(row, "load", capacity * state[1])
-            elif state[0] == "fence":
-                refresh_node_fence(network, ledger.node_ids[row])
-            elif state[0] == "boundary":
-                _, vnf, nudge = state
-                used = np.maximum(capacity - demands[vnf % len(demands)] + nudge, 0.0)
-                ledger.allocate_node(row, "boundary", np.minimum(used, capacity))
+        _load_nodes(network, request.chain.demand_rows, states)
         for policy in NODE_SCORING_POLICIES:
             assert policy.plan_assignment(request, network) == per_vnf_plan(
                 policy, request, network
             ), policy.name
+
+
+class TestRowPlannersMatchTheirOracles:
+    """Random and Viterbi plan what their per-VNF forms planned."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        vnf_names=st.lists(st.sampled_from(CATALOG.names), min_size=1, max_size=5),
+        bandwidth=st.sampled_from([10.0, 50.0, 300.0]),
+        holding=st.sampled_from([1.0, 30.0]),
+        source=st.integers(0, NUM_TIE_EDGES),
+        destination=st.one_of(st.none(), st.integers(0, NUM_TIE_EDGES)),
+        sla_ms=st.sampled_from([12.0, 40.0, 500.0]),
+        states=st.lists(node_states, min_size=NUM_TIE_EDGES + 1, max_size=NUM_TIE_EDGES + 1),
+        link_loads=st.lists(
+            st.sampled_from([0.0, 0.5, 0.9]), min_size=NUM_TIE_EDGES, max_size=NUM_TIE_EDGES
+        ),
+        seed=st.integers(0, 2**31 - 2),
+        weights=st.sampled_from([(0.0, 0.0), (0.2, 0.2), (3.0, 0.0), (0.0, 5.0)]),
+    )
+    def test_random_and_viterbi_plan_like_their_oracles(
+        self, vnf_names, bandwidth, holding, source, destination, sla_ms, states,
+        link_loads, seed, weights,
+    ):
+        network = _tie_network()
+        request = build_request(
+            CATALOG, vnf_names=vnf_names, bandwidth=bandwidth, source=source,
+            sla_ms=sla_ms, holding=holding,
+        )
+        request.destination_node_id = destination
+        _load_nodes(network, request.chain.demand_rows, states)
+        ledger = network.ledger
+        for slot, load in enumerate(link_loads):
+            if load:
+                ledger.reserve_link(slot, "load", ledger.link_capacity[slot] * load)
+        for seed_value in (seed, np.int64(seed)):
+            policy = RandomPlacementPolicy(seed=seed_value)
+            assert policy.plan_assignment(request, network) == choice_random_plan(
+                policy, request, network
+            )
+        viterbi = ViterbiPlacementPolicy(*weights)
+        assert viterbi.plan_assignment(request, network) == viterbi_per_vnf_plan(
+            viterbi, request, network
+        )
+
+    def test_batched_index_draws_are_the_choice_stream(self):
+        for seed in range(200):
+            sizes = np.random.default_rng([seed, 1]).integers(1, 40, size=1 + seed % 12)
+            choices, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected = [int(choices.choice(np.arange(size))) for size in sizes]
+            assert batched.integers(0, sizes).tolist() == expected
+            assert batched.bit_generator.state == choices.bit_generator.state
+
+    def test_campaign_plans_use_every_attempt(self, monkeypatch):
+        # On a filling substrate some plans succeed only at the last of the
+        # five attempts, and some give up after it.
+        tries = []
+
+        def counting(*args):
+            tries[-1] += 1
+            return build_if_feasible(*args)
+
+        monkeypatch.setattr(random_policy, "build_if_feasible", counting)
+        policy = RandomPlacementPolicy(seed=7)
+        scenario = reference_scenario(arrival_rate=4.0, num_edge_nodes=8, horizon=100.0, seed=0)
+        network = scenario.build_network()
+        outcomes = set()
+        for request in scenario.generate_requests():
+            tries.append(0)
+            placement = policy.place(request, network)
+            plan = None if placement is None else placement.node_assignment
+            assert plan == choice_random_plan(policy, request, network)
+            outcomes.add((plan is not None, tries[-1]))
+            if placement is not None:
+                placement.commit(network)
+        assert {(True, 1), (True, policy.max_attempts), (False, policy.max_attempts)} <= outcomes
 
 
 class TestGreedyNearest:

@@ -143,6 +143,12 @@ def test_measure_plan_ops_times_every_standard_baseline():
     requests = ops["trace"]["requests"]
     assert requests > 0 and set(ops["calls"].values()) == {requests}
     assert (ops["trace"]["repeats"], ops["trace"]["horizon"]) == (1, 30.0)
+    # Random checks each of its up to five draws once; the other planners
+    # leave the check to place() and the commit.
+    fits = ops["chain_fits_per_plan"]
+    assert set(fits) == names
+    assert 1.0 <= fits["random"] <= 5.0
+    assert all(fits[name] == 0.0 for name in names - {"random"})
 
 
 def test_measure_request_ops_reports_every_op():

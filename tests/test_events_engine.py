@@ -125,3 +125,24 @@ class TestEngine:
 
     def test_step_on_empty_queue_returns_none(self):
         assert EventEngine().step() is None
+
+    def test_equal_time_events_pop_in_fifo_order(self, monkeypatch):
+        # Heap entries compare as (time, sequence) tuples in C: no event
+        # comparison runs, and the order is the events' own.
+        def refuse(self, other):
+            raise AssertionError("an Event comparison ran")
+
+        monkeypatch.setattr(Event, "__lt__", refuse)
+        engine = EventEngine()
+        seen = []
+        engine.on(EventType.MONITORING, lambda e: seen.append(e))
+        times = [2.0, 1.0, 2.0, 0.5, 1.0, 2.0, 1.0, 0.5] * 4
+        events = [monitoring_event(t, label=str(index)) for index, t in enumerate(times)]
+        for event in events:
+            engine.schedule(event)
+        engine.run()
+        expected = sorted(events, key=lambda event: (event.time, event.sequence))
+        assert seen == expected
+        for time in set(times):
+            labels = [int(e.payload) for e in seen if e.time == time]
+            assert labels == sorted(labels)

@@ -27,6 +27,7 @@ from repro.core.vecenv import (
 )
 from repro.experiments import runner
 from repro.experiments.runner import (
+    evaluate_agent_across_scenarios,
     evaluate_baseline_across_scenarios,
 )
 from repro.sim.failures import FailureConfig
@@ -159,6 +160,39 @@ class TestHeuristicLanesAcrossCores:
             runner, "make_vec_env", lambda *a, **k: spy(*a, force="reference", **k)
         )
         assert evaluate() == default
+        assert built == ["soa", "reference"]
+
+    @pytest.mark.parametrize(
+        "index", range(len(standard_baselines())),
+        ids=[policy.name for policy in standard_baselines()],
+    )
+    def test_agent_evaluation_of_a_baseline_is_core_independent_by_default(
+        self, monkeypatch, index
+    ):
+        # A default EnvConfig asks for the latency pre-mask; heuristic lanes
+        # take capacity-only masks on either core anyway.
+        grid = scenario_grid(
+            reference_scenario(num_edge_nodes=8, seed=1), arrival_rates=[0.5, 1.0, 1.5]
+        )
+        build = runner.make_vec_env
+        built = []
+
+        def evaluate(force=None):
+            def spy(*args, backend, **kwargs):
+                venv = build(*args, backend=force or backend, **kwargs)
+                built.append(venv.backend)
+                return venv
+
+            monkeypatch.setattr(runner, "make_vec_env", spy)
+            return [
+                result.as_dict()
+                for result in evaluate_agent_across_scenarios(
+                    standard_baselines(seed=5)[index], grid, episodes_per_scenario=2,
+                    seed=1, env_config=EnvConfig(requests_per_episode=10),
+                )
+            ]
+
+        assert evaluate() == evaluate(force="reference")
         assert built == ["soa", "reference"]
 
     def test_soa_lane_network_holds_the_reference_ledger(self):

@@ -83,6 +83,13 @@ def test_envstep_without_plan_ops_fails(tmp_path):
     assert "missing required keys ['plan_ops']" in problem
 
 
+def test_envstep_without_chain_fits_per_plan_fails(tmp_path):
+    payload = _committed("envstep.json")
+    del payload["plan_ops"]["chain_fits_per_plan"]
+    [problem] = _problems(tmp_path, "envstep.json", payload)
+    assert "plan_ops missing keys ['chain_fits_per_plan']" in problem
+
+
 def test_figure_without_series_fails(tmp_path):
     payload = {"figure": "fig9", "x_label": "x", "y_label": "y", "x": [1]}
     [problem] = _problems(tmp_path, "fig9_new.json", payload)

@@ -87,9 +87,10 @@ def test_soa_lanes_recompute_masks_only_after_truncation_restarts(monkeypatch):
     # truncations go through reset_lane, several lanes per step at times.
     assert spy.restarts > len(spy.restart_steps) > 1
     assert spy.selections == spy.steps
-    # No selection follows the last step, so its restarts cost no mask.
-    recomputes = len(spy.restart_steps - {spy.steps})
-    assert spy.masks == 1 + spy.steps + recomputes
+    # The last step completes the episodes asked for, so no lane restarts
+    # in it: no later step would run the restarted lane.
+    assert spy.steps not in spy.restart_steps
+    assert spy.masks == 1 + spy.steps + len(spy.restart_steps)
 
 
 @pytest.mark.parametrize("lanes", [1, 4])

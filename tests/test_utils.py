@@ -1,16 +1,20 @@
 """Unit tests for the utility helpers."""
 
 import dataclasses
+import zlib
 from enum import Enum
 
 import numpy as np
 import pytest
 
+
 from repro.utils.rng import (
     choice_without_replacement,
     derive_seed,
     exponential_sample,
+    mix_seed_labels,
     new_rng,
+    seed_base,
     spawn_rngs,
 )
 from repro.utils.serialization import load_json, save_json, to_jsonable
@@ -45,6 +49,28 @@ class TestRng:
     def test_derive_seed_deterministic_and_label_sensitive(self):
         assert derive_seed(1, "a", 2) == derive_seed(1, "a", 2)
         assert derive_seed(1, "a") != derive_seed(1, "b")
+
+    def test_derive_seed_returns_the_single_pass_ints(self):
+        # The single-pass derivation derive_seed replaced by the base draw
+        # and the label mix.
+        def single_pass(seed, *labels):
+            mixed = int(new_rng(seed).integers(0, 2**31 - 1))
+            for label in labels:
+                label_hash = zlib.crc32(str(label).encode("utf-8"))
+                mixed = (mixed * 1000003 + label_hash) % (2**31 - 1)
+            return mixed
+
+        labels = [(), ("a",), ("request", 3.25, 7, 50.0, 30.0, 4), (np.int64(2), None)]
+        for value in [0, 1, 7, 2**31 - 2, 2**40 + 3]:
+            for case in labels:
+                expected = single_pass(value, *case)
+                assert derive_seed(value, *case) == expected
+                assert derive_seed(np.int64(value), *case) == expected
+                assert mix_seed_labels(seed_base(value), *case) == expected
+                ours, theirs = np.random.default_rng(value), np.random.default_rng(value)
+                assert derive_seed(ours, *case) == single_pass(theirs, *case)
+                assert derive_seed(ours, *case) == single_pass(theirs, *case)
+                assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_choice_without_replacement(self):
         rng = new_rng(0)
