@@ -30,7 +30,8 @@ test:
 ## test-diff: the SoA-vs-reference differential equivalence suite only
 test-diff:
 	python -m pytest -x -q tests/test_soa_equivalence.py \
-		tests/test_policy_protocol.py::TestHeuristicLanesAcrossCores
+		tests/test_policy_protocol.py::TestHeuristicLanesAcrossCores \
+		tests/test_k1_training.py
 
 ## bench-hotpath: microbenchmark of the vectorized training hot path
 bench-hotpath:

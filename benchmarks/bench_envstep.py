@@ -1,12 +1,17 @@
 """Microbenchmark of the environment core and its routing layer.
 
-Five measurements over the dense routing tables (all-pairs latency matrix
+Six measurements over the dense routing tables (all-pairs latency matrix
 with next-hop reconstruction), the array-backed substrate ledger, the
 batched state/mask encoding and the request layer that feeds them:
 
 * ``env_step`` — steps/s of the single-environment decision loop
   (``valid_action_mask()`` + ``step()``, which encodes the next state) over
   masked-random episodes on the default metro/cloud topology;
+* ``env_step_k1`` — µs per step of the same masked-random loop through the
+  vectorized surface on one lane (``valid_action_masks()`` + lean
+  ``step()``), the loop K=1 training runs, on the paper preset's reference
+  scenario; the reference core and the SoA core step the same lane spec in
+  alternated rounds;
 * ``latency_lookups`` — ``latency_between`` throughput and the build time
   of a fresh ``SubstrateTopology`` (static columns plus Floyd–Warshall) as
   a function of topology size; lookups should stay near-constant in N while
@@ -46,6 +51,9 @@ import numpy as np
 from repro.baselines import GreedyLeastLoadedPolicy, standard_baselines
 from repro.core.env import EnvConfig, VNFPlacementEnv
 from repro.core.soa import SoAVecPlacementEnv
+from repro.core.vecenv import VecPlacementEnv, lane_specs_from_scenarios
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import build_reference_scenario
 import repro.nfv.placement as placement_module
 from repro.nfv.placement import Placement
 from repro.nfv.sfc import ServiceFunctionChain
@@ -70,6 +78,10 @@ PLACEMENT_OPS = ("build", "is_feasible", "commit", "release")
 PLAN_REPEATS = 5
 REQUEST_REPEATS = 5
 REQUEST_OPS = ("sample_request", "demand_rows", "request_view")
+#: One-lane loop: alternated rounds per core and steps per round.
+K1_ROUNDS = 6
+K1_STEPS = 3000
+K1_CORES = {"reference": VecPlacementEnv, "soa": SoAVecPlacementEnv}
 
 
 def _make_env() -> VNFPlacementEnv:
@@ -122,6 +134,80 @@ def measure_env_step(episodes: int = EPISODES) -> Dict[str, float]:
     env = _make_env()
     _drive_episodes(env, 1)  # warm caches / JIT-ish effects out of the timing
     return _drive_episodes(env, episodes)
+
+
+def _k1_round(venv, steps: int, seed: int) -> Dict[str, float]:
+    """µs per masked-random step (mask + lean step) of a one-lane set.
+
+    The action draw and the restarts between episodes (``reset_lane``, the
+    cost of sampling an episode's requests) fall outside the timed spans.
+    """
+    rng = np.random.default_rng(seed)
+    draws = rng.random(size=steps).tolist()
+    clock = time.perf_counter
+    elapsed = 0.0
+    total_reward = 0.0
+    venv.reset()
+    for draw in draws:
+        start = clock()
+        masks = venv.valid_action_masks()
+        picked = clock()
+        choices = np.flatnonzero(masks[0])
+        actions = [int(choices[int(draw * len(choices))])]
+        stepping = clock()
+        _, rewards, dones, _ = venv.step(actions, info=False)
+        elapsed += (picked - start) + (clock() - stepping)
+        total_reward += float(rewards[0])
+        if dones[0]:
+            venv.reset_lane(0)
+    return {"us_per_step": elapsed / steps * 1e6, "total_reward": total_reward}
+
+
+def measure_env_step_k1(
+    rounds: int = K1_ROUNDS, steps: int = K1_STEPS
+) -> Dict[str, object]:
+    """µs per step of the one-lane loop on each core, in alternated rounds.
+
+    Both cores build the same lane spec (the paper preset's reference
+    scenario on its own workload seed, no auto-reset, as K=1 training
+    builds it) and take the same action draws, so each round's two sides
+    step identical trajectories; their reward sums are asserted equal.
+    """
+    config = ExperimentConfig.paper()
+    scenario = build_reference_scenario(config)
+    specs = lane_specs_from_scenarios(
+        [scenario],
+        seed=SEED,
+        env_config=config.manager_config().env,
+        derive_lane_seeds=False,
+    )
+    samples: Dict[str, List[float]] = {core: [] for core in K1_CORES}
+    ratios: List[float] = []
+    order = list(K1_CORES)
+    for index in range(rounds + 1):  # round 0 warms both cores, untimed
+        seed = derive_seed(SEED, "env_step_k1", index)
+        rows = {}
+        for core in order:
+            venv = K1_CORES[core].from_specs(specs, auto_reset=False)
+            rows[core] = _k1_round(venv, steps, seed)
+        assert rows["reference"]["total_reward"] == rows["soa"]["total_reward"]
+        order.reverse()
+        if index == 0:
+            continue
+        for core, row in rows.items():
+            samples[core].append(row["us_per_step"])
+        ratios.append(rows["soa"]["us_per_step"] / rows["reference"]["us_per_step"])
+    return {
+        "scenario": scenario.name,
+        "requests_per_episode": config.requests_per_episode,
+        "rounds": rounds,
+        "steps_per_round": steps,
+        "us_per_step": {core: float(np.median(rows)) for core, rows in samples.items()},
+        "us_per_step_range": {
+            core: [min(rows), max(rows)] for core, rows in samples.items()
+        },
+        "soa_over_reference": float(np.median(ratios)),
+    }
 
 
 def measure_latency_lookups(
@@ -364,6 +450,7 @@ def run_envstep_benchmark(episodes: int = EPISODES) -> Dict[str, object]:
             "seed": SEED,
         },
         "env_step": measure_env_step(episodes),
+        "env_step_k1": measure_env_step_k1(),
         "latency_lookups": measure_latency_lookups(),
         "placement_ops": measure_placement_ops(),
         "plan_ops": measure_plan_ops(),
@@ -392,6 +479,11 @@ def main() -> None:
         f"  {env_step['steps']} steps, {env_step['accepted_requests']} accepted: "
         f"{env_step['steps_per_s']:10.0f} steps/s"
     )
+    k1 = results["env_step_k1"]
+    print(f"one-lane vec loop ({k1['scenario']}, median of {k1['rounds']} rounds)")
+    for core, us in k1["us_per_step"].items():
+        print(f"  {core:9s} {us:8.2f} us/step")
+    print(f"  soa/reference {k1['soa_over_reference']:.2f}")
     print("latency lookups (per second)")
     for row in results["latency_lookups"]:
         print(

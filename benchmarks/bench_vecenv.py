@@ -40,7 +40,7 @@ count K:
   ``select_actions`` → ``step`` → ``observe_batch`` → ``update``), i.e.
   exactly the per-step work of :class:`~repro.core.training.VecTrainer`.
   K=1 routes through the agent's serial paths and is the per-step work of
-  the serial :class:`~repro.core.training.Trainer` baseline.
+  the serial (one-lane) training baseline.
 
 Run standalone::
 
@@ -443,7 +443,7 @@ def measure_training_loop(num_lanes: int, total_steps: int, warmup_steps: int) -
 
     The loop body is the decision loop of ``VecTrainer.run_episodes``; for
     K=1 every batched agent call routes to its serial implementation, making
-    the measurement the per-step cost of the serial ``Trainer``.  Warmup
+    the measurement the per-step cost of one-lane training.  Warmup
     steps (replay fill + first updates) run untimed so all K are compared in
     the steady learning regime.
     """

@@ -22,23 +22,20 @@ from repro import (
     DQNConfig,
     EnvConfig,
     TabularQLearningAgent,
-    Trainer,
     TrainingConfig,
-    VNFPlacementEnv,
     make_dqn_variant,
     reference_scenario,
 )
+from repro.core import SoAVecPlacementEnv, VecTrainer, make_vec_env
 
 
-def build_env(scenario, requests_per_episode: int = 30) -> VNFPlacementEnv:
-    """A fresh training environment over a fresh copy of the scenario substrate."""
-    network = scenario.build_network()
-    generator = scenario.build_generator(network)
-    return VNFPlacementEnv(
-        network=network,
-        generator=generator,
-        catalog=scenario.catalog,
-        config=EnvConfig(requests_per_episode=requests_per_episode),
+def build_env(scenario, requests_per_episode: int = 30) -> SoAVecPlacementEnv:
+    """A fresh one-lane training set on the scenario's own request stream."""
+    return make_vec_env(
+        [scenario],
+        env_config=EnvConfig(requests_per_episode=requests_per_episode),
+        auto_reset=False,
+        derive_lane_seeds=False,
     )
 
 
@@ -75,7 +72,7 @@ def main() -> None:
     for name, factory in agent_factories.items():
         env = build_env(scenario)
         agent = factory(env.state_dim, env.num_actions)
-        trainer = Trainer(env, agent, training_config)
+        trainer = VecTrainer(env, agent, training_config)
         history = trainer.train()
         evaluation = trainer.evaluate(3)
         first = np.mean(history.episode_rewards[:10])

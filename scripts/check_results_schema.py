@@ -23,8 +23,8 @@ RESULTS_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
 ENGINEERING_SCHEMAS = {
     "hotpath.json": {"dqn_update", "replay_sampling"},
     "envstep.json": {
-        "config", "env_step", "latency_lookups", "placement_ops", "plan_ops",
-        "request_ops",
+        "config", "env_step", "env_step_k1", "latency_lookups",
+        "placement_ops", "plan_ops", "request_ops",
     },
     "vecenv.json": {
         "config",
@@ -82,6 +82,9 @@ VECENV_ENV_STEPS_KEYS = {
 #: Required keys of the envstep payload's per-plan section: the timings and
 #: the chain_fits calls each plan makes.
 ENVSTEP_PLAN_OPS_KEYS = {"trace", "calls", "us_per_call", "chain_fits_per_plan"}
+
+#: Cores the envstep payload's one-lane loop must time, side by side.
+ENVSTEP_K1_CORES = {"reference", "soa"}
 
 #: Required keys of every figure payload (``fig*.json`` / ``ablation*.json``).
 FIGURE_KEYS = {"figure", "x_label", "y_label", "x", "series"}
@@ -145,6 +148,13 @@ def check_file(path: Path) -> list:
         plan_missing = sorted(ENVSTEP_PLAN_OPS_KEYS - set(payload["plan_ops"]))
         if plan_missing:
             problems.append(f"{path.name}: plan_ops missing keys {plan_missing}")
+        k1_missing = sorted(
+            ENVSTEP_K1_CORES - set(payload["env_step_k1"].get("us_per_step", {}))
+        )
+        if k1_missing:
+            problems.append(
+                f"{path.name}: env_step_k1 us_per_step missing cores {k1_missing}"
+            )
     if path.name == "vecenv.json":
         for section, nested in (
             ("decomposition", VECENV_DECOMPOSITION_KEYS),

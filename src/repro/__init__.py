@@ -66,7 +66,6 @@ from repro.core import (
     ManagerConfig,
     RewardConfig,
     StateEncoder,
-    Trainer,
     TrainingConfig,
     VNFManager,
     VNFPlacementEnv,
@@ -132,7 +131,6 @@ __all__ = [
     "ManagerConfig",
     "RewardConfig",
     "StateEncoder",
-    "Trainer",
     "TrainingConfig",
     "VNFManager",
     "VNFPlacementEnv",

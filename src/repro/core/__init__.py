@@ -16,7 +16,6 @@ from repro.core.state import EncoderConfig, StateEncoder
 from repro.core.timeout import BudgetedPolicy, DecisionOutcome
 from repro.core.training import (
     EvaluationResult,
-    Trainer,
     TrainingConfig,
     TrainingHistory,
     VecTrainer,
@@ -44,7 +43,6 @@ __all__ = [
     "EncoderConfig",
     "StateEncoder",
     "EvaluationResult",
-    "Trainer",
     "TrainingConfig",
     "TrainingHistory",
     "VecTrainer",

@@ -3,8 +3,10 @@
 :class:`VNFManager` bundles the full DRL-VNF-management pipeline behind a
 small API:
 
-* build the environment for a scenario,
-* train an agent (DQN by default) on it,
+* build the training lanes for a scenario (one by default) on the SoA
+  core, :func:`~repro.core.vecenv.make_vec_env`,
+* train an agent (DQN by default) on them with
+  :class:`~repro.core.training.VecTrainer`,
 * expose the trained controller as an online
   :class:`~repro.sim.simulation.PlacementPolicy`, and
 * evaluate it in the discrete-event simulator against a request trace.
@@ -20,18 +22,17 @@ from typing import Dict, Optional, Union
 
 from repro.agents.base import Agent
 from repro.agents.dqn import DQNAgent, DQNConfig
-from repro.core.env import EnvConfig, VNFPlacementEnv
+from repro.core.env import EnvConfig
 from repro.core.policy import DRLPlacementPolicy
-from repro.core.reward import RewardConfig
+from repro.core.reward import RewardCalculator, RewardConfig
 from repro.core.state import EncoderConfig
 from repro.core.training import (
     EvaluationResult,
-    Trainer,
     TrainingConfig,
     TrainingHistory,
     VecTrainer,
 )
-from repro.core.vecenv import lane_specs_from_scenarios, make_vec_env
+from repro.core.vecenv import make_vec_env
 from repro.sim.simulation import NFVSimulation, SimulationConfig, SimulationResult
 from repro.utils.rng import RandomState, derive_seed
 from repro.workloads.scenarios import Scenario
@@ -46,9 +47,9 @@ class ManagerConfig:
     reward: RewardConfig = None
     encoder: EncoderConfig = None
     dqn: DQNConfig = None
-    #: Number of parallel environment lanes used for training.  1 keeps the
-    #: historical serial trainer; >1 trains on a K-lane vectorized
-    #: environment with derived per-lane workload seeds.
+    #: Number of parallel environment lanes used for training.  1 trains on
+    #: the scenario's own request stream, one episode after another; >1
+    #: trains on K lanes with derived per-lane workload seeds.
     training_lanes: int = 1
 
     def __post_init__(self) -> None:
@@ -77,57 +78,28 @@ class VNFManager:
         self.config = config or ManagerConfig()
         self.seed = seed
 
-        # The training environment owns its own copy of the substrate so that
-        # training never pollutes evaluation runs.
-        if self.config.training_lanes == 1:
-            self._training_network = scenario.build_network()
-            self._generator = scenario.build_generator(self._training_network)
-            self.env = VNFPlacementEnv(
-                network=self._training_network,
-                generator=self._generator,
-                catalog=scenario.catalog,
-                reward_config=self.config.reward,
-                encoder_config=self.config.encoder,
-                config=self.config.env,
-            )
-            self.agent = agent or DQNAgent(
-                state_dim=self.env.state_dim,
-                num_actions=self.env.num_actions,
-                config=self.config.dqn,
-                seed=derive_seed(seed, "agent"),
-            )
-            self.trainer: VecTrainer = Trainer(
-                self.env, self.agent, self.config.training
-            )
-        else:
-            # Replicas of one scenario always share the SoA core's topology
-            # and configuration, so a refusal here is a bug and raises.
-            venv = make_vec_env(
-                [scenario] * self.config.training_lanes,
-                seed=derive_seed(seed, "vec_lanes"),
-                env_config=self.config.env,
-                reward_config=self.config.reward,
-                encoder_config=self.config.encoder,
-                backend="soa",
-            )
-            # Lane 0 rebuilt as the representative environment (same derived
-            # seed, so it mirrors the training lane exactly).
-            self.env = lane_specs_from_scenarios(
-                [scenario],
-                seed=derive_seed(seed, "vec_lanes"),
-                env_config=self.config.env,
-                reward_config=self.config.reward,
-                encoder_config=self.config.encoder,
-            )[0].build()
-            self._training_network = self.env.network
-            self._generator = self.env.generator
-            self.agent = agent or DQNAgent(
-                state_dim=venv.state_dim,
-                num_actions=venv.num_actions,
-                config=self.config.dqn,
-                seed=derive_seed(seed, "agent"),
-            )
-            self.trainer = VecTrainer(venv, self.agent, self.config.training)
+        # The training lanes own their substrate usage, so training never
+        # pollutes evaluation runs.  One lane keeps the scenario's own
+        # workload seed and runs episodes back to back without auto-reset;
+        # K lanes derive per-lane seeds and auto-reset.
+        lanes = self.config.training_lanes
+        venv = make_vec_env(
+            [scenario] * lanes,
+            seed=derive_seed(seed, "vec_lanes"),
+            env_config=self.config.env,
+            reward_config=self.config.reward,
+            encoder_config=self.config.encoder,
+            auto_reset=lanes > 1,
+            derive_lane_seeds=lanes > 1,
+        )
+        self.env = venv
+        self.agent = agent or DQNAgent(
+            state_dim=venv.state_dim,
+            num_actions=venv.num_actions,
+            config=self.config.dqn,
+            seed=derive_seed(seed, "agent"),
+        )
+        self.trainer = VecTrainer(venv, self.agent, self.config.training)
         self._trained = False
 
     # ------------------------------------------------------------------ #
@@ -206,5 +178,5 @@ class VNFManager:
             "state_dim": self.env.state_dim,
             "num_actions": self.env.num_actions,
             "trained": self._trained,
-            "reward": self.env.rewards.describe(),
+            "reward": RewardCalculator(self.config.reward).describe(),
         }

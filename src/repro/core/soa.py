@@ -17,10 +17,12 @@ records.  The step/mask/observe pipeline is fused: one decision-context
 gather per step feeds the batched mask kernel, the batched step-reward
 precompute and the batched state encoder.
 
-The per-lane object core (:class:`~repro.core.vecenv.VecPlacementEnv`)
-still serves K=1 training and lane sets this core rejects, and is the
-differential oracle: this class is **bitwise-equivalent** to it — every
-arithmetic expression below mirrors the reference operation order (see
+This is the only env core production code builds
+(:func:`~repro.core.vecenv.make_vec_env`): K=1 training, multi-lane
+training and every lane evaluation run on it.  The per-lane object core
+(:class:`~repro.core.vecenv.VecPlacementEnv`) survives as the differential
+oracle: this class is **bitwise-equivalent** to it — every arithmetic
+expression below mirrors the reference operation order (see
 ``tests/differential.py`` for the harness that enforces this).  The only
 intentional difference is memory layout: lanes share one topology, its
 constants and its route table, instead of duplicating them K times.
@@ -47,6 +49,7 @@ instance with the end-to-end harness's ``Tracer`` (see
 from __future__ import annotations
 
 import heapq
+from contextlib import nullcontext
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -342,6 +345,9 @@ class SoALane:
         return network
 
 
+#: The step-reward block's context when no lane's latency is inf.
+_NO_GUARD = nullcontext()
+
 _UNROUTED_CODE, _INFEASIBLE_CODE, _ACCEPTED_CODE, _COMMIT_FAILED_CODE = (
     OUTCOME_CODE[name]
     for name in ("no_route", "infeasible", "accepted", "commit_failed")
@@ -382,9 +388,7 @@ class SoAVecPlacementEnv:
 
     Construction requires every lane to share one topology (and
     one resolved env/reward/encoder configuration and catalog); a
-    ``ValueError`` is raised otherwise — callers that need mixed lane sets
-    fall back to the reference :class:`~repro.core.vecenv.VecPlacementEnv`
-    (see :func:`~repro.core.vecenv.make_vec_env` with ``backend="auto"``).
+    ``ValueError`` is raised otherwise.
     """
 
     def __init__(
@@ -482,9 +486,6 @@ class SoAVecPlacementEnv:
         # Reference: load_balance_weight * 0.1 * utilization (left-assoc).
         self._balance_weight01 = ref_reward_cfg.load_balance_weight * 0.1
         self._cost_normalizer = ref_reward_cfg.cost_normalizer
-        self._max_chain_length = ref_encoder_cfg.max_chain_length
-        self._bandwidth_normalizer = ref_encoder_cfg.bandwidth_normalizer_mbps
-        self._holding_normalizer = ref_encoder_cfg.holding_time_normalizer
 
         # ---- SoA state arrays ------------------------------------------ #
         num_lanes = len(specs)
@@ -516,6 +517,8 @@ class SoAVecPlacementEnv:
         self._canhost_version = -1
         self._obs_extras: Optional[tuple] = None
         self._procs: Optional[Sequence[float]] = None
+        #: Whether every lane has a request in flight, set with each context.
+        self._all_active = False
         #: Context row for lanes with no active request; field order must
         #: match the active-lane tuples in :meth:`lane_decision_context`.
         self._inactive_row = (
@@ -526,6 +529,17 @@ class SoAVecPlacementEnv:
         #: batched context never re-walks lane object graphs.
         self._ctx_rows: List[tuple] = [self._inactive_row] * num_lanes
         self._arange_k = np.arange(num_lanes)
+        #: The constant divisors of the request-scalar features (remaining
+        #: VNFs, bandwidth, holding time), one lane-wide tuple each; the
+        #: per-lane SLA and chain length join them at each observation.
+        self._scalar_divisors = tuple(
+            (value,) * num_lanes
+            for value in (
+                ref_encoder_cfg.max_chain_length,
+                ref_encoder_cfg.bandwidth_normalizer_mbps,
+                ref_encoder_cfg.holding_time_normalizer,
+            )
+        )
         #: (K, N, 3) read-only broadcasts of the topology's constant matrices,
         #: the constant fields of every decision context.
         lane_shape = (num_lanes,) + self._capacity.shape
@@ -873,13 +887,12 @@ class SoAVecPlacementEnv:
         self._context = context
         self._context_version = self._decision_version
         self._procs = procs
+        self._all_active = all(active)
+        chain_divisor, bandwidth_divisor, holding_divisor = self._scalar_divisors
         self._obs_extras = (
             onehots,
-            remaining,
-            bandwidths,
-            partials,
-            vnf_indices,
-            chain_lengths,
+            (remaining, bandwidths, partials, holding, vnf_indices),
+            (chain_divisor, bandwidth_divisor, budgets, holding_divisor, chain_lengths),
         )
         return context
 
@@ -916,7 +929,8 @@ class SoAVecPlacementEnv:
             )
         else:
             valid = canhost.copy()
-        valid &= context.active[:, None]
+        if not self._all_active:
+            valid &= context.active[:, None]
         valid &= ~self._fence_rows
         masks[:, :num_nodes] = valid
         return masks
@@ -927,9 +941,7 @@ class SoAVecPlacementEnv:
     def _observe_batch(self) -> np.ndarray:
         """Fused batched state encoding (bitwise equal to per-lane encode)."""
         context = self.lane_decision_context()
-        onehots, remaining, bandwidths, partials, vnf_indices, chain_lengths = (
-            self._obs_extras
-        )
+        onehots, scalars, divisors = self._obs_extras
         num_lanes = self.num_lanes
         num_nodes = self._num_nodes
         states = np.zeros((num_lanes, self.state_dim), dtype=float)
@@ -938,8 +950,8 @@ class SoAVecPlacementEnv:
         )
         used = context.used
         utilization = used / self._capacity_safe
-        np.minimum(utilization[:, :, 0], 1.0, out=node_block[:, :, 0])
-        np.minimum(utilization[:, :, 1], 1.0, out=node_block[:, :, 1])
+        # CPU and memory utilization, features 0 and 1 of every node.
+        np.minimum(utilization[:, :, :2], 1.0, out=node_block[:, :, :2])
         np.minimum(
             context.latency / context.budgets[:, None], 1.0, out=node_block[:, :, 2]
         )
@@ -948,28 +960,18 @@ class SoAVecPlacementEnv:
         lanes_idx = self._arange_k
         states[lanes_idx, offset + np.array(onehots, dtype=np.int64)] = 1.0
         offset += self._catalog_size
+        # The five request scalars as one (5, K) division, each column the
+        # reference's quotient (ints divide as float64 on both sides):
+        # remaining VNFs / max chain, bandwidth / normalizer, partial latency
+        # / SLA, holding / normalizer, VNF index / chain length.  The last is
+        # under 1 on an active lane, so the shared min() leaves it unchanged.
         np.minimum(
-            np.array(remaining, dtype=np.int64) / self._max_chain_length,
+            np.array(scalars, dtype=float) / np.array(divisors, dtype=float),
             1.0,
-            out=states[:, offset + 0],
+            out=states[:, offset : offset + REQUEST_SCALARS].T,
         )
-        np.minimum(
-            np.array(bandwidths) / self._bandwidth_normalizer,
-            1.0,
-            out=states[:, offset + 1],
-        )
-        np.minimum(
-            np.array(partials) / context.budgets, 1.0, out=states[:, offset + 2]
-        )
-        np.minimum(
-            context.holding / self._holding_normalizer, 1.0, out=states[:, offset + 3]
-        )
-        states[:, offset + 4] = np.array(vnf_indices, dtype=np.int64) / np.array(
-            chain_lengths, dtype=np.int64
-        )
-        inactive = ~context.active
-        if inactive.any():
-            states[inactive] = 0.0
+        if not self._all_active:
+            states[~context.active] = 0.0
         return states
 
     # ------------------------------------------------------------------ #
@@ -1017,7 +1019,9 @@ class SoAVecPlacementEnv:
         # other lane mutates, so the shared snapshot is exact).
         context = self.lane_decision_context()
         num_nodes = self._num_nodes
-        rows_sel = np.clip(acts, 0, num_nodes - 1)
+        # Actions were checked non-negative above: only reject needs folding
+        # onto a node row (its gathered values are never read).
+        rows_sel = np.minimum(acts, num_nodes - 1)
         lanes_idx = self._arange_k
         lat_vec = context.latency[lanes_idx, rows_sel]
         # (K,1,3) @ (K,3,1) batched matmul is bitwise equal to the per-pair
@@ -1026,31 +1030,32 @@ class SoAVecPlacementEnv:
             context.demands[:, None, :],
             self._cost_per_unit[rows_sel][:, :, None],
         ).ravel()
-        util_vec = np.max(
-            context.used[lanes_idx, rows_sel] / self._capacity_safe[rows_sel], axis=1
-        )
+        util_vec = (
+            context.used[lanes_idx, rows_sel] / self._capacity_safe[rows_sel]
+        ).max(axis=1)
         # Dense step reward, reference association order:
         #   -( w_lat*(added/sla) + w_cost*((host*holding)/norm) + b01*util )
         # with added = latency + processing delay.  Unroutable anchors carry
         # inf latency; those lanes take the infeasible branch below and never
-        # read the (inf-valued) batched reward, but the arithmetic is guarded
-        # against inf-propagation warnings.
+        # read the (inf-valued) batched reward.  Only inf can make the
+        # arithmetic invalid (a zero weight times inf), so the warning guard
+        # is entered only on steps where a lane has it.
+        inf = np.inf
+        lat_list = lat_vec.tolist()
         added_vec = lat_vec + np.asarray(self._procs)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore") if inf in lat_list else _NO_GUARD:
             latency_terms = self._step_latency_weight * (added_vec / context.budgets)
             cost_terms = self._step_cost_weight * (
                 (host_vec * context.holding) / self._cost_normalizer
             )
             balance_terms = self._balance_weight01 * util_vec
             place_rewards = -((latency_terms + cost_terms) + balance_terms)
-        lat_list = lat_vec.tolist()
         added_list = added_vec.tolist()
         place_list = place_rewards.tolist()
         self._decision_version += 1
 
         rewards = place_rewards  # lanes that do not place are overwritten
         dones = np.zeros(num_lanes, dtype=bool)
-        inf = np.inf
         reject_penalty = self._reject_penalty
         infeasible_penalty = self._infeasible_penalty
         out_codes = self._out_codes

@@ -1,11 +1,11 @@
 """Training and evaluation loops for placement agents.
 
 The loops are built around :class:`VecTrainer`, which drives one agent
-through the K lanes of a :class:`~repro.core.vecenv.VecPlacementEnv` with
+through the K lanes of a :class:`~repro.core.soa.SoAVecPlacementEnv` with
 batched ``select_actions`` / ``observe_batch`` calls — one agent forward pass
-serves K environment steps.  :class:`Trainer` is the K=1 special case and
-keeps the original single-environment API (``run_episode`` / ``train`` /
-``evaluate``) byte-for-byte compatible.
+serves K environment steps.  K=1 is the serial loop: one lane built without
+auto-reset (:class:`~repro.core.manager.VNFManager` does this), which every
+agent routes to its serial path for one-row batches.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.agents.base import Agent
-from repro.core.env import VNFPlacementEnv
-from repro.core.vecenv import VecPlacementEnv
+from repro.core.soa import SoAVecPlacementEnv
 from repro.utils.validation import check_positive
 
 
@@ -104,13 +103,12 @@ class VecTrainer:
     ``venv.step`` and one batched ``agent.observe_batch`` — the per-step agent
     cost is amortized over K environment transitions.  Episode accounting is
     lane-agnostic: each lane completion contributes one entry to the training
-    history, in completion order, exactly like the serial trainer's episode
-    sequence.
+    history, in completion order; at K=1 that is the serial episode sequence.
     """
 
     def __init__(
         self,
-        venv: VecPlacementEnv,  # or the SoA core, which speaks the same surface
+        venv: SoAVecPlacementEnv,  # or the reference oracle, same surface
         agent: Agent,
         config: Optional[TrainingConfig] = None,
     ) -> None:
@@ -143,9 +141,9 @@ class VecTrainer:
         """Reset all lanes and stream until ``episodes`` lane-episodes finish.
 
         Returns one summary dict per completed episode (in completion order)
-        with the same keys as :meth:`Trainer.run_episode` plus the completing
-        ``lane``.  Lanes that exceed ``max_steps_per_episode`` are truncated
-        and summarized exactly like the serial trainer's step cap.
+        with its ``reward``, ``acceptance``, ``latency``, ``loss`` and the
+        completing ``lane``.  Lanes that exceed ``max_steps_per_episode`` are
+        truncated and summarized from their in-progress statistics.
 
         Masks are a pure function of lane state, so a learning run selects
         with the ``next_masks`` it computed for the replay after the previous
@@ -160,7 +158,7 @@ class VecTrainer:
         summaries: List[Dict[str, float]] = []
         #: Losses observed since the last episode completion; each completing
         #: episode is labelled with their mean (for K=1 this is exactly the
-        #: serial per-episode loss).
+        #: episode's own mean loss).
         recent_losses: List[float] = []
         masks = None
         while len(summaries) < episodes:
@@ -282,31 +280,3 @@ class VecTrainer:
     def close(self) -> None:
         """Release the vectorized environment."""
         self.venv.close()
-
-
-class Trainer(VecTrainer):
-    """Episodic trainer driving one agent through one environment.
-
-    This is the K=1 case of :class:`VecTrainer`: the environment is wrapped
-    in a single-lane :class:`VecPlacementEnv` (without auto-reset, so episode
-    boundaries behave exactly like the historical serial loop) and all agent
-    interaction flows through the batched API, which every agent routes to
-    its serial path for one-row batches.  The public API — ``env``,
-    ``run_episode``, ``train``, ``evaluate``, ``history`` — is unchanged.
-    """
-
-    def __init__(
-        self,
-        env: VNFPlacementEnv,
-        agent: Agent,
-        config: Optional[TrainingConfig] = None,
-    ) -> None:
-        super().__init__(
-            VecPlacementEnv([env], auto_reset=False), agent, config
-        )
-        self.env = env
-
-    def run_episode(self, learn: bool = True, greedy: bool = False) -> Dict[str, float]:
-        """Run one episode; returns the episode's summary statistics."""
-        summary = self.run_episodes(1, learn=learn, greedy=greedy)[0]
-        return {key: summary[key] for key in ("reward", "acceptance", "latency", "loss")}

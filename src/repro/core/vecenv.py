@@ -23,12 +23,12 @@ seeds) or from *different* scenarios (e.g. a
 :func:`~repro.workloads.scenarios.scenario_grid` load sweep), as long as
 every lane agrees on ``state_dim`` and ``num_actions``.
 
-This per-lane core serves K=1 training (``Trainer``) and lane sets the
-fused :class:`~repro.core.soa.SoAVecPlacementEnv` rejects (mixed
-topologies or configurations), and is the differential oracle the SoA core
-is held to bitwise.  Batched decision work — the shared decision context,
-the mask kernel and the heuristic score kernels that read it — lives on the
-SoA core.
+No production path builds this per-lane core: :func:`make_vec_env`
+builds the fused :class:`~repro.core.soa.SoAVecPlacementEnv` for every lane
+set.  It is the differential oracle the SoA core is held to bitwise, and
+the reference side of the env benchmarks.  This module also holds what both
+cores share: the lane specs and seed derivation, and the outcome codes of
+the lean-step protocol.
 """
 
 from __future__ import annotations
@@ -183,29 +183,15 @@ def make_vec_env(
     auto_reset: bool = True,
     derive_lane_seeds: bool = True,
     failure_config: Optional[FailureConfig] = None,
-    backend: str = "reference",
 ):
-    """Build a vectorized environment over one lane per scenario.
+    """Build the SoA lane set (one lane per scenario) every production path runs.
 
-    ``backend`` selects the lane core:
-
-    * ``"reference"`` — per-lane :class:`~repro.core.env.VNFPlacementEnv`
-      objects behind :class:`VecPlacementEnv`,
-    * ``"soa"`` — the fused structure-of-arrays core
-      (:class:`~repro.core.soa.SoAVecPlacementEnv`); raises ``ValueError``
-      when the lane set violates its shared-topology requirements,
-    * ``"auto"`` — ``"soa"``, falling back to ``"reference"`` when the SoA
-      core rejects the lane set.
-
-    Both cores build lanes from the same specs and are bitwise
-    trajectory-equivalent (the differential suite asserts it), so swapping
-    backends never changes results — only throughput.
+    Returns a :class:`~repro.core.soa.SoAVecPlacementEnv`, which raises
+    ``ValueError`` when the lanes do not share one topology, one resolved
+    env/reward/encoder configuration and one catalog.  Its lanes are built
+    from the same specs as :class:`VecPlacementEnv`'s and are bitwise
+    trajectory-equivalent to them (the differential suite asserts it).
     """
-    if backend not in ("reference", "soa", "auto"):
-        raise ValueError(
-            f"unknown env backend {backend!r}; expected 'reference', 'soa' "
-            "or 'auto'"
-        )
     specs = lane_specs_from_scenarios(
         scenarios,
         seed=seed,
@@ -218,13 +204,7 @@ def make_vec_env(
     # Imported here because repro.core.soa builds on this module.
     from repro.core.soa import SoAVecPlacementEnv
 
-    if backend != "reference":
-        try:
-            return SoAVecPlacementEnv.from_specs(specs, auto_reset=auto_reset)
-        except ValueError:
-            if backend == "soa":
-                raise
-    return VecPlacementEnv.from_specs(specs, auto_reset=auto_reset)
+    return SoAVecPlacementEnv.from_specs(specs, auto_reset=auto_reset)
 
 
 class VecPlacementEnv:

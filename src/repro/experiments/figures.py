@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.agents.dqn import make_dqn_variant
 from repro.baselines import standard_baselines
-from repro.core.env import VNFPlacementEnv
 from repro.core.manager import VNFManager
 from repro.core.reward import (
     RewardConfig,
@@ -26,7 +25,8 @@ from repro.core.reward import (
     cost_focused_config,
     latency_focused_config,
 )
-from repro.core.training import Trainer, TrainingConfig
+from repro.core.training import TrainingConfig, VecTrainer
+from repro.core.vecenv import make_vec_env
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
     build_reference_scenario,
@@ -337,23 +337,21 @@ def figure_agent_ablation(
 
     results: Dict[str, Dict[str, float]] = {}
     for variant in variants:
-        network = scenario.build_network()
-        generator = scenario.build_generator(network)
-        env = VNFPlacementEnv(
-            network=network,
-            generator=generator,
-            catalog=scenario.catalog,
-            config=config.manager_config().env,
+        venv = make_vec_env(
+            [scenario],
+            env_config=config.manager_config().env,
+            auto_reset=False,
+            derive_lane_seeds=False,
         )
         agent = make_dqn_variant(
             variant,
-            env.state_dim,
-            env.num_actions,
+            venv.state_dim,
+            venv.num_actions,
             config=config.dqn_config(),
             seed=derive_seed(config.seed, "agent_ablation", variant),
         )
-        trainer = Trainer(
-            env,
+        trainer = VecTrainer(
+            venv,
             agent,
             TrainingConfig(
                 num_episodes=config.training_episodes,

@@ -152,18 +152,16 @@ def evaluate_agent_across_scenarios(
     and — since heuristics decide from the lane substrate — state encoding
     is skipped entirely, the lane fast path).  A heuristic's lanes take
     capacity-only masks (``latency_mask_check=False``), the predicate its
-    ``plan_assignment`` takes candidates from, so its results do not depend
-    on the core its lanes land on.  With a ``failure_config``, per-lane
-    failure schedules are injected and the returned results carry the
-    disruption statistics (an availability sweep).
+    ``plan_assignment`` takes candidates from.  With a ``failure_config``,
+    per-lane failure schedules are injected and the returned results carry
+    the disruption statistics (an availability sweep).
 
-    Every lane set is built with ``backend="auto"``: the SoA core, or the
-    reference core when the lanes mix topologies or configurations.  The
-    lane set is closed when the evaluation ends, which frees its episodes
-    even while a bound policy still refers to it.
-
-    All scenarios must share the agent's observation and action space (same
-    topology size); per-lane workload seeds are derived from ``seed``.
+    Every lane set runs on the SoA core (:func:`make_vec_env`), so the
+    scenarios must share one topology, configuration and catalog (a
+    :func:`~repro.workloads.scenarios.scenario_grid` does); a lane set that
+    does not raises ``ValueError``.  The lane set is closed when the
+    evaluation ends, which frees its episodes even while a bound policy
+    still refers to it.  Per-lane workload seeds are derived from ``seed``.
     """
     if episodes_per_scenario <= 0:
         raise ValueError(
@@ -181,7 +179,6 @@ def evaluate_agent_across_scenarios(
         reward_config=reward_config,
         encoder_config=encoder_config,
         failure_config=failure_config,
-        backend="auto",
     )
     try:
         if is_heuristic:

@@ -224,7 +224,7 @@ def scenario_grid(
     derived workload seed, so direct consumers (``generate_requests``,
     ``build_generator``) see independent, individually reproducible request
     streams per cell.  The cells also form the lanes of a scenario-diverse
-    :class:`~repro.core.vecenv.VecPlacementEnv` — one batched pass evaluates
+    :class:`~repro.core.soa.SoAVecPlacementEnv` — one batched pass evaluates
     the whole load/SLA sweep instead of K serial runs.  (Note the vec-env
     builder derives its *own* per-lane seeds unless constructed with
     ``derive_lane_seeds=False``.)

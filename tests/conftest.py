@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.env import VNFPlacementEnv
+from repro.core.vecenv import VecPlacementEnv
 from repro.nfv.catalog import default_catalog, default_chain_templates
 from repro.nfv.sfc import SFCRequest, ServiceFunctionChain
 from repro.nfv.sla import ServiceLevelAgreement
@@ -17,6 +19,21 @@ from repro.substrate.topology import (
     metro_edge_cloud_topology,
 )
 from repro.workloads.generator import RequestGenerator, WorkloadConfig
+
+
+@pytest.fixture
+def no_reference_core(monkeypatch):
+    """Fail the test if anything builds a per-lane reference env core.
+
+    Production paths run the SoA core only; the reference cores are the
+    differential oracle that tests build explicitly.
+    """
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"a production path built a {type(self).__name__}")
+
+    for cls in (VNFPlacementEnv, VecPlacementEnv):
+        monkeypatch.setattr(cls, "__init__", refuse)
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """The benchmark scripts' entry points: committed results stay untouched,
-the vec-env phase breakdown is measured without perturbing the env, and the
-request-layer and planner costs are measured per call."""
+the vec-env phase breakdown is measured without perturbing the env, the
+request-layer and planner costs are measured per call, and the one-lane
+loop is timed on both env cores."""
 
 import sys
 from collections import Counter
@@ -160,3 +161,15 @@ def test_measure_request_ops_reports_every_op():
     trace = ops["trace"]
     assert trace["requests"] > 0
     assert (trace["repeats"], trace["horizon"]) == (2, 30.0)
+
+
+def test_measure_env_step_k1_times_both_cores_on_one_lane():
+    k1 = bench_envstep.measure_env_step_k1(rounds=2, steps=120)
+    assert set(k1["us_per_step"]) == set(k1["us_per_step_range"]) == {
+        "reference", "soa",
+    }
+    assert all(us > 0.0 for us in k1["us_per_step"].values())
+    for core, (low, high) in k1["us_per_step_range"].items():
+        assert low <= k1["us_per_step"][core] <= high
+    assert k1["soa_over_reference"] > 0.0
+    assert (k1["rounds"], k1["steps_per_round"]) == (2, 120)

@@ -161,7 +161,7 @@ class TestFiguresAndTables:
             assert len(entry["acceptance_ratio"]) == len(data["x"])
             assert all(0.0 <= v <= 1.0 for v in entry["acceptance_ratio"])
 
-    def test_agent_ablation_structure(self, smoke_config):
+    def test_agent_ablation_structure(self, smoke_config, no_reference_core):
         data = figure_agent_ablation(smoke_config, variants=["dqn", "double"])
         assert data["x"] == ["dqn", "double_dqn"]
         assert len(data["series"]["mean_reward"]) == 2

@@ -236,18 +236,20 @@ class TestBatchedConsumers:
         agent = DQNAgent(probe.state_dim, probe.num_actions, DQN_CONFIG, seed=1)
         built = []
 
-        def build(*args, backend, force=None, **kwargs):
-            venv = make_vec_env(*args, backend=force or backend, **kwargs)
-            built.append(venv.backend)
-            return venv
+        def evaluate(build):
+            def spy(*args, **kwargs):
+                venv = build(*args, **kwargs)
+                built.append(venv.backend)
+                return venv
 
-        kwargs = dict(seed=SEED, env_config=ENV_CONFIG, failure_config=failures)
-        monkeypatch.setattr(runner, "make_vec_env", build)
-        default = runner.evaluate_agent_across_scenarios(agent, grid, **kwargs)
-        monkeypatch.setattr(
-            runner, "make_vec_env", lambda *a, **k: build(*a, force="reference", **k)
-        )
-        reference = runner.evaluate_agent_across_scenarios(agent, grid, **kwargs)
+            monkeypatch.setattr(runner, "make_vec_env", spy)
+            return runner.evaluate_agent_across_scenarios(
+                agent, grid, seed=SEED, env_config=ENV_CONFIG, failure_config=failures
+            )
+
+        default = evaluate(make_vec_env)
+        # The reference core, built from the same lane specs.
+        reference = evaluate(VecPlacementEnv.from_scenarios)
         assert built == ["soa", "reference"]
         assert [r.as_dict() for r in default] == [r.as_dict() for r in reference]
 
@@ -286,7 +288,8 @@ class TestFactory:
         grid = scenario_grid(small_scenario(), arrival_rates=[0.4, 1.2])
         options = dict(seed=SEED, env_config=ENV_CONFIG, failure_config=FAULTS,
                        derive_lane_seeds=derive_lane_seeds)
-        with make_vec_env(grid, auto_reset=False, backend=core, **options) as venv:
+        build = make_vec_env if core == "soa" else VecPlacementEnv.from_scenarios
+        with build(grid, auto_reset=False, **options) as venv:
             assert isinstance(venv, CORES[core])
             assert venv.auto_reset is False
             assert venv.lane_names == [scenario.name for scenario in grid]

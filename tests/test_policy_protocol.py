@@ -137,15 +137,15 @@ class TestHeuristicLanesAcrossCores:
     def test_baseline_evaluation_is_core_independent(
         self, monkeypatch, factory, failures
     ):
-        build = runner.make_vec_env
         built = []
 
-        def spy(*args, backend, force=None, **kwargs):
-            venv = build(*args, backend=force or backend, **kwargs)
-            built.append(venv.backend)
-            return venv
+        def evaluate(build):
+            def spy(*args, **kwargs):
+                venv = build(*args, **kwargs)
+                built.append(venv.backend)
+                return venv
 
-        def evaluate():
+            monkeypatch.setattr(runner, "make_vec_env", spy)
             return [
                 result.as_dict()
                 for result in evaluate_baseline_across_scenarios(
@@ -154,12 +154,8 @@ class TestHeuristicLanesAcrossCores:
                 )
             ]
 
-        monkeypatch.setattr(runner, "make_vec_env", spy)
-        default = evaluate()
-        monkeypatch.setattr(
-            runner, "make_vec_env", lambda *a, **k: spy(*a, force="reference", **k)
-        )
-        assert evaluate() == default
+        default = evaluate(runner.make_vec_env)
+        assert evaluate(VecPlacementEnv.from_scenarios) == default
         assert built == ["soa", "reference"]
 
     @pytest.mark.parametrize(
@@ -174,12 +170,11 @@ class TestHeuristicLanesAcrossCores:
         grid = scenario_grid(
             reference_scenario(num_edge_nodes=8, seed=1), arrival_rates=[0.5, 1.0, 1.5]
         )
-        build = runner.make_vec_env
         built = []
 
-        def evaluate(force=None):
-            def spy(*args, backend, **kwargs):
-                venv = build(*args, backend=force or backend, **kwargs)
+        def evaluate(build):
+            def spy(*args, **kwargs):
+                venv = build(*args, **kwargs)
                 built.append(venv.backend)
                 return venv
 
@@ -192,7 +187,7 @@ class TestHeuristicLanesAcrossCores:
                 )
             ]
 
-        assert evaluate() == evaluate(force="reference")
+        assert evaluate(runner.make_vec_env) == evaluate(VecPlacementEnv.from_scenarios)
         assert built == ["soa", "reference"]
 
     def test_soa_lane_network_holds_the_reference_ledger(self):

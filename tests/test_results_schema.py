@@ -90,6 +90,20 @@ def test_envstep_without_chain_fits_per_plan_fails(tmp_path):
     assert "plan_ops missing keys ['chain_fits_per_plan']" in problem
 
 
+def test_envstep_without_the_k1_loop_fails(tmp_path):
+    payload = _committed("envstep.json")
+    del payload["env_step_k1"]
+    [problem] = _problems(tmp_path, "envstep.json", payload)
+    assert "missing required keys ['env_step_k1']" in problem
+
+
+def test_envstep_k1_loop_without_the_reference_side_fails(tmp_path):
+    payload = _committed("envstep.json")
+    del payload["env_step_k1"]["us_per_step"]["reference"]
+    [problem] = _problems(tmp_path, "envstep.json", payload)
+    assert "env_step_k1 us_per_step missing cores ['reference']" in problem
+
+
 def test_figure_without_series_fails(tmp_path):
     payload = {"figure": "fig9", "x_label": "x", "y_label": "y", "x": [1]}
     [problem] = _problems(tmp_path, "fig9_new.json", payload)

@@ -7,9 +7,11 @@ states, masks, rewards, dones, infos, running episode statistics and
 fenced-node sets.  Also covers chains the commit's kernel check refuses
 on a link (a tight-link campaign), the K boundaries (K=1, 2, 4 and
 256), mid-episode ``reset_lane``, the stale-fence-row regression and
-ledger conservation after every step.
+ledger conservation after every step, and finished lanes without
+auto-reset.
 """
 
+import inspect
 from dataclasses import replace as dataclass_replace
 
 import numpy as np
@@ -353,8 +355,56 @@ class TestFenceRowHygiene:
         )
 
 
+class TestFinishedLanesWithoutAutoReset:
+    """A finished lane reads alike on both cores until it is restarted.
+
+    Without auto-reset (one-lane training's setting) a lane that ends its
+    episode stays finished until ``reset_lane``: the step's state row and
+    the masks taken before the restart, which one-lane training stores as
+    its terminal transition, must match the reference bitwise.
+    """
+
+    @pytest.mark.parametrize("campaign_seed", range(6))
+    def test_finished_lanes_match_the_reference(self, campaign_seed):
+        campaign = campaign_from_seed(campaign_seed)
+        specs = lane_specs_from_scenarios(
+            [campaign.scenario()] * campaign.num_lanes,
+            seed=campaign.seed,
+            env_config=campaign.env_config(),
+            failure_config=campaign.failure_config,
+        )
+        cores = [
+            core.from_specs(specs, auto_reset=False)
+            for core in (VecPlacementEnv, SoAVecPlacementEnv)
+        ]
+        np.testing.assert_array_equal(*(core.reset() for core in cores))
+        rng = np.random.default_rng(campaign_seed + 11)
+        restarts = 0
+        for _ in range(3 * campaign.steps):
+            masks = [core.valid_action_masks() for core in cores]
+            np.testing.assert_array_equal(*masks)
+            actions = masked_random_actions(masks[0], rng)
+            stepped = [core.step(actions, info=False) for core in cores]
+            for reference, soa in zip(*(result[:3] for result in stepped)):
+                np.testing.assert_array_equal(reference, soa)
+            states, _, dones, _ = stepped[1]
+            finished = np.flatnonzero(dones)
+            if not finished.size:
+                continue
+            masks = [core.valid_action_masks() for core in cores]
+            np.testing.assert_array_equal(*masks)
+            assert not states[finished].any()
+            assert not masks[1][finished, :-1].any() and masks[1][finished, -1].all()
+            for lane in finished.tolist():
+                np.testing.assert_array_equal(
+                    *(core.reset_lane(lane) for core in cores)
+                )
+                restarts += 1
+        assert restarts, "no lane finished an episode; lengthen the drive"
+
+
 class TestBackendSeam:
-    """make_vec_env backend resolution and the SoA lane-set requirements."""
+    """make_vec_env builds the SoA core, which checks its lane-set requirements."""
 
     @staticmethod
     def _grid(num_lanes=2):
@@ -363,21 +413,11 @@ class TestBackendSeam:
         )
         return [scenario] * num_lanes
 
-    def test_soa_backend_is_opt_in(self):
-        venv = make_vec_env(self._grid(), backend="soa")
+    def test_make_vec_env_builds_the_soa_core(self):
+        venv = make_vec_env(self._grid())
         assert isinstance(venv, SoAVecPlacementEnv)
         assert venv.backend == "soa"
-        default = make_vec_env(self._grid())
-        assert isinstance(default, VecPlacementEnv)
-        assert default.backend == "reference"
-
-    def test_auto_backend_picks_soa_for_uniform_lanes(self):
-        venv = make_vec_env(self._grid(), backend="auto")
-        assert isinstance(venv, SoAVecPlacementEnv)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown env backend"):
-            make_vec_env(self._grid(), backend="columnar")
+        assert "backend" not in inspect.signature(make_vec_env).parameters
 
     def test_soa_rejects_mixed_configs(self):
         specs = lane_specs_from_scenarios(
@@ -391,11 +431,12 @@ class TestBackendSeam:
         with pytest.raises(ValueError, match="one shared EnvConfig"):
             SoAVecPlacementEnv.from_specs(mixed)
 
-    def test_auto_backend_falls_back_for_mixed_topologies(self):
+    def test_mixed_topologies_are_refused(self):
         a = reference_scenario(num_edge_nodes=4, seed=1)
         b = reference_scenario(num_edge_nodes=4, seed=2)
-        assert make_vec_env([a, a], backend="auto").backend == "soa"
-        assert make_vec_env([a, b], backend="auto").backend == "reference"
+        assert make_vec_env([a, a]).backend == "soa"
+        with pytest.raises(ValueError, match="one shared topology"):
+            make_vec_env([a, b])
 
 
 class TestLedgerConservation:

@@ -12,7 +12,8 @@ import pytest
 from repro.agents.dqn import DQNConfig
 from repro.core.env import EnvConfig
 from repro.core.manager import ManagerConfig, VNFManager
-from repro.core.training import Trainer, TrainingConfig, VecTrainer
+from repro.core.soa import SoAVecPlacementEnv
+from repro.core.training import TrainingConfig, VecTrainer
 from repro.workloads.scenarios import reference_scenario
 
 
@@ -68,7 +69,8 @@ class MaskSpy:
 
 def test_k1_trainer_reuses_masks_across_steps(monkeypatch):
     trainer = build_trainer(lanes=1)
-    assert isinstance(trainer, Trainer)
+    assert isinstance(trainer.venv, SoAVecPlacementEnv)
+    assert trainer.venv.num_lanes == 1 and not trainer.venv.auto_reset
     spy = MaskSpy(trainer, monkeypatch)
     trainer.run_episodes(3, learn=True)
     assert spy.restarts == 2

@@ -5,10 +5,10 @@ import pytest
 
 from repro.agents.dqn import DQNAgent, DQNConfig
 from repro.agents.qlearning import TabularQLearningAgent
-from repro.core.env import EnvConfig, VNFPlacementEnv
+from repro.core.env import EnvConfig
 from repro.core.manager import ManagerConfig, VNFManager
 from repro.core.policy import DRLPlacementPolicy
-from repro.core.training import Trainer, TrainingConfig
+from repro.core.training import TrainingConfig, VecTrainer
 from repro.sim.simulation import NFVSimulation, SimulationConfig
 from repro.workloads.scenarios import reference_scenario
 
@@ -32,7 +32,7 @@ class TestTrainer:
         wrong_agent = DQNAgent(env.state_dim + 1, env.num_actions, config=DQNConfig(
             hidden_layers=(8,), min_replay_size=16, batch_size=16))
         with pytest.raises(ValueError):
-            Trainer(env, wrong_agent)
+            VecTrainer(env, wrong_agent)
 
     def test_training_history_lengths(self):
         manager = small_manager(num_episodes=4)
@@ -85,7 +85,7 @@ class TestTrainer:
         manager = small_manager()
         env = manager.env
         agent = TabularQLearningAgent(env.state_dim, env.num_actions, seed=0)
-        trainer = Trainer(env, agent, TrainingConfig(num_episodes=2, evaluation_interval=2, evaluation_episodes=1))
+        trainer = VecTrainer(env, agent, TrainingConfig(num_episodes=2, evaluation_interval=2, evaluation_episodes=1))
         history = trainer.train()
         assert len(history.episode_rewards) == 2
         assert agent.table_size > 0
@@ -129,8 +129,6 @@ class TestManager:
         assert summary["trained"] is False
 
     def test_manager_with_vectorized_training_lanes(self):
-        from repro.core.training import VecTrainer
-
         scenario = reference_scenario(
             arrival_rate=0.6, num_edge_nodes=6, horizon=80.0, seed=2
         )
@@ -147,8 +145,8 @@ class TestManager:
         )
         manager = VNFManager(scenario, config=config, seed=0)
         assert isinstance(manager.trainer, VecTrainer)
-        assert not isinstance(manager.trainer, Trainer)
-        assert manager.trainer.num_lanes == 3
+        assert manager.env is manager.trainer.venv
+        assert manager.trainer.num_lanes == 3 and manager.env.auto_reset
         history = manager.train()
         assert manager.is_trained
         assert len(history.episode_rewards) == 4

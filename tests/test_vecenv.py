@@ -14,7 +14,7 @@ from repro.agents.policy_gradient import ReinforceAgent, ReinforceConfig
 from repro.agents.qlearning import TabularQLearningAgent
 from repro.core.env import EnvConfig
 from repro.core.soa import SoAVecPlacementEnv
-from repro.core.training import Trainer, TrainingConfig, VecTrainer
+from repro.core.training import TrainingConfig, VecTrainer
 from repro.core.vecenv import (
     VecPlacementEnv,
     lane_failure_seed,
@@ -669,12 +669,14 @@ class TestVecTrainer:
             DQNConfig(hidden_layers=(16, 16), min_replay_size=16, batch_size=16),
             seed=0,
         )
-        trainer = Trainer(env, agent, TrainingConfig(num_episodes=2))
-        assert isinstance(trainer, VecTrainer)
+        trainer = VecTrainer(
+            VecPlacementEnv([env], auto_reset=False), agent, TrainingConfig(num_episodes=2)
+        )
         assert trainer.num_lanes == 1
-        assert trainer.env is env
-        summary = trainer.run_episode(learn=True)
-        assert set(summary) == {"reward", "acceptance", "latency", "loss"}
+        assert trainer.venv.envs[0] is env
+        (summary,) = trainer.run_episodes(1, learn=True)
+        assert set(summary) == {"reward", "acceptance", "latency", "loss", "lane"}
+        assert summary["lane"] == 0
 
 
 class TestVecLearningCadence:
